@@ -60,6 +60,21 @@ fn bench_matmul_pooled(c: &mut Criterion) {
     });
 }
 
+/// The weight-gradient product `X^T dZ` of a 128-wide layer over a
+/// 4k-row partition, serial and through a 4-thread pool.
+fn bench_matmul_tn(c: &mut Criterion) {
+    let mut rng = SeededRng::new(6);
+    let x = Matrix::random_normal(4_000, 128, 0.0, 1.0, &mut rng);
+    let dz = Matrix::random_normal(4_000, 128, 0.0, 1.0, &mut rng);
+    bench_forced(c, "simd_matmul_tn_4k_d128", || {
+        black_box(x.matmul_tn(&dz));
+    });
+    bench_forced(c, "simd_matmul_tn_4k_d128_pool4", || {
+        let _p = pool::install(ThreadPool::new(4));
+        black_box(x.matmul_tn(&dz));
+    });
+}
+
 fn bench_aggregate(c: &mut Criterion) {
     let mut rng = SeededRng::new(3);
     let ds = SyntheticSpec::reddit_sim().with_nodes(4_000).generate(1);
@@ -71,6 +86,23 @@ fn bench_aggregate(c: &mut Criterion) {
     });
     let dz = scaled_sum_aggregate(&ds.graph, &h, n, &scale);
     bench_forced(c, "simd_aggregate_bwd_4k_d64", || {
+        black_box(scaled_sum_aggregate_backward(&ds.graph, &dz, n, &scale));
+    });
+}
+
+/// The mean-aggregate backward at a products-sized layer (8k nodes,
+/// 128 wide), serial and through a 4-thread pool.
+fn bench_mean_aggregate_backward(c: &mut Criterion) {
+    let mut rng = SeededRng::new(7);
+    let ds = SyntheticSpec::products_sim().with_nodes(8_000).generate(1);
+    let n = ds.num_nodes();
+    let dz = Matrix::random_normal(n, 128, 0.0, 1.0, &mut rng);
+    let scale = ds.mean_scale();
+    bench_forced(c, "simd_mean_aggregate_bwd_8k_d128", || {
+        black_box(scaled_sum_aggregate_backward(&ds.graph, &dz, n, &scale));
+    });
+    bench_forced(c, "simd_mean_aggregate_bwd_8k_d128_pool4", || {
+        let _p = pool::install(ThreadPool::new(4));
         black_box(scaled_sum_aggregate_backward(&ds.graph, &dz, n, &scale));
     });
 }
@@ -102,7 +134,9 @@ criterion_group!(
     config = Criterion::default().sample_size(10);
     targets = bench_matmul,
         bench_matmul_pooled,
+        bench_matmul_tn,
         bench_aggregate,
+        bench_mean_aggregate_backward,
         bench_elementwise,
         bench_adam
 );

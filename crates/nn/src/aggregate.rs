@@ -36,23 +36,6 @@ impl SendMutPtr {
     }
 }
 
-/// Same idea for `*mut Matrix` (per-block partial buffers).
-#[derive(Clone, Copy)]
-struct SendMatPtr(*mut Matrix);
-// SAFETY: each pool job dereferences a distinct element of the partial
-// buffer slice (indexed by its own job id), and the jobs are joined
-// before the buffer is read or dropped.
-unsafe impl Send for SendMatPtr {}
-// SAFETY: as above — per-job exclusive element access, joined before
-// the owning scope continues.
-unsafe impl Sync for SendMatPtr {}
-
-impl SendMatPtr {
-    fn get(self) -> *mut Matrix {
-        self.0
-    }
-}
-
 /// Minimum target rows per parallel block for the forward kernels
 /// (below this the per-dispatch overhead dominates).
 #[cfg(not(miri))]
@@ -63,65 +46,70 @@ const AGG_MIN_ROWS: usize = 64;
 #[cfg(miri)]
 const AGG_MIN_ROWS: usize = 4;
 
-/// Source rows per backward scatter block. The block structure is a
-/// function of the problem size only — never of the thread count — so
-/// the partial-buffer reduction below is bitwise reproducible under
-/// any pool size.
+/// Source rows per backward summation segment, at most
+/// [`MAX_SEGMENTS`] segments. Both depend on the problem size only —
+/// never the thread count — and fix the f32 summation tree of every
+/// gradient row, which the training curves are pinned to.
 #[cfg(not(miri))]
-const SCATTER_BLOCK_ROWS: usize = 256;
+const SEGMENT_ROWS: usize = 256;
 /// Miri-sized (see [`AGG_MIN_ROWS`]).
 #[cfg(miri)]
-const SCATTER_BLOCK_ROWS: usize = 4;
+const SEGMENT_ROWS: usize = 4;
+const MAX_SEGMENTS: usize = 8;
 
-/// Upper bound on backward scatter blocks, bounding partial-buffer
-/// memory at `SCATTER_MAX_BLOCKS x n_rows_h x d` floats.
-const SCATTER_MAX_BLOCKS: usize = 8;
-
-/// Number of scatter blocks for `n_out` source rows (thread-count
-/// independent; see [`SCATTER_BLOCK_ROWS`]).
-fn scatter_blocks(n_out: usize) -> usize {
-    (n_out.div_ceil(SCATTER_BLOCK_ROWS)).clamp(1, SCATTER_MAX_BLOCKS)
-}
-
-/// Shared scatter skeleton for the backward kernels: splits the source
-/// rows `0..n_out` into [`scatter_blocks`] contiguous blocks, runs
-/// `emit(v_range, partial)` per block (each into its own zeroed
-/// `n_rows_h x d` partial), then reduces the partials into the result
-/// **in ascending block order**. Because both the block boundaries and
-/// the reduction order depend only on `n_out`, the f32 summation tree
-/// per output element is fixed: results are bitwise identical whether
-/// the blocks ran on one thread or many.
-fn blocked_scatter(
+/// Shared gather skeleton for the backward kernels. `g` is symmetric
+/// with sorted, unique neighbor lists, so the sources of output row `u`
+/// are exactly the prefix of `N(u)` below `n_out`. Each row is written
+/// by one pool job, which splits its sources into the fixed segments,
+/// folds each segment with `fold(acc, sources, u, self_here)` into a
+/// partial started at `+0.0` (ascending `v`; `self_here` marks the
+/// segment holding `v = u`, for kernels with a self term), and adds the
+/// partials to the row in ascending segment order. Segments with no
+/// sources and no self term are skipped, and the first partial is
+/// folded straight into the zeroed row: both are exact, because a sum
+/// started at `+0.0` is never `-0.0`. So each row gets the summation
+/// tree of a per-segment partial-buffer reduction without the buffers.
+fn segmented_gather<F>(
+    g: &CsrGraph,
+    bk: simd::Backend,
     n_out: usize,
     n_rows_h: usize,
     d: usize,
-    emit: &(dyn Fn(std::ops::Range<usize>, &mut Matrix) + Sync),
-) -> Matrix {
-    let nblocks = scatter_blocks(n_out);
+    fold: F,
+) -> Matrix
+where
+    F: Fn(&mut [f32], &[u32], usize, bool) + Sync,
+{
+    let n_seg = n_out.div_ceil(SEGMENT_ROWS).clamp(1, MAX_SEGMENTS);
+    let seg = n_out.div_ceil(n_seg).max(1);
     let mut dh = Matrix::zeros(n_rows_h, d);
-    if nblocks <= 1 {
-        emit(0..n_out, &mut dh);
-        return dh;
-    }
-    let chunk = n_out.div_ceil(nblocks);
-    let mut partials: Vec<Matrix> = (0..nblocks).map(|_| Matrix::zeros(n_rows_h, d)).collect();
-    {
-        let pptr = SendMatPtr(partials.as_mut_ptr());
-        pool::parallel_row_blocks(nblocks, 1, &|b0, b1| {
-            for b in b0..b1 {
-                // SAFETY: block `b` exclusively owns partials[b]; the
-                // Vec outlives the dispatch, which blocks until every
-                // job has finished.
-                let part = unsafe { &mut *pptr.get().add(b) };
-                emit(b * chunk..((b + 1) * chunk).min(n_out), part);
+    let dptr = SendMutPtr(dh.as_mut_slice().as_mut_ptr());
+    pool::parallel_row_blocks(g.num_nodes(), AGG_MIN_ROWS, &|u0, u1| {
+        // SAFETY: this block owns the disjoint output rows [u0, u1).
+        let block =
+            unsafe { std::slice::from_raw_parts_mut(dptr.get().add(u0 * d), (u1 - u0) * d) };
+        let mut partial = vec![0.0f32; d];
+        for u in u0..u1 {
+            let row = &mut block[(u - u0) * d..(u - u0 + 1) * d];
+            let nb = g.neighbors(u);
+            let srcs = &nb[..nb.partition_point(|&v| (v as usize) < n_out)];
+            let (mut start, mut first) = (0, true);
+            for b in 0..n_seg {
+                let end = start + srcs[start..].partition_point(|&v| (v as usize) < (b + 1) * seg);
+                let self_here = u < n_out && u / seg == b;
+                if end > start || self_here {
+                    let acc = if first { &mut *row } else { &mut partial[..] };
+                    acc.fill(0.0);
+                    fold(acc, &srcs[start..end], u, self_here);
+                    if !first {
+                        simd::add_assign(bk, row, &partial);
+                    }
+                    first = false;
+                }
+                start = end;
             }
-        });
-    }
-    // Reduce in fixed ascending block order: the per-element f32
-    // summation tree never depends on how many threads ran the blocks.
-    for p in &partials {
-        dh.add_assign(p);
-    }
+        }
+    });
     dh
 }
 
@@ -158,10 +146,9 @@ pub fn scaled_sum_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, row_scale: &
 
 /// Adjoint of [`scaled_sum_aggregate`]: given `dz` (`n_out x d`), returns
 /// `dh` (`n_rows_h x d`) with `dh_u = Σ_{v ∈ N_g(u), v < n_out}
-/// row_scale[v] · dz_v`.
-///
-/// Parallel via per-block partial `dh` buffers reduced in fixed order
-/// (see [`blocked_scatter`]); bitwise deterministic at any pool size.
+/// row_scale[v] · dz_v`: a gather over output rows, summed in fixed
+/// source segments (see [`segmented_gather`]), bitwise deterministic at
+/// any pool size.
 ///
 /// # Panics
 ///
@@ -176,15 +163,9 @@ pub fn scaled_sum_aggregate_backward(
     assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
     assert!(n_rows_h >= g.num_nodes(), "output too small");
     assert_eq!(row_scale.len(), n_out, "row_scale length mismatch");
-    let d = dz.cols();
-    let bk = simd::begin_kernel();
-    blocked_scatter(n_out, n_rows_h, d, &|vs, dh| {
-        // One scaled-row scratch per block, not one allocation per `v`.
-        let mut dzv = vec![0.0f32; d];
-        for v in vs {
-            simd::scaled_copy(bk, &mut dzv, row_scale[v], dz.row(v));
-            simd::scatter_rows(bk, dh.as_mut_slice(), d, g.neighbors(v), &dzv);
-        }
+    let (d, bk) = (dz.cols(), simd::begin_kernel());
+    segmented_gather(g, bk, n_out, n_rows_h, d, |acc, srcs, _, _| {
+        simd::sum_rows_scaled(bk, acc, dz.as_slice(), d, srcs, 0, row_scale);
     })
 }
 
@@ -373,25 +354,35 @@ pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matri
     z
 }
 
-/// Adjoint of [`gcn_aggregate`]. Parallel with the same fixed-order
-/// partial-buffer reduction as [`scaled_sum_aggregate_backward`].
+/// Adjoint of [`gcn_aggregate`]: `dh_u = Σ_{v ∈ N_g(u), v < n_out} s_u ·
+/// (s_v · dz_v)` plus, for `u < n_out`, the self term `s_u² · dz_u` at
+/// position `v = u`. Same segmented gather as
+/// [`scaled_sum_aggregate_backward`].
+///
+/// # Panics
+///
+/// Panics on shape mismatches.
 pub fn gcn_aggregate_backward(g: &CsrGraph, dz: &Matrix, n_rows_h: usize, s: &[f32]) -> Matrix {
     let n_out = dz.rows();
+    assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
     assert!(n_rows_h >= g.num_nodes(), "output too small");
     assert!(s.len() >= g.num_nodes(), "scale vector too small");
-    let d = dz.cols();
-    let bk = simd::begin_kernel();
-    blocked_scatter(n_out, n_rows_h, d, &|vs, dh| {
-        // One scaled-row scratch per block, not one allocation per `v`.
-        let mut dzv = vec![0.0f32; d];
-        for v in vs {
-            let sv = s[v];
-            // Self-loop term.
-            simd::axpy(bk, dh.row_mut(v), sv * sv, dz.row(v));
-            simd::scaled_copy(bk, &mut dzv, sv, dz.row(v));
-            simd::scatter_rows_scaled(bk, dh.as_mut_slice(), d, g.neighbors(v), &dzv, s);
-        }
-    })
+    let (d, bk) = (dz.cols(), simd::begin_kernel());
+    segmented_gather(
+        g,
+        bk,
+        n_out,
+        n_rows_h,
+        d,
+        |acc, srcs: &[u32], u, self_here| {
+            let (below, above) = srcs.split_at(srcs.partition_point(|&v| (v as usize) < u));
+            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, below, s, s[u]);
+            if self_here {
+                simd::axpy(bk, acc, s[u] * s[u], dz.row(u));
+            }
+            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, above, s, s[u]);
+        },
+    )
 }
 
 #[cfg(test)]

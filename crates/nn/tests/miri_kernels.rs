@@ -1,6 +1,6 @@
 //! Miri-sized exercise of every raw-pointer kernel in bns-nn: the
 //! forward aggregates (fused and segmented inner/fold pairs) and the
-//! backward blocked-scatter reduction.
+//! backward segmented gathers.
 //!
 //! Run under Miri with:
 //!
@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Under `cfg(miri)` the aggregation thresholds shrink
-//! (`AGG_MIN_ROWS`, `SCATTER_BLOCK_ROWS` in src/aggregate.rs), so the
-//! small graphs here still fan the `from_raw_parts_mut` row blocks and
-//! the partial-buffer scatter across a real multi-thread pool — the
+//! (`AGG_MIN_ROWS`, `SEGMENT_ROWS` in src/aggregate.rs), so the small
+//! graphs here still fan the `from_raw_parts_mut` row blocks of the
+//! forward and backward kernels across a real multi-thread pool, and
+//! the backward sums each row over several source segments — the
 //! aliasing claims get checked on the genuinely concurrent path. The
 //! same tests run natively (larger sizes) as ordinary regression
 //! tests; each asserts via `DispatchStats` that the parallel path
@@ -27,8 +28,9 @@ use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::simd::{self, Backend};
 use bns_tensor::{Matrix, SeededRng};
 
-/// Node count: enough rows to split into several parallel blocks at
-/// the active `AGG_MIN_ROWS` / `SCATTER_BLOCK_ROWS` thresholds.
+/// Node count: enough rows to split into several parallel blocks and
+/// source segments at the active `AGG_MIN_ROWS` / `SEGMENT_ROWS`
+/// thresholds.
 #[cfg(miri)]
 const N: usize = 16;
 #[cfg(not(miri))]
@@ -110,7 +112,7 @@ fn segmented_inner_plus_fold_matches_fused_kernels() {
 /// The aggregate kernels through the SIMD dispatch layer under Miri:
 /// every available vector backend must reproduce the forced-scalar
 /// result bitwise (SSE2 is statically guaranteed on x86_64, so the
-/// intrinsic gather/scatter paths run even under the interpreter), and
+/// intrinsic gather paths run even under the interpreter), and
 /// the forced dispatches must land on that backend's `DispatchStats`
 /// counter.
 #[test]

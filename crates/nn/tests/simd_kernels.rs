@@ -185,7 +185,7 @@ fn gat_layer_bitwise_across_backends() {
 /// forced, a SAGE layer's analytic input gradient still matches finite
 /// differences. This is the correctness (not just consistency) anchor
 /// for the SIMD kernels — matmul, aggregate, activation and the
-/// backward scatters all sit on this loss surface.
+/// backward gathers all sit on this loss surface.
 #[test]
 fn sage_gradcheck_through_simd_path() {
     let best = simd::detect();

@@ -272,14 +272,13 @@ where
     });
     // Re-raise the first captured panic on the caller, as run_ranks'
     // join would.
-    let payload = shared
-        .panic
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    let payload = {
+        let mut first = shared.panic.lock().unwrap_or_else(|e| e.into_inner());
         // The edge to Reader::take (whose .len() reaches the sampler
         // `state` lock) is a name collision.
         // bns-allow(BNS-A003): Option::take, not Reader::take
-        .take();
+        first.take()
+    };
     if let Some(p) = payload {
         panic::resume_unwind(p);
     }
@@ -334,12 +333,21 @@ fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .get_or_insert(payload);
+                // Under the queue lock, like the end-of-run notify below.
+                let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 shared.poisoned.store(true, Ordering::SeqCst);
                 shared.available.notify_all();
                 return;
             }
             Ok(Step::Done) => {
                 shared.states[idx].store(DONE, Ordering::SeqCst);
+                // Decrement and notify under the queue lock: a worker
+                // holds that lock from its `live` check until `wait`
+                // releases it, so it either sees `live == 0` or is
+                // already waiting when `notify_all` fires. Unlocked, the
+                // notify could land between the two and the worker would
+                // sleep forever.
+                let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                     shared.available.notify_all();
                 }

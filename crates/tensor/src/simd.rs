@@ -60,11 +60,11 @@ use std::sync::OnceLock;
 /// [`detect`], like an absent variable.
 pub const ENV_SIMD: &str = "BNS_SIMD";
 
-/// Depth-blocking factor for the NN matmul kernel: an `MM_KC x cols`
-/// panel of the right-hand operand is reused across every row of a
-/// block while it is hot in cache. Panels ascend and `k` ascends within
-/// a panel, so the per-element accumulation order is plain ascending
-/// `k` — identical to the untiled loop.
+/// Depth-blocking factor for the matmul kernels: an `MM_KC x cols`
+/// panel of the right-hand operand is packed once and reused across
+/// every row tile of a block while it is hot in cache. Panels ascend
+/// and `k` ascends within a panel, so the per-element accumulation
+/// order is plain ascending `k` — identical to the untiled loop.
 pub(crate) const MM_KC: usize = 128;
 
 /// A SIMD instruction set the kernels can dispatch to.
@@ -201,7 +201,7 @@ pub fn note_dispatch(bk: Backend) {
     STATS.with(|s| {
         let mut d = s.get();
         *d.slot_mut(bk) += 1;
-        s.set(d);
+        s.replace(d);
     });
 }
 
@@ -637,7 +637,7 @@ impl Vf32 for NeonV {
 /// inline and vectorize. Safe code throughout: all bounds go through
 /// slice indexing or `chunks_exact`.
 mod kernels {
-    use super::{AdamHyper, Vf32, MM_KC};
+    use super::{AdamHyper, ScalarV, Vf32, MM_KC};
 
     /// `out[j] = v(out[j], src[j])` lanewise, with the scalar closure
     /// on the remainder.
@@ -860,68 +860,184 @@ mod kernels {
         }
     }
 
+    /// `acc += c * (scales[v] * src.row(v))` for each `v` in `idx`, in
+    /// order, with the same register tiling as [`sum_rows`]. This is
+    /// the GCN backward gather term `s_u · (s_v · dz_v)`: both
+    /// multiplies round separately, exactly as the former
+    /// scale-then-scatter pair did.
     #[inline(always)]
-    pub(super) fn scatter_rows<S: Vf32>(dst: &mut [f32], d: usize, idx: &[u32], row: &[f32]) {
-        for &u in idx {
-            let r = u as usize * d;
-            add_assign::<S>(&mut dst[r..r + d], row);
-        }
-    }
-
-    #[inline(always)]
-    pub(super) fn scatter_rows_scaled<S: Vf32>(
-        dst: &mut [f32],
+    pub(super) fn sum_rows_rescaled<S: Vf32>(
+        acc: &mut [f32],
+        src: &[f32],
         d: usize,
         idx: &[u32],
-        row: &[f32],
         scales: &[f32],
+        c: f32,
     ) {
-        for &u in idx {
-            let r = u as usize * d;
-            axpy_row::<S>(&mut dst[r..r + d], scales[u as usize], row);
+        let vc = S::splat(c);
+        let mut col = 0;
+        while col + 2 * S::LANES <= d {
+            let mut a0 = S::load(&acc[col..]);
+            let mut a1 = S::load(&acc[col + S::LANES..]);
+            for &v in idx {
+                let sv = S::splat(scales[v as usize]);
+                let r = v as usize * d + col;
+                a0 = S::add(a0, S::mul(vc, S::mul(sv, S::load(&src[r..]))));
+                a1 = S::add(a1, S::mul(vc, S::mul(sv, S::load(&src[r + S::LANES..]))));
+            }
+            S::store(&mut acc[col..], a0);
+            S::store(&mut acc[col + S::LANES..], a1);
+            col += 2 * S::LANES;
+        }
+        if col + S::LANES <= d {
+            let mut a0 = S::load(&acc[col..]);
+            for &v in idx {
+                let sv = S::splat(scales[v as usize]);
+                let x = S::load(&src[v as usize * d + col..]);
+                a0 = S::add(a0, S::mul(vc, S::mul(sv, x)));
+            }
+            S::store(&mut acc[col..], a0);
+            col += S::LANES;
+        }
+        for j in col..d {
+            let mut s = acc[j];
+            for &v in idx {
+                s += c * (scales[v as usize] * src[v as usize * d + j]);
+            }
+            acc[j] = s;
         }
     }
 
-    /// One `MM_KC`-deep panel of `C[i] += a[i][k] * B[k]`, the whole
-    /// panel's `k` sum held in registers per output vector pair (two
-    /// independent chains hide the add latency). Registers round
-    /// exactly like memory, so per element this is still the plain
-    /// ascending-`k` scalar accumulation, bit for bit.
+    /// Output rows per GEMM register tile.
+    const MR: usize = 4;
+
+    /// The GEMM micro-kernel: `M` output rows (`out`, row stride `n`)
+    /// times `V` vectors of columns from `j`, held in `M x V` vector
+    /// registers while `k` runs over one panel:
+    /// `out[r][c] += a(r, k) * b(k, c)`. Element `a(r, k)` sits at
+    /// `a[a0 + r * rs + k * ks]` (`k` counted from the panel start), so
+    /// one body serves `A B` (`rs = kd, ks = 1`) and `A^T B` (`rs = 1,
+    /// ks = kd`). `bp` is the panel's packed column strip, `V x LANES`
+    /// floats per `k`. Each loaded `B` vector feeds all `M` rows, and
+    /// the `M x V` accumulator chains are independent, so the adds
+    /// overlap instead of waiting on each other's latency.
+    ///
+    /// Every output element is still one chain: loaded from `out`,
+    /// `+= a * b` (multiply then add, never fused) for ascending `k`,
+    /// stored back. Registers round like memory, so the result is the
+    /// plain ascending-`k` scalar loop, bit for bit, at any `M` and `V`.
     #[inline(always)]
-    fn mm_nn_panel<S: Vf32>(arow: &[f32], b: &[f32], orow: &mut [f32], kb: usize, n: usize) {
-        let mut oc = orow.chunks_exact_mut(2 * S::LANES);
-        let mut j = 0;
-        for opair in &mut oc {
-            let (o0, o1) = opair.split_at_mut(S::LANES);
-            let mut a0 = S::load(o0);
-            let mut a1 = S::load(o1);
-            for (k, &av) in arow.iter().enumerate() {
-                let vav = S::splat(av);
-                let r = (kb + k) * n + j;
-                a0 = S::add(a0, S::mul(vav, S::load(&b[r..])));
-                a1 = S::add(a1, S::mul(vav, S::load(&b[r + S::LANES..])));
+    fn mm_tile<S: Vf32, const M: usize, const V: usize>(
+        a: &[f32],
+        (a0, rs, ks): (usize, usize, usize),
+        bp: &[f32],
+        out: &mut [f32],
+        (n, j): (usize, usize),
+    ) {
+        let mut acc = [[S::splat(0.0); V]; M];
+        for (r, ar) in acc.iter_mut().enumerate() {
+            for (v, x) in ar.iter_mut().enumerate() {
+                *x = S::load(&out[r * n + j + v * S::LANES..]);
             }
-            S::store(o0, a0);
-            S::store(o1, a1);
+        }
+        for (k, bk) in bp.chunks_exact(V * S::LANES).enumerate() {
+            let mut bv = [S::splat(0.0); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = S::load(&bk[v * S::LANES..]);
+            }
+            let p = a0 + k * ks;
+            for (r, ar) in acc.iter_mut().enumerate() {
+                let av = S::splat(a[p + r * rs]);
+                for (x, &bx) in ar.iter_mut().zip(&bv) {
+                    *x = S::add(*x, S::mul(av, bx));
+                }
+            }
+        }
+        for (r, ar) in acc.iter().enumerate() {
+            for (v, &x) in ar.iter().enumerate() {
+                S::store(&mut out[r * n + j + v * S::LANES..], x);
+            }
+        }
+    }
+
+    /// Runs the `V`-vector column strip at `j` over [`MR`] rows of
+    /// `out` (fewer for the last tile).
+    #[inline(always)]
+    fn mm_strip<S: Vf32, const V: usize>(
+        a: &[f32],
+        at: (usize, usize, usize),
+        bp: &[f32],
+        tile: &mut [f32],
+        nj: (usize, usize),
+    ) {
+        match tile.len() / nj.0 {
+            MR => mm_tile::<S, MR, V>(a, at, bp, tile, nj),
+            1 => mm_tile::<S, 1, V>(a, at, bp, tile, nj),
+            2 => mm_tile::<S, 2, V>(a, at, bp, tile, nj),
+            3 => mm_tile::<S, 3, V>(a, at, bp, tile, nj),
+            rows => unreachable!("{rows} rows in a tile of at most MR = {MR}"),
+        }
+    }
+
+    /// `out += A B` over all of `k`, where `out` is `rows x n`, `B` is
+    /// `kd x n` and `A`'s element `(i, k)` sits at `a[a0 + i * rs + k *
+    /// ks]`. `k` runs in [`MM_KC`]-deep panels, ascending, so per
+    /// element the order is plain ascending `k`. Each panel of `B` is
+    /// first copied into column strips of two vectors, then one
+    /// vector, then single columns (which run the same tile on one
+    /// scalar lane), each strip contiguous in `k`; then every tile of
+    /// [`MR`] rows sweeps the strips while its `A` block stays in L1.
+    #[inline(always)]
+    fn mm_panels<S: Vf32>(
+        a: &[f32],
+        (a0, rs, ks): (usize, usize, usize),
+        b: &[f32],
+        kd: usize,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let mut strips = Vec::new();
+        let mut j = 0;
+        while j + 2 * S::LANES <= n {
+            strips.push((j, 2 * S::LANES));
             j += 2 * S::LANES;
         }
-        let tail = oc.into_remainder();
-        let mut tc = tail.chunks_exact_mut(S::LANES);
-        for ochunk in &mut tc {
-            let mut a0 = S::load(ochunk);
-            for (k, &av) in arow.iter().enumerate() {
-                a0 = S::add(a0, S::mul(S::splat(av), S::load(&b[(kb + k) * n + j..])));
-            }
-            S::store(ochunk, a0);
+        if j + S::LANES <= n {
+            strips.push((j, S::LANES));
             j += S::LANES;
         }
-        for (jj, oe) in tc.into_remainder().iter_mut().enumerate() {
-            let col = j + jj;
-            let mut s = *oe;
-            for (k, &av) in arow.iter().enumerate() {
-                s += av * b[(kb + k) * n + col];
+        strips.extend((j..n).map(|c| (c, 1)));
+        let mut packed = vec![0.0f32; MM_KC.min(kd) * n];
+        let mut kb = 0;
+        while kb < kd {
+            let kend = (kb + MM_KC).min(kd);
+            let depth = kend - kb;
+            let mut off = 0;
+            for &(j, w) in &strips {
+                for (k, dst) in packed[off..off + depth * w].chunks_exact_mut(w).enumerate() {
+                    dst.copy_from_slice(&b[(kb + k) * n + j..][..w]);
+                }
+                off += depth * w;
             }
-            *oe = s;
+            for (t, tile) in out.chunks_mut(MR * n).enumerate() {
+                let at = (a0 + t * MR * rs + kb * ks, rs, ks);
+                let mut off = 0;
+                for &(j, w) in &strips {
+                    let bp = &packed[off..off + depth * w];
+                    if w == 2 * S::LANES {
+                        mm_strip::<S, 2>(a, at, bp, tile, (n, j));
+                    } else if w == S::LANES {
+                        mm_strip::<S, 1>(a, at, bp, tile, (n, j));
+                    } else {
+                        mm_strip::<ScalarV, 1>(a, at, bp, tile, (n, j));
+                    }
+                    off += depth * w;
+                }
+            }
+            kb = kend;
         }
     }
 
@@ -933,70 +1049,7 @@ mod kernels {
         kd: usize,
         n: usize,
     ) {
-        let block_rows = out_block.len() / n.max(1);
-        let mut kb = 0;
-        while kb < kd {
-            let kend = (kb + MM_KC).min(kd);
-            for i in 0..block_rows {
-                let arow = &a_block[i * kd + kb..i * kd + kend];
-                let orow = &mut out_block[i * n..(i + 1) * n];
-                mm_nn_panel::<S>(arow, b, orow, kb, n);
-            }
-            kb = kend;
-        }
-    }
-
-    /// One `MM_KC`-deep panel of `C[i] += a[r][i] * B[r]` for a single
-    /// output row `i` (a column of `A`), the `r` sum held in registers
-    /// per output vector pair — same structure and same per-element
-    /// ascending-`r` order as [`mm_nn_panel`].
-    #[inline(always)]
-    fn mm_tn_panel<S: Vf32>(
-        a: &[f32],
-        b: &[f32],
-        orow: &mut [f32],
-        i: usize,
-        (rb, rend): (usize, usize),
-        kd: usize,
-    ) {
-        let n = orow.len();
-        let mut oc = orow.chunks_exact_mut(2 * S::LANES);
-        let mut j = 0;
-        for opair in &mut oc {
-            let (o0, o1) = opair.split_at_mut(S::LANES);
-            let mut a0 = S::load(o0);
-            let mut a1 = S::load(o1);
-            for r in rb..rend {
-                let vav = S::splat(a[r * kd + i]);
-                let q = r * n + j;
-                a0 = S::add(a0, S::mul(vav, S::load(&b[q..])));
-                a1 = S::add(a1, S::mul(vav, S::load(&b[q + S::LANES..])));
-            }
-            S::store(o0, a0);
-            S::store(o1, a1);
-            j += 2 * S::LANES;
-        }
-        let tail = oc.into_remainder();
-        let mut tc = tail.chunks_exact_mut(S::LANES);
-        for ochunk in &mut tc {
-            let mut a0 = S::load(ochunk);
-            for r in rb..rend {
-                a0 = S::add(
-                    a0,
-                    S::mul(S::splat(a[r * kd + i]), S::load(&b[r * n + j..])),
-                );
-            }
-            S::store(ochunk, a0);
-            j += S::LANES;
-        }
-        for (jj, oe) in tc.into_remainder().iter_mut().enumerate() {
-            let col = j + jj;
-            let mut s = *oe;
-            for r in rb..rend {
-                s += a[r * kd + i] * b[r * n + col];
-            }
-            *oe = s;
-        }
+        mm_panels::<S>(a_block, (0, kd, 1), b, kd, out_block, n);
     }
 
     #[inline(always)]
@@ -1009,14 +1062,7 @@ mod kernels {
         n: usize,
     ) {
         let rows = a.len().checked_div(kd).unwrap_or(0);
-        let mut rb = 0;
-        while rb < rows {
-            let rend = (rb + MM_KC).min(rows);
-            for (ii, orow) in out_block.chunks_exact_mut(n).take(i1 - i0).enumerate() {
-                mm_tn_panel::<S>(a, b, orow, i0 + ii, (rb, rend), kd);
-            }
-            rb = rend;
-        }
+        mm_panels::<S>(a, (i0, 1, kd), b, rows, &mut out_block[..(i1 - i0) * n], n);
     }
 
     #[inline(always)]
@@ -1221,31 +1267,25 @@ dispatch_kernels! {
         scales: &[f32],
     );
 
-    /// `dst.row(idx[i]) += row` for each index in order (`dst` is a
-    /// flat `rows x d` buffer) — the backward scatter inner loop.
+    /// `acc += c * (scales[idx[i]] * src.row(idx[i]))` for each index
+    /// in order — the GCN backward gather (`c = s_u`).
     ///
     /// # Panics
     ///
     /// Panics on out-of-bounds indices or width mismatches.
-    pub fn scatter_rows(dst: &mut [f32], d: usize, idx: &[u32], row: &[f32]);
+    pub fn sum_rows_rescaled(acc: &mut [f32], src: &[f32], d: usize, idx: &[u32], scales: &[f32], c: f32);
 
-    /// `dst.row(idx[i]) += scales[idx[i]] * row` for each index in
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds indices or width mismatches.
-    pub fn scatter_rows_scaled(dst: &mut [f32], d: usize, idx: &[u32], row: &[f32], scales: &[f32]);
-
-    /// The i-k-j matmul kernel on one block of output rows: `out[i] +=
-    /// a[i][k] * b[k]`, `k` tiled in [`MM_KC`] panels, vectorized
-    /// across the `n` output columns. Per-element accumulation order is
-    /// ascending `k`, identical to the untiled scalar loop.
+    /// The matmul kernel on one block of output rows: `out[i] +=
+    /// a[i][k] * b[k]`, `k` tiled in [`MM_KC`] panels, register tiles
+    /// of four output rows vectorized across the `n` output columns.
+    /// Per-element accumulation order is ascending `k`, identical to
+    /// the untiled scalar loop.
     pub fn mm_nn_block(a_block: &[f32], b: &[f32], out_block: &mut [f32], kd: usize, n: usize);
 
     /// The `A^T B` kernel on output rows `[i0, i1)` (columns of `A`):
-    /// for each row `r` of `A`, broadcast `a[r][i]` across `B`'s row
-    /// `r`. Accumulation order per element is ascending `r`.
+    /// the same register tile as [`mm_nn_block`], reading `A` with its
+    /// strides swapped, so `a[r][i]` is broadcast across `B`'s row `r`.
+    /// Accumulation order per element is ascending `r`.
     pub fn mm_tn_block(
         a: &[f32],
         b: &[f32],

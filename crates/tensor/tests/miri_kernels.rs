@@ -1,5 +1,6 @@
 //! Miri-sized exercise of every raw-pointer kernel in bns-tensor: the
-//! pool's `JobBatch` dispatch and the three parallel matmul variants.
+//! pool's `JobBatch` dispatch and the three parallel matmul variants,
+//! including the GEMM register tile and its row and column tails.
 //!
 //! Run under Miri with:
 //!
@@ -21,12 +22,16 @@ use bns_tensor::simd::{self, Backend};
 use bns_tensor::{Matrix, SeededRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+// Ten rows run two full four-row GEMM tiles and a two-row tail; nine
+// columns run a two-vector strip at SSE2's four lanes plus one single
+// column, so the serial products below go through the full register
+// tile and both tails.
 #[cfg(miri)]
 const M: usize = 10;
 #[cfg(miri)]
 const K: usize = 6;
 #[cfg(miri)]
-const N: usize = 5;
+const N: usize = 9;
 
 #[cfg(not(miri))]
 const M: usize = 200;

@@ -149,14 +149,16 @@ impl AnalyzeConfig {
             // Outermost first. `slots` (a rank task slot, held across
             // `step()`) must be taken before anything the step body or
             // the scheduler touches — the serve shard/job state, the
-            // engine output slot, the run queue, and waker slots; the
-            // telemetry series lock is the innermost leaf.
+            // engine output slot, a task's table of peer wakers (held
+            // while it wakes a peer), the run queue, and waker slots;
+            // the telemetry series lock is the innermost leaf.
             lock_order: vec![
                 "slots".into(),
                 "shards".into(),
                 "completed".into(),
                 "state".into(),
                 "out".into(),
+                "wakers".into(),
                 "queue".into(),
                 "waker".into(),
                 "panic".into(),

@@ -541,7 +541,7 @@ pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                     _ => None,
                 };
                 let Some((name, tok)) = name else { continue };
-                if cfg.recv_fns.iter().any(|r| *r == name) {
+                if cfg.recv_fns.contains(&name) {
                     let line = ws.files[g.file].sig_line(tok);
                     let candidate = (g.file, line, ws.graph.path_to(&reach, rid, &ws.fns));
                     let better = match &recv_site {
@@ -592,7 +592,7 @@ pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                     Event::MethodCall { name, .. } => Some(name.clone()),
                     _ => None,
                 };
-                name.is_some_and(|n| cfg.waker_fns.iter().any(|w| *w == n))
+                name.is_some_and(|n| cfg.waker_fns.contains(&n))
             })
         });
         if !registers {
