@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks for the runtime-dispatched SIMD backend:
 //! every dispatched kernel family, forced-scalar vs. the best backend
-//! this CPU supports (`bns_tensor::simd::detect`), serial and through
-//! a 4-thread pool (threads × lanes).
+//! this CPU supports (`bns_tensor::simd::detect`) and, where it runs,
+//! the 8-lane AVX2 backend next to it, serially and through a 4-thread
+//! pool (threads × lanes).
 //!
-//! The pairs share inputs, so the ratio between `*_scalar` and
-//! `*_simd` is the lane-level speedup — the acceptance target for the
-//! backend is >= 1.5x on matmul and aggregate on an AVX2 host. The
+//! The rows share inputs, so the ratio between `*_scalar` and
+//! `*_simd_<backend>` is the lane-level speedup — the acceptance target
+//! for the backend is >= 1.5x on matmul and aggregate on an AVX2 host —
+//! and `*_simd_avx2` against `*_simd_avx512` is the gain of the wider
+//! lanes on an AVX-512 host. The
 //! results are bitwise identical by construction (see the proptests in
 //! `crates/tensor/tests/simd_kernels.rs`), so this measures pure
 //! throughput, not a precision trade.
@@ -19,18 +22,23 @@ use bns_tensor::{Matrix, SeededRng};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// Benchmarks `f` forced to scalar and forced to the detected best
-/// backend, under the given suffix labels.
+/// Benchmarks `f` forced to scalar, to AVX2 where it runs, and to the
+/// detected best backend, under the given suffix labels.
 fn bench_forced(c: &mut Criterion, name: &str, mut f: impl FnMut()) {
-    let best = simd::detect();
     c.bench_function(&format!("{name}_scalar"), |bch| {
         let _g = simd::force(Backend::Scalar);
         bch.iter(&mut f);
     });
-    c.bench_function(&format!("{name}_simd_{}", best.name()), |bch| {
-        let _g = simd::force(best);
-        bch.iter(&mut f);
-    });
+    let mut vector = vec![simd::detect()];
+    if Backend::Avx2.is_available() && vector[0] != Backend::Avx2 {
+        vector.insert(0, Backend::Avx2);
+    }
+    for bk in vector {
+        c.bench_function(&format!("{name}_simd_{}", bk.name()), |bch| {
+            let _g = simd::force(bk);
+            bch.iter(&mut f);
+        });
+    }
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -45,6 +53,18 @@ fn bench_matmul(c: &mut Criterion) {
     });
     bench_forced(c, "simd_matmul_nt_256", || {
         black_box(a.matmul_nt(&b));
+    });
+}
+
+/// A narrow output layer (products-sim's 128 → 24 over a 4k-row
+/// partition): its 24 columns are all tail on a 16-lane backend, so
+/// this is the row the step-down column strips are for.
+fn bench_matmul_narrow(c: &mut Criterion) {
+    let mut rng = SeededRng::new(8);
+    let h = Matrix::random_normal(4_000, 128, 0.0, 1.0, &mut rng);
+    let w = Matrix::random_normal(128, 24, 0.0, 1.0, &mut rng);
+    bench_forced(c, "simd_matmul_4k_128x24", || {
+        black_box(h.matmul(&w));
     });
 }
 
@@ -133,6 +153,7 @@ criterion_group!(
     name = simd_benches;
     config = Criterion::default().sample_size(10);
     targets = bench_matmul,
+        bench_matmul_narrow,
         bench_matmul_pooled,
         bench_matmul_tn,
         bench_aggregate,

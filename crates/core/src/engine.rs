@@ -784,6 +784,7 @@ impl Drop for WorkerGuard {
         bns_telemetry::counter_add("simd.dispatch.scalar", simd_stats.scalar);
         bns_telemetry::counter_add("simd.dispatch.sse2", simd_stats.sse2);
         bns_telemetry::counter_add("simd.dispatch.avx2", simd_stats.avx2);
+        bns_telemetry::counter_add("simd.dispatch.avx512", simd_stats.avx512);
         bns_telemetry::counter_add("simd.dispatch.neon", simd_stats.neon);
     }
 }

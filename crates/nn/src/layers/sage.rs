@@ -14,6 +14,7 @@ use crate::aggregate::{
 };
 use crate::layers::dropout;
 use bns_graph::CsrGraph;
+use bns_tensor::simd;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
 /// GraphSAGE layer parameters.
@@ -254,9 +255,7 @@ impl SageLayer {
         let dz = dpre.matmul_nt(&self.w_neigh);
         let dh = scaled_sum_aggregate_backward(g, &dz, n_inner + cache.n_bd, &cache.row_scale);
         let (mut dh_inner, dh_bd) = dh.split_rows(n_inner);
-        let dh_self = dpre.matmul_nt(&self.w_self);
-        let idx: Vec<usize> = (0..n_inner).collect();
-        dh_inner.scatter_add_rows(&idx, &dh_self);
+        dh_inner.add_assign(&dpre.matmul_nt(&self.w_self));
         if let Some(m) = &cache.mask_in {
             dh_inner = dh_inner.hadamard(m);
         }
@@ -283,8 +282,8 @@ impl SageLayer {
         let mut dh =
             scaled_sum_aggregate_backward(g, &dz, cache.h_dropped.rows(), &cache.row_scale);
         let dh_self = dpre.matmul_nt(&self.w_self);
-        let idx: Vec<usize> = (0..cache.n_out).collect();
-        dh.scatter_add_rows(&idx, &dh_self);
+        let top = &mut dh.as_mut_slice()[..dh_self.as_slice().len()];
+        simd::add_assign(simd::begin_kernel(), top, dh_self.as_slice());
         let dh = match &cache.mask {
             Some(m) => dh.hadamard(m),
             None => dh,

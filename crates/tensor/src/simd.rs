@@ -2,11 +2,17 @@
 //!
 //! Every hot loop in the workspace (dense matmul, neighbor aggregation,
 //! activations, Adam) funnels through the kernels in this module, which
-//! pick a lane width at runtime: AVX2 (8 lanes) or SSE2 (4) on x86_64,
-//! NEON (4) on aarch64, and a scalar fallback everywhere. The choice is
-//! made once per process from CPU feature detection, overridable with
-//! the `BNS_SIMD` environment variable (mirroring `BNS_THREADS` from
-//! [`crate::pool`]): `scalar`, `sse2`, `avx2`, `neon`, or `auto`.
+//! pick a lane width at runtime: AVX-512 (16 lanes), AVX2 (8) or SSE2
+//! (4) on x86_64, NEON (4) on aarch64, and a scalar fallback
+//! everywhere. The choice is made once per process from CPU feature
+//! detection, overridable with the `BNS_SIMD` environment variable
+//! (mirroring `BNS_THREADS` from [`crate::pool`]): `scalar`, `sse2`,
+//! `avx2`, `avx512`, `neon`, or `auto`.
+//!
+//! Column tails step down: whatever a kernel's full-width body leaves
+//! over runs at the next narrower width of the same ISA
+//! (AVX-512 → AVX2 → SSE2 → scalar, NEON → scalar), so a 16-lane
+//! backend does not fall back to single columns for a 24-wide row.
 //!
 //! # Determinism contract
 //!
@@ -26,6 +32,9 @@
 //!   correctly-rounded IEEE 754 ops (`cargo xtask audit` bans FMA
 //!   intrinsics in kernel files). `div` and `sqrt` are also correctly
 //!   rounded on every supported ISA, so the Adam kernel is exact too.
+//!   Enabling `avx512f` also enables the `fma` target feature, which
+//!   changes nothing: Rust never contracts a separate `a * b + c` into
+//!   a fused op, so only an explicit FMA intrinsic could fuse.
 //!
 //! One caveat: when an add or mul combines **two NaNs with different
 //! payloads** (e.g. an injected `f32::NAN` meeting the `0xFFC00000`
@@ -56,8 +65,8 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Environment variable naming the backend (`scalar`, `sse2`, `avx2`,
-/// `neon`, or `auto`). Unknown or unavailable values fall back to
-/// [`detect`], like an absent variable.
+/// `avx512`, `neon`, or `auto`). Unknown or unavailable values fall
+/// back to [`detect`], like an absent variable.
 pub const ENV_SIMD: &str = "BNS_SIMD";
 
 /// Depth-blocking factor for the matmul kernels: an `MM_KC x cols`
@@ -76,13 +85,21 @@ pub enum Backend {
     Sse2,
     /// 8-lane x86_64.
     Avx2,
+    /// 16-lane x86_64 (`avx512f`).
+    Avx512,
     /// 4-lane aarch64 (baseline on every aarch64 target).
     Neon,
 }
 
 impl Backend {
     /// All variants, best-first within each architecture.
-    pub const ALL: [Backend; 4] = [Backend::Neon, Backend::Avx2, Backend::Sse2, Backend::Scalar];
+    pub const ALL: [Backend; 5] = [
+        Backend::Neon,
+        Backend::Avx512,
+        Backend::Avx2,
+        Backend::Sse2,
+        Backend::Scalar,
+    ];
 
     /// The `BNS_SIMD` spelling of this backend.
     pub fn name(self) -> &'static str {
@@ -90,6 +107,7 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
         }
     }
@@ -100,6 +118,7 @@ impl Backend {
             Backend::Scalar => 1,
             Backend::Sse2 | Backend::Neon => 4,
             Backend::Avx2 => 8,
+            Backend::Avx512 => 16,
         }
     }
 
@@ -122,6 +141,8 @@ impl Backend {
             Backend::Sse2 => cfg!(target_feature = "sse2") || is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => is_x86_feature_detected!("avx512f"),
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => true,
             #[allow(unreachable_patterns)]
@@ -241,6 +262,8 @@ pub struct DispatchStats {
     pub sse2: u64,
     /// Dispatches that ran AVX2 kernels.
     pub avx2: u64,
+    /// Dispatches that ran AVX-512 kernels.
+    pub avx512: u64,
     /// Dispatches that ran NEON kernels.
     pub neon: u64,
 }
@@ -250,6 +273,7 @@ impl DispatchStats {
         scalar: 0,
         sse2: 0,
         avx2: 0,
+        avx512: 0,
         neon: 0,
     };
 
@@ -258,6 +282,7 @@ impl DispatchStats {
             Backend::Scalar => &mut self.scalar,
             Backend::Sse2 => &mut self.sse2,
             Backend::Avx2 => &mut self.avx2,
+            Backend::Avx512 => &mut self.avx512,
             Backend::Neon => &mut self.neon,
         }
     }
@@ -268,13 +293,14 @@ impl DispatchStats {
             Backend::Scalar => self.scalar,
             Backend::Sse2 => self.sse2,
             Backend::Avx2 => self.avx2,
+            Backend::Avx512 => self.avx512,
             Backend::Neon => self.neon,
         }
     }
 
     /// Total dispatches across all backends.
     pub fn total(&self) -> u64 {
-        self.scalar + self.sse2 + self.avx2 + self.neon
+        self.scalar + self.sse2 + self.avx2 + self.avx512 + self.neon
     }
 
     /// Dispatches that used a vector backend.
@@ -327,6 +353,11 @@ pub struct AdamHyper {
 trait Vf32 {
     /// f32 lanes per vector.
     const LANES: usize;
+    /// The next narrower width on the same ISA, which runs the column
+    /// tails a full vector leaves over: [`ScalarV`] below the 4-lane
+    /// impls, and `ScalarV` for itself. Its features are implied by
+    /// this one's, so it is callable wherever this impl is.
+    type Half: Vf32;
     /// The vector register type.
     type V: Copy;
     /// All lanes set to `x`.
@@ -357,6 +388,7 @@ struct ScalarV;
 
 impl Vf32 for ScalarV {
     const LANES: usize = 1;
+    type Half = ScalarV;
     type V = f32;
 
     #[inline(always)]
@@ -419,6 +451,7 @@ struct Sse2V;
 #[cfg(target_arch = "x86_64")]
 impl Vf32 for Sse2V {
     const LANES: usize = 4;
+    type Half = ScalarV;
     type V = x86::__m128;
 
     #[inline(always)]
@@ -492,6 +525,7 @@ struct Avx2V;
 #[cfg(target_arch = "x86_64")]
 impl Vf32 for Avx2V {
     const LANES: usize = 8;
+    type Half = Sse2V;
     type V = x86::__m256;
 
     #[inline(always)]
@@ -558,6 +592,81 @@ impl Vf32 for Avx2V {
     }
 }
 
+/// 16-lane AVX-512 (`avx512f`).
+#[cfg(target_arch = "x86_64")]
+struct Avx512V;
+
+#[cfg(target_arch = "x86_64")]
+impl Vf32 for Avx512V {
+    const LANES: usize = 16;
+    type Half = Avx2V;
+    type V = x86::__m512;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self::V {
+        // SAFETY: AVX-512F verified at runtime by `Backend::checked` in
+        // the dispatcher before this impl is reachable.
+        unsafe { x86::_mm512_set1_ps(x) }
+    }
+
+    #[inline(always)]
+    fn load(s: &[f32]) -> Self::V {
+        assert!(s.len() >= 16);
+        // SAFETY: `s` holds at least 16 f32s (asserted above), so the
+        // unaligned load stays in bounds; AVX-512F per `Backend::checked`.
+        unsafe { x86::_mm512_loadu_ps(s.as_ptr()) }
+    }
+
+    #[inline(always)]
+    fn store(s: &mut [f32], v: Self::V) {
+        assert!(s.len() >= 16);
+        // SAFETY: `s` holds at least 16 f32s (asserted above), so the
+        // unaligned store stays in bounds; AVX-512F per `Backend::checked`.
+        unsafe { x86::_mm512_storeu_ps(s.as_mut_ptr(), v) }
+    }
+
+    #[inline(always)]
+    fn add(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        unsafe { x86::_mm512_add_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn sub(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        unsafe { x86::_mm512_sub_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn mul(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        unsafe { x86::_mm512_mul_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn div(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        unsafe { x86::_mm512_div_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn sqrt(a: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        unsafe { x86::_mm512_sqrt_ps(a) }
+    }
+
+    #[inline(always)]
+    fn select_gtz(c: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        // _CMP_GT_OQ is the ordered quiet `>`: NaN lanes leave their mask
+        // bit clear, and the blend takes `b` where the bit is clear.
+        unsafe {
+            let m = x86::_mm512_cmp_ps_mask::<{ x86::_CMP_GT_OQ }>(c, x86::_mm512_setzero_ps());
+            x86::_mm512_mask_blend_ps(m, b, a)
+        }
+    }
+}
+
 /// 4-lane NEON (aarch64 baseline).
 #[cfg(target_arch = "aarch64")]
 struct NeonV;
@@ -565,6 +674,7 @@ struct NeonV;
 #[cfg(target_arch = "aarch64")]
 impl Vf32 for NeonV {
     const LANES: usize = 4;
+    type Half = ScalarV;
     type V = core::arch::aarch64::float32x4_t;
 
     #[inline(always)]
@@ -636,146 +746,236 @@ impl Vf32 for NeonV {
 /// `#[target_feature]` wrapper that calls it, letting the intrinsics
 /// inline and vectorize. Safe code throughout: all bounds go through
 /// slice indexing or `chunks_exact`.
+///
+/// Tails step down: what a full vector leaves over runs on `S::Half`,
+/// then its half, down to [`ScalarV`]. Each op is written once over
+/// [`Vf32`], so every width runs the same per-element arithmetic, and
+/// the scalar lanes are the reference itself.
 mod kernels {
     use super::{AdamHyper, ScalarV, Vf32, MM_KC};
 
-    /// `out[j] = v(out[j], src[j])` lanewise, with the scalar closure
-    /// on the remainder.
+    /// A lanewise op `out[j] = f(out[j], src[j])`, written once for
+    /// every width. In-place maps get `out[j]` as both arguments.
+    trait Lanewise: Copy {
+        fn apply<S: Vf32>(self, o: S::V, x: S::V) -> S::V;
+    }
+
+    /// Declares one [`Lanewise`] op per line: its `f32` parameters and
+    /// its body over lanes `o` (output) and `x` (source).
+    macro_rules! lanewise {
+        ($($name:ident { $($p:ident),* } = |$S:ident, $o:ident, $x:ident| $body:expr;)+) => {$(
+            #[derive(Clone, Copy)]
+            struct $name { $($p: f32),* }
+
+            impl Lanewise for $name {
+                #[inline(always)]
+                #[allow(unused_variables)]
+                fn apply<$S: Vf32>(self, $o: $S::V, $x: $S::V) -> $S::V {
+                    let $name { $($p),* } = self;
+                    $body
+                }
+            }
+        )+};
+    }
+
+    lanewise! {
+        Add {} = |S, o, x| S::add(o, x);
+        Sub {} = |S, o, x| S::sub(o, x);
+        Mul {} = |S, o, x| S::mul(o, x);
+        Axpy { alpha } = |S, o, x| S::add(o, S::mul(S::splat(alpha), x));
+        Scale { s } = |S, o, x| S::mul(o, S::splat(s));
+        ScaledCopy { s } = |S, o, x| S::mul(x, S::splat(s));
+        ScaleAxpy { c1, c2 } =
+            |S, o, x| S::add(S::mul(S::splat(c1), o), S::mul(S::splat(c2), x));
+        Relu {} = |S, o, x| S::select_gtz(o, o, S::splat(0.0));
+        LeakyRelu { slope } = |S, o, x| S::select_gtz(o, o, S::mul(S::splat(slope), o));
+        ReluBackward {} = |S, o, x| S::mul(o, S::select_gtz(x, S::splat(1.0), S::splat(0.0)));
+        LeakyReluBackward { slope } =
+            |S, o, x| S::mul(o, S::select_gtz(x, S::splat(1.0), S::splat(slope)));
+    }
+
+    /// `out[j] = op(out[j], src[j])`, full vectors then the step-down
+    /// tail.
     #[inline(always)]
-    fn zip2<S: Vf32>(
-        out: &mut [f32],
-        src: &[f32],
-        v: impl Fn(S::V, S::V) -> S::V,
-        s: impl Fn(f32, f32) -> f32,
-    ) {
+    fn zip2<S: Vf32>(out: &mut [f32], src: &[f32], op: impl Lanewise) {
         let mut o = out.chunks_exact_mut(S::LANES);
         let mut q = src.chunks_exact(S::LANES);
         for (oc, sc) in (&mut o).zip(&mut q) {
-            S::store(oc, v(S::load(oc), S::load(sc)));
+            S::store(oc, op.apply::<S>(S::load(oc), S::load(sc)));
         }
-        for (oe, &se) in o.into_remainder().iter_mut().zip(q.remainder()) {
-            *oe = s(*oe, se);
+        if S::LANES > 1 {
+            zip2::<S::Half>(o.into_remainder(), q.remainder(), op);
         }
     }
 
-    /// `out[j] = v(out[j])` lanewise, scalar closure on the remainder.
+    /// `out[j] = op(out[j], out[j])`, full vectors then the step-down
+    /// tail.
     #[inline(always)]
-    fn map1<S: Vf32>(out: &mut [f32], v: impl Fn(S::V) -> S::V, s: impl Fn(f32) -> f32) {
+    fn map1<S: Vf32>(out: &mut [f32], op: impl Lanewise) {
         let mut o = out.chunks_exact_mut(S::LANES);
         for oc in &mut o {
-            S::store(oc, v(S::load(oc)));
+            let v = S::load(oc);
+            S::store(oc, op.apply::<S>(v, v));
         }
-        for oe in o.into_remainder() {
-            *oe = s(*oe);
+        if S::LANES > 1 {
+            map1::<S::Half>(o.into_remainder(), op);
         }
-    }
-
-    /// `out[j] += alpha * src[j]` — the row-axpy every matmul and
-    /// aggregation kernel is built from. One multiply, one add, no
-    /// fusing; identical to the scalar loop per element.
-    #[inline(always)]
-    fn axpy_row<S: Vf32>(out: &mut [f32], alpha: f32, src: &[f32]) {
-        let va = S::splat(alpha);
-        zip2::<S>(
-            out,
-            src,
-            |o, x| S::add(o, S::mul(va, x)),
-            |o, x| o + alpha * x,
-        );
     }
 
     #[inline(always)]
     pub(super) fn add_assign<S: Vf32>(out: &mut [f32], src: &[f32]) {
-        zip2::<S>(out, src, |a, b| S::add(a, b), |a, b| a + b);
+        zip2::<S>(out, src, Add {});
     }
 
     #[inline(always)]
     pub(super) fn sub_assign<S: Vf32>(out: &mut [f32], src: &[f32]) {
-        zip2::<S>(out, src, |a, b| S::sub(a, b), |a, b| a - b);
+        zip2::<S>(out, src, Sub {});
     }
 
     #[inline(always)]
     pub(super) fn hadamard_assign<S: Vf32>(out: &mut [f32], src: &[f32]) {
-        zip2::<S>(out, src, |a, b| S::mul(a, b), |a, b| a * b);
+        zip2::<S>(out, src, Mul {});
     }
 
+    /// `out[j] += alpha * src[j]`: one multiply, one add, no fusing;
+    /// identical to the scalar loop per element.
     #[inline(always)]
     pub(super) fn axpy<S: Vf32>(out: &mut [f32], alpha: f32, src: &[f32]) {
-        axpy_row::<S>(out, alpha, src);
+        zip2::<S>(out, src, Axpy { alpha });
     }
 
     #[inline(always)]
     pub(super) fn scale<S: Vf32>(out: &mut [f32], s: f32) {
-        let vs = S::splat(s);
-        map1::<S>(out, |a| S::mul(a, vs), |a| a * s);
+        map1::<S>(out, Scale { s });
     }
 
     #[inline(always)]
     pub(super) fn scaled_copy<S: Vf32>(out: &mut [f32], s: f32, src: &[f32]) {
-        let vs = S::splat(s);
-        zip2::<S>(out, src, |_, x| S::mul(x, vs), |_, x| x * s);
+        zip2::<S>(out, src, ScaledCopy { s });
     }
 
     #[inline(always)]
     pub(super) fn scale_axpy<S: Vf32>(out: &mut [f32], c1: f32, c2: f32, src: &[f32]) {
-        let v1 = S::splat(c1);
-        let v2 = S::splat(c2);
-        zip2::<S>(
-            out,
-            src,
-            |a, b| S::add(S::mul(v1, a), S::mul(v2, b)),
-            |a, b| c1 * a + c2 * b,
-        );
+        zip2::<S>(out, src, ScaleAxpy { c1, c2 });
     }
 
     #[inline(always)]
     pub(super) fn relu<S: Vf32>(out: &mut [f32]) {
-        let z = S::splat(0.0);
-        map1::<S>(
-            out,
-            |a| S::select_gtz(a, a, z),
-            |a| if a > 0.0 { a } else { 0.0 },
-        );
+        map1::<S>(out, Relu {});
     }
 
     #[inline(always)]
     pub(super) fn leaky_relu<S: Vf32>(out: &mut [f32], slope: f32) {
-        let vs = S::splat(slope);
-        map1::<S>(
-            out,
-            |a| S::select_gtz(a, a, S::mul(vs, a)),
-            |a| if a > 0.0 { a } else { slope * a },
-        );
+        map1::<S>(out, LeakyRelu { slope });
     }
 
     #[inline(always)]
     pub(super) fn relu_backward<S: Vf32>(out: &mut [f32], pre: &[f32]) {
-        let one = S::splat(1.0);
-        let zero = S::splat(0.0);
-        zip2::<S>(
-            out,
-            pre,
-            |u, p| S::mul(u, S::select_gtz(p, one, zero)),
-            |u, p| u * if p > 0.0 { 1.0 } else { 0.0 },
-        );
+        zip2::<S>(out, pre, ReluBackward {});
     }
 
     #[inline(always)]
     pub(super) fn leaky_relu_backward<S: Vf32>(out: &mut [f32], pre: &[f32], slope: f32) {
-        let one = S::splat(1.0);
-        let vs = S::splat(slope);
-        zip2::<S>(
-            out,
-            pre,
-            |u, p| S::mul(u, S::select_gtz(p, one, vs)),
-            |u, p| u * if p > 0.0 { 1.0 } else { slope },
-        );
+        zip2::<S>(out, pre, LeakyReluBackward { slope });
     }
 
-    /// Column tiles of the accumulator held in registers across the
-    /// whole neighbor list: per element the additions still run in
-    /// `idx` order (identical to the scalar loop), but the `acc`
-    /// traffic drops from one load+store per neighbor to one per tile.
+    /// One neighbor's term in a gather-sum: what source row `u` (its
+    /// lanes `x`) adds to the accumulator.
+    trait Term: Copy {
+        fn apply<S: Vf32>(self, u: usize, x: S::V) -> S::V;
+    }
+
+    /// `x` as is ([`sum_rows`]).
+    #[derive(Clone, Copy)]
+    struct Plain;
+
+    impl Term for Plain {
+        #[inline(always)]
+        fn apply<S: Vf32>(self, _: usize, x: S::V) -> S::V {
+            x
+        }
+    }
+
+    /// `scales[u] * x` ([`sum_rows_scaled`]).
+    #[derive(Clone, Copy)]
+    struct Scaled<'a>(&'a [f32]);
+
+    impl Term for Scaled<'_> {
+        #[inline(always)]
+        fn apply<S: Vf32>(self, u: usize, x: S::V) -> S::V {
+            S::mul(S::splat(self.0[u]), x)
+        }
+    }
+
+    /// `c * (scales[u] * x)` ([`sum_rows_rescaled`]).
+    #[derive(Clone, Copy)]
+    struct Rescaled<'a>(&'a [f32], f32);
+
+    impl Term for Rescaled<'_> {
+        #[inline(always)]
+        fn apply<S: Vf32>(self, u: usize, x: S::V) -> S::V {
+            S::mul(S::splat(self.1), S::mul(S::splat(self.0[u]), x))
+        }
+    }
+
+    /// Gathers every `V`-vector column strip from `*col` on: the strip
+    /// of `acc` stays in registers across the whole neighbor list, so
+    /// per element the additions still run in `idx` order (identical
+    /// to the scalar loop), but the `acc` traffic drops from one
+    /// load+store per neighbor to one per strip.
+    #[inline(always)]
+    fn gather_strips<S: Vf32, const V: usize>(
+        acc: &mut [f32],
+        (src, d, offset): (&[f32], usize, usize),
+        idx: &[u32],
+        col: &mut usize,
+        term: impl Term,
+    ) {
+        while *col + V * S::LANES <= d {
+            let c = *col;
+            let mut a = [S::splat(0.0); V];
+            for (v, x) in a.iter_mut().enumerate() {
+                *x = S::load(&acc[c + v * S::LANES..]);
+            }
+            for &u in idx {
+                let r = (u as usize - offset) * d + c;
+                for (v, x) in a.iter_mut().enumerate() {
+                    let t = term.apply::<S>(u as usize, S::load(&src[r + v * S::LANES..]));
+                    *x = S::add(*x, t);
+                }
+            }
+            for (v, &x) in a.iter().enumerate() {
+                S::store(&mut acc[c + v * S::LANES..], x);
+            }
+            *col = c + V * S::LANES;
+        }
+    }
+
+    /// The columns left after the two-vector strips: one vector of
+    /// `S`, then the step-down tail.
+    #[inline(always)]
+    fn gather_tail<S: Vf32>(
+        acc: &mut [f32],
+        src: (&[f32], usize, usize),
+        idx: &[u32],
+        col: &mut usize,
+        term: impl Term,
+    ) {
+        gather_strips::<S, 1>(acc, src, idx, col, term);
+        if S::LANES > 1 {
+            gather_tail::<S::Half>(acc, src, idx, col, term);
+        }
+    }
+
+    /// `acc += term(u, src.row(u - offset))` for each `u` in `idx`, in
+    /// order, over rows of width `d`.
+    #[inline(always)]
+    fn gather<S: Vf32>(acc: &mut [f32], src: (&[f32], usize, usize), idx: &[u32], term: impl Term) {
+        let mut col = 0;
+        gather_strips::<S, 2>(acc, src, idx, &mut col, term);
+        gather_tail::<S>(acc, src, idx, &mut col, term);
+    }
+
     #[inline(always)]
     pub(super) fn sum_rows<S: Vf32>(
         acc: &mut [f32],
@@ -784,38 +984,11 @@ mod kernels {
         idx: &[u32],
         offset: usize,
     ) {
-        let mut col = 0;
-        while col + 2 * S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            let mut a1 = S::load(&acc[col + S::LANES..]);
-            for &u in idx {
-                let r = (u as usize - offset) * d + col;
-                a0 = S::add(a0, S::load(&src[r..]));
-                a1 = S::add(a1, S::load(&src[r + S::LANES..]));
-            }
-            S::store(&mut acc[col..], a0);
-            S::store(&mut acc[col + S::LANES..], a1);
-            col += 2 * S::LANES;
-        }
-        if col + S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            for &u in idx {
-                a0 = S::add(a0, S::load(&src[(u as usize - offset) * d + col..]));
-            }
-            S::store(&mut acc[col..], a0);
-            col += S::LANES;
-        }
-        for c in col..d {
-            let mut s = acc[c];
-            for &u in idx {
-                s += src[(u as usize - offset) * d + c];
-            }
-            acc[c] = s;
-        }
+        gather::<S>(acc, (src, d, offset), idx, Plain);
     }
 
-    /// Same register tiling as [`sum_rows`], with each neighbor row
-    /// scaled by `scales[u]` (multiply then add — never fused).
+    /// Each neighbor row scaled by `scales[u]` (multiply then add —
+    /// never fused).
     #[inline(always)]
     pub(super) fn sum_rows_scaled<S: Vf32>(
         acc: &mut [f32],
@@ -825,46 +998,12 @@ mod kernels {
         offset: usize,
         scales: &[f32],
     ) {
-        let mut col = 0;
-        while col + 2 * S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            let mut a1 = S::load(&acc[col + S::LANES..]);
-            for &u in idx {
-                let av = S::splat(scales[u as usize]);
-                let r = (u as usize - offset) * d + col;
-                a0 = S::add(a0, S::mul(av, S::load(&src[r..])));
-                a1 = S::add(a1, S::mul(av, S::load(&src[r + S::LANES..])));
-            }
-            S::store(&mut acc[col..], a0);
-            S::store(&mut acc[col + S::LANES..], a1);
-            col += 2 * S::LANES;
-        }
-        if col + S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            for &u in idx {
-                let av = S::splat(scales[u as usize]);
-                a0 = S::add(
-                    a0,
-                    S::mul(av, S::load(&src[(u as usize - offset) * d + col..])),
-                );
-            }
-            S::store(&mut acc[col..], a0);
-            col += S::LANES;
-        }
-        for c in col..d {
-            let mut s = acc[c];
-            for &u in idx {
-                s += scales[u as usize] * src[(u as usize - offset) * d + c];
-            }
-            acc[c] = s;
-        }
+        gather::<S>(acc, (src, d, offset), idx, Scaled(scales));
     }
 
-    /// `acc += c * (scales[v] * src.row(v))` for each `v` in `idx`, in
-    /// order, with the same register tiling as [`sum_rows`]. This is
-    /// the GCN backward gather term `s_u · (s_v · dz_v)`: both
-    /// multiplies round separately, exactly as the former
-    /// scale-then-scatter pair did.
+    /// `acc += c * (scales[v] * src.row(v))`: the GCN backward gather
+    /// term `s_u · (s_v · dz_v)`. Both multiplies round separately,
+    /// exactly as the former scale-then-scatter pair did.
     #[inline(always)]
     pub(super) fn sum_rows_rescaled<S: Vf32>(
         acc: &mut [f32],
@@ -874,38 +1013,7 @@ mod kernels {
         scales: &[f32],
         c: f32,
     ) {
-        let vc = S::splat(c);
-        let mut col = 0;
-        while col + 2 * S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            let mut a1 = S::load(&acc[col + S::LANES..]);
-            for &v in idx {
-                let sv = S::splat(scales[v as usize]);
-                let r = v as usize * d + col;
-                a0 = S::add(a0, S::mul(vc, S::mul(sv, S::load(&src[r..]))));
-                a1 = S::add(a1, S::mul(vc, S::mul(sv, S::load(&src[r + S::LANES..]))));
-            }
-            S::store(&mut acc[col..], a0);
-            S::store(&mut acc[col + S::LANES..], a1);
-            col += 2 * S::LANES;
-        }
-        if col + S::LANES <= d {
-            let mut a0 = S::load(&acc[col..]);
-            for &v in idx {
-                let sv = S::splat(scales[v as usize]);
-                let x = S::load(&src[v as usize * d + col..]);
-                a0 = S::add(a0, S::mul(vc, S::mul(sv, x)));
-            }
-            S::store(&mut acc[col..], a0);
-            col += S::LANES;
-        }
-        for j in col..d {
-            let mut s = acc[j];
-            for &v in idx {
-                s += c * (scales[v as usize] * src[v as usize * d + j]);
-            }
-            acc[j] = s;
-        }
+        gather::<S>(acc, (src, d, 0), idx, Rescaled(scales, c));
     }
 
     /// Output rows per GEMM register tile.
@@ -983,10 +1091,11 @@ mod kernels {
     /// `kd x n` and `A`'s element `(i, k)` sits at `a[a0 + i * rs + k *
     /// ks]`. `k` runs in [`MM_KC`]-deep panels, ascending, so per
     /// element the order is plain ascending `k`. Each panel of `B` is
-    /// first copied into column strips of two vectors, then one
-    /// vector, then single columns (which run the same tile on one
-    /// scalar lane), each strip contiguous in `k`; then every tile of
-    /// [`MR`] rows sweeps the strips while its `A` block stays in L1.
+    /// first copied into column strips of two vectors, then one vector
+    /// of `S`, `S::Half` and its half, then single columns (which run
+    /// the same tile on one scalar lane), each strip contiguous in `k`;
+    /// then every tile of [`MR`] rows sweeps the strips while its `A`
+    /// block stays in L1.
     #[inline(always)]
     fn mm_panels<S: Vf32>(
         a: &[f32],
@@ -996,20 +1105,19 @@ mod kernels {
         out: &mut [f32],
         n: usize,
     ) {
+        type Half<S> = <S as Vf32>::Half;
         if n == 0 {
             return;
         }
+        let (h, hh) = (Half::<S>::LANES, Half::<Half<S>>::LANES);
         let mut strips = Vec::new();
         let mut j = 0;
-        while j + 2 * S::LANES <= n {
-            strips.push((j, 2 * S::LANES));
-            j += 2 * S::LANES;
+        for w in [2 * S::LANES, S::LANES, h, hh, 1] {
+            while j + w <= n {
+                strips.push((j, w));
+                j += w;
+            }
         }
-        if j + S::LANES <= n {
-            strips.push((j, S::LANES));
-            j += S::LANES;
-        }
-        strips.extend((j..n).map(|c| (c, 1)));
         let mut packed = vec![0.0f32; MM_KC.min(kd) * n];
         let mut kb = 0;
         while kb < kd {
@@ -1031,6 +1139,10 @@ mod kernels {
                         mm_strip::<S, 2>(a, at, bp, tile, (n, j));
                     } else if w == S::LANES {
                         mm_strip::<S, 1>(a, at, bp, tile, (n, j));
+                    } else if w == h {
+                        mm_strip::<Half<S>, 1>(a, at, bp, tile, (n, j));
+                    } else if w == hh {
+                        mm_strip::<Half<Half<S>>, 1>(a, at, bp, tile, (n, j));
                     } else {
                         mm_strip::<ScalarV, 1>(a, at, bp, tile, (n, j));
                     }
@@ -1065,6 +1177,8 @@ mod kernels {
         mm_panels::<S>(a, (i0, 1, kd), b, rows, &mut out_block[..(i1 - i0) * n], n);
     }
 
+    /// The Adam update, full vectors then the step-down tail; on
+    /// [`ScalarV`] the body is the scalar reference expression.
     #[inline(always)]
     pub(super) fn adam_update<S: Vf32>(
         p: &mut [f32],
@@ -1099,19 +1213,14 @@ mod kernels {
             let step = S::div(S::mul(lr, mhat), S::add(S::sqrt(vhat), eps));
             S::store(pp, S::sub(S::load(pp), step));
         }
-        for (((pp, &gg), mm), vv) in pc
-            .into_remainder()
-            .iter_mut()
-            .zip(gc.remainder())
-            .zip(mc.into_remainder().iter_mut())
-            .zip(vc.into_remainder().iter_mut())
-        {
-            let gi = gg + h.weight_decay * *pp;
-            *mm = h.beta1 * *mm + (1.0 - h.beta1) * gi;
-            *vv = h.beta2 * *vv + (1.0 - h.beta2) * gi * gi;
-            let mhat = *mm / h.b1t;
-            let vhat = *vv / h.b2t;
-            *pp -= h.lr * mhat / (vhat.sqrt() + h.eps);
+        if S::LANES > 1 {
+            adam_update::<S::Half>(
+                pc.into_remainder(),
+                gc.remainder(),
+                mc.into_remainder(),
+                vc.into_remainder(),
+                h,
+            );
         }
     }
 }
@@ -1131,6 +1240,17 @@ macro_rules! dispatch_kernels {
         pub fn $name(bk: Backend, $($arg: $ty),*) {
             match bk.checked() {
                 Backend::Scalar => kernels::$name::<ScalarV>($($arg),*),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Avx512 => {
+                    #[target_feature(enable = "avx512f")]
+                    fn with_avx512($($arg: $ty),*) {
+                        kernels::$name::<Avx512V>($($arg),*)
+                    }
+                    // SAFETY: `checked` confirmed AVX-512F on this CPU;
+                    // it implies the AVX2 and SSE2 its step-down tails
+                    // run, so calling the AVX-512-feature fn cannot fault.
+                    unsafe { with_avx512($($arg),*) }
+                }
                 #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => {
                     #[target_feature(enable = "avx2")]
@@ -1318,7 +1438,7 @@ mod tests {
             assert_eq!(Backend::parse(bk.name()), Some(bk));
             assert_eq!(Backend::parse(&bk.name().to_uppercase()), Some(bk));
         }
-        assert_eq!(Backend::parse("avx512"), None);
+        assert_eq!(Backend::parse("avx1024"), None);
         assert_eq!(Backend::parse(""), None);
     }
 
@@ -1396,6 +1516,7 @@ mod tests {
         assert_eq!(Backend::Scalar.lanes(), 1);
         assert_eq!(Backend::Sse2.lanes(), 4);
         assert_eq!(Backend::Avx2.lanes(), 8);
+        assert_eq!(Backend::Avx512.lanes(), 16);
         assert_eq!(Backend::Neon.lanes(), 4);
     }
 

@@ -43,7 +43,7 @@
 //! the arithmetic. The only float ops the vector trait executes are
 //! lanewise multiplies in the unpack scale pass — correctly rounded IEEE
 //! ops, so quantize→dequantize is bitwise identical across
-//! scalar/SSE2/AVX2/NEON (proptests in
+//! scalar/SSE2/AVX2/AVX-512/NEON (proptests in
 //! `crates/tensor/tests/codec_roundtrip.rs` force every backend).
 
 use super::*;
@@ -242,16 +242,8 @@ mod kernels {
     /// touches the data after conversion.
     #[inline(always)]
     fn scale_in_place<S: Vf32>(dst: &mut [f32], scale: f32) {
-        if scale == 1.0 {
-            return;
-        }
-        let sv = S::splat(scale);
-        let mut c = dst.chunks_exact_mut(S::LANES);
-        for ch in &mut c {
-            S::store(ch, S::mul(S::load(ch), sv));
-        }
-        for x in c.into_remainder() {
-            *x *= scale;
+        if scale != 1.0 {
+            super::super::kernels::scale::<S>(dst, scale);
         }
     }
 

@@ -2,11 +2,13 @@
 //! to a naive ascending-`k` scalar loop.
 //!
 //! The kernel runs tiles of four output rows by two vectors of columns,
-//! with row tails of one to three rows, a one-vector column strip, and
-//! single leftover columns, over `k` panels of `MM_KC` (128). The shapes
-//! below put every row count from one to nine (full tiles plus each
-//! tail), column counts on both sides of every strip width, and depths
-//! on both sides of a panel boundary, through `matmul`, `matmul_tn` and
+//! with row tails of one to three rows, then column strips of one
+//! vector, a half vector and a quarter vector (on AVX-512: 16, 8 and 4
+//! lanes), then single leftover columns, over `k` panels of `MM_KC`
+//! (128). The shapes below put every row count from one to nine (full
+//! tiles plus each tail), column counts on both sides of every strip
+//! width and through each step-down combination, and depths on both
+//! sides of a panel boundary, through `matmul`, `matmul_tn` and
 //! `matmul_nt` on every backend this CPU runs, serially and on a
 //! four-thread pool.
 
@@ -16,7 +18,9 @@ use bns_tensor::{Matrix, SeededRng};
 use std::sync::Arc;
 
 const ROWS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 61];
-const COLS: [usize; 8] = [1, 7, 8, 15, 16, 17, 47, 128];
+/// 20, 24, 28, 31 and 41 put 16 + 4, 16 + 8, 16 + 8 + 4, 16 + 8 + 4 + 3
+/// and 32 + 8 + 1 columns through the 16-lane strips.
+const COLS: [usize; 13] = [1, 7, 8, 15, 16, 17, 20, 24, 28, 31, 41, 47, 128];
 const DEPTHS: [usize; 5] = [1, 127, 128, 129, 300];
 
 fn backends() -> Vec<Backend> {

@@ -105,6 +105,27 @@ fn assert_forced_invariant(name: &str, f: impl Fn() -> Matrix) -> Result<(), Tes
     Ok(())
 }
 
+/// `sum_rows*` over `deg` random rows of `n`, `d` wide, on every
+/// backend against the scalar reference.
+fn check_sum_rows(n: usize, d: usize, deg: usize, seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = SeededRng::new(seed);
+    let src = special_data(&mut rng, n * d);
+    let acc0 = special_data(&mut rng, d);
+    let scales = special_data(&mut rng, n);
+    let c = rng.uniform_range(-2.0, 2.0);
+    let idx: Vec<u32> = (0..deg).map(|_| rng.usize_below(n) as u32).collect();
+
+    assert_lane_invariant("sum_rows", &acc0, |bk, a| {
+        simd::sum_rows(bk, a, &src, d, &idx, 0)
+    })?;
+    assert_lane_invariant("sum_rows_scaled", &acc0, |bk, a| {
+        simd::sum_rows_scaled(bk, a, &src, d, &idx, 0, &scales)
+    })?;
+    assert_lane_invariant("sum_rows_rescaled", &acc0, |bk, a| {
+        simd::sum_rows_rescaled(bk, a, &src, d, &idx, &scales, c)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -163,22 +184,17 @@ proptest! {
     fn aggregation_kernels_bitwise_across_backends(
         n in 1usize..40, d in 1usize..24, deg in 0usize..24, seed in 0u64..1_000_000
     ) {
-        let mut rng = SeededRng::new(seed);
-        let src = special_data(&mut rng, n * d);
-        let acc0 = special_data(&mut rng, d);
-        let scales = special_data(&mut rng, n);
-        let c = rng.uniform_range(-2.0, 2.0);
-        let idx: Vec<u32> = (0..deg).map(|_| rng.usize_below(n) as u32).collect();
+        check_sum_rows(n, d, deg, seed)?;
+    }
 
-        assert_lane_invariant("sum_rows", &acc0, |bk, a| {
-            simd::sum_rows(bk, a, &src, d, &idx, 0)
-        })?;
-        assert_lane_invariant("sum_rows_scaled", &acc0, |bk, a| {
-            simd::sum_rows_scaled(bk, a, &src, d, &idx, 0, &scales)
-        })?;
-        assert_lane_invariant("sum_rows_rescaled", &acc0, |bk, a| {
-            simd::sum_rows_rescaled(bk, a, &src, d, &idx, &scales, c)
-        })?;
+    /// Widths 24 and 41 run the 16-lane backend's step-down tails
+    /// (16 + 8, and 32 + 8 + 1 columns) on top of the proptest's
+    /// narrower rows.
+    #[test]
+    fn aggregation_kernels_bitwise_at_step_down_widths(
+        wide in 0usize..2, n in 1usize..40, deg in 0usize..24, seed in 0u64..1_000_000
+    ) {
+        check_sum_rows(n, [24, 41][wide], deg, seed)?;
     }
 
     /// Adam: p, m and v must all come out bitwise identical (div and
@@ -342,4 +358,38 @@ fn resolve_honors_explicit_available_backends() {
         assert_eq!(simd::resolve(Some(bk.name())), bk);
         assert_eq!(simd::resolve(Some(&bk.name().to_uppercase())), bk);
     }
+}
+
+/// On a CPU reporting `avx512f`, the 16-lane backend is the detected
+/// default and is among the backends every cross-backend check in this
+/// file forces (a kernel forced to it counts on its own dispatch slot).
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn avx512_is_detected_and_checked_where_the_cpu_has_it() {
+    if !std::arch::is_x86_feature_detected!("avx512f") {
+        assert!(!Backend::Avx512.is_available());
+        assert!(!vector_backends().contains(&Backend::Avx512));
+        return;
+    }
+    assert_eq!(simd::detect(), Backend::Avx512);
+    assert!(vector_backends().contains(&Backend::Avx512));
+
+    let src: Vec<f32> = (0..41).map(|i| i as f32 - 20.5).collect();
+    let before = simd::thread_stats();
+    assert_lane_invariant("add_assign over 41 floats", &src, |bk, o| {
+        let _g = simd::force(bk);
+        simd::add_assign(simd::begin_kernel(), o, &src)
+    })
+    .unwrap();
+    let after = simd::thread_stats();
+    assert_eq!(
+        after.avx512 - before.avx512,
+        1,
+        "the check ran AVX-512 once"
+    );
+    assert_eq!(
+        after.avx2 - before.avx2,
+        1,
+        "and AVX2 once, on its own slot"
+    );
 }

@@ -71,9 +71,10 @@ fn every_seeded_fixture_violation_is_caught() {
     assert!(!hashes.is_empty());
     assert!(hashes.iter().all(|(r, _)| **r == Rule::HashCollection));
 
-    // Rule 5: `mul_add` in a configured kernel file, at the call line.
+    // Rule 5: `mul_add` and `_mm512_fmadd_ps` in a configured kernel
+    // file, each at its call line.
     let fma = rules_for(&report, "fma_kernel.rs");
-    assert_eq!(fma, vec![(&Rule::FmaInKernel, 5)]);
+    assert_eq!(fma, vec![(&Rule::FmaInKernel, 6), (&Rule::FmaInKernel, 11)]);
 
     // Rule 5 again for the codec-kernel fixture: the wire codecs are
     // under the same FMA ban as every other kernel file.
