@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels: dense matmul, sparse
 //! aggregation, graph partitioning, boundary-sampling topology builds,
-//! the ring all-reduce, SAGE layer forward/backward and one full
-//! distributed training epoch.
+//! the ring all-reduce, SAGE layer forward/backward, dropout and one
+//! full distributed training epoch.
 
 use bns_comm::{run_ranks, TrafficClass};
 use bns_data::SyntheticSpec;
@@ -9,7 +9,7 @@ use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_nn::aggregate::scaled_sum_aggregate;
-use bns_nn::{Activation, SageLayer};
+use bns_nn::{Activation, DropMask, SageLayer};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::{Matrix, SeededRng};
@@ -156,6 +156,47 @@ fn bench_distributed_epoch(c: &mut Criterion) {
     }
 }
 
+/// Dropout at the products hidden shape and a reddit-sized layer: the
+/// bit-packed [`DropMask`] (draw + apply into a reused buffer, and the
+/// in-place backward), next to the f32 mask it replaced
+/// (`Matrix::from_fn(bernoulli)` + `hadamard`, both allocating).
+fn bench_dropout(c: &mut Criterion) {
+    for (rows, cols) in [(4000usize, 128usize), (750, 256)] {
+        let mut rng = SeededRng::new(8);
+        let x = Matrix::random_normal(rows, cols, 0.0, 1.0, &mut rng);
+        let (mut y, mut mask) = (Matrix::default(), DropMask::default());
+        c.bench_function(&format!("dropout_fwd_{rows}x{cols}"), |bch| {
+            bch.iter(|| {
+                mask.draw(x.len(), 0.5, &mut rng);
+                y.assign(&x);
+                mask.apply(y.as_mut_slice());
+                black_box(&y);
+            });
+        });
+        let mut dh = x.clone();
+        c.bench_function(&format!("dropout_bwd_{rows}x{cols}"), |bch| {
+            bch.iter(|| mask.apply(black_box(dh.as_mut_slice())));
+        });
+        let keep = 0.5f32;
+        let mut f32_mask = Matrix::default();
+        c.bench_function(&format!("dropout_fwd_f32mask_{rows}x{cols}"), |bch| {
+            bch.iter(|| {
+                f32_mask = Matrix::from_fn(rows, cols, |_, _| {
+                    if rng.bernoulli(keep as f64) {
+                        1.0 / keep
+                    } else {
+                        0.0
+                    }
+                });
+                black_box(x.hadamard(&f32_mask))
+            });
+        });
+        c.bench_function(&format!("dropout_bwd_f32mask_{rows}x{cols}"), |bch| {
+            bch.iter(|| black_box(x.hadamard(&f32_mask)));
+        });
+    }
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
@@ -166,6 +207,7 @@ criterion_group!(
         bench_boundary_sampling,
         bench_allreduce,
         bench_sage_layer,
+        bench_dropout,
         bench_distributed_epoch
 );
 criterion_main!(kernels);

@@ -18,6 +18,7 @@
 //! capture on.
 
 use bns_bench::*;
+use bns_gcn::engine::ConfigError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,10 +71,27 @@ fn main() {
         bns_telemetry::enable();
     }
 
+    // A rejected training configuration panics with a typed
+    // `ConfigError` payload; report it as a usage error (exit 2)
+    // instead of a crash.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload().downcast_ref::<ConfigError>().is_none() {
+            default_hook(info);
+        }
+    }));
     for e in &exps {
         let t0 = std::time::Instant::now();
         println!("\n==== {e} (scale: {scale:?}) ====");
-        run_experiment(e, scale);
+        if let Err(payload) = std::panic::catch_unwind(|| run_experiment(e, scale)) {
+            match payload.downcast_ref::<ConfigError>() {
+                Some(err) => {
+                    eprintln!("{e}: invalid training configuration: {err}");
+                    std::process::exit(2);
+                }
+                None => std::panic::resume_unwind(payload),
+            }
+        }
         println!("[{e} finished in {:.1}s]", t0.elapsed().as_secs_f64());
     }
 

@@ -82,6 +82,9 @@ pub struct RankComm {
     pending: Vec<VecDeque<Message>>,
     stats: TrafficStats,
     coll_seq: u64,
+    /// The chunk buffer the last ring all-reduce ended holding, reused
+    /// by the next one's first send.
+    coll_spare: Vec<f32>,
     /// Per-destination count of messages sent (assigns `Message::seq`).
     send_seq: Vec<u64>,
     /// Highest `seq` delivered so far per `(source, tag)` stream, used
@@ -147,6 +150,7 @@ pub fn create_world(world_size: usize) -> Vec<RankComm> {
             pending: (0..world_size).map(|_| VecDeque::new()).collect(),
             stats: TrafficStats::new(),
             coll_seq: 0,
+            coll_spare: Vec::new(),
             send_seq: vec![0; world_size],
             #[cfg(debug_assertions)]
             delivered_seq: std::collections::HashMap::new(),
@@ -701,7 +705,8 @@ impl AllReduceOp {
             total_steps: 2 * (k - 1),
             done: false,
         };
-        op.send_step(comm, buf);
+        let spare = std::mem::take(&mut comm.coll_spare);
+        op.send_step(comm, buf, spare);
         op
     }
 
@@ -712,8 +717,10 @@ impl AllReduceOp {
     /// Issues the send for the current ring step. Reduce-scatter steps
     /// (`step < k-1`) send chunk `(r+k-step)%k`; all-gather steps send
     /// chunk `(r+1+k-s)%k` with `s = step-(k-1)`. The per-step tag
-    /// index equals `step` in both phases.
-    fn send_step(&self, comm: &mut RankComm, buf: &[f32]) {
+    /// index equals `step` in both phases. The chunk is staged in `out`
+    /// (the previous step's received chunk, which travels on round the
+    /// ring), so a steady-state all-reduce allocates no chunks.
+    fn send_step(&self, comm: &mut RankComm, buf: &[f32], mut out: Vec<f32>) {
         let k = comm.world;
         let r = comm.rank;
         let next = (r + 1) % k;
@@ -724,9 +731,8 @@ impl AllReduceOp {
             (r + 1 + k - s) % k
         };
         let tag = COLL_BASE + self.seq * MAX_COLL_STEPS + self.step as u64;
-        // Chunks are 1/k of a small buffer and become the wire payload.
-        // bns-allow(BNS-A005): ring all-reduce stages one owned chunk per step
-        let out: Vec<f32> = buf[Self::chunk_range(k, buf.len(), send_c)].to_vec();
+        out.clear();
+        out.extend_from_slice(&buf[Self::chunk_range(k, buf.len(), send_c)]);
         comm.send_raw(next, tag, out, TrafficClass::AllReduce);
     }
 
@@ -764,9 +770,10 @@ impl AllReduceOp {
             self.step += 1;
             if self.step == self.total_steps {
                 self.done = true;
+                comm.coll_spare = inc;
                 comm.finish_collective();
             } else {
-                self.send_step(comm, buf);
+                self.send_step(comm, buf, inc);
             }
         }
         true

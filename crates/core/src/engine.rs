@@ -26,16 +26,18 @@ use crate::exchange::{
 };
 use crate::memory::epoch_activation_bytes;
 use crate::plan::{LocalPartition, PartitionPlan};
-use crate::sampling::{build_epoch_topology, BoundarySampling, EpochTopology};
+use crate::sampling::{
+    build_epoch_topology, build_epoch_topology_into, BoundarySampling, EpochTopology,
+};
 use bns_comm::{
     create_world, AllReduceOp, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision,
 };
 use bns_data::{Dataset, Labels};
-use bns_nn::loss::{bce_with_logits, softmax_cross_entropy};
+use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
 use bns_nn::{
-    flatten, unflatten_into, Activation, Adam, GatCache, GatLayer, GcnInnerPartial, GcnLayer,
-    GcnSegCache, SageInnerPartial, SageLayer, SageSegCache,
+    flatten_into, unflatten_into, Activation, Adam, GatCache, GatGrads, GatLayer, GcnGrads,
+    GcnLayer, GcnSegCache, SageGrads, SageLayer, SageSegCache, SegScratch,
 };
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
@@ -105,7 +107,54 @@ pub struct TrainConfig {
     pub wire_precision: Option<WirePrecision>,
 }
 
+/// Why [`TrainConfig::validate`] rejected a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `dropout` is not a finite rate in `[0, 1)`.
+    Dropout(f32),
+    /// `lr` is not finite and positive.
+    LearningRate(f32),
+    /// `epochs` is zero.
+    NoEpochs,
+    /// The boundary sampling rate `p` is outside `[0, 1]` (or NaN).
+    SamplingRate(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Dropout(r) => write!(f, "dropout must be in [0, 1), got {r}"),
+            ConfigError::LearningRate(lr) => {
+                write!(f, "learning rate must be finite and positive, got {lr}")
+            }
+            ConfigError::NoEpochs => write!(f, "epochs must be at least 1"),
+            ConfigError::SamplingRate(p) => write!(f, "sampling rate p must be in [0, 1], got {p}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl TrainConfig {
+    /// Checks the fields training would otherwise trip over mid-run (or
+    /// silently train on): the dropout rate, the learning rate, the
+    /// epoch count and the boundary sampling rate.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(ConfigError::Dropout(self.dropout));
+        }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(ConfigError::LearningRate(self.lr));
+        }
+        if self.epochs == 0 {
+            return Err(ConfigError::NoEpochs);
+        }
+        match self.sampling.rate() {
+            Some(p) if !(0.0..=1.0).contains(&p) => Err(ConfigError::SamplingRate(p)),
+            _ => Ok(()),
+        }
+    }
+
     /// A small fast configuration for tests and examples.
     pub fn quick_test() -> Self {
         Self {
@@ -484,23 +533,6 @@ enum AnyLayer {
 }
 
 impl AnyLayer {
-    /// Fused inference forward (eval path — no cache retained).
-    fn forward_eval(
-        &self,
-        g: &bns_graph::CsrGraph,
-        h: &Matrix,
-        n_out: usize,
-        scale: &[f32],
-        gcn_scale: &[f32],
-        rng: &mut SeededRng,
-    ) -> Matrix {
-        match self {
-            AnyLayer::Sage(l) => l.forward(g, h, n_out, scale, false, rng).0,
-            AnyLayer::Gat(l) => l.forward(g, h, n_out, false, rng).0,
-            AnyLayer::Gcn(l) => l.forward(g, h, n_out, gcn_scale, false, rng).0,
-        }
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         match self {
             AnyLayer::Sage(l) => l.params_mut(),
@@ -508,24 +540,49 @@ impl AnyLayer {
             AnyLayer::Gcn(l) => vec![&mut l.w, &mut l.b],
         }
     }
+
+    /// The run-long slot this layer's forward cache and gradients live
+    /// in.
+    fn new_slot(&self) -> LayerSlot {
+        match self {
+            AnyLayer::Sage(_) => LayerSlot::Sage(SageSegCache::default(), SageGrads::default()),
+            AnyLayer::Gcn(_) => LayerSlot::Gcn(GcnSegCache::default(), GcnGrads::default()),
+            AnyLayer::Gat(_) => LayerSlot::Gat(None, GatGrads::default()),
+        }
+    }
 }
 
-/// Inner-edge partial state produced while boundary features are in
-/// flight (training hot path). GAT has no segmented kernel — its
-/// attention coefficients need destination *and* source rows — so it
-/// carries no partial and runs fused once the boundary block lands.
-enum TrainPartial {
-    Sage(SageInnerPartial),
-    Gcn(GcnInnerPartial),
-    Gat,
+/// One layer's training state, owned by the rank for the whole run and
+/// overwritten every epoch: the forward cache the backward pass reads
+/// (the eval pass runs through it too) and the parameter gradients,
+/// which after the all-reduce hold the reduced values Adam steps with.
+/// GAT has no segmented kernel — its attention coefficients need
+/// destination *and* source rows — so it runs fused once the boundary
+/// block lands and keeps its fused cache here.
+enum LayerSlot {
+    Sage(SageSegCache, SageGrads),
+    Gcn(GcnSegCache, GcnGrads),
+    Gat(Option<GatCache>, GatGrads),
 }
 
-/// Backward cache for the segmented training path (eval keeps using the
-/// fused [`AnyCache`] path).
-enum TrainCache {
-    Sage(SageSegCache),
-    Gcn(GcnSegCache),
-    Gat(GatCache),
+impl LayerSlot {
+    /// Parameter gradients in `params_mut` order.
+    fn grads(&self) -> Vec<&Matrix> {
+        match self {
+            LayerSlot::Sage(_, g) => SageLayer::grads_vec(g),
+            LayerSlot::Gcn(_, g) => vec![&g.w, &g.b],
+            LayerSlot::Gat(_, g) => GatLayer::grads_vec(g),
+        }
+    }
+
+    /// Mutable parameter gradients in `params_mut` order.
+    fn grads_mut(&mut self) -> Vec<&mut Matrix> {
+        match self {
+            LayerSlot::Sage(_, g) => vec![&mut g.w_self, &mut g.w_neigh, &mut g.b],
+            LayerSlot::Gcn(_, g) => vec![&mut g.w, &mut g.b],
+            LayerSlot::Gat(_, g) => vec![&mut g.w, &mut g.a_l, &mut g.a_r],
+        }
+    }
 }
 
 impl AnyLayer {
@@ -533,74 +590,78 @@ impl AnyLayer {
     /// inner rows (dropout + inner-edge aggregation).
     fn forward_inner(
         &self,
+        slot: &mut LayerSlot,
         g: &bns_graph::CsrGraph,
         h_inner: &Matrix,
         gcn_scale: &[f32],
-        rng: &mut SeededRng,
-    ) -> TrainPartial {
-        match self {
-            AnyLayer::Sage(l) => TrainPartial::Sage(l.forward_inner(g, h_inner, true, rng)),
-            AnyLayer::Gcn(l) => {
-                TrainPartial::Gcn(l.forward_inner(g, h_inner, gcn_scale, true, rng))
+        (train, rng): (bool, &mut SeededRng),
+    ) {
+        match (self, slot) {
+            (AnyLayer::Sage(l), LayerSlot::Sage(c, _)) => {
+                l.forward_inner_into(g, h_inner, train, rng, c)
             }
-            AnyLayer::Gat(_) => TrainPartial::Gat,
+            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, _)) => {
+                l.forward_inner_into(g, h_inner, gcn_scale, train, rng, c)
+            }
+            (AnyLayer::Gat(_), LayerSlot::Gat(..)) => {}
+            _ => unreachable!("slot/layer kind mismatch"),
         }
     }
 
-    /// Phase 2: fold the received boundary block and finish the layer.
+    /// Phase 2: fold the received boundary block and finish the layer,
+    /// writing its output into `out`.
     #[allow(clippy::too_many_arguments)]
     fn forward_boundary(
         &self,
+        slot: &mut LayerSlot,
         g: &bns_graph::CsrGraph,
-        partial: TrainPartial,
-        h_inner: &Matrix,
-        h_bd: &Matrix,
+        (h_inner, h_bd): (&Matrix, &Matrix),
         row_scale: &[f32],
         gcn_scale: &[f32],
-        rng: &mut SeededRng,
-    ) -> (Matrix, TrainCache) {
-        match (self, partial) {
-            (AnyLayer::Sage(l), TrainPartial::Sage(p)) => {
-                let (o, c) = l.forward_boundary(g, p, h_bd, row_scale, true, rng);
-                (o, TrainCache::Sage(c))
+        (train, rng): (bool, &mut SeededRng),
+        scratch: &mut SegScratch,
+        out: &mut Matrix,
+    ) {
+        match (self, slot) {
+            (AnyLayer::Sage(l), LayerSlot::Sage(c, _)) => {
+                l.forward_boundary_into(g, c, h_bd, row_scale, train, rng, scratch, out)
             }
-            (AnyLayer::Gcn(l), TrainPartial::Gcn(p)) => {
-                let (o, c) = l.forward_boundary(g, p, h_bd, gcn_scale, true, rng);
-                (o, TrainCache::Gcn(c))
+            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, _)) => {
+                l.forward_boundary_into(g, c, h_bd, gcn_scale, train, rng, scratch, out)
             }
-            (AnyLayer::Gat(l), TrainPartial::Gat) => {
+            (AnyLayer::Gat(l), LayerSlot::Gat(c, _)) => {
                 let h_full = h_inner.vstack(h_bd);
-                let (o, c) = l.forward(g, &h_full, h_inner.rows(), true, rng);
-                (o, TrainCache::Gat(c))
+                let (o, cache) = l.forward(g, &h_full, h_inner.rows(), train, rng);
+                *out = o;
+                *c = Some(cache);
             }
-            _ => unreachable!("partial/layer kind mismatch"),
+            _ => unreachable!("slot/layer kind mismatch"),
         }
     }
 
-    /// Segmented backward: returns `(dh_inner, dh_boundary, grads)`
-    /// without materializing the stacked gradient matrix.
+    /// Segmented backward: the input gradients land in `scratch.dh`
+    /// (inner rows) and `scratch.dh_bd` (boundary rows), the parameter
+    /// gradients in the slot.
     fn backward_seg(
         &self,
+        slot: &mut LayerSlot,
         g: &bns_graph::CsrGraph,
-        cache: &TrainCache,
         d: &Matrix,
         n_in: usize,
-    ) -> (Matrix, Matrix, Vec<Matrix>) {
-        match (self, cache) {
-            (AnyLayer::Sage(l), TrainCache::Sage(c)) => {
-                let (di, db, gr) = l.backward_seg(g, c, d);
-                (di, db, vec![gr.w_self, gr.w_neigh, gr.b])
+        scratch: &mut SegScratch,
+    ) {
+        match (self, slot) {
+            (AnyLayer::Sage(l), LayerSlot::Sage(c, gr)) => {
+                l.backward_seg_into(g, c, d, scratch, gr)
             }
-            (AnyLayer::Gcn(l), TrainCache::Gcn(c)) => {
-                let (di, db, gr) = l.backward_seg(g, c, d);
-                (di, db, vec![gr.w, gr.b])
+            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, gr)) => l.backward_seg_into(g, c, d, scratch, gr),
+            (AnyLayer::Gat(l), LayerSlot::Gat(c, gr)) => {
+                let (dh_full, grads) = l.backward(c.as_ref().expect("forward ran"), d);
+                dh_full.slice_rows_into(0, n_in, &mut scratch.dh);
+                dh_full.slice_rows_into(n_in, dh_full.rows(), &mut scratch.dh_bd);
+                *gr = grads;
             }
-            (AnyLayer::Gat(l), TrainCache::Gat(c)) => {
-                let (dh_full, gr) = l.backward(c, d);
-                let (di, db) = dh_full.split_rows(n_in);
-                (di, db, vec![gr.w, gr.a_l, gr.a_r])
-            }
-            _ => unreachable!("cache/layer kind mismatch"),
+            _ => unreachable!("slot/layer kind mismatch"),
         }
     }
 }
@@ -697,7 +758,8 @@ struct RankOutput {
 ///
 /// # Panics
 ///
-/// Panics if the partitioning does not match the dataset.
+/// Panics if the partitioning does not match the dataset, or with a
+/// [`ConfigError`] payload if [`TrainConfig::validate`] rejects `cfg`.
 pub fn train(ds: &Arc<Dataset>, part: &Partitioning, cfg: &TrainConfig) -> TrainRun {
     let plan = Arc::new(PartitionPlan::build(ds, part));
     train_with_plan(&plan, cfg)
@@ -706,7 +768,17 @@ pub fn train(ds: &Arc<Dataset>, part: &Partitioning, cfg: &TrainConfig) -> Train
 /// Like [`train`] but reuses an already-built [`PartitionPlan`]
 /// (partition-plan construction is deterministic, so sharing it across
 /// sampling-rate sweeps keeps experiments fast).
+///
+/// # Panics
+///
+/// Panics with a [`ConfigError`] payload (see [`std::panic::panic_any`])
+/// if [`TrainConfig::validate`] rejects `cfg`.
 pub fn train_with_plan(plan: &Arc<PartitionPlan>, cfg: &TrainConfig) -> TrainRun {
+    if let Err(e) = cfg.validate() {
+        // A typed payload, so a caller can `catch_unwind` and report
+        // the error (`repro` exits 2 on it).
+        std::panic::panic_any(e);
+    }
     assert!(
         !cfg.pipeline || cfg.sampling.is_static(),
         "pipelined training requires a static sampling strategy (p = 0 or 1)"
@@ -1020,6 +1092,20 @@ struct RankTask {
     static_topo: Option<EpochTopology>,
     static_exchange: Option<EpochExchange>,
 
+    // Layer buffers, owned for the whole run and overwritten every
+    // epoch (DESIGN.md §7): one slot per layer, one scratch shared by
+    // all layers, and the activation / upstream-gradient pair, which
+    // ping-pong with the scratch through `mem::swap`. Layer 0 reads
+    // `lp.features` in place. The eval pass runs through the same
+    // buffers.
+    slots: Vec<LayerSlot>,
+    scratch: SegScratch,
+    h: Matrix,
+    h_next: Matrix,
+    d: Matrix,
+    /// The flattened gradients plus the loss, all-reduced in place.
+    flat: Vec<f32>,
+
     // Run-long accumulators.
     epochs_out: Vec<RankEpoch>,
     peak_mem: u64,
@@ -1045,17 +1131,9 @@ struct RankTask {
     reduce_s: f64,
     flops: f64,
     n_sel: usize,
-    h: Matrix,
-    partial: Option<TrainPartial>,
-    caches: Vec<TrainCache>,
-    layer_grads: Vec<Vec<Matrix>>,
-    d: Matrix,
     local_loss: f64,
     global_loss: f64,
-    flat: Vec<f32>,
-    grad_shapes: Vec<(usize, usize)>,
     epoch_traffic: TrafficStats,
-    eval_h: Matrix,
     val: Option<(u64, u64, u64)>,
     test: Option<(u64, u64, u64)>,
 
@@ -1106,6 +1184,12 @@ impl RankTask {
             full_exchange: None,
             static_topo: None,
             static_exchange: None,
+            slots: Vec::new(),
+            scratch: SegScratch::default(),
+            h: Matrix::default(),
+            h_next: Matrix::default(),
+            d: Matrix::default(),
+            flat: Vec::new(),
             epochs_out: Vec::with_capacity(epochs),
             peak_mem: 0,
             stale_feats: vec![None; num_layers],
@@ -1125,17 +1209,9 @@ impl RankTask {
             reduce_s: 0.0,
             flops: 0.0,
             n_sel: 0,
-            h: Matrix::zeros(0, 0),
-            partial: None,
-            caches: Vec::new(),
-            layer_grads: Vec::new(),
-            d: Matrix::zeros(0, 0),
             local_loss: 0.0,
             global_loss: 0.0,
-            flat: Vec::new(),
-            grad_shapes: Vec::new(),
             epoch_traffic: traffic,
-            eval_h: Matrix::zeros(0, 0),
             val: None,
             test: None,
             sel_op: None,
@@ -1158,8 +1234,6 @@ impl RankTask {
         self.compute_s = 0.0;
         self.comm_s = 0.0;
         self.flops = 0.0;
-        self.caches.clear();
-        self.h = self.lp.features.clone();
         self.state = RankState::ForwardSend(0);
     }
 
@@ -1170,6 +1244,7 @@ impl RankTask {
         match self.state {
             RankState::Init => {
                 self.layers = build_layers(&self.cfg, self.plan.feat_dim, self.plan.num_classes);
+                self.slots = self.layers.iter().map(AnyLayer::new_slot).collect();
                 // Static full topology for evaluation (and for static
                 // sampling). Built here rather than in `new` so the k
                 // builds run on the worker set in parallel, and so the
@@ -1203,12 +1278,16 @@ impl RankTask {
                     self.finish_sample();
                     return Flow::More;
                 }
-                let t = build_epoch_topology(
+                // Resampled every epoch into the previous epoch's
+                // topology buffers.
+                let t = self.static_topo.get_or_insert_with(EpochTopology::default);
+                build_epoch_topology_into(
                     &self.lp,
                     &self.cfg.sampling,
                     epoch,
                     self.edge_seed,
                     &mut self.rng,
+                    t,
                 );
                 self.sel_op = Some(SelectionOp::begin(
                     &mut self.comm,
@@ -1216,7 +1295,6 @@ impl RankTask {
                     &t.selected,
                     self.tag_base,
                 ));
-                self.static_topo = Some(t);
                 self.state = RankState::SelectionWait;
                 Flow::More
             }
@@ -1244,12 +1322,13 @@ impl RankTask {
                 let tag = self.tag_base + 1 + l as u64;
                 let ex = self.static_exchange.as_ref().expect("selection exchanged");
                 let topo = self.static_topo.as_ref().expect("epoch topology built");
+                let h_in = if l == 0 { &self.lp.features } else { &self.h };
                 let tc =
                     Timed::with_args("exchange", &[("epoch", epoch.into()), ("layer", l.into())]);
                 send_boundary_rows(
                     &mut self.comm,
                     ex,
-                    &self.h,
+                    h_in,
                     tag,
                     &mut self.arena,
                     self.precision,
@@ -1257,12 +1336,13 @@ impl RankTask {
                 self.comm_s += tc.stop();
                 let tk =
                     Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                self.partial = Some(self.layers[l].forward_inner(
+                self.layers[l].forward_inner(
+                    &mut self.slots[l],
                     &topo.graph,
-                    &self.h,
+                    h_in,
                     &topo.gcn_scale,
-                    &mut self.rng,
-                ));
+                    (true, &mut self.rng),
+                );
                 self.compute_s += tk.stop();
                 self.exchange_timer = Some(Timed::with_args(
                     "exchange",
@@ -1271,7 +1351,7 @@ impl RankTask {
                 self.bd_op = Some(BoundaryRecvOp::begin(
                     ex,
                     self.n_sel,
-                    self.h.cols(),
+                    h_in.cols(),
                     topo.feature_scale,
                     tag,
                     &mut self.arena,
@@ -1307,16 +1387,18 @@ impl RankTask {
                 let topo = self.static_topo.as_ref().expect("epoch topology built");
                 let tk =
                     Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                let partial = self.partial.take().expect("forward partial staged");
-                let (h_next, cache) = self.layers[l].forward_boundary(
+                let h_in = if l == 0 { &self.lp.features } else { &self.h };
+                self.layers[l].forward_boundary(
+                    &mut self.slots[l],
                     &topo.graph,
-                    partial,
-                    &self.h,
-                    self.arena.boundary(),
+                    (h_in, self.arena.boundary()),
                     &topo.row_scale,
                     &topo.gcn_scale,
-                    &mut self.rng,
+                    (true, &mut self.rng),
+                    &mut self.scratch,
+                    &mut self.h_next,
                 );
+                std::mem::swap(&mut self.h, &mut self.h_next);
                 self.compute_s += tk.stop();
                 self.flops += estimate_flops(
                     self.cfg.arch,
@@ -1326,8 +1408,6 @@ impl RankTask {
                     self.dims[l],
                     self.dims[l + 1],
                 );
-                self.caches.push(cache);
-                self.h = h_next;
                 self.state = if l + 1 < self.num_layers {
                     RankState::ForwardSend(l + 1)
                 } else {
@@ -1338,19 +1418,15 @@ impl RankTask {
             RankState::Loss => {
                 let epoch = self.epoch;
                 let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
-                let (local_loss, mut dlogits) = match &self.lp.labels {
+                let rows = &self.lp.train_local;
+                self.local_loss = match &self.lp.labels {
                     Labels::Single(labels) => {
-                        let (loss, d, _) =
-                            softmax_cross_entropy(&self.h, labels, &self.lp.train_local);
-                        (loss, d)
+                        softmax_cross_entropy_into(&self.h, labels, rows, &mut self.d).0
                     }
-                    Labels::Multi(y) => bce_with_logits(&self.h, y, &self.lp.train_local),
+                    Labels::Multi(y) => bce_with_logits_into(&self.h, y, rows, &mut self.d),
                 };
-                dlogits.scale(1.0 / self.plan.global_train.max(1) as f32);
+                self.d.scale(1.0 / self.plan.global_train.max(1) as f32);
                 self.compute_s += tk.stop();
-                self.local_loss = local_loss;
-                self.d = dlogits;
-                self.layer_grads.clear();
                 self.state = RankState::BackwardCompute(self.num_layers - 1);
                 Flow::More
             }
@@ -1359,11 +1435,15 @@ impl RankTask {
                 let topo = self.static_topo.as_ref().expect("epoch topology built");
                 let tk =
                     Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                let (d_inner, d_bd, grads) =
-                    self.layers[l].backward_seg(&topo.graph, &self.caches[l], &self.d, self.n_in);
+                self.layers[l].backward_seg(
+                    &mut self.slots[l],
+                    &topo.graph,
+                    &self.d,
+                    self.n_in,
+                    &mut self.scratch,
+                );
+                std::mem::swap(&mut self.d, &mut self.scratch.dh);
                 self.compute_s += tk.stop();
-                self.layer_grads.push(grads);
-                self.d = d_inner;
                 self.exchange_timer = Some(Timed::with_args(
                     "exchange",
                     &[("epoch", epoch.into()), ("layer", l.into())],
@@ -1385,7 +1465,7 @@ impl RankTask {
                 self.grad_op = Some(GradRecvOp::begin(
                     &mut self.comm,
                     ex,
-                    &d_bd,
+                    &self.scratch.dh_bd,
                     topo.feature_scale,
                     self.tag_base + 64 + l as u64,
                     &mut self.arena,
@@ -1430,13 +1510,10 @@ impl RankTask {
             }
             RankState::ReduceBegin => {
                 let epoch = self.epoch;
-                self.layer_grads.reverse();
                 self.reduce_timer = Some(Timed::with_args("reduce", &[("epoch", epoch.into())]));
-                let grad_refs: Vec<&Matrix> = self.layer_grads.iter().flatten().collect();
-                self.grad_shapes = grad_refs.iter().map(|m| (m.rows(), m.cols())).collect();
-                let mut flat = flatten(&grad_refs);
-                flat.push(self.local_loss as f32);
-                self.flat = flat;
+                let grads: Vec<&Matrix> = self.slots.iter().flat_map(LayerSlot::grads).collect();
+                flatten_into(&grads, &mut self.flat);
+                self.flat.push(self.local_loss as f32);
                 self.ar_op = Some(AllReduceOp::begin(&mut self.comm, &mut self.flat));
                 self.state = RankState::ReduceWait;
                 Flow::More
@@ -1471,17 +1548,19 @@ impl RankTask {
                         }
                     }
                 }
-                let mut grad_mats: Vec<Matrix> = self
-                    .grad_shapes
-                    .iter()
-                    .map(|&(r, c)| Matrix::zeros(r, c))
-                    .collect();
+                // The reduced gradients go back into the slots' gradient
+                // matrices, which are free once flattened.
                 {
-                    let mut muts: Vec<&mut Matrix> = grad_mats.iter_mut().collect();
-                    unflatten_into(&self.flat, &mut muts);
+                    let mut grads: Vec<&mut Matrix> = self
+                        .slots
+                        .iter_mut()
+                        .flat_map(LayerSlot::grads_mut)
+                        .collect();
+                    unflatten_into(&self.flat, &mut grads);
                 }
                 {
-                    let g_refs: Vec<&Matrix> = grad_mats.iter().collect();
+                    let g_refs: Vec<&Matrix> =
+                        self.slots.iter().flat_map(LayerSlot::grads).collect();
                     let mut params: Vec<&mut Matrix> = self
                         .layers
                         .iter_mut()
@@ -1533,7 +1612,6 @@ impl RankTask {
                     self.state = RankState::EvalSelectionWait;
                     return Flow::More;
                 }
-                self.eval_h = self.lp.features.clone();
                 self.state = RankState::EvalSend(0);
                 Flow::More
             }
@@ -1547,7 +1625,6 @@ impl RankTask {
                 }
                 let op = self.sel_op.take().expect("selection op in flight");
                 self.full_exchange = Some(op.finish());
-                self.eval_h = self.lp.features.clone();
                 self.state = RankState::EvalSend(0);
                 Flow::More
             }
@@ -1564,24 +1641,30 @@ impl RankTask {
                 );
                 // Eval always exchanges exact: metrics compare the exact
                 // forward regardless of the training wire precision.
+                let h_in = if l == 0 { &self.lp.features } else { &self.h };
                 send_boundary_rows(
                     &mut self.comm,
                     ex,
-                    &self.eval_h,
+                    h_in,
                     tag,
                     &mut self.arena,
                     WirePrecision::Exact,
                 );
-                let n_full = self
-                    .full_topo
-                    .as_ref()
-                    .expect("full topology built")
-                    .selected
-                    .len();
+                // The same segmented forward as training, with
+                // `train = false` (no dropout, no RNG draws) — bitwise
+                // the fused forward on the stacked halo.
+                let full = self.full_topo.as_ref().expect("full topology built");
+                self.layers[l].forward_inner(
+                    &mut self.slots[l],
+                    &full.graph,
+                    h_in,
+                    &full.gcn_scale,
+                    (false, &mut self.rng),
+                );
                 self.bd_op = Some(BoundaryRecvOp::begin(
                     ex,
-                    n_full,
-                    self.eval_h.cols(),
+                    full.selected.len(),
+                    h_in.cols(),
                     1.0,
                     tag,
                     &mut self.arena,
@@ -1605,15 +1688,18 @@ impl RankTask {
                 }
                 self.bd_op = None;
                 let full = self.full_topo.as_ref().expect("full topology built");
-                let h_full = self.eval_h.vstack(self.arena.boundary());
-                self.eval_h = self.layers[l].forward_eval(
+                let h_in = if l == 0 { &self.lp.features } else { &self.h };
+                self.layers[l].forward_boundary(
+                    &mut self.slots[l],
                     &full.graph,
-                    &h_full,
-                    self.n_in,
+                    (h_in, self.arena.boundary()),
                     &full.row_scale,
                     &full.gcn_scale,
-                    &mut self.rng,
+                    (false, &mut self.rng),
+                    &mut self.scratch,
+                    &mut self.h_next,
                 );
+                std::mem::swap(&mut self.h, &mut self.h_next);
                 if l + 1 < self.num_layers {
                     self.state = RankState::EvalSend(l + 1);
                     return Flow::More;
@@ -1630,8 +1716,8 @@ impl RankTask {
                         }
                     }
                 };
-                let val = score_of(&self.eval_h, &self.lp.val_local);
-                let test = score_of(&self.eval_h, &self.lp.test_local);
+                let val = score_of(&self.h, &self.lp.val_local);
+                let test = score_of(&self.h, &self.lp.test_local);
                 self.val = Some(val);
                 self.test = Some(test);
                 if let Some(t) = self.eval_span.take() {

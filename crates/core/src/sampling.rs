@@ -2,7 +2,7 @@
 //! edge-sampling ablation baselines (Table 9).
 
 use crate::plan::LocalPartition;
-use bns_graph::{CsrGraph, GraphBuilder};
+use bns_graph::CsrGraph;
 use bns_tensor::SeededRng;
 
 /// The sampling strategy applied every epoch.
@@ -105,7 +105,7 @@ impl BoundarySampling {
 
 /// The sampled topology one partition trains on for one epoch
 /// (Algorithm 1 line 5: the node-induced subgraph of `V_i ∪ U_i`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochTopology {
     /// Positions (into the partition's boundary list) of the selected
     /// boundary nodes `U_i`, ascending.
@@ -157,107 +157,116 @@ pub fn build_epoch_topology(
     edge_seed: u64,
     rng: &mut SeededRng,
 ) -> EpochTopology {
+    let mut topo = EpochTopology::default();
+    build_epoch_topology_into(lp, sampling, epoch, edge_seed, rng, &mut topo);
+    topo
+}
+
+/// [`build_epoch_topology`] into a caller-owned topology, whose
+/// buffers are reused: a rank that resamples every epoch (`p < 1`)
+/// rebuilds the same-sized graph in place instead of allocating it.
+///
+/// The epoch graph is a row filter of the partition's local graph:
+/// inner rows keep their inner neighbors (minus dropped edges under
+/// DropEdge) and their kept, selected boundary neighbors renumbered to
+/// `n_in + rank in selected`; each selected boundary row keeps the
+/// inner neighbors whose edge survives. Selection is ascending, so the
+/// renumbering is monotone and every row stays sorted — the same CSR a
+/// [`bns_graph::GraphBuilder`] over those edges builds.
+pub fn build_epoch_topology_into(
+    lp: &LocalPartition,
+    sampling: &BoundarySampling,
+    epoch: usize,
+    edge_seed: u64,
+    rng: &mut SeededRng,
+    topo: &mut EpochTopology,
+) {
     let n_in = lp.n_inner();
     let n_bd = lp.n_boundary();
+    let local = &lp.local_graph;
 
     // --- Select boundary nodes ---
-    let (selected, edge_filtered): (Vec<usize>, bool) = match *sampling {
+    let selected = &mut topo.selected;
+    selected.clear();
+    let edge_filtered = match *sampling {
         BoundarySampling::Bns { p } | BoundarySampling::BnsUnscaled { p } => {
-            let sel = if p >= 1.0 {
-                (0..n_bd).collect()
-            } else if p <= 0.0 {
-                Vec::new()
-            } else {
-                (0..n_bd).filter(|_| rng.bernoulli(p)).collect()
-            };
-            (sel, false)
+            if p >= 1.0 {
+                selected.extend(0..n_bd);
+            } else if p > 0.0 {
+                selected.extend((0..n_bd).filter(|_| rng.bernoulli(p)));
+            }
+            false
         }
         BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => {
             // A boundary node stays iff at least one of its cut edges
             // survives the symmetric hash.
-            let sel = (0..n_bd)
-                .filter(|&pos| {
-                    let gb = lp.boundary[pos];
-                    lp.local_graph
-                        .neighbors(n_in + pos)
-                        .iter()
-                        .filter(|&&x| (x as usize) < n_in)
-                        .any(|&x| edge_kept(edge_seed, epoch, gb, lp.inner[x as usize], keep))
-                })
-                .collect();
-            (sel, true)
+            selected.extend((0..n_bd).filter(|&pos| {
+                let gb = lp.boundary[pos];
+                local
+                    .neighbors(n_in + pos)
+                    .iter()
+                    .filter(|&&x| (x as usize) < n_in)
+                    .any(|&x| edge_kept(edge_seed, epoch, gb, lp.inner[x as usize], keep))
+            }));
+            true
         }
     };
     let drop_inner_edges = matches!(sampling, BoundarySampling::DropEdge { .. });
-
-    // --- Remap: old local id -> epoch id ---
-    let mut bd_remap = vec![usize::MAX; n_bd];
-    for (new_idx, &pos) in selected.iter().enumerate() {
-        bd_remap[pos] = n_in + new_idx;
-    }
-
-    // --- Build the epoch graph ---
     let keep_rate = match *sampling {
         BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => keep,
         BoundarySampling::Bns { .. } | BoundarySampling::BnsUnscaled { .. } => 1.0,
     };
-    let mut b = GraphBuilder::new(n_in + selected.len());
-    for v in 0..n_in {
-        for &nb in lp.local_graph.neighbors(v) {
-            let nb = nb as usize;
-            if nb < n_in {
-                if nb < v {
-                    continue; // count each inner edge once
+    let cut_kept = |v: usize, pos: usize| {
+        !edge_filtered || edge_kept(edge_seed, epoch, lp.inner[v], lp.boundary[pos], keep_rate)
+    };
+
+    // --- Build the epoch graph ---
+    let selected = &topo.selected;
+    topo.graph.refill(n_in + selected.len(), |v, row| {
+        if v < n_in {
+            for &nb in local.neighbors(v) {
+                let nb = nb as usize;
+                if nb < n_in {
+                    let kept = !drop_inner_edges
+                        || edge_kept(edge_seed, epoch, lp.inner[v], lp.inner[nb], keep_rate);
+                    if kept {
+                        row.push(nb as u32);
+                    }
+                } else if let Ok(rank) = selected.binary_search(&(nb - n_in)) {
+                    if cut_kept(v, nb - n_in) {
+                        row.push((n_in + rank) as u32);
+                    }
                 }
-                let kept = if drop_inner_edges {
-                    edge_kept(edge_seed, epoch, lp.inner[v], lp.inner[nb], keep_rate)
-                } else {
-                    true
-                };
-                if kept {
-                    b.add_edge(v, nb);
-                }
-            } else {
-                let pos = nb - n_in;
-                let new_id = bd_remap[pos];
-                if new_id == usize::MAX {
-                    continue;
-                }
-                let kept = if edge_filtered {
-                    edge_kept(edge_seed, epoch, lp.inner[v], lp.boundary[pos], keep_rate)
-                } else {
-                    true
-                };
-                if kept {
-                    b.add_edge(v, new_id);
+            }
+        } else {
+            let pos = selected[v - n_in];
+            for &x in local.neighbors(n_in + pos) {
+                if (x as usize) < n_in && cut_kept(x as usize, pos) {
+                    row.push(x);
                 }
             }
         }
-    }
-    let graph = b.build();
+    });
+    let graph = &topo.graph;
 
     // --- Aggregation normalizers ---
-    let row_scale: Vec<f32> = match sampling {
+    topo.row_scale.clear();
+    match sampling {
         // Unbiased full-graph mean: normalize by the full degree; the
         // engine separately multiplies received features by 1/p.
-        BoundarySampling::Bns { .. } => lp.inner_scale.clone(),
+        BoundarySampling::Bns { .. } => topo.row_scale.extend_from_slice(&lp.inner_scale),
         // Edge samplers renormalize over surviving neighbors (DropEdge
         // convention).
-        _ => (0..n_in)
-            .map(|v| 1.0 / graph.degree(v).max(1) as f32)
-            .collect(),
-    };
-
-    let mut gcn_scale = lp.gcn_scale[..n_in].to_vec();
-    gcn_scale.extend(selected.iter().map(|&pos| lp.gcn_scale[n_in + pos]));
-
-    EpochTopology {
-        selected,
-        graph,
-        row_scale,
-        gcn_scale,
-        feature_scale: sampling.feature_scale(),
+        _ => topo
+            .row_scale
+            .extend((0..n_in).map(|v| 1.0 / graph.degree(v).max(1) as f32)),
     }
+
+    topo.gcn_scale.clear();
+    topo.gcn_scale.extend_from_slice(&lp.gcn_scale[..n_in]);
+    topo.gcn_scale
+        .extend(selected.iter().map(|&pos| lp.gcn_scale[n_in + pos]));
+    topo.feature_scale = sampling.feature_scale();
 }
 
 #[cfg(test)]

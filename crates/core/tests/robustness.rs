@@ -3,7 +3,7 @@
 //! behaviour on degenerate inputs.
 
 use bns_data::{Labels, SyntheticSpec};
-use bns_gcn::engine::{train, train_with_plan, ModelArch, TrainConfig};
+use bns_gcn::engine::{train, train_with_plan, ConfigError, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_partition::{Partitioner, Partitioning, RandomPartitioner};
@@ -26,6 +26,91 @@ fn cfg(sampling: BoundarySampling) -> TrainConfig {
         workers: None,
         wire_precision: None,
     }
+}
+
+#[test]
+fn validate_accepts_the_presets() {
+    for c in [
+        TrainConfig::quick_test(),
+        TrainConfig::reddit(),
+        TrainConfig::products(),
+        TrainConfig::yelp(),
+        cfg(BoundarySampling::Bns { p: 0.0 }),
+        cfg(BoundarySampling::DropEdge { keep: 0.5 }),
+    ] {
+        assert_eq!(c.validate(), Ok(()));
+    }
+}
+
+#[test]
+fn validate_rejects_bad_dropout() {
+    for rate in [1.0, 1.5, -0.1, f32::NAN, f32::INFINITY] {
+        let c = TrainConfig {
+            dropout: rate,
+            ..cfg(BoundarySampling::Bns { p: 1.0 })
+        };
+        assert!(
+            matches!(c.validate(), Err(ConfigError::Dropout(_))),
+            "dropout {rate}"
+        );
+    }
+}
+
+#[test]
+fn validate_rejects_bad_learning_rate() {
+    for lr in [0.0, -0.01, f32::NAN, f32::INFINITY] {
+        let c = TrainConfig {
+            lr,
+            ..cfg(BoundarySampling::Bns { p: 1.0 })
+        };
+        assert!(
+            matches!(c.validate(), Err(ConfigError::LearningRate(_))),
+            "lr {lr}"
+        );
+    }
+}
+
+#[test]
+fn validate_rejects_zero_epochs() {
+    let c = TrainConfig {
+        epochs: 0,
+        ..cfg(BoundarySampling::Bns { p: 1.0 })
+    };
+    assert_eq!(c.validate(), Err(ConfigError::NoEpochs));
+}
+
+#[test]
+fn validate_rejects_bad_sampling_rate() {
+    for p in [1.5, -0.2, f64::NAN] {
+        for sampling in [
+            BoundarySampling::Bns { p },
+            BoundarySampling::BnsUnscaled { p },
+        ] {
+            assert!(
+                matches!(cfg(sampling).validate(), Err(ConfigError::SamplingRate(_))),
+                "{sampling:?}"
+            );
+        }
+    }
+}
+
+/// `train_with_plan` checks at entry and panics with the typed error as
+/// its payload, before any rank starts.
+#[test]
+fn train_with_plan_panics_with_the_config_error() {
+    let ds = Arc::new(SyntheticSpec::reddit_sim().with_nodes(120).generate(1));
+    let part = RandomPartitioner.partition(&ds.graph, 2, 1);
+    let plan = Arc::new(PartitionPlan::build(&ds, &part));
+    let bad = TrainConfig {
+        dropout: 1.0,
+        ..cfg(BoundarySampling::Bns { p: 1.0 })
+    };
+    let payload = std::panic::catch_unwind(|| train_with_plan(&plan, &bad))
+        .expect_err("an invalid config must not train");
+    assert_eq!(
+        payload.downcast_ref::<ConfigError>(),
+        Some(&ConfigError::Dropout(1.0))
+    );
 }
 
 /// A partitioning that isolates one node per partition plus a big rest

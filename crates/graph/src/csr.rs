@@ -16,6 +16,13 @@ pub struct CsrGraph {
     indices: Vec<u32>,
 }
 
+impl Default for CsrGraph {
+    /// The graph with no nodes.
+    fn default() -> Self {
+        Self::empty(0)
+    }
+}
+
 impl fmt::Debug for CsrGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -47,6 +54,35 @@ impl CsrGraph {
         Self {
             indptr: vec![0; n + 1],
             indices: Vec::new(),
+        }
+    }
+
+    /// Rebuilds the graph in place with `n` nodes, reusing its buffers:
+    /// `row(v, indices)` appends node `v`'s neighbor list. The caller
+    /// keeps the CSR invariants — every row strictly ascending, no
+    /// self-loops, and `u` in row `v` iff `v` in row `u` — which are
+    /// what [`GraphBuilder::build`] produces, so a row-by-row filter of
+    /// a valid graph yields bit for bit the graph `GraphBuilder` would.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if a row is unsorted, has a duplicate,
+    /// a self-loop or an out-of-range id.
+    pub fn refill(&mut self, n: usize, mut row: impl FnMut(usize, &mut Vec<u32>)) {
+        self.indptr.clear();
+        self.indices.clear();
+        self.indptr.push(0);
+        for v in 0..n {
+            let start = self.indices.len();
+            row(v, &mut self.indices);
+            debug_assert!(
+                self.indices[start..].windows(2).all(|w| w[0] < w[1])
+                    && self.indices[start..]
+                        .iter()
+                        .all(|&u| (u as usize) < n && u as usize != v),
+                "refill: row {v} breaks the CSR invariants"
+            );
+            self.indptr.push(self.indices.len());
         }
     }
 

@@ -30,19 +30,25 @@ impl Activation {
     /// `-0.0` deterministically maps to `+0.0` — `f32::max` left that
     /// sign unspecified).
     pub fn apply(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.apply_into(x, &mut out);
+        out
+    }
+
+    /// [`Activation::apply`] into a caller-owned buffer (reshaped and
+    /// overwritten): `x` is copied in, then mapped in place.
+    pub fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
+        out.assign(x);
+        let o = out.as_mut_slice();
         match *self {
-            Activation::Relu => {
-                let mut out = x.clone();
-                simd::relu(simd::begin_kernel(), out.as_mut_slice());
-                out
+            Activation::Relu => simd::relu(simd::begin_kernel(), o),
+            Activation::Identity => {}
+            Activation::LeakyRelu(s) => simd::leaky_relu(simd::begin_kernel(), o, s),
+            Activation::Elu => {
+                for v in o {
+                    *v = if *v > 0.0 { *v } else { v.exp() - 1.0 };
+                }
             }
-            Activation::Identity => x.clone(),
-            Activation::LeakyRelu(s) => {
-                let mut out = x.clone();
-                simd::leaky_relu(simd::begin_kernel(), out.as_mut_slice(), s);
-                out
-            }
-            Activation::Elu => x.map(|v| if v > 0.0 { v } else { v.exp() - 1.0 }),
         }
     }
 
@@ -55,30 +61,30 @@ impl Activation {
     /// still yields `NaN * 0.0 = NaN`), minus one allocation and one
     /// full traversal.
     pub fn backward(&self, pre: &Matrix, upstream: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.backward_into(pre, upstream, &mut out);
+        out
+    }
+
+    /// [`Activation::backward`] into a caller-owned buffer (reshaped and
+    /// overwritten): `upstream` is copied in, then multiplied by the
+    /// derivative in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` and `upstream` differ in shape.
+    pub fn backward_into(&self, pre: &Matrix, upstream: &Matrix, out: &mut Matrix) {
         assert_eq!(pre.shape(), upstream.shape(), "activation backward shape");
+        out.assign(upstream);
+        let (o, p) = (out.as_mut_slice(), pre.as_slice());
         match *self {
-            Activation::Identity => upstream.clone(),
-            Activation::Relu => {
-                let mut out = upstream.clone();
-                simd::relu_backward(simd::begin_kernel(), out.as_mut_slice(), pre.as_slice());
-                out
-            }
-            Activation::LeakyRelu(s) => {
-                let mut out = upstream.clone();
-                simd::leaky_relu_backward(
-                    simd::begin_kernel(),
-                    out.as_mut_slice(),
-                    pre.as_slice(),
-                    s,
-                );
-                out
-            }
+            Activation::Identity => {}
+            Activation::Relu => simd::relu_backward(simd::begin_kernel(), o, p),
+            Activation::LeakyRelu(s) => simd::leaky_relu_backward(simd::begin_kernel(), o, p, s),
             Activation::Elu => {
-                let mut out = upstream.clone();
-                for (o, &p) in out.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+                for (o, &p) in o.iter_mut().zip(p) {
                     *o *= if p > 0.0 { 1.0 } else { p.exp() };
                 }
-                out
             }
         }
     }

@@ -57,6 +57,12 @@ const SEGMENT_ROWS: usize = 256;
 const SEGMENT_ROWS: usize = 4;
 const MAX_SEGMENTS: usize = 8;
 
+thread_local! {
+    /// [`segmented_gather_into`]'s per-segment partial row, kept per
+    /// thread so a call does not allocate one per pool block.
+    static PARTIAL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// Shared gather skeleton for the backward kernels. `g` is symmetric
 /// with sorted, unique neighbor lists, so the sources of output row `u`
 /// are exactly the prefix of `N(u)` below `n_out`. Each row is written
@@ -69,26 +75,30 @@ const MAX_SEGMENTS: usize = 8;
 /// folded straight into the zeroed row: both are exact, because a sum
 /// started at `+0.0` is never `-0.0`. So each row gets the summation
 /// tree of a per-segment partial-buffer reduction without the buffers.
-fn segmented_gather<F>(
+///
+/// `dh` is reshaped to `n_rows_h x d` and every element is written, so
+/// a reused buffer needs no re-zeroing: a row with no sources (and
+/// every row past the graph) is zeroed here instead.
+fn segmented_gather_into<F>(
     g: &CsrGraph,
     bk: simd::Backend,
-    n_out: usize,
-    n_rows_h: usize,
-    d: usize,
+    (n_out, n_rows_h, d): (usize, usize, usize),
     fold: F,
-) -> Matrix
-where
+    dh: &mut Matrix,
+) where
     F: Fn(&mut [f32], &[u32], usize, bool) + Sync,
 {
     let n_seg = n_out.div_ceil(SEGMENT_ROWS).clamp(1, MAX_SEGMENTS);
     let seg = n_out.div_ceil(n_seg).max(1);
-    let mut dh = Matrix::zeros(n_rows_h, d);
+    dh.reset(n_rows_h, d);
+    dh.as_mut_slice()[g.num_nodes() * d..].fill(0.0);
     let dptr = SendMutPtr(dh.as_mut_slice().as_mut_ptr());
     pool::parallel_row_blocks(g.num_nodes(), AGG_MIN_ROWS, &|u0, u1| {
         // SAFETY: this block owns the disjoint output rows [u0, u1).
         let block =
             unsafe { std::slice::from_raw_parts_mut(dptr.get().add(u0 * d), (u1 - u0) * d) };
-        let mut partial = vec![0.0f32; d];
+        let mut partial = PARTIAL.take();
+        partial.resize(d, 0.0);
         for u in u0..u1 {
             let row = &mut block[(u - u0) * d..(u - u0 + 1) * d];
             let nb = g.neighbors(u);
@@ -108,9 +118,14 @@ where
                 }
                 start = end;
             }
+            if first {
+                row.fill(0.0);
+            }
         }
+        // By path: a bare `.set` would resolve, in the analyzer's call
+        // graph, to an unrelated workspace method.
+        PARTIAL.with(|slot| std::cell::Cell::set(slot, partial));
     });
-    dh
 }
 
 /// `z_v = row_scale[v] · Σ_{u ∈ N_g(v)} h_u` for `v < n_out`.
@@ -124,13 +139,31 @@ where
 /// Panics if `h` has fewer rows than `g` has nodes, `n_out >
 /// g.num_nodes()`, or `row_scale.len() != n_out`.
 pub fn scaled_sum_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, row_scale: &[f32]) -> Matrix {
+    let mut z = Matrix::default();
+    scaled_sum_aggregate_into(g, h, n_out, row_scale, &mut z);
+    z
+}
+
+/// [`scaled_sum_aggregate`] into a caller-owned buffer (reshaped and
+/// overwritten).
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as [`scaled_sum_aggregate`].
+pub fn scaled_sum_aggregate_into(
+    g: &CsrGraph,
+    h: &Matrix,
+    n_out: usize,
+    row_scale: &[f32],
+    z: &mut Matrix,
+) {
     assert!(h.rows() >= g.num_nodes(), "feature matrix too small");
     assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
     assert_eq!(row_scale.len(), n_out, "row_scale length mismatch");
     let d = h.cols();
     let hd = h.as_slice();
     let bk = simd::begin_kernel();
-    let mut z = Matrix::zeros(n_out, d);
+    z.reset_zeroed(n_out, d);
     let zptr = SendMutPtr(z.as_mut_slice().as_mut_ptr());
     pool::parallel_row_blocks(n_out, AGG_MIN_ROWS, &|v0, v1| {
         // SAFETY: this block owns the disjoint target rows [v0, v1).
@@ -141,7 +174,6 @@ pub fn scaled_sum_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, row_scale: &
             simd::scale(bk, zr, row_scale[v]);
         }
     });
-    z
 }
 
 /// Adjoint of [`scaled_sum_aggregate`]: given `dz` (`n_out x d`), returns
@@ -159,14 +191,34 @@ pub fn scaled_sum_aggregate_backward(
     n_rows_h: usize,
     row_scale: &[f32],
 ) -> Matrix {
+    let mut dh = Matrix::default();
+    scaled_sum_aggregate_backward_into(g, dz, n_rows_h, row_scale, &mut dh);
+    dh
+}
+
+/// [`scaled_sum_aggregate_backward`] into a caller-owned buffer
+/// (reshaped and overwritten).
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as
+/// [`scaled_sum_aggregate_backward`].
+pub fn scaled_sum_aggregate_backward_into(
+    g: &CsrGraph,
+    dz: &Matrix,
+    n_rows_h: usize,
+    row_scale: &[f32],
+    dh: &mut Matrix,
+) {
     let n_out = dz.rows();
     assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
     assert!(n_rows_h >= g.num_nodes(), "output too small");
     assert_eq!(row_scale.len(), n_out, "row_scale length mismatch");
     let (d, bk) = (dz.cols(), simd::begin_kernel());
-    segmented_gather(g, bk, n_out, n_rows_h, d, |acc, srcs, _, _| {
+    let fold = |acc: &mut [f32], srcs: &[u32], _: usize, _: bool| {
         simd::sum_rows_scaled(bk, acc, dz.as_slice(), d, srcs, 0, row_scale);
-    })
+    };
+    segmented_gather_into(g, bk, (n_out, n_rows_h, d), fold, dh);
 }
 
 /// Inner-edge partial of [`scaled_sum_aggregate`] on a segmented
@@ -186,13 +238,31 @@ pub fn scaled_sum_aggregate_backward(
 ///
 /// Panics if `n_out > g.num_nodes()` or `n_out > h_inner.rows()`.
 pub fn scaled_sum_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize) -> Matrix {
+    let mut z = Matrix::default();
+    scaled_sum_aggregate_inner_into(g, h_inner, n_out, &mut z);
+    z
+}
+
+/// [`scaled_sum_aggregate_inner`] into a caller-owned buffer (reshaped
+/// and overwritten).
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as
+/// [`scaled_sum_aggregate_inner`].
+pub fn scaled_sum_aggregate_inner_into(
+    g: &CsrGraph,
+    h_inner: &Matrix,
+    n_out: usize,
+    z: &mut Matrix,
+) {
     assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
     assert!(n_out <= h_inner.rows(), "n_out exceeds inner rows");
     let n_inner = h_inner.rows();
     let d = h_inner.cols();
     let hd = h_inner.as_slice();
     let bk = simd::begin_kernel();
-    let mut z = Matrix::zeros(n_out, d);
+    z.reset_zeroed(n_out, d);
     let zptr = SendMutPtr(z.as_mut_slice().as_mut_ptr());
     pool::parallel_row_blocks(n_out, AGG_MIN_ROWS, &|v0, v1| {
         // SAFETY: this block owns the disjoint target rows [v0, v1).
@@ -204,7 +274,6 @@ pub fn scaled_sum_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize) 
             simd::sum_rows(bk, zr, hd, d, &nb[..end], 0);
         }
     });
-    z
 }
 
 /// Completes [`scaled_sum_aggregate_inner`]: folds the boundary-edge
@@ -260,13 +329,31 @@ pub fn scaled_sum_fold_boundary(
 ///
 /// Panics on shape mismatches.
 pub fn gcn_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize, s: &[f32]) -> Matrix {
+    let mut z = Matrix::default();
+    gcn_aggregate_inner_into(g, h_inner, n_out, s, &mut z);
+    z
+}
+
+/// [`gcn_aggregate_inner`] into a caller-owned buffer (reshaped and
+/// overwritten).
+///
+/// # Panics
+///
+/// Panics on shape mismatches.
+pub fn gcn_aggregate_inner_into(
+    g: &CsrGraph,
+    h_inner: &Matrix,
+    n_out: usize,
+    s: &[f32],
+    z: &mut Matrix,
+) {
     assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
     assert!(n_out <= h_inner.rows(), "n_out exceeds inner rows");
     let n_inner = h_inner.rows();
     let d = h_inner.cols();
     let hd = h_inner.as_slice();
     let bk = simd::begin_kernel();
-    let mut z = Matrix::zeros(n_out, d);
+    z.reset_zeroed(n_out, d);
     let zptr = SendMutPtr(z.as_mut_slice().as_mut_ptr());
     pool::parallel_row_blocks(n_out, AGG_MIN_ROWS, &|v0, v1| {
         // SAFETY: this block owns the disjoint target rows [v0, v1).
@@ -278,7 +365,6 @@ pub fn gcn_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize, s: &[f3
             simd::sum_rows_scaled(bk, zr, hd, d, &nb[..end], 0, s);
         }
     });
-    z
 }
 
 /// Completes [`gcn_aggregate_inner`]: folds boundary neighbors, then
@@ -333,13 +419,25 @@ pub fn gcn_fold_boundary(
 ///
 /// Panics on shape mismatches.
 pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matrix {
+    let mut z = Matrix::default();
+    gcn_aggregate_into(g, h, n_out, s, &mut z);
+    z
+}
+
+/// [`gcn_aggregate`] into a caller-owned buffer (reshaped and
+/// overwritten).
+///
+/// # Panics
+///
+/// Panics on shape mismatches.
+pub fn gcn_aggregate_into(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32], z: &mut Matrix) {
     assert!(h.rows() >= g.num_nodes(), "feature matrix too small");
     assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
     assert!(s.len() >= g.num_nodes(), "scale vector too small");
     let d = h.cols();
     let hd = h.as_slice();
     let bk = simd::begin_kernel();
-    let mut z = Matrix::zeros(n_out, d);
+    z.reset_zeroed(n_out, d);
     let zptr = SendMutPtr(z.as_mut_slice().as_mut_ptr());
     pool::parallel_row_blocks(n_out, AGG_MIN_ROWS, &|v0, v1| {
         // SAFETY: this block owns the disjoint target rows [v0, v1).
@@ -351,7 +449,6 @@ pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matri
             simd::scale_axpy(bk, zr, sv, sv * sv, h.row(v));
         }
     });
-    z
 }
 
 /// Adjoint of [`gcn_aggregate`]: `dh_u = Σ_{v ∈ N_g(u), v < n_out} s_u ·
@@ -363,26 +460,38 @@ pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matri
 ///
 /// Panics on shape mismatches.
 pub fn gcn_aggregate_backward(g: &CsrGraph, dz: &Matrix, n_rows_h: usize, s: &[f32]) -> Matrix {
+    let mut dh = Matrix::default();
+    gcn_aggregate_backward_into(g, dz, n_rows_h, s, &mut dh);
+    dh
+}
+
+/// [`gcn_aggregate_backward`] into a caller-owned buffer (reshaped and
+/// overwritten).
+///
+/// # Panics
+///
+/// Panics on shape mismatches.
+pub fn gcn_aggregate_backward_into(
+    g: &CsrGraph,
+    dz: &Matrix,
+    n_rows_h: usize,
+    s: &[f32],
+    dh: &mut Matrix,
+) {
     let n_out = dz.rows();
     assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
     assert!(n_rows_h >= g.num_nodes(), "output too small");
     assert!(s.len() >= g.num_nodes(), "scale vector too small");
     let (d, bk) = (dz.cols(), simd::begin_kernel());
-    segmented_gather(
-        g,
-        bk,
-        n_out,
-        n_rows_h,
-        d,
-        |acc, srcs: &[u32], u, self_here| {
-            let (below, above) = srcs.split_at(srcs.partition_point(|&v| (v as usize) < u));
-            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, below, s, s[u]);
-            if self_here {
-                simd::axpy(bk, acc, s[u] * s[u], dz.row(u));
-            }
-            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, above, s, s[u]);
-        },
-    )
+    let fold = |acc: &mut [f32], srcs: &[u32], u: usize, self_here: bool| {
+        let (below, above) = srcs.split_at(srcs.partition_point(|&v| (v as usize) < u));
+        simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, below, s, s[u]);
+        if self_here {
+            simd::axpy(bk, acc, s[u] * s[u], dz.row(u));
+        }
+        simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, above, s, s[u]);
+    };
+    segmented_gather_into(g, bk, (n_out, n_rows_h, d), fold, dh);
 }
 
 #[cfg(test)]
@@ -510,6 +619,60 @@ mod tests {
         let mut z = scaled_sum_aggregate_inner(&g, &h, 6);
         scaled_sum_fold_boundary(&g, &mut z, &empty, 6, &scale);
         assert_eq!(bits(&fused), bits(&z));
+    }
+
+    /// A reused output buffer holds stale values (here NaN, from a
+    /// larger shape); every `_into` kernel must overwrite all of it, so
+    /// its result is bitwise the fresh allocating form's.
+    #[test]
+    fn into_kernels_overwrite_dirty_buffers() {
+        let (g, n_inner, h_inner, h_bd) = segmented_fixture(3);
+        // Isolated rows: sources for no output row, so the gather must
+        // zero them itself.
+        let mut b = bns_graph::GraphBuilder::new(g.num_nodes() + 3);
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let n = g.num_nodes();
+        let h = h_inner
+            .vstack(&h_bd)
+            .vstack(&Matrix::filled(3, h_inner.cols(), 0.5));
+        let scale: Vec<f32> = (0..n).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
+        let dz = Matrix::from_fn(n_inner, h.cols(), |r, c| (r * 7 + c) as f32 * 0.01 - 1.0);
+        let dirty = || Matrix::filled(n + 5, h.cols() + 2, f32::NAN);
+        let mut out = dirty();
+        scaled_sum_aggregate_into(&g, &h, n_inner, &scale[..n_inner], &mut out);
+        assert_eq!(
+            bits(&out),
+            bits(&scaled_sum_aggregate(&g, &h, n_inner, &scale[..n_inner]))
+        );
+        let mut out = dirty();
+        scaled_sum_aggregate_inner_into(&g, &h_inner, n_inner, &mut out);
+        assert_eq!(
+            bits(&out),
+            bits(&scaled_sum_aggregate_inner(&g, &h_inner, n_inner))
+        );
+        let mut out = dirty();
+        gcn_aggregate_into(&g, &h, n_inner, &scale, &mut out);
+        assert_eq!(bits(&out), bits(&gcn_aggregate(&g, &h, n_inner, &scale)));
+        let mut out = dirty();
+        gcn_aggregate_inner_into(&g, &h_inner, n_inner, &scale, &mut out);
+        assert_eq!(
+            bits(&out),
+            bits(&gcn_aggregate_inner(&g, &h_inner, n_inner, &scale))
+        );
+        let mut out = dirty();
+        scaled_sum_aggregate_backward_into(&g, &dz, n, &scale[..n_inner], &mut out);
+        let fresh = scaled_sum_aggregate_backward(&g, &dz, n, &scale[..n_inner]);
+        assert!(fresh.row(n - 1).iter().all(|&x| x == 0.0));
+        assert_eq!(bits(&out), bits(&fresh));
+        let mut out = dirty();
+        gcn_aggregate_backward_into(&g, &dz, n, &scale, &mut out);
+        assert_eq!(
+            bits(&out),
+            bits(&gcn_aggregate_backward(&g, &dz, n, &scale))
+        );
     }
 
     #[test]

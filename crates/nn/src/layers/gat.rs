@@ -12,7 +12,7 @@
 //! engine unchanged).
 
 use crate::activation::Activation;
-use crate::layers::dropout;
+use crate::layers::{dropout, DropMask};
 use bns_graph::CsrGraph;
 use bns_tensor::{simd, xavier_uniform, Matrix, SeededRng};
 
@@ -37,7 +37,7 @@ pub struct GatLayer {
 #[derive(Debug, Clone)]
 pub struct GatCache {
     h_dropped: Matrix,
-    mask: Option<Matrix>,
+    mask: Option<DropMask>,
     g_mat: Matrix,
     /// Per target node: offsets into the flattened edge arrays.
     offsets: Vec<usize>,
@@ -52,7 +52,7 @@ pub struct GatCache {
 }
 
 /// Parameter gradients from [`GatLayer::backward`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GatGrads {
     /// Gradient of `w`.
     pub w: Matrix,
@@ -217,7 +217,7 @@ impl GatLayer {
         };
         let mut dh = dg.matmul_nt(&self.w);
         if let Some(m) = &cache.mask {
-            dh = dh.hadamard(m);
+            m.apply(dh.as_mut_slice());
         }
         (dh, grads)
     }

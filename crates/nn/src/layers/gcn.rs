@@ -4,9 +4,10 @@
 
 use crate::activation::Activation;
 use crate::aggregate::{
-    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_inner, gcn_fold_boundary,
+    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_inner_into,
+    gcn_fold_boundary,
 };
-use crate::layers::dropout;
+use crate::layers::{dropout, DropMask, SegScratch};
 use bns_graph::CsrGraph;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
@@ -28,7 +29,7 @@ pub struct GcnLayer {
 #[derive(Debug, Clone)]
 pub struct GcnCache {
     h_dropped: Matrix,
-    mask: Option<Matrix>,
+    mask: Option<DropMask>,
     z: Matrix,
     pre: Matrix,
     n_out: usize,
@@ -38,19 +39,18 @@ pub struct GcnCache {
 /// Result of [`GcnLayer::forward_inner`] — everything computable before
 /// boundary features have arrived.
 #[derive(Debug, Clone)]
-pub struct GcnInnerPartial {
-    h_in_dropped: Matrix,
-    mask_in: Option<Matrix>,
-    z: Matrix,
-}
+pub struct GcnInnerPartial(GcnSegCache);
 
-/// Saved forward state for [`GcnLayer::backward_seg`]; never stores the
-/// boundary feature rows.
-#[derive(Debug, Clone)]
+/// Saved forward state for the segmented pass; never stores the
+/// boundary feature rows. The training engine keeps one per layer for
+/// the whole run and overwrites it every epoch.
+#[derive(Debug, Clone, Default)]
 pub struct GcnSegCache {
     h_in_dropped: Matrix,
-    mask_in: Option<Matrix>,
-    mask_bd: Option<Matrix>,
+    mask_in: DropMask,
+    mask_bd: DropMask,
+    drop_in: bool,
+    drop_bd: bool,
     z: Matrix,
     pre: Matrix,
     n_bd: usize,
@@ -58,7 +58,7 @@ pub struct GcnSegCache {
 }
 
 /// Parameter gradients from [`GcnLayer::backward`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GcnGrads {
     /// Gradient of `w`.
     pub w: Matrix,
@@ -131,19 +131,30 @@ impl GcnLayer {
         train: bool,
         rng: &mut SeededRng,
     ) -> GcnInnerPartial {
+        let mut cache = GcnSegCache::default();
+        self.forward_inner_into(g, h_inner, s, train, rng, &mut cache);
+        GcnInnerPartial(cache)
+    }
+
+    /// [`GcnLayer::forward_inner`] into a caller-owned cache, whose
+    /// buffers are overwritten.
+    pub fn forward_inner_into(
+        &self,
+        g: &CsrGraph,
+        h_inner: &Matrix,
+        s: &[f32],
+        train: bool,
+        rng: &mut SeededRng,
+        cache: &mut GcnSegCache,
+    ) {
         assert_eq!(h_inner.cols(), self.w.rows(), "input dim mismatch");
-        let (h_in_dropped, mask_in) = if train && self.dropout > 0.0 {
-            let (h, m) = dropout(h_inner, self.dropout, rng);
-            (h, Some(m))
-        } else {
-            (h_inner.clone(), None)
-        };
-        let z = gcn_aggregate_inner(g, &h_in_dropped, h_in_dropped.rows(), s);
-        GcnInnerPartial {
-            h_in_dropped,
-            mask_in,
-            z,
+        cache.drop_in = train && self.dropout > 0.0;
+        cache.h_in_dropped.assign(h_inner);
+        if cache.drop_in {
+            cache.mask_in.draw(h_inner.len(), self.dropout, rng);
+            cache.mask_in.apply(cache.h_in_dropped.as_mut_slice());
         }
+        gcn_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), s, &mut cache.z);
     }
 
     /// Phase 2 of the segmented forward pass: boundary dropout, boundary
@@ -158,39 +169,44 @@ impl GcnLayer {
         train: bool,
         rng: &mut SeededRng,
     ) -> (Matrix, GcnSegCache) {
-        let GcnInnerPartial {
-            h_in_dropped,
-            mask_in,
-            mut z,
-        } = partial;
-        let n_inner = h_in_dropped.rows();
-        let dropped_store;
-        let mask_bd;
-        let h_bd_used: &Matrix = if train && self.dropout > 0.0 && h_bd.rows() > 0 {
-            let (h, m) = dropout(h_bd, self.dropout, rng);
-            dropped_store = h;
-            mask_bd = Some(m);
-            &dropped_store
+        let (mut cache, mut out) = (partial.0, Matrix::default());
+        let mut scratch = SegScratch::default();
+        self.forward_boundary_into(g, &mut cache, h_bd, s, train, rng, &mut scratch, &mut out);
+        (out, cache)
+    }
+
+    /// [`GcnLayer::forward_boundary`] on the cache that
+    /// [`GcnLayer::forward_inner_into`] filled, writing the layer output
+    /// into `out`; temporaries live in the shared `scratch`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_boundary_into(
+        &self,
+        g: &CsrGraph,
+        cache: &mut GcnSegCache,
+        h_bd: &Matrix,
+        s: &[f32],
+        train: bool,
+        rng: &mut SeededRng,
+        scratch: &mut SegScratch,
+        out: &mut Matrix,
+    ) {
+        let n_inner = cache.h_in_dropped.rows();
+        cache.drop_bd = train && self.dropout > 0.0 && h_bd.rows() > 0;
+        let h_bd_used = if cache.drop_bd {
+            cache.mask_bd.draw(h_bd.len(), self.dropout, rng);
+            scratch.bd_dropped.assign(h_bd);
+            cache.mask_bd.apply(scratch.bd_dropped.as_mut_slice());
+            &scratch.bd_dropped
         } else {
-            mask_bd = None;
             h_bd
         };
-        gcn_fold_boundary(g, &mut z, &h_in_dropped, h_bd_used, n_inner, s);
-        let mut pre = z.matmul(&self.w);
-        pre.add_row_broadcast(self.b.row(0));
-        let out = self.act.apply(&pre);
-        (
-            out,
-            GcnSegCache {
-                h_in_dropped,
-                mask_in,
-                mask_bd,
-                z,
-                pre,
-                n_bd: h_bd.rows(),
-                s: s.to_vec(),
-            },
-        )
+        gcn_fold_boundary(g, &mut cache.z, &cache.h_in_dropped, h_bd_used, n_inner, s);
+        cache.z.matmul_into(&self.w, &mut cache.pre);
+        cache.pre.add_row_broadcast(self.b.row(0));
+        self.act.apply_into(&cache.pre, out);
+        cache.n_bd = h_bd.rows();
+        cache.s.clear();
+        cache.s.extend_from_slice(s);
     }
 
     /// Segmented backward pass: returns `(dh_inner, dh_bd, grads)` —
@@ -202,24 +218,40 @@ impl GcnLayer {
         cache: &GcnSegCache,
         d_out: &Matrix,
     ) -> (Matrix, Matrix, GcnGrads) {
+        let (mut scratch, mut grads) = (SegScratch::default(), GcnGrads::default());
+        self.backward_seg_into(g, cache, d_out, &mut scratch, &mut grads);
+        (scratch.dh, scratch.dh_bd, grads)
+    }
+
+    /// [`GcnLayer::backward_seg`] into caller-owned buffers: the input
+    /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
+    /// (boundary rows), the parameter gradients in `grads`.
+    pub fn backward_seg_into(
+        &self,
+        g: &CsrGraph,
+        cache: &GcnSegCache,
+        d_out: &Matrix,
+        scratch: &mut SegScratch,
+        grads: &mut GcnGrads,
+    ) {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
-        let dpre = self.act.backward(&cache.pre, d_out);
-        let grads = GcnGrads {
-            w: cache.z.matmul_tn(&dpre),
-            b: Matrix::from_vec(1, self.w.cols(), dpre.col_sums()),
-        };
-        let dz = dpre.matmul_nt(&self.w);
-        let dh = gcn_aggregate_backward(g, &dz, n_inner + cache.n_bd, &cache.s);
-        let (mut dh_inner, dh_bd) = dh.split_rows(n_inner);
-        if let Some(m) = &cache.mask_in {
-            dh_inner = dh_inner.hadamard(m);
+        let sc = scratch;
+        self.act.backward_into(&cache.pre, d_out, &mut sc.dpre);
+        cache.z.matmul_tn_into(&sc.dpre, &mut grads.w);
+        grads.b.reset(1, self.w.cols());
+        sc.dpre.col_sums_into(grads.b.as_mut_slice());
+        sc.dpre.matmul_nt_into(&self.w, &mut sc.wt, &mut sc.dz);
+        let n_rows = n_inner + cache.n_bd;
+        gcn_aggregate_backward_into(g, &sc.dz, n_rows, &cache.s, &mut sc.dh);
+        sc.dh.slice_rows_into(n_inner, n_rows, &mut sc.dh_bd);
+        sc.dh.truncate_rows(n_inner);
+        if cache.drop_in {
+            cache.mask_in.apply(sc.dh.as_mut_slice());
         }
-        let dh_bd = match &cache.mask_bd {
-            Some(m) => dh_bd.hadamard(m),
-            None => dh_bd,
-        };
-        (dh_inner, dh_bd, grads)
+        if cache.drop_bd {
+            cache.mask_bd.apply(sc.dh_bd.as_mut_slice());
+        }
     }
 
     /// Backward pass: returns gradient for all input rows plus parameter
@@ -234,7 +266,7 @@ impl GcnLayer {
         let dz = dpre.matmul_nt(&self.w);
         let mut dh = gcn_aggregate_backward(g, &dz, cache.h_dropped.rows(), &cache.s);
         if let Some(m) = &cache.mask {
-            dh = dh.hadamard(m);
+            m.apply(dh.as_mut_slice());
         }
         (dh, grads)
     }

@@ -3,7 +3,7 @@
 //! GCNs by their advantage over exactly this alternative).
 
 use crate::activation::Activation;
-use crate::layers::dropout;
+use crate::layers::{dropout, DropMask};
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
 /// Fully-connected layer: `y = act(x W + b)`.
@@ -23,7 +23,7 @@ pub struct LinearLayer {
 #[derive(Debug, Clone)]
 pub struct LinearCache {
     x_dropped: Matrix,
-    mask: Option<Matrix>,
+    mask: Option<DropMask>,
     pre: Matrix,
 }
 
@@ -84,7 +84,7 @@ impl LinearLayer {
         };
         let mut dx = dpre.matmul_nt(&self.w);
         if let Some(m) = &cache.mask {
-            dx = dx.hadamard(m);
+            m.apply(dx.as_mut_slice());
         }
         (dx, grads)
     }

@@ -9,10 +9,10 @@
 
 use crate::activation::Activation;
 use crate::aggregate::{
-    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_inner,
-    scaled_sum_fold_boundary,
+    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
+    scaled_sum_aggregate_inner_into, scaled_sum_fold_boundary,
 };
-use crate::layers::dropout;
+use crate::layers::{dropout, DropMask, SegScratch};
 use bns_graph::CsrGraph;
 use bns_tensor::simd;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
@@ -36,7 +36,7 @@ pub struct SageLayer {
 #[derive(Debug, Clone)]
 pub struct SageCache {
     h_dropped: Matrix,
-    mask: Option<Matrix>,
+    mask: Option<DropMask>,
     z: Matrix,
     pre: Matrix,
     n_out: usize,
@@ -46,21 +46,22 @@ pub struct SageCache {
 /// Result of [`SageLayer::forward_inner`] — everything computable
 /// before boundary features have arrived.
 #[derive(Debug, Clone)]
-pub struct SageInnerPartial {
-    h_in_dropped: Matrix,
-    mask_in: Option<Matrix>,
-    z: Matrix,
-}
+pub struct SageInnerPartial(SageSegCache);
 
-/// Saved forward state for [`SageLayer::backward_seg`] — the segmented
-/// twin of [`SageCache`]. Unlike the fused cache it never stores the
-/// boundary feature rows (the backward pass does not need them), so the
-/// per-layer activation memory drops by the halo size.
-#[derive(Debug, Clone)]
+/// Saved forward state for the segmented pass
+/// ([`SageLayer::forward_inner_into`], [`SageLayer::forward_boundary_into`],
+/// [`SageLayer::backward_seg_into`]). Unlike the fused cache it never
+/// stores the boundary feature rows (the backward pass does not need
+/// them), so the per-layer activation memory drops by the halo size.
+/// The training engine keeps one per layer for the whole run and
+/// overwrites it every epoch.
+#[derive(Debug, Clone, Default)]
 pub struct SageSegCache {
     h_in_dropped: Matrix,
-    mask_in: Option<Matrix>,
-    mask_bd: Option<Matrix>,
+    mask_in: DropMask,
+    mask_bd: DropMask,
+    drop_in: bool,
+    drop_bd: bool,
     z: Matrix,
     pre: Matrix,
     n_bd: usize,
@@ -68,7 +69,7 @@ pub struct SageSegCache {
 }
 
 /// Parameter gradients produced by [`SageLayer::backward`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SageGrads {
     /// Gradient of `w_self`.
     pub w_self: Matrix,
@@ -170,19 +171,29 @@ impl SageLayer {
         train: bool,
         rng: &mut SeededRng,
     ) -> SageInnerPartial {
+        let mut cache = SageSegCache::default();
+        self.forward_inner_into(g, h_inner, train, rng, &mut cache);
+        SageInnerPartial(cache)
+    }
+
+    /// [`SageLayer::forward_inner`] into a caller-owned cache, whose
+    /// buffers are overwritten.
+    pub fn forward_inner_into(
+        &self,
+        g: &CsrGraph,
+        h_inner: &Matrix,
+        train: bool,
+        rng: &mut SeededRng,
+        cache: &mut SageSegCache,
+    ) {
         assert_eq!(h_inner.cols(), self.d_in(), "input dim mismatch");
-        let (h_in_dropped, mask_in) = if train && self.dropout > 0.0 {
-            let (h, m) = dropout(h_inner, self.dropout, rng);
-            (h, Some(m))
-        } else {
-            (h_inner.clone(), None)
-        };
-        let z = scaled_sum_aggregate_inner(g, &h_in_dropped, h_in_dropped.rows());
-        SageInnerPartial {
-            h_in_dropped,
-            mask_in,
-            z,
+        cache.drop_in = train && self.dropout > 0.0;
+        cache.h_in_dropped.assign(h_inner);
+        if cache.drop_in {
+            cache.mask_in.draw(h_inner.len(), self.dropout, rng);
+            cache.mask_in.apply(cache.h_in_dropped.as_mut_slice());
         }
+        scaled_sum_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), &mut cache.z);
     }
 
     /// Phase 2 of the segmented forward pass: boundary dropout, boundary
@@ -198,40 +209,55 @@ impl SageLayer {
         train: bool,
         rng: &mut SeededRng,
     ) -> (Matrix, SageSegCache) {
-        let SageInnerPartial {
-            h_in_dropped,
-            mask_in,
-            mut z,
-        } = partial;
-        let n_inner = h_in_dropped.rows();
-        let dropped_store;
-        let mask_bd;
-        let h_bd_used: &Matrix = if train && self.dropout > 0.0 && h_bd.rows() > 0 {
-            let (h, m) = dropout(h_bd, self.dropout, rng);
-            dropped_store = h;
-            mask_bd = Some(m);
-            &dropped_store
+        let (mut cache, mut out) = (partial.0, Matrix::default());
+        let mut scratch = SegScratch::default();
+        self.forward_boundary_into(
+            g,
+            &mut cache,
+            h_bd,
+            row_scale,
+            train,
+            rng,
+            &mut scratch,
+            &mut out,
+        );
+        (out, cache)
+    }
+
+    /// [`SageLayer::forward_boundary`] on the cache that
+    /// [`SageLayer::forward_inner_into`] filled, writing the layer
+    /// output into `out`; temporaries live in the shared `scratch`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_boundary_into(
+        &self,
+        g: &CsrGraph,
+        cache: &mut SageSegCache,
+        h_bd: &Matrix,
+        row_scale: &[f32],
+        train: bool,
+        rng: &mut SeededRng,
+        scratch: &mut SegScratch,
+        out: &mut Matrix,
+    ) {
+        let n_inner = cache.h_in_dropped.rows();
+        cache.drop_bd = train && self.dropout > 0.0 && h_bd.rows() > 0;
+        let h_bd_used = if cache.drop_bd {
+            cache.mask_bd.draw(h_bd.len(), self.dropout, rng);
+            scratch.bd_dropped.assign(h_bd);
+            cache.mask_bd.apply(scratch.bd_dropped.as_mut_slice());
+            &scratch.bd_dropped
         } else {
-            mask_bd = None;
             h_bd
         };
-        scaled_sum_fold_boundary(g, &mut z, h_bd_used, n_inner, row_scale);
-        let mut pre = h_in_dropped.matmul(&self.w_self);
-        pre.add_assign(&z.matmul(&self.w_neigh));
-        pre.add_row_broadcast(self.b.row(0));
-        let out = self.act.apply(&pre);
-        (
-            out,
-            SageSegCache {
-                h_in_dropped,
-                mask_in,
-                mask_bd,
-                z,
-                pre,
-                n_bd: h_bd.rows(),
-                row_scale: row_scale.to_vec(),
-            },
-        )
+        scaled_sum_fold_boundary(g, &mut cache.z, h_bd_used, n_inner, row_scale);
+        cache.h_in_dropped.matmul_into(&self.w_self, &mut cache.pre);
+        cache.z.matmul_into(&self.w_neigh, &mut scratch.zw);
+        cache.pre.add_assign(&scratch.zw);
+        cache.pre.add_row_broadcast(self.b.row(0));
+        self.act.apply_into(&cache.pre, out);
+        cache.n_bd = h_bd.rows();
+        cache.row_scale.clear();
+        cache.row_scale.extend_from_slice(row_scale);
     }
 
     /// Segmented backward pass: returns `(dh_inner, dh_bd, grads)`
@@ -244,26 +270,45 @@ impl SageLayer {
         cache: &SageSegCache,
         d_out: &Matrix,
     ) -> (Matrix, Matrix, SageGrads) {
+        let (mut scratch, mut grads) = (SegScratch::default(), SageGrads::default());
+        self.backward_seg_into(g, cache, d_out, &mut scratch, &mut grads);
+        (scratch.dh, scratch.dh_bd, grads)
+    }
+
+    /// [`SageLayer::backward_seg`] into caller-owned buffers: the input
+    /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
+    /// (boundary rows), the parameter gradients in `grads`.
+    pub fn backward_seg_into(
+        &self,
+        g: &CsrGraph,
+        cache: &SageSegCache,
+        d_out: &Matrix,
+        scratch: &mut SegScratch,
+        grads: &mut SageGrads,
+    ) {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
-        let dpre = self.act.backward(&cache.pre, d_out);
-        let grads = SageGrads {
-            w_self: cache.h_in_dropped.matmul_tn(&dpre),
-            w_neigh: cache.z.matmul_tn(&dpre),
-            b: Matrix::from_vec(1, self.d_out(), dpre.col_sums()),
-        };
-        let dz = dpre.matmul_nt(&self.w_neigh);
-        let dh = scaled_sum_aggregate_backward(g, &dz, n_inner + cache.n_bd, &cache.row_scale);
-        let (mut dh_inner, dh_bd) = dh.split_rows(n_inner);
-        dh_inner.add_assign(&dpre.matmul_nt(&self.w_self));
-        if let Some(m) = &cache.mask_in {
-            dh_inner = dh_inner.hadamard(m);
+        let s = scratch;
+        self.act.backward_into(&cache.pre, d_out, &mut s.dpre);
+        cache
+            .h_in_dropped
+            .matmul_tn_into(&s.dpre, &mut grads.w_self);
+        cache.z.matmul_tn_into(&s.dpre, &mut grads.w_neigh);
+        grads.b.reset(1, self.d_out());
+        s.dpre.col_sums_into(grads.b.as_mut_slice());
+        s.dpre.matmul_nt_into(&self.w_neigh, &mut s.wt, &mut s.dz);
+        let n_rows = n_inner + cache.n_bd;
+        scaled_sum_aggregate_backward_into(g, &s.dz, n_rows, &cache.row_scale, &mut s.dh);
+        s.dh.slice_rows_into(n_inner, n_rows, &mut s.dh_bd);
+        s.dh.truncate_rows(n_inner);
+        s.dpre.matmul_nt_into(&self.w_self, &mut s.wt, &mut s.dz);
+        s.dh.add_assign(&s.dz);
+        if cache.drop_in {
+            cache.mask_in.apply(s.dh.as_mut_slice());
         }
-        let dh_bd = match &cache.mask_bd {
-            Some(m) => dh_bd.hadamard(m),
-            None => dh_bd,
-        };
-        (dh_inner, dh_bd, grads)
+        if cache.drop_bd {
+            cache.mask_bd.apply(s.dh_bd.as_mut_slice());
+        }
     }
 
     /// Backward pass: given `d_out` (`n_out x d_out`), returns the
@@ -284,10 +329,9 @@ impl SageLayer {
         let dh_self = dpre.matmul_nt(&self.w_self);
         let top = &mut dh.as_mut_slice()[..dh_self.as_slice().len()];
         simd::add_assign(simd::begin_kernel(), top, dh_self.as_slice());
-        let dh = match &cache.mask {
-            Some(m) => dh.hadamard(m),
-            None => dh,
-        };
+        if let Some(m) = &cache.mask {
+            m.apply(dh.as_mut_slice());
+        }
         (dh, grads)
     }
 

@@ -31,9 +31,8 @@ mod optim;
 
 pub use activation::Activation;
 pub use layers::{
-    GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnInnerPartial, GcnLayer, GcnSegCache,
-    LinearCache, LinearGrads, LinearLayer, SageCache, SageGrads, SageInnerPartial, SageLayer,
-    SageSegCache,
+    DropMask, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache, LinearCache,
+    LinearGrads, LinearLayer, SageCache, SageGrads, SageLayer, SageSegCache, SegScratch,
 };
-pub use models::{flatten, unflatten_into, GatModel, SageModel};
+pub use models::{flatten_into, unflatten_into, GatModel, SageModel};
 pub use optim::Adam;

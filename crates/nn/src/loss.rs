@@ -23,9 +23,26 @@ pub fn softmax_cross_entropy(
     labels: &[usize],
     rows: &[usize],
 ) -> (f64, Matrix, usize) {
+    let mut dlogits = Matrix::default();
+    let (loss, correct) = softmax_cross_entropy_into(logits, labels, rows, &mut dlogits);
+    (loss, dlogits, correct)
+}
+
+/// [`softmax_cross_entropy`] writing `dlogits` into a caller-owned
+/// buffer (reshaped and overwritten); returns `(loss_sum, correct)`.
+///
+/// # Panics
+///
+/// Panics if a row index or label is out of bounds.
+pub fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[usize],
+    rows: &[usize],
+    dlogits: &mut Matrix,
+) -> (f64, usize) {
     assert_eq!(logits.rows(), labels.len(), "labels length mismatch");
     let c = logits.cols();
-    let mut dlogits = Matrix::zeros(logits.rows(), c);
+    dlogits.reset_zeroed(logits.rows(), c);
     let mut loss = 0.0f64;
     let mut correct = 0usize;
     for &r in rows {
@@ -55,7 +72,7 @@ pub fn softmax_cross_entropy(
             drow[j] = p - if j == label { 1.0 } else { 0.0 };
         }
     }
-    (loss, dlogits, correct)
+    (loss, correct)
 }
 
 /// Sigmoid binary cross-entropy with logits for multi-label
@@ -69,8 +86,25 @@ pub fn softmax_cross_entropy(
 ///
 /// Panics on shape mismatch or out-of-bounds rows.
 pub fn bce_with_logits(logits: &Matrix, targets: &Matrix, rows: &[usize]) -> (f64, Matrix) {
+    let mut dlogits = Matrix::default();
+    let loss = bce_with_logits_into(logits, targets, rows, &mut dlogits);
+    (loss, dlogits)
+}
+
+/// [`bce_with_logits`] writing `dlogits` into a caller-owned buffer
+/// (reshaped and overwritten); returns the loss sum.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or out-of-bounds rows.
+pub fn bce_with_logits_into(
+    logits: &Matrix,
+    targets: &Matrix,
+    rows: &[usize],
+    dlogits: &mut Matrix,
+) -> f64 {
     assert_eq!(logits.shape(), targets.shape(), "target shape mismatch");
-    let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
+    dlogits.reset_zeroed(logits.rows(), logits.cols());
     let mut loss = 0.0f64;
     for &r in rows {
         let x = logits.row(r);
@@ -85,7 +119,7 @@ pub fn bce_with_logits(logits: &Matrix, targets: &Matrix, rows: &[usize]) -> (f6
             d[j] = (sig - yv) as f32;
         }
     }
-    (loss, dlogits)
+    loss
 }
 
 #[cfg(test)]

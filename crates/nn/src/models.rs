@@ -147,18 +147,17 @@ impl GatModel {
     }
 }
 
-/// Concatenates matrices into one flat `f32` buffer (for gradient
-/// all-reduce across ranks).
-pub fn flatten(mats: &[&Matrix]) -> Vec<f32> {
-    let total: usize = mats.iter().map(|m| m.len()).sum();
-    let mut out = Vec::with_capacity(total);
+/// Concatenates matrices into the flat `f32` buffer `out` (for gradient
+/// all-reduce across ranks), replacing its contents but keeping its
+/// allocation.
+pub fn flatten_into(mats: &[&Matrix], out: &mut Vec<f32>) {
+    out.clear();
     for m in mats {
         out.extend_from_slice(m.as_slice());
     }
-    out
 }
 
-/// Writes a flat buffer produced by [`flatten`] back into matrices of the
+/// Writes a flat buffer produced by [`flatten_into`] back into matrices of the
 /// same shapes.
 ///
 /// # Panics
@@ -198,7 +197,8 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let a = Matrix::random_normal(2, 3, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(1, 4, 0.0, 1.0, &mut rng);
-        let flat = flatten(&[&a, &b]);
+        let mut flat = vec![7.0; 3];
+        flatten_into(&[&a, &b], &mut flat);
         assert_eq!(flat.len(), 10);
         let mut a2 = Matrix::zeros(2, 3);
         let mut b2 = Matrix::zeros(1, 4);

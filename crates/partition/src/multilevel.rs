@@ -155,6 +155,7 @@ impl WGraph {
 
     fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
         let r = self.indptr[v]..self.indptr[v + 1];
+        // bns-allow(BNS-A005): a Range clone, no heap; reached via the CsrGraph::neighbors name
         self.indices[r.clone()]
             .iter()
             .zip(&self.eweight[r])

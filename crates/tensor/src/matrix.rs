@@ -184,6 +184,70 @@ impl Matrix {
         self.data
     }
 
+    /// Reshapes `self` to `rows x cols` for a kernel that overwrites
+    /// every element: the contents afterwards are unspecified (old
+    /// values or zeros). A fresh (capacity-0) matrix gets a zeroed
+    /// allocation, as [`Matrix::zeros`] would; a reused one keeps its
+    /// buffer, growing it (amortized, no copy) only when too small.
+    /// This is what lets a rank overwrite its layer buffers every epoch
+    /// without allocating in steady state.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        let n = rows * cols;
+        // `Vec::capacity` by path: the analyzer's call graph resolves a
+        // bare `.capacity()` to an unrelated workspace method.
+        let cap = Vec::capacity(&self.data);
+        if cap == 0 {
+            // bns-allow(BNS-A005): first use of a fresh buffer; a reused one never gets here
+            self.data = vec![0.0; n];
+        } else {
+            if n > cap {
+                self.data.clear();
+            }
+            self.data.resize(n, 0.0);
+        }
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// [`Matrix::reset`] for a kernel that accumulates into its output:
+    /// a reused buffer is re-zeroed, a fresh one is allocated zeroed.
+    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.reset(rows, cols);
+    }
+
+    /// Overwrites `self` with a copy of `src`, reusing `self`'s buffer.
+    pub fn assign(&mut self, src: &Matrix) {
+        self.assign_rows(src.rows, src.cols, &src.data);
+    }
+
+    /// Overwrites `self` with the `rows x cols` values in `src`: a copy
+    /// into the reused buffer (no zeroing pass), or, for a fresh matrix,
+    /// a plain `to_vec` as `clone` would make.
+    fn assign_rows(&mut self, rows: usize, cols: usize, src: &[f32]) {
+        debug_assert_eq!(src.len(), rows * cols);
+        if Vec::capacity(&self.data) == 0 {
+            // bns-allow(BNS-A005): first use of a fresh buffer; a reused one never gets here
+            self.data = src.to_vec();
+        } else {
+            self.data.clear();
+            self.data.extend_from_slice(src);
+        }
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Drops every row from `at` on, keeping the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > rows`.
+    pub fn truncate_rows(&mut self, at: usize) {
+        assert!(at <= self.rows, "truncate_rows out of bounds");
+        self.data.truncate(at * self.cols);
+        self.rows = at;
+    }
+
     /// Row `r` as a slice.
     ///
     /// # Panics
@@ -229,20 +293,32 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into a caller-owned buffer (reshaped and
+    /// overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{} shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.mm_nn(rhs.cols, &rhs.data)
+        self.mm_nn(rhs.cols, &rhs.data, out);
     }
 
-    /// The shared NN-layout product core: `self * B` where `B` is a
-    /// flat row-major `self.cols x n` buffer. The SIMD backend is
+    /// The shared NN-layout product core: `out = self * B` where `B` is
+    /// a flat row-major `self.cols x n` buffer. The SIMD backend is
     /// resolved once here, on the calling thread, and handed to the
     /// pool closures (worker threads never consult dispatch state).
-    fn mm_nn(&self, n: usize, b: &[f32]) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, n);
+    fn mm_nn(&self, n: usize, b: &[f32], out: &mut Matrix) {
+        out.reset_zeroed(self.rows, n);
         let kd = self.cols;
         let a = &self.data;
         let bk = crate::simd::begin_kernel();
@@ -254,7 +330,6 @@ impl Matrix {
                 unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
             crate::simd::mm_nn_block(bk, &a[i0 * kd..i1 * kd], b, oblock, kd, n);
         });
-        out
     }
 
     /// `self^T * rhs` without materializing the transpose.
@@ -269,12 +344,24 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] into a caller-owned buffer (reshaped and
+    /// overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: {}x{} ^T * {}x{} shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        out.reset_zeroed(self.cols, rhs.cols);
         let n = rhs.cols;
         let kd = self.cols;
         let rows = self.rows;
@@ -289,7 +376,6 @@ impl Matrix {
                 unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
             crate::simd::mm_tn_block(bk, a, b, oblock, (i0, i1), kd, n);
         });
-        out
     }
 
     /// `self * rhs^T`, computed as one explicit `rhs` transpose
@@ -307,24 +393,44 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
+        let (mut bt, mut out) = (Matrix::default(), Matrix::default());
+        self.matmul_nt_into(rhs, &mut bt, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_nt`] into a caller-owned buffer, with `bt` as
+    /// the scratch for the `rhs` transpose (both reshaped and
+    /// overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.cols()`.
+    pub fn matmul_nt_into(&self, rhs: &Matrix, bt: &mut Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} * {}x{} ^T shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let bt = rhs.transpose();
-        self.mm_nn(rhs.rows, &bt.data)
+        rhs.transpose_into(bt);
+        self.mm_nn(rhs.rows, &bt.data, out);
     }
 
     /// The transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] into a caller-owned buffer (reshaped and
+    /// overwritten).
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Elementwise in-place `self += rhs`.
@@ -526,12 +632,24 @@ impl Matrix {
     ///
     /// Panics if `start > end` or `end > rows`.
     pub fn slice_rows(&self, start: usize, end: usize) -> Matrix {
+        let mut out = Matrix::default();
+        self.slice_rows_into(start, end, &mut out);
+        out
+    }
+
+    /// [`Matrix::slice_rows`] into a caller-owned buffer (reshaped and
+    /// overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > rows`.
+    pub fn slice_rows_into(&self, start: usize, end: usize, out: &mut Matrix) {
         assert!(start <= end && end <= self.rows, "slice_rows out of bounds");
-        Matrix::from_vec(
+        out.assign_rows(
             end - start,
             self.cols,
-            self.data[start * self.cols..end * self.cols].to_vec(),
-        )
+            &self.data[start * self.cols..end * self.cols],
+        );
     }
 
     /// Splits columns at `at`: returns `(self[:, ..at], self[:, at..])`.
@@ -558,12 +676,24 @@ impl Matrix {
     /// Per-column sums as a length-`cols` vector.
     pub fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::col_sums`] into a caller-owned slice (overwritten),
+    /// rows summed in ascending order from `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols`.
+    pub fn col_sums_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "col_sums length mismatch");
+        out.fill(0.0);
         for r in 0..self.rows {
             for (o, x) in out.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -668,6 +798,9 @@ impl Add for &Matrix {
     type Output = Matrix;
 
     fn add(self, rhs: &Matrix) -> Matrix {
+        // Hot paths use `add_assign`; the analyzer reaches this only
+        // through the raw-pointer `.add(offset)` calls in the kernels.
+        // bns-allow(BNS-A005): reached via the raw-pointer `add` name collision
         let mut out = self.clone();
         out.add_assign(rhs);
         out
@@ -761,6 +894,36 @@ mod tests {
         // And the mirrored case: NaN in the left operand, zeros right.
         let z = bad.matmul(&zero);
         assert!(z[(0, 0)].is_nan(), "NaN * 0 must be NaN (matmul)");
+    }
+
+    /// Reused buffers hold stale values from another shape; the `_into`
+    /// forms must give the fresh forms' bits regardless.
+    #[test]
+    fn into_forms_overwrite_dirty_buffers() {
+        let mut rng = SeededRng::new(4);
+        let a = Matrix::random_normal(9, 5, 0.0, 1.0, &mut rng);
+        let b = Matrix::random_normal(5, 7, 0.0, 1.0, &mut rng);
+        let c = Matrix::random_normal(9, 7, 0.0, 1.0, &mut rng);
+        let d = Matrix::random_normal(7, 5, 0.0, 1.0, &mut rng);
+        let dirty = || Matrix::filled(11, 13, f32::NAN);
+        let (mut out, mut bt) = (dirty(), dirty());
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        a.matmul_tn_into(&c, &mut out);
+        assert_eq!(out, a.matmul_tn(&c));
+        a.matmul_nt_into(&d, &mut bt, &mut out);
+        assert_eq!(out, a.matmul_nt(&d));
+        a.transpose_into(&mut out);
+        assert_eq!(out, a.transpose());
+        c.slice_rows_into(2, 6, &mut out);
+        assert_eq!(out, c.slice_rows(2, 6));
+        out.assign(&b);
+        assert_eq!(out, b);
+        let mut sums = vec![f32::NAN; 7];
+        c.col_sums_into(&mut sums);
+        assert_eq!(sums, c.col_sums());
+        out.truncate_rows(2);
+        assert_eq!(out, b.slice_rows(0, 2));
     }
 
     #[test]

@@ -269,6 +269,9 @@ impl ThreadPool {
                 f,
             )
         };
+        // The batch is shared with the woken workers by refcount; one
+        // small control block per parallel dispatch, not per row.
+        // bns-allow(BNS-A005): one job control block per parallel dispatch
         let batch = Arc::new(JobBatch {
             f: f_static as *const _,
             next: AtomicUsize::new(0),
@@ -327,6 +330,7 @@ pub fn install(pool: Arc<ThreadPool>) -> PoolGuard {
 
 /// The pool installed on the current thread, if any.
 pub fn current() -> Option<Arc<ThreadPool>> {
+    // bns-allow(BNS-A005): an Arc refcount bump, no heap allocation
     CURRENT_POOL.with(|c| c.borrow().clone())
 }
 

@@ -70,6 +70,7 @@ impl SeededRng {
     }
 
     /// Next raw `u64` (xoshiro256**).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);

@@ -379,6 +379,10 @@ trait Vf32 {
     /// Lanewise `if c > 0.0 { a } else { b }`; NaN and `-0.0` in `c`
     /// select `b`, exactly like the scalar `>` comparison.
     fn select_gtz(c: Self::V, a: Self::V, b: Self::V) -> Self::V;
+    /// Lane `i` is `a` where bit `i` of `bits` is set, `+0.0` where it
+    /// is clear, selected without a branch (a bit mask ANDed onto `a`'s
+    /// bits, or an AVX-512 mask register).
+    fn bits_or_zero(bits: u32, a: f32) -> Self::V;
 }
 
 /// The scalar reference "backend": one lane, plain f32 arithmetic. The
@@ -438,6 +442,11 @@ impl Vf32 for ScalarV {
         } else {
             b
         }
+    }
+
+    #[inline(always)]
+    fn bits_or_zero(bits: u32, a: f32) -> f32 {
+        f32::from_bits(a.to_bits() & 0u32.wrapping_sub(bits & 1))
     }
 }
 
@@ -516,6 +525,19 @@ impl Vf32 for Sse2V {
             x86::_mm_or_ps(x86::_mm_and_ps(m, a), x86::_mm_andnot_ps(m, b))
         }
     }
+
+    #[inline(always)]
+    fn bits_or_zero(bits: u32, a: f32) -> Self::V {
+        // SAFETY: SSE2 per `Backend::checked` (see `splat`). Lane `i`
+        // keeps bit `i`; comparing against the lane's own bit widens it
+        // to an all-ones or all-zeros lane mask.
+        unsafe {
+            let lane = x86::_mm_setr_epi32(1, 2, 4, 8);
+            let hit = x86::_mm_and_si128(x86::_mm_set1_epi32(bits as i32), lane);
+            let m = x86::_mm_castsi128_ps(x86::_mm_cmpeq_epi32(hit, lane));
+            x86::_mm_and_ps(m, x86::_mm_set1_ps(a))
+        }
+    }
 }
 
 /// 8-lane AVX2.
@@ -588,6 +610,19 @@ impl Vf32 for Avx2V {
         unsafe {
             let m = x86::_mm256_cmp_ps::<{ x86::_CMP_GT_OQ }>(c, x86::_mm256_setzero_ps());
             x86::_mm256_blendv_ps(b, a, m)
+        }
+    }
+
+    #[inline(always)]
+    fn bits_or_zero(bits: u32, a: f32) -> Self::V {
+        // SAFETY: AVX2 per `Backend::checked` (see `splat`). Lane `i`
+        // keeps bit `i`; comparing against the lane's own bit widens it
+        // to an all-ones or all-zeros lane mask.
+        unsafe {
+            let lane = x86::_mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let hit = x86::_mm256_and_si256(x86::_mm256_set1_epi32(bits as i32), lane);
+            let m = x86::_mm256_castsi256_ps(x86::_mm256_cmpeq_epi32(hit, lane));
+            x86::_mm256_and_ps(m, x86::_mm256_set1_ps(a))
         }
     }
 }
@@ -665,6 +700,13 @@ impl Vf32 for Avx512V {
             x86::_mm512_mask_blend_ps(m, b, a)
         }
     }
+
+    #[inline(always)]
+    fn bits_or_zero(bits: u32, a: f32) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`). The 16
+        // bits are the lane mask itself; clear lanes take `+0.0`.
+        unsafe { x86::_mm512_maskz_mov_ps(bits as u16, x86::_mm512_set1_ps(a)) }
+    }
 }
 
 /// 4-lane NEON (aarch64 baseline).
@@ -739,6 +781,19 @@ impl Vf32 for NeonV {
             core::arch::aarch64::vbslq_f32(m, a, b)
         }
     }
+
+    #[inline(always)]
+    fn bits_or_zero(bits: u32, a: f32) -> Self::V {
+        use core::arch::aarch64 as neon;
+        // SAFETY: NEON per `Backend::checked` (see `splat`). `vtst`
+        // widens lane `i`'s bit to an all-ones or all-zeros lane mask.
+        unsafe {
+            let lane = neon::vld1q_u32([1u32, 2, 4, 8].as_ptr());
+            let m = neon::vtstq_u32(neon::vdupq_n_u32(bits), lane);
+            let av = neon::vreinterpretq_u32_f32(neon::vdupq_n_f32(a));
+            neon::vreinterpretq_f32_u32(neon::vandq_u32(m, av))
+        }
+    }
 }
 
 /// The kernel bodies, generic over [`Vf32`]. Everything here is
@@ -753,6 +808,13 @@ impl Vf32 for NeonV {
 /// the scalar lanes are the reference itself.
 mod kernels {
     use super::{AdamHyper, ScalarV, Vf32, MM_KC};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`mm_panels`]' `B` packing buffer, kept per thread so a GEMM
+        /// call does not allocate one.
+        static PACKED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    }
 
     /// A lanewise op `out[j] = f(out[j], src[j])`, written once for
     /// every width. In-place maps get `out[j]` as both arguments.
@@ -820,6 +882,41 @@ mod kernels {
         if S::LANES > 1 {
             map1::<S::Half>(o.into_remainder(), op);
         }
+    }
+
+    /// `out[j] = op(out[j], factor_j)` where `factor_j` is `scale` if
+    /// bit `j` of the packed `bits` (bit `j % 64` of word `j / 64`) is
+    /// set and `+0.0` if not: full vectors then the step-down tail.
+    /// Every width divides 64 and each tail starts where the wider
+    /// vectors stopped, so a lane group never straddles two words.
+    #[inline(always)]
+    fn zip_bits<S: Vf32>(
+        out: &mut [f32],
+        bits: &[u64],
+        bit0: usize,
+        scale: f32,
+        op: impl Lanewise,
+    ) {
+        let lane_mask = (1u64 << S::LANES) - 1;
+        let mut o = out.chunks_exact_mut(S::LANES);
+        let mut b = bit0;
+        for oc in &mut o {
+            let w = ((bits[b / 64] >> (b % 64)) & lane_mask) as u32;
+            S::store(oc, op.apply::<S>(S::load(oc), S::bits_or_zero(w, scale)));
+            b += S::LANES;
+        }
+        if S::LANES > 1 {
+            zip_bits::<S::Half>(o.into_remainder(), bits, b, scale, op);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn mask_scale<S: Vf32>(out: &mut [f32], bits: &[u64], scale: f32) {
+        assert!(
+            bits.len() * 64 >= out.len(),
+            "mask has fewer bits than elements"
+        );
+        zip_bits::<S>(out, bits, 0, scale, Mul {});
     }
 
     #[inline(always)]
@@ -1118,7 +1215,12 @@ mod kernels {
                 j += w;
             }
         }
-        let mut packed = vec![0.0f32; MM_KC.min(kd) * n];
+        // The packing buffer is reused per thread: every span a tile
+        // reads is copied in first, so stale contents are never seen.
+        let mut packed = PACKED.take();
+        if packed.len() < MM_KC.min(kd) * n {
+            packed.resize(MM_KC.min(kd) * n, 0.0);
+        }
         let mut kb = 0;
         while kb < kd {
             let kend = (kb + MM_KC).min(kd);
@@ -1151,6 +1253,7 @@ mod kernels {
             }
             kb = kend;
         }
+        PACKED.set(packed);
     }
 
     #[inline(always)]
@@ -1317,6 +1420,18 @@ dispatch_kernels! {
     ///
     /// Panics if the slices' lengths differ.
     pub fn axpy(out: &mut [f32], alpha: f32, src: &[f32]);
+
+    /// Applies a packed keep mask: `out[j] *= factor_j`, where
+    /// `factor_j` is `scale` if bit `j` of `bits` (bit `j % 64` of word
+    /// `j / 64`) is set and `+0.0` otherwise. The bit only picks the
+    /// *factor*; the product is an ordinary multiply, so a dropped
+    /// element is `x * +0.0` — `-0.0` for negative `x`, `NaN` for NaN
+    /// or infinite `x` — exactly as a multiply by an f32 mask matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` holds fewer than `out.len()` bits.
+    pub fn mask_scale(out: &mut [f32], bits: &[u64], scale: f32);
 
     /// `out[j] *= s`.
     pub fn scale(out: &mut [f32], s: f32);

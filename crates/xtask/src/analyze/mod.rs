@@ -106,7 +106,7 @@ impl AnalyzeConfig {
             ],
             // The per-epoch overlapped exchange: the send side and the
             // poll-driven receive ops that run inside the scheduler
-            // loop every epoch.
+            // loop every epoch, and the segmented layers between them.
             hot_entries: vec![
                 "send_boundary_rows".into(),
                 "recv_boundary_blocks".into(),
@@ -117,6 +117,14 @@ impl AnalyzeConfig {
                 "GradRecvOp::begin".into(),
                 "GradRecvOp::poll".into(),
                 "GradRecvOp::finish".into(),
+                // The segmented SAGE/GCN training layers: every buffer
+                // they write is owned by the rank for the whole run.
+                "SageLayer::forward_inner_into".into(),
+                "SageLayer::forward_boundary_into".into(),
+                "SageLayer::backward_seg_into".into(),
+                "GcnLayer::forward_inner_into".into(),
+                "GcnLayer::forward_boundary_into".into(),
+                "GcnLayer::backward_seg_into".into(),
             ],
             arena_allow: vec![
                 // The arena recycler is the sanctioned allocator: it
