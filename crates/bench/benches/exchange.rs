@@ -19,6 +19,7 @@ use bns_gcn::sampling::{build_epoch_topology, BoundarySampling, EpochTopology};
 use bns_nn::aggregate::{
     scaled_sum_aggregate, scaled_sum_aggregate_inner, scaled_sum_fold_boundary,
 };
+use bns_runtime::block_on;
 use bns_tensor::{Matrix, SeededRng};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,7 +36,7 @@ fn rank_state(
     let lp = &plan.parts[me];
     let mut rng = SeededRng::new(17).fork(me as u64 + 1);
     let topo = build_epoch_topology(lp, &BoundarySampling::Bns { p: 1.0 }, 0, 0, &mut rng);
-    let ex = exchange_selection(comm, lp, &topo.selected, 0);
+    let ex = block_on(exchange_selection(comm, lp, &topo.selected, 0));
     let h = Matrix::random_normal(lp.n_inner(), DIM, 0.0, 1.0, &mut rng);
     (topo, ex, h)
 }
@@ -96,7 +97,7 @@ fn bench_exchange(c: &mut Criterion) {
                             WirePrecision::Exact,
                         );
                         let mut z = scaled_sum_aggregate_inner(&topo.graph, &h, n_in);
-                        recv_boundary_blocks(
+                        block_on(recv_boundary_blocks(
                             &mut comm,
                             &ex,
                             topo.selected.len(),
@@ -106,7 +107,7 @@ fn bench_exchange(c: &mut Criterion) {
                             &mut arena,
                             None,
                             WirePrecision::Exact,
-                        );
+                        ));
                         scaled_sum_fold_boundary(
                             &topo.graph,
                             &mut z,

@@ -101,7 +101,7 @@ fn bench_allreduce(c: &mut Criterion) {
         bch.iter(|| {
             let out = run_ranks(4, |mut comm| {
                 let mut buf = vec![1.0f32; 65_536];
-                comm.all_reduce_sum(&mut buf);
+                bns_runtime::block_on(comm.all_reduce_sum(&mut buf));
                 comm.stats().bytes(TrafficClass::AllReduce)
             });
             black_box(out)

@@ -9,13 +9,12 @@
 //! inter-partition traffic through this crate, which provides:
 //!
 //! * typed point-to-point [`RankComm::send`]/[`RankComm::recv`] over
-//!   std::sync::mpsc channels with tag matching, plus non-blocking
-//!   [`RankComm::try_recv`]/[`RankComm::try_recv_any`] and a per-rank
-//!   [`WakeFn`] mailbox hook so a cooperative scheduler can park a
-//!   waiting rank and reschedule it on message arrival,
-//! * the collectives the training loop needs (ring
-//!   [`RankComm::all_reduce_sum`], [`RankComm::all_gather`],
-//!   [`RankComm::barrier`], [`RankComm::broadcast`]),
+//!   std::sync::mpsc channels with tag matching, plus
+//!   [`RankComm::poll_recv_any`], the asynchronous receive a cooperative
+//!   rank task awaits: on an empty mailbox it registers the task's
+//!   `std::task::Waker`, which the next sender to this rank wakes,
+//! * the ring [`RankComm::all_reduce_sum`] (an `async fn`) the training
+//!   loop uses for gradient sharing,
 //! * byte-accurate [`TrafficStats`] per rank, split by [`TrafficClass`]
 //!   (boundary-feature exchange vs. gradient all-reduce vs. control), and
 //! * an α–β [`CostModel`] that converts measured traffic into simulated
@@ -30,6 +29,7 @@
 //!
 //! ```
 //! use bns_comm::{run_ranks, TrafficClass};
+//! use bns_runtime::block_on;
 //!
 //! // Two ranks exchange a value and all-reduce a vector.
 //! let results = run_ranks(2, |mut comm| {
@@ -37,7 +37,7 @@
 //!     comm.send(peer, 7, vec![comm.rank() as f32], TrafficClass::Control);
 //!     let got: Vec<f32> = comm.recv(peer, 7);
 //!     let mut buf = vec![1.0f32, 2.0];
-//!     comm.all_reduce_sum(&mut buf);
+//!     block_on(comm.all_reduce_sum(&mut buf));
 //!     (got[0], buf[0])
 //! });
 //! assert_eq!(results[0], (1.0, 2.0));
@@ -55,5 +55,5 @@ mod traffic;
 
 pub use cost::CostModel;
 pub use precision::{WirePrecision, ENV_QUANT};
-pub use rank::{create_world, run_ranks, AllReduceOp, RankComm, WakeFn};
+pub use rank::{create_world, run_ranks, RankComm};
 pub use traffic::{TrafficClass, TrafficStats};

@@ -10,7 +10,9 @@ use crate::sync::thread;
 use crate::{TrafficClass, TrafficStats};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::future::poll_fn;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Anything that can be sent between ranks with a well-defined wire size.
 ///
@@ -40,18 +42,14 @@ struct Message {
 /// A tagged message in flight: `(source rank, message)`.
 type Envelope = (usize, Message);
 
-/// Callback invoked after a message lands in a rank's inbox. The
-/// cooperative scheduler registers one per rank so a parked rank task
-/// is marked runnable the moment a peer enqueues for it.
-pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
-
-/// Shared waker slot for one rank's inbox. Senders hold clones of the
-/// *destination's* slot and invoke the registered callback after
-/// enqueuing. Deliberately plain `std` sync even under `--cfg loom`:
-/// the loom mailbox models never register a waker, and a modeled mutex
-/// here would only inflate the checked state space (same policy as the
-/// telemetry counters, DESIGN.md §9).
-type WakerCell = std::sync::Mutex<Option<WakeFn>>;
+/// Shared waker slot for one rank's inbox: the waker of the last
+/// [`RankComm::poll_recv_any`] that came up empty. Senders hold clones
+/// of the *destination's* slot and wake it after enqueuing.
+/// Deliberately plain `std` sync even under `--cfg loom`: the loom
+/// mailbox models use the blocking receives, which never register a
+/// waker, and a modeled mutex here would only inflate the checked state
+/// space (same policy as the telemetry counters, DESIGN.md §9).
+type WakerCell = std::sync::Mutex<Option<Waker>>;
 
 /// One outgoing edge of the mailbox mesh: the destination's inbox
 /// sender plus the destination's waker slot.
@@ -239,9 +237,6 @@ impl RankComm {
         self.send_seq[to] += 1;
         let msg = Message {
             tag,
-            // Owned messages are the wire contract, metered by
-            // TrafficStats rather than recycled.
-            // bns-allow(BNS-A005): the envelope boxes each payload once
             payload: Box::new(payload),
             bytes,
             seq,
@@ -260,27 +255,15 @@ impl RankComm {
         let peer = self.to_peer[to].as_ref().expect("sender missing");
         peer.tx.send((self.rank, msg)).expect("peer disconnected");
         // Wake the destination *after* the enqueue so a woken task is
-        // guaranteed to observe the message on its next drain. The
-        // callback is cloned out of the slot before invocation so no
-        // lock is held while running scheduler code.
-        // bns-allow(BNS-A005): waker Arc clone is a refcount bump, no heap growth
-        let wake = peer.waker.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        if let Some(wake) = wake {
-            wake();
+        // guaranteed to observe the message on its next drain. The waker
+        // is cloned out of the slot first, so no lock is held while
+        // scheduler code runs.
+        let cell = peer.waker.lock().unwrap_or_else(|e| e.into_inner());
+        let waker = cell.clone();
+        drop(cell);
+        if let Some(w) = waker {
+            w.wake();
         }
-    }
-
-    /// Registers the callback peers invoke after enqueuing into this
-    /// rank's inbox (see [`WakeFn`]). A task-based caller registers its
-    /// scheduler waker once, before its first receive.
-    pub fn set_waker(&self, wake: WakeFn) {
-        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(wake);
-    }
-
-    /// Removes any registered waker; subsequent sends to this rank no
-    /// longer invoke a callback.
-    pub fn clear_waker(&self) {
-        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// Receives the next message from rank `from` with tag `tag`,
@@ -292,41 +275,42 @@ impl RankComm {
     /// Panics on self-receive, out-of-bounds rank, payload type mismatch,
     /// or if the peer disconnected before sending.
     pub fn recv<T: Wire>(&mut self, from: usize, tag: u64) -> T {
-        let msg = self.recv_msg(from, tag);
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {from}",
-                self.rank
-            )
-        });
-        // The type-erased transport must preserve accounted wire size.
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {from})",
-            self.rank
-        );
-        v
+        self.check_sources(&[from]);
+        let msg = match self.take_pending(from, tag) {
+            Some(msg) => msg,
+            None => self.recv_blocking(|src, t| src == from && t == tag).1,
+        };
+        self.downcast_msg(msg, from, tag)
     }
 
-    /// Like [`RankComm::recv`] but also returns the wire size in bytes.
-    pub fn recv_with_bytes<T: Wire>(&mut self, from: usize, tag: u64) -> (T, usize) {
-        let msg = self.recv_msg(from, tag);
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {from}",
-                self.rank
-            )
-        });
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {from})",
-            self.rank
-        );
-        (v, bytes)
+    /// Receives a message with tag `tag` from **whichever** candidate in
+    /// `from` delivers first, returning `(source, payload)`. Buffered
+    /// (pending) messages win over fresh arrivals, scanned in `from`
+    /// order; messages from other peers or with other tags are buffered
+    /// as in [`RankComm::recv`].
+    ///
+    /// Emits `comm.recv_any_ready` when a match was already buffered
+    /// (the wait was fully overlapped by compute) and
+    /// `comm.recv_any_waited` when it had to block — the ratio of the
+    /// two is the overlap hit rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is empty, contains this rank or an out-of-bounds
+    /// rank, on payload type mismatch, or if a peer disconnected.
+    pub fn recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T) {
+        self.check_sources(from);
+        let (src, msg) = match self.take_pending_any(tag, from) {
+            Some(found) => {
+                bns_telemetry::counter_add("comm.recv_any_ready", 1);
+                found
+            }
+            None => {
+                bns_telemetry::counter_add("comm.recv_any_waited", 1);
+                self.recv_blocking(|src, t| t == tag && from.contains(&src))
+            }
+        };
+        (src, self.downcast_msg(msg, src, tag))
     }
 
     /// `debug_assertions`-gated delivery invariant: within one
@@ -360,73 +344,23 @@ impl RankComm {
     #[inline]
     fn note_delivery(&mut self, _src: usize, _msg: &Message) {}
 
-    fn recv_msg(&mut self, from: usize, tag: u64) -> Message {
-        assert!(from < self.world, "recv from rank {from} out of bounds");
-        assert_ne!(from, self.rank, "self-receive is not allowed");
-        if let Some(pos) = self.pending[from].iter().position(|m| m.tag == tag) {
-            let msg = self.pending[from].remove(pos).unwrap();
-            self.note_delivery(from, &msg);
-            return msg;
-        }
-        loop {
-            let (src, msg) = self.inbox.recv().expect("peer disconnected");
-            if src == from && msg.tag == tag {
-                self.note_delivery(src, &msg);
-                return msg;
-            }
-            self.pending[src].push_back(msg);
-        }
-    }
-
-    /// Receives a message with tag `tag` from **whichever** candidate in
-    /// `from` delivers first, returning `(source, payload)`. Buffered
-    /// (pending) messages win over fresh arrivals, scanned in `from`
-    /// order; messages from other peers or with other tags are buffered
-    /// as in [`RankComm::recv`].
-    ///
-    /// Emits `comm.recv_any_ready` when a match was already buffered
-    /// (the wait was fully overlapped by compute) and
-    /// `comm.recv_any_waited` when it had to block — the ratio of the
-    /// two is the overlap hit rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is empty, contains this rank or an out-of-bounds
-    /// rank, on payload type mismatch, or if a peer disconnected.
-    pub fn recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T) {
-        let (src, msg) = self.recv_any_msg(tag, from);
-        let bytes = msg.bytes;
-        let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from {src}",
-                self.rank
-            )
-        });
-        debug_assert_eq!(
-            v.wire_bytes(),
-            bytes,
-            "rank {}: wire size changed in transit (tag {tag} from {src})",
-            self.rank
-        );
-        (src, v)
-    }
-
-    fn recv_any_msg(&mut self, tag: u64, from: &[usize]) -> (usize, Message) {
+    /// Receive-side argument checks: a non-empty candidate list of
+    /// in-bounds peers, never this rank.
+    fn check_sources(&self, from: &[usize]) {
         assert!(!from.is_empty(), "recv_any needs at least one candidate");
         for &src in from {
             assert!(src < self.world, "recv from rank {src} out of bounds");
             assert_ne!(src, self.rank, "self-receive is not allowed");
-            if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
-                bns_telemetry::counter_add("comm.recv_any_ready", 1);
-                let msg = self.pending[src].remove(pos).unwrap();
-                self.note_delivery(src, &msg);
-                return (src, msg);
-            }
         }
-        bns_telemetry::counter_add("comm.recv_any_waited", 1);
+    }
+
+    /// Blocks on the inbox until an envelope satisfying `wanted(source,
+    /// tag)` arrives, buffering every other envelope into the pending
+    /// queues on the way.
+    fn recv_blocking(&mut self, wanted: impl Fn(usize, u64) -> bool) -> (usize, Message) {
         loop {
             let (src, msg) = self.inbox.recv().expect("peer disconnected");
-            if msg.tag == tag && from.contains(&src) {
+            if wanted(src, msg.tag) {
                 self.note_delivery(src, &msg);
                 return (src, msg);
             }
@@ -440,6 +374,13 @@ impl RankComm {
         let msg = self.pending[from].remove(pos).unwrap();
         self.note_delivery(from, &msg);
         Some(msg)
+    }
+
+    /// The first pending message with tag `tag`, scanning candidates in
+    /// `from` order.
+    fn take_pending_any(&mut self, tag: u64, from: &[usize]) -> Option<(usize, Message)> {
+        from.iter()
+            .find_map(|&src| self.take_pending(src, tag).map(|m| (src, m)))
     }
 
     /// Moves every queued inbox envelope into the per-source pending
@@ -456,20 +397,6 @@ impl RankComm {
         }
     }
 
-    /// Blocks until at least one more envelope arrives, buffering it
-    /// into the pending queues. The blocking drivers of the poll-style
-    /// operations ([`AllReduceOp`] and the exchange ops in `bns-gcn`)
-    /// use this between polls; cooperative callers park their task
-    /// instead and rely on the [`WakeFn`] hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every peer has disconnected.
-    pub fn wait_message(&mut self) {
-        let (src, msg) = self.inbox.recv().expect("peer disconnected");
-        self.pending[src].push_back(msg);
-    }
-
     fn downcast_msg<T: Wire>(&self, msg: Message, from: usize, tag: u64) -> T {
         let bytes = msg.bytes;
         let v = *msg.payload.downcast::<T>().unwrap_or_else(|_| {
@@ -478,6 +405,7 @@ impl RankComm {
                 self.rank
             )
         });
+        // The type-erased transport must preserve accounted wire size.
         debug_assert_eq!(
             v.wire_bytes(),
             bytes,
@@ -487,296 +415,111 @@ impl RankComm {
         v
     }
 
-    /// Non-blocking [`RankComm::recv`]: returns `None` if no matching
-    /// message has arrived yet. Never blocks; anything else queued in
-    /// the inbox is buffered exactly as the blocking path would.
+    /// Polls for a message with tag `tag` from **whichever** candidate
+    /// in `from` delivers first: the asynchronous [`RankComm::recv_any`],
+    /// on the same pending-queue matching (buffered messages win, in
+    /// `from` order; everything else is buffered, never dropped).
     ///
-    /// # Panics
-    ///
-    /// Panics on self-receive, out-of-bounds rank, payload type
-    /// mismatch, or if every peer disconnected with no match queued.
-    pub fn try_recv<T: Wire>(&mut self, from: usize, tag: u64) -> Option<T> {
-        assert!(from < self.world, "recv from rank {from} out of bounds");
-        assert_ne!(from, self.rank, "self-receive is not allowed");
-        let msg = match self.take_pending(from, tag) {
-            Some(m) => m,
-            None => {
-                let disconnected = self.drain_inbox();
-                match self.take_pending(from, tag) {
-                    Some(m) => m,
-                    None => {
-                        assert!(!disconnected, "rank {}: peer disconnected", self.rank);
-                        return None;
-                    }
-                }
-            }
-        };
-        Some(self.downcast_msg(msg, from, tag))
-    }
-
-    /// Non-blocking [`RankComm::recv_any`]: returns the first match in
-    /// candidate order (pending first, then freshly drained arrivals),
-    /// or `None` if nothing matching has arrived. Never blocks.
+    /// On an empty mailbox it registers `cx.waker()` in this rank's
+    /// waker cell and drains the inbox once more before returning
+    /// `Pending`, so a message a peer enqueues at any point either
+    /// matches here or wakes the task. Await it through
+    /// [`std::future::poll_fn`].
     ///
     /// # Panics
     ///
     /// Panics if `from` is empty, contains this rank or an out-of-bounds
     /// rank, on payload type mismatch, or if every peer disconnected
     /// with no match queued.
-    pub fn try_recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> Option<(usize, T)> {
-        assert!(!from.is_empty(), "recv_any needs at least one candidate");
-        for &src in from {
-            assert!(src < self.world, "recv from rank {src} out of bounds");
-            assert_ne!(src, self.rank, "self-receive is not allowed");
-        }
+    pub fn poll_recv_any<T: Wire>(
+        &mut self,
+        cx: &mut Context<'_>,
+        tag: u64,
+        from: &[usize],
+    ) -> Poll<(usize, T)> {
+        self.check_sources(from);
+        let mut found = self.take_pending_any(tag, from);
         let mut disconnected = false;
-        for pass in 0..2 {
-            for &src in from {
-                if let Some(msg) = self.take_pending(src, tag) {
-                    let v = self.downcast_msg(msg, src, tag);
-                    return Some((src, v));
+        if found.is_none() {
+            disconnected = self.drain_inbox();
+            found = self.take_pending_any(tag, from);
+        }
+        if found.is_none() && !disconnected {
+            {
+                let mut cell = self.waker.lock().unwrap_or_else(|e| e.into_inner());
+                if !cell.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                    *cell = Some(cx.waker().clone());
                 }
             }
-            if pass == 0 {
-                disconnected = self.drain_inbox();
+            disconnected = self.drain_inbox();
+            found = self.take_pending_any(tag, from);
+        }
+        match found {
+            Some((src, msg)) => Poll::Ready((src, self.downcast_msg(msg, src, tag))),
+            None => {
+                assert!(!disconnected, "rank {}: peer disconnected", self.rank);
+                Poll::Pending
             }
         }
-        assert!(!disconnected, "rank {}: peer disconnected", self.rank);
-        None
-    }
-
-    fn next_coll_tag(&mut self, step: u64) -> u64 {
-        COLL_BASE + self.coll_seq * MAX_COLL_STEPS + step
-    }
-
-    fn finish_collective(&mut self) {
-        self.coll_seq += 1;
     }
 
     /// Ring AllReduce (sum) over an `f32` buffer: reduce-scatter followed
-    /// by all-gather. Every rank must pass a buffer of the same length.
+    /// by all-gather. Every rank must pass a buffer of the same length,
+    /// and all ranks must run their collectives in the same order.
     /// Per-rank traffic is `2·(k-1)/k · len · 4` bytes, the standard ring
     /// cost the paper assumes for gradient sharing.
     ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths disagree across ranks (detected as a
-    /// chunk-size mismatch) or ranks call collectives in different orders.
-    pub fn all_reduce_sum(&mut self, buf: &mut [f32]) {
-        let _span = bns_telemetry::span!("all_reduce", elems = buf.len());
-        let mut op = AllReduceOp::begin(self, buf);
-        while !op.poll(self, buf) {
-            self.wait_message();
-        }
-    }
-
-    /// Gathers one value from every rank; returns them indexed by rank.
-    pub fn all_gather<T: Wire + Clone>(&mut self, value: T, class: TrafficClass) -> Vec<T> {
-        let _span = bns_telemetry::span!("all_gather");
-        let k = self.world;
-        let tag = self.next_coll_tag(0);
-        for peer in 0..k {
-            if peer != self.rank {
-                self.send_raw(peer, tag, value.clone(), class);
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..k).map(|_| None).collect();
-        out[self.rank] = Some(value);
-        let me = self.rank;
-        for peer in (0..k).filter(|&p| p != me) {
-            out[peer] = Some(self.recv(peer, tag));
-        }
-        self.finish_collective();
-        out.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// All-to-all personalized exchange: `outbox[j]` is delivered to
-    /// rank `j`; returns the inbox indexed by source rank (own slot =
-    /// own outbox entry, moved, never counted as traffic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outbox.len() != world_size`.
-    pub fn all_to_all<T: Wire + Default>(
-        &mut self,
-        mut outbox: Vec<T>,
-        class: TrafficClass,
-    ) -> Vec<T> {
-        let _span = bns_telemetry::span!("all_to_all");
-        assert_eq!(
-            outbox.len(),
-            self.world,
-            "outbox must have one entry per rank"
-        );
-        let tag = self.next_coll_tag(0);
-        let me = self.rank;
-        // Send everything first (channels are unbounded, so no deadlock).
-        let mut own: Option<T> = None;
-        for (j, item) in outbox.drain(..).enumerate() {
-            if j == me {
-                own = Some(item);
-            } else {
-                self.send_raw(j, tag, item, class);
-            }
-        }
-        let mut inbox: Vec<T> = (0..self.world).map(|_| T::default()).collect();
-        inbox[me] = own.expect("own outbox entry present");
-        for j in (0..self.world).filter(|&j| j != me) {
-            inbox[j] = self.recv(j, tag);
-        }
-        self.finish_collective();
-        inbox
-    }
-
-    /// Broadcast from `root`: the root passes `Some(value)`, everyone else
-    /// `None`; all ranks return the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the root passes `None` or a non-root passes `Some`.
-    pub fn broadcast<T: Wire + Clone>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-        class: TrafficClass,
-    ) -> T {
-        let _span = bns_telemetry::span!("broadcast", root = root);
-        let tag = self.next_coll_tag(0);
-        let out = if self.rank == root {
-            let v = value.expect("root must supply a value");
-            for peer in 0..self.world {
-                if peer != root {
-                    self.send_raw(peer, tag, v.clone(), class);
-                }
-            }
-            v
-        } else {
-            assert!(value.is_none(), "non-root rank must pass None");
-            self.recv(root, tag)
-        };
-        self.finish_collective();
-        out
-    }
-
-    /// Blocks until every rank has reached the barrier.
-    pub fn barrier(&mut self) {
-        let _ = self.all_gather(Vec::<u8>::new(), TrafficClass::Control);
-    }
-}
-
-/// An in-flight ring all-reduce (sum) that a cooperative task can
-/// drive incrementally: [`AllReduceOp::begin`] issues the first chunk
-/// send, each [`AllReduceOp::poll`] consumes whatever ring traffic has
-/// arrived and issues follow-up sends, and the task parks between
-/// polls. [`RankComm::all_reduce_sum`] is the blocking driver over the
-/// same op, so both paths execute the identical send/receive/fold
-/// sequence — reduce-scatter then all-gather, chunk `c` =
-/// `c*len/k..(c+1)*len/k`, additions in ring order — and stay bitwise
-/// identical regardless of how the waiting is implemented.
-///
-/// The same `buf` (same length, same rank) must be passed to `begin`
-/// and every `poll`.
-pub struct AllReduceOp {
-    seq: u64,
-    step: usize,
-    total_steps: usize,
-    done: bool,
-}
-
-impl AllReduceOp {
-    /// Starts the collective; every rank must call it in the same
-    /// collective order with equal-length buffers. A world of one (or
-    /// an empty buffer) completes immediately.
-    pub fn begin(comm: &mut RankComm, buf: &mut [f32]) -> Self {
-        let k = comm.world;
-        let seq = comm.coll_seq;
-        if k == 1 || buf.is_empty() {
-            comm.finish_collective();
-            return Self {
-                seq,
-                step: 0,
-                total_steps: 0,
-                done: true,
-            };
-        }
-        let op = Self {
-            seq,
-            step: 0,
-            total_steps: 2 * (k - 1),
-            done: false,
-        };
-        let spare = std::mem::take(&mut comm.coll_spare);
-        op.send_step(comm, buf, spare);
-        op
-    }
-
-    fn chunk_range(k: usize, len: usize, c: usize) -> std::ops::Range<usize> {
-        (c * len / k)..((c + 1) * len / k)
-    }
-
-    /// Issues the send for the current ring step. Reduce-scatter steps
-    /// (`step < k-1`) send chunk `(r+k-step)%k`; all-gather steps send
-    /// chunk `(r+1+k-s)%k` with `s = step-(k-1)`. The per-step tag
-    /// index equals `step` in both phases. The chunk is staged in `out`
-    /// (the previous step's received chunk, which travels on round the
-    /// ring), so a steady-state all-reduce allocates no chunks.
-    fn send_step(&self, comm: &mut RankComm, buf: &[f32], mut out: Vec<f32>) {
-        let k = comm.world;
-        let r = comm.rank;
-        let next = (r + 1) % k;
-        let send_c = if self.step < k - 1 {
-            (r + k - self.step) % k
-        } else {
-            let s = self.step - (k - 1);
-            (r + 1 + k - s) % k
-        };
-        let tag = COLL_BASE + self.seq * MAX_COLL_STEPS + self.step as u64;
-        out.clear();
-        out.extend_from_slice(&buf[Self::chunk_range(k, buf.len(), send_c)]);
-        comm.send_raw(next, tag, out, TrafficClass::AllReduce);
-    }
-
-    /// Completes as many ring steps as arrived messages allow; returns
-    /// `true` once the collective has finished. Never blocks.
+    /// Chunk `c` is `c*len/k..(c+1)*len/k`, and additions happen in ring
+    /// order, so the result is the same bits however the waiting is
+    /// done. Each step stages its outgoing chunk in the buffer the
+    /// previous step received (the last one is kept for the next call),
+    /// so a steady-state all-reduce allocates no chunks.
     ///
     /// # Panics
     ///
     /// Panics if buffer lengths disagree across ranks (detected as a
     /// chunk-size mismatch).
-    pub fn poll(&mut self, comm: &mut RankComm, buf: &mut [f32]) -> bool {
-        while !self.done {
-            let k = comm.world;
-            let r = comm.rank;
-            let prev = (r + k - 1) % k;
-            let tag = COLL_BASE + self.seq * MAX_COLL_STEPS + self.step as u64;
-            let Some(inc) = comm.try_recv::<Vec<f32>>(prev, tag) else {
-                return false;
+    pub async fn all_reduce_sum(&mut self, buf: &mut [f32]) {
+        let k = self.world;
+        let seq = self.coll_seq;
+        self.coll_seq += 1;
+        if k == 1 || buf.is_empty() {
+            return;
+        }
+        let r = self.rank;
+        let next = (r + 1) % k;
+        let prev = [(r + k - 1) % k];
+        let len = buf.len();
+        let chunk = |c: usize| (c * len / k)..((c + 1) * len / k);
+        let mut out = std::mem::take(&mut self.coll_spare);
+        // Reduce-scatter steps (`step < k-1`) send chunk `(r+k-step)%k`
+        // and add in chunk `(r+k-step-1)%k`; all-gather steps (`s =
+        // step-(k-1)`) send chunk `(r+1+k-s)%k` and copy in `(r+k-s)%k`.
+        for step in 0..2 * (k - 1) {
+            let tag = COLL_BASE + seq * MAX_COLL_STEPS + step as u64;
+            let (send_c, recv_c) = if step < k - 1 {
+                ((r + k - step) % k, (r + k - step - 1) % k)
+            } else {
+                let s = step - (k - 1);
+                ((r + 1 + k - s) % k, (r + k - s) % k)
             };
-            let len = buf.len();
-            if self.step < k - 1 {
-                let recv_c = (r + k - self.step - 1) % k;
-                let range = Self::chunk_range(k, len, recv_c);
-                assert_eq!(inc.len(), range.len(), "all_reduce_sum length mismatch");
-                for (d, s) in buf[range].iter_mut().zip(&inc) {
+            out.clear();
+            out.extend_from_slice(&buf[chunk(send_c)]);
+            self.send_raw(next, tag, out, TrafficClass::AllReduce);
+            let (_, inc): (usize, Vec<f32>) =
+                poll_fn(|cx| self.poll_recv_any(cx, tag, &prev)).await;
+            let dst = &mut buf[chunk(recv_c)];
+            assert_eq!(inc.len(), dst.len(), "all_reduce_sum length mismatch");
+            if step < k - 1 {
+                for (d, s) in dst.iter_mut().zip(&inc) {
                     *d += s;
                 }
             } else {
-                let s = self.step - (k - 1);
-                let recv_c = (r + k - s) % k;
-                let range = Self::chunk_range(k, len, recv_c);
-                assert_eq!(inc.len(), range.len(), "all_reduce_sum length mismatch");
-                buf[range].copy_from_slice(&inc);
+                dst.copy_from_slice(&inc);
             }
-            self.step += 1;
-            if self.step == self.total_steps {
-                self.done = true;
-                comm.coll_spare = inc;
-                comm.finish_collective();
-            } else {
-                self.send_step(comm, buf, inc);
-            }
+            out = inc;
         }
-        true
+        self.coll_spare = out;
     }
 }
 
@@ -786,6 +529,7 @@ const MAX_COLL_STEPS: u64 = 1 << 20;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bns_runtime::block_on;
 
     #[test]
     fn point_to_point_roundtrip() {
@@ -922,7 +666,7 @@ mod tests {
                     let mut buf: Vec<f32> = (0..len)
                         .map(|i| (c.rank() + 1) as f32 * (i + 1) as f32)
                         .collect();
-                    c.all_reduce_sum(&mut buf);
+                    block_on(c.all_reduce_sum(&mut buf));
                     buf
                 });
                 let total_rank: f32 = (1..=k).map(|r| r as f32).sum();
@@ -945,63 +689,13 @@ mod tests {
         let len = 1024usize;
         let out = run_ranks(k, move |mut c| {
             let mut buf = vec![1.0f32; len];
-            c.all_reduce_sum(&mut buf);
+            block_on(c.all_reduce_sum(&mut buf));
             c.stats().bytes(TrafficClass::AllReduce)
         });
         // Ring: each rank sends 2*(k-1) chunks of len/k floats.
         let expect = (2 * (k - 1) * (len / k) * 4) as u64;
         for &b in &out {
             assert_eq!(b, expect);
-        }
-    }
-
-    #[test]
-    fn all_gather_collects_in_rank_order() {
-        let out = run_ranks(3, |mut c| {
-            c.all_gather(vec![c.rank() as u64], TrafficClass::Control)
-        });
-        for got in out {
-            assert_eq!(got, vec![vec![0], vec![1], vec![2]]);
-        }
-    }
-
-    #[test]
-    fn broadcast_delivers_root_value() {
-        let out = run_ranks(4, |mut c| {
-            let v = if c.rank() == 2 {
-                Some(vec![42.0f32])
-            } else {
-                None
-            };
-            c.broadcast(2, v, TrafficClass::Control)[0]
-        });
-        assert_eq!(out, vec![42.0; 4]);
-    }
-
-    #[test]
-    fn collectives_compose_in_sequence() {
-        let out = run_ranks(3, |mut c| {
-            let mut a = vec![c.rank() as f32];
-            c.all_reduce_sum(&mut a);
-            c.barrier();
-            let g = c.all_gather(vec![a[0] as u64], TrafficClass::Control);
-            g.iter().map(|v| v[0]).sum::<u64>()
-        });
-        assert_eq!(out, vec![9, 9, 9]); // 0+1+2 = 3, gathered thrice
-    }
-
-    #[test]
-    fn all_to_all_delivers_personalized_payloads() {
-        let k = 4;
-        let out = run_ranks(k, move |mut c| {
-            let me = c.rank();
-            let outbox: Vec<Vec<u32>> = (0..k).map(|j| vec![(me * 10 + j) as u32]).collect();
-            c.all_to_all(outbox, TrafficClass::Control)
-        });
-        for (me, inbox) in out.iter().enumerate() {
-            for (src, v) in inbox.iter().enumerate() {
-                assert_eq!(v[0] as usize, src * 10 + me, "rank {me} from {src}");
-            }
         }
     }
 
@@ -1017,18 +711,6 @@ mod tests {
         });
         assert_eq!(out[0].bytes(TrafficClass::Boundary), 400);
         assert_eq!(out[1].total_bytes(), 0);
-    }
-
-    #[test]
-    fn world_of_one_collectives_are_noops() {
-        let out = run_ranks(1, |mut c| {
-            let mut buf = vec![3.0f32];
-            c.all_reduce_sum(&mut buf);
-            c.barrier();
-            let g = c.all_gather(vec![7u32], TrafficClass::Control);
-            (buf[0], g.len())
-        });
-        assert_eq!(out, vec![(3.0, 1)]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Stress and failure-mode tests for the communicator.
 
 use bns_comm::{create_world, run_ranks, CostModel, TrafficClass};
+use bns_runtime::block_on;
 use bns_tensor::SeededRng;
 
 /// Many interleaved tags and peers: tag matching must never cross wires.
@@ -45,7 +46,7 @@ fn thousand_collectives() {
         let mut acc = 0.0f32;
         for i in 0..1000 {
             let mut buf = vec![(c.rank() + i) as f32];
-            c.all_reduce_sum(&mut buf);
+            block_on(c.all_reduce_sum(&mut buf));
             acc += buf[0];
         }
         acc

@@ -8,11 +8,12 @@
 //! layer loop, exchanging boundary features before each layer's forward
 //! and boundary-feature *gradients* after each layer's backward (lines
 //! 8–13), (3) all-reduces weight gradients and steps Adam (lines 14–15).
-//! Each blocking receive is a yield point: the task parks and the worker
-//! picks up another runnable rank; message arrival re-schedules it. All
-//! numeric work happens at fixed points in each rank's program order
-//! with fixed fold orders, so results are bitwise identical at any
-//! worker count (see DESIGN.md §12).
+//! The rank program is one `async fn` (`rank_program`) that reads in
+//! that order. Each receive is an `.await`: with nothing to receive the
+//! rank parks and the worker picks up another runnable rank; message
+//! arrival re-schedules it. All numeric work happens at fixed points in
+//! each rank's program order with fixed fold orders, so results are
+//! bitwise identical at any worker count (see DESIGN.md §12).
 //!
 //! Instrumentation: wall-clock per phase (sampling / compute /
 //! communication / reduce — the paper's Fig. 5 and Tables 6, 12
@@ -21,17 +22,15 @@
 //! hardware-independent throughput comparisons.
 
 use crate::exchange::{
-    send_boundary_rows, swap_boundary_stale, BoundaryRecvOp, EpochExchange, ExchangeArena,
-    GradRecvOp, SelectionOp,
+    exchange_gradients, exchange_selection, recv_boundary_blocks, send_boundary_rows,
+    EpochExchange, ExchangeArena,
 };
 use crate::memory::epoch_activation_bytes;
 use crate::plan::{LocalPartition, PartitionPlan};
 use crate::sampling::{
     build_epoch_topology, build_epoch_topology_into, BoundarySampling, EpochTopology,
 };
-use bns_comm::{
-    create_world, AllReduceOp, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision,
-};
+use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision};
 use bns_data::{Dataset, Labels};
 use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
@@ -42,7 +41,8 @@ use bns_nn::{
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
-use std::sync::{Arc, Mutex};
+use std::future::Future;
+use std::sync::Arc;
 
 /// Which model architecture the engine trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -750,8 +750,14 @@ struct RankOutput {
     epochs: Vec<RankEpoch>,
     peak_mem: u64,
     boundary: usize,
-    layers: Option<Vec<AnyLayer>>,
+    /// The trained layers (every rank holds the same replica).
+    layers: Vec<AnyLayer>,
 }
+
+/// A rank's run-long buffers, handed back by its program so that the
+/// caller frees every rank's at once after the run (see
+/// `train_with_plan`).
+type RankBuffers = Box<dyn Send>;
 
 /// Trains a model partition-parallel per the configuration and returns
 /// the full instrumented run.
@@ -790,31 +796,31 @@ pub fn train_with_plan(plan: &Arc<PartitionPlan>, cfg: &TrainConfig) -> TrainRun
         .unwrap_or_else(|| bns_runtime::WorkerConfig::from_env().workers)
         .min(k);
     let budget = bns_tensor::ThreadConfig::from_env();
-    let cfg = Arc::new(cfg.clone());
-    let slots: Vec<Arc<Mutex<Option<RankOutput>>>> =
-        (0..k).map(|_| Arc::new(Mutex::new(None))).collect();
-    let tasks: Vec<Box<dyn bns_runtime::Task>> = create_world(k)
-        .into_iter()
-        .map(|comm| {
-            let me = comm.rank();
-            Box::new(RankTask::new(
-                comm,
-                Arc::clone(plan),
-                Arc::clone(&cfg),
-                Arc::clone(&slots[me]),
-            )) as Box<dyn bns_runtime::Task>
+    // The caller owns each rank's endpoint, and each rank hands its
+    // buffers back, so all of them are freed here, on this thread, once
+    // every worker has drained. Freed by each rank as its program
+    // returns, on a worker and while other ranks still allocate,
+    // glibc's per-thread arenas fragment across repeated runs: peak RSS
+    // of perfbench's `train-reddit-k8-bns` (8 ranks on a 2-vCPU host)
+    // then jumped by up to 25% in a third of the runs.
+    let mut comms = create_world(k);
+    let mut outputs: Vec<Option<(RankOutput, RankBuffers)>> = (0..k).map(|_| None).collect();
+    let tasks: Vec<_> = comms
+        .iter_mut()
+        .zip(&mut outputs)
+        .map(|(comm, out)| {
+            bns_runtime::future_task(async move {
+                *out = Some(on_rank(comm.rank(), rank_program(comm, plan, cfg)).await);
+            })
         })
         .collect();
     bns_runtime::run_tasks(tasks, workers, |w| WorkerGuard::install(w, workers, budget));
-    let outputs: Vec<RankOutput> = slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .unwrap()
-                .take()
-                .expect("rank task ran to completion")
-        })
-        .collect();
+    let (outputs, buffers): (Vec<RankOutput>, Vec<RankBuffers>) = outputs
+        .into_iter()
+        .map(|o| o.expect("rank task ran to completion"))
+        .unzip();
+    drop(buffers);
+    drop(comms);
     assemble_run(plan, outputs)
 }
 
@@ -924,7 +930,7 @@ fn assemble_run(plan: &PartitionPlan, outputs: Vec<RankOutput>) -> TrainRun {
         });
     }
     let mut outputs = outputs;
-    let layers = outputs[0].layers.take().expect("rank 0 returns its layers");
+    let layers = std::mem::take(&mut outputs[0].layers);
     let model = assemble_model(layers);
     TrainRun {
         epochs,
@@ -980,807 +986,347 @@ fn estimate_flops(
 }
 
 // ---------------------------------------------------------------------
-// The rank task
+// The rank program
 // ---------------------------------------------------------------------
 
-/// Where a rank's epoch loop resumes on its next step (layer indices
-/// ride in the variant). Every `*Wait`/`*Recv` state is a park point:
-/// the task steps out of the scheduler there when a poll comes up
-/// empty, and a peer's send re-schedules it.
-#[derive(Debug, Clone, Copy)]
-enum RankState {
-    /// Build the model and the static full topology (runs on a worker,
-    /// not the caller, so the k builds proceed in parallel).
-    Init,
-    /// Start an epoch: snapshot traffic, arm the sample timer, build or
-    /// reuse the epoch topology and issue the selection exchange.
-    EpochStart,
-    /// Waiting for peer boundary selections.
-    SelectionWait,
-    /// Send boundary rows for layer `l`, run the inner-edge partial.
-    ForwardSend(usize),
-    /// Waiting for layer `l`'s boundary feature blocks.
-    ForwardRecv(usize),
-    /// Loss and the gradient seed.
-    Loss,
-    /// Segmented backward for layer `l`, issue the gradient sends.
-    BackwardCompute(usize),
-    /// Waiting for layer `l`'s boundary gradient blocks.
-    BackwardRecv(usize),
-    /// Flatten gradients and start the ring all-reduce.
-    ReduceBegin,
-    /// Waiting on all-reduce chunks; applies the step when done.
-    ReduceWait,
-    /// Decide whether to evaluate; issue the full-selection exchange if
-    /// one is needed and not cached yet.
-    EvalBegin,
-    /// Waiting for peers' full boundary selections (first eval only).
-    EvalSelectionWait,
-    /// Send full boundary rows for eval layer `l`.
-    EvalSend(usize),
-    /// Waiting for eval layer `l`'s boundary blocks.
-    EvalRecv(usize),
-    /// Record the epoch's stats and advance the epoch counter.
-    EpochEnd,
-    /// Publish the rank's output.
-    Finished,
+/// Attributes the spans of every poll of `fut` to `rank`, whichever
+/// scheduler worker runs the poll.
+async fn on_rank<F: Future>(rank: usize, fut: F) -> F::Output {
+    let mut fut = std::pin::pin!(fut);
+    std::future::poll_fn(|cx| {
+        bns_telemetry::set_thread_rank(rank);
+        fut.as_mut().poll(cx)
+    })
+    .await
 }
 
-/// What one `advance` call decided.
-enum Flow {
-    /// Keep advancing within this step.
-    More,
-    /// Park until a message wakes the task.
-    Pending,
-    /// The rank is done.
-    Done,
-}
+/// One partition's whole training run: Algorithm 1 as a straight-line
+/// program. Each `.await` is a point where the rank may park until a
+/// peer's message lands; the compiler-generated state machine carries
+/// every local across it, and the scheduler never overlaps two polls of
+/// one rank. So every RNG draw, message send and floating-point fold
+/// happens at the same point in this rank's program order however the
+/// ranks are scheduled — which is why results are bitwise identical at
+/// any worker count (DESIGN.md §12). The phase timers are locals too,
+/// so time parked in a receive accrues to the phase it interrupts.
+async fn rank_program(
+    comm: &mut RankComm,
+    plan: &PartitionPlan,
+    cfg: &TrainConfig,
+) -> (RankOutput, RankBuffers) {
+    let me = comm.rank();
+    let lp: &LocalPartition = &plan.parts[me];
+    let n_in = lp.n_inner();
+    let dims = dims_of(cfg, plan.feat_dim, plan.num_classes);
+    let num_layers = dims.len() - 1;
+    let mut opt = Adam::new(cfg.lr);
+    let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
+    let edge_seed = cfg.seed ^ 0xed6e_5eed;
+    // Config wins over `BNS_QUANT`; applies to the training exchanges
+    // only, eval always runs exact.
+    let precision = cfg.wire_precision.unwrap_or_else(WirePrecision::from_env);
+    // Run-level stochastic-rounding stream seed for quantized gradient
+    // sends (mixed per (tag, destination) in `exchange_gradients`).
+    let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
 
-/// The exchange the eval pass uses: the epoch's own when the training
-/// strategy keeps every boundary node (a global property, so every
-/// rank takes that branch together — reusing it skips an extra
-/// Control-class round-trip), the cached full-boundary one otherwise.
-/// A free function over the two slots so callers can keep disjoint
-/// `&mut` borrows of the rest of the task.
-fn eval_exchange<'a>(
-    selects_all: bool,
-    static_exchange: &'a Option<EpochExchange>,
-    full_exchange: &'a Option<EpochExchange>,
-) -> &'a EpochExchange {
-    if selects_all {
-        static_exchange.as_ref().expect("built in phase 1")
-    } else {
-        full_exchange.as_ref().expect("built at first eval")
-    }
-}
-
-/// One partition's training loop as a resumable task: the old
-/// thread-per-rank worker body unrolled into an explicit state machine
-/// so a blocked receive parks the task instead of an OS thread. The
-/// fields are what used to be stack locals; the scheduler never
-/// overlaps steps of one task, so they carry across parks exactly like
-/// locals across a blocking call. Every RNG draw, message send and
-/// floating-point fold happens at the same point in this rank's
-/// program order as in the blocking code — which is why results are
-/// bitwise identical at any worker count (DESIGN.md §12).
-struct RankTask {
-    me: usize,
-    comm: RankComm,
-    plan: Arc<PartitionPlan>,
-    cfg: Arc<TrainConfig>,
-    lp: Arc<LocalPartition>,
-    out: Arc<Mutex<Option<RankOutput>>>,
-
-    // Model state (lives for the whole run).
-    n_in: usize,
-    dims: Vec<usize>,
-    layers: Vec<AnyLayer>,
-    num_layers: usize,
-    opt: Adam,
-    rng: SeededRng,
-    edge_seed: u64,
-    /// Resolved once per run (config wins over `BNS_QUANT`); applied to
-    /// the training feature/gradient exchanges. Eval always runs Exact.
-    precision: WirePrecision,
-    /// Run-level stochastic-rounding stream seed for quantized gradient
-    /// sends (mixed per (tag, destination) in `GradRecvOp::begin`).
-    sr_seed: u64,
-
-    // Topology / exchange caches.
-    full_topo: Option<EpochTopology>,
-    full_exchange: Option<EpochExchange>,
-    static_topo: Option<EpochTopology>,
-    static_exchange: Option<EpochExchange>,
-
+    let mut layers = build_layers(cfg, plan.feat_dim, plan.num_classes);
     // Layer buffers, owned for the whole run and overwritten every
     // epoch (DESIGN.md §7): one slot per layer, one scratch shared by
     // all layers, and the activation / upstream-gradient pair, which
     // ping-pong with the scratch through `mem::swap`. Layer 0 reads
     // `lp.features` in place. The eval pass runs through the same
     // buffers.
-    slots: Vec<LayerSlot>,
-    scratch: SegScratch,
-    h: Matrix,
-    h_next: Matrix,
-    d: Matrix,
-    /// The flattened gradients plus the loss, all-reduced in place.
-    flat: Vec<f32>,
+    let mut slots: Vec<LayerSlot> = layers.iter().map(AnyLayer::new_slot).collect();
+    let mut scratch = SegScratch::default();
+    let (mut h, mut h_next, mut d) = (Matrix::default(), Matrix::default(), Matrix::default());
+    // The flattened gradients plus the loss, all-reduced in place.
+    let mut flat: Vec<f32> = Vec::new();
+    let mut arena = ExchangeArena::new();
+    let mut stale_feats: Vec<Option<Matrix>> = vec![None; num_layers];
+    let mut stale_grads: Vec<Option<Vec<Vec<f32>>>> = vec![None; num_layers];
+    // The static full topology serves evaluation; its exchange is
+    // agreed at the first eval that needs it.
+    let full_topo = build_epoch_topology(
+        lp,
+        &BoundarySampling::Bns { p: 1.0 },
+        0,
+        edge_seed,
+        &mut rng,
+    );
+    let mut full_exchange: Option<EpochExchange> = None;
+    // The training topology and exchange: built once under static
+    // sampling, resampled into the same buffers every epoch otherwise.
+    let mut epoch_topo: Option<EpochTopology> = None;
+    let mut epoch_ex: Option<EpochExchange> = None;
+    let mut epochs_out = Vec::with_capacity(cfg.epochs);
+    let mut peak_mem = 0u64;
 
-    // Run-long accumulators.
-    epochs_out: Vec<RankEpoch>,
-    peak_mem: u64,
-    stale_feats: Vec<Option<Matrix>>,
-    stale_grads: Vec<Option<Vec<Vec<f32>>>>,
-    arena: ExchangeArena,
+    for epoch in 0..cfg.epochs {
+        let tag_base = (epoch as u64) * 256;
+        let traffic_start = comm.stats().clone();
+        let epoch_span = Timed::with_args("epoch", &[("rank", me.into()), ("epoch", epoch.into())]);
 
-    // Per-epoch state (the old loop's locals). The phase timers live
-    // here so a phase that parks mid-way keeps accumulating wall time —
-    // the same wall time the blocking receive used to spend inside
-    // `recv`, so phase breakdowns stay comparable.
-    epoch: usize,
-    tag_base: u64,
-    traffic_start: TrafficStats,
-    epoch_span: Option<Timed>,
-    sample_timer: Option<Timed>,
-    exchange_timer: Option<Timed>,
-    reduce_timer: Option<Timed>,
-    eval_span: Option<Timed>,
-    sample_s: f64,
-    compute_s: f64,
-    comm_s: f64,
-    reduce_s: f64,
-    flops: f64,
-    n_sel: usize,
-    local_loss: f64,
-    global_loss: f64,
-    epoch_traffic: TrafficStats,
-    val: Option<(u64, u64, u64)>,
-    test: Option<(u64, u64, u64)>,
-
-    // In-flight comm operation slots (at most one active at a time).
-    sel_op: Option<SelectionOp>,
-    bd_op: Option<BoundaryRecvOp>,
-    grad_op: Option<GradRecvOp>,
-    ar_op: Option<AllReduceOp>,
-    state: RankState,
-}
-
-impl RankTask {
-    fn new(
-        comm: RankComm,
-        plan: Arc<PartitionPlan>,
-        cfg: Arc<TrainConfig>,
-        out: Arc<Mutex<Option<RankOutput>>>,
-    ) -> Self {
-        let me = comm.rank();
-        let lp = Arc::clone(&plan.parts[me]);
-        let n_in = lp.n_inner();
-        let dims = dims_of(&cfg, plan.feat_dim, plan.num_classes);
-        let num_layers = dims.len() - 1;
-        let opt = Adam::new(cfg.lr);
-        let rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
-        let edge_seed = cfg.seed ^ 0xed6e_5eed;
-        let precision = cfg.wire_precision.unwrap_or_else(WirePrecision::from_env);
-        let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
-        let traffic = comm.stats().clone();
-        let epochs = cfg.epochs;
-        Self {
-            me,
-            comm,
-            plan,
-            cfg,
-            lp,
-            out,
-            n_in,
-            dims,
-            layers: Vec::new(),
-            num_layers,
-            opt,
-            rng,
-            edge_seed,
-            precision,
-            sr_seed,
-            full_topo: None,
-            full_exchange: None,
-            static_topo: None,
-            static_exchange: None,
-            slots: Vec::new(),
-            scratch: SegScratch::default(),
-            h: Matrix::default(),
-            h_next: Matrix::default(),
-            d: Matrix::default(),
-            flat: Vec::new(),
-            epochs_out: Vec::with_capacity(epochs),
-            peak_mem: 0,
-            stale_feats: vec![None; num_layers],
-            stale_grads: vec![None; num_layers],
-            arena: ExchangeArena::new(),
-            epoch: 0,
-            tag_base: 0,
-            traffic_start: traffic.clone(),
-            epoch_span: None,
-            sample_timer: None,
-            exchange_timer: None,
-            reduce_timer: None,
-            eval_span: None,
-            sample_s: 0.0,
-            compute_s: 0.0,
-            comm_s: 0.0,
-            reduce_s: 0.0,
-            flops: 0.0,
-            n_sel: 0,
-            local_loss: 0.0,
-            global_loss: 0.0,
-            epoch_traffic: traffic,
-            val: None,
-            test: None,
-            sel_op: None,
-            bd_op: None,
-            grad_op: None,
-            ar_op: None,
-            state: RankState::Init,
+        // ---- Phase 1: boundary sampling + selection exchange ----
+        let sample_timer = Timed::with_args("sample", &[("epoch", epoch.into())]);
+        if !(cfg.sampling.is_static() && epoch_topo.is_some()) {
+            let t = epoch_topo.get_or_insert_with(EpochTopology::default);
+            build_epoch_topology_into(lp, &cfg.sampling, epoch, edge_seed, &mut rng, t);
+            epoch_ex = Some(exchange_selection(comm, lp, &t.selected, tag_base).await);
         }
-    }
+        let sample_s = sample_timer.stop();
+        let topo = epoch_topo.as_ref().expect("epoch topology built");
+        let ex = epoch_ex.as_ref().expect("selection exchanged");
+        let n_sel = topo.selected.len();
+        bns_telemetry::counter_add("sampler.boundary_kept", n_sel as u64);
+        bns_telemetry::counter_add("sampler.boundary_total", lp.n_boundary() as u64);
+        let (mut compute_s, mut comm_s, mut flops) = (0.0, 0.0, 0.0);
 
-    /// Phase 1 epilogue (fresh-build and static-reuse paths both land
-    /// here): stop the sample timer, record the sampler counters and
-    /// reset the epoch accumulators.
-    fn finish_sample(&mut self) {
-        self.sample_s = self.sample_timer.take().expect("sample timer armed").stop();
-        let topo = self.static_topo.as_ref().expect("epoch topology built");
-        self.n_sel = topo.selected.len();
-        bns_telemetry::counter_add("sampler.boundary_kept", self.n_sel as u64);
-        bns_telemetry::counter_add("sampler.boundary_total", self.lp.n_boundary() as u64);
-        self.compute_s = 0.0;
-        self.comm_s = 0.0;
-        self.flops = 0.0;
-        self.state = RankState::ForwardSend(0);
-    }
+        // ---- Phase 2: forward, one boundary exchange per layer ----
+        for l in 0..num_layers {
+            // Issue all boundary-feature sends, run the inner-edge
+            // partial while the blocks are in flight, then fold
+            // arrivals in whatever order they land: into fixed
+            // per-owner row ranges, so bitwise the serial exchange.
+            let tag = tag_base + 1 + l as u64;
+            let at = [("epoch", epoch.into()), ("layer", l.into())];
+            let h_in = if l == 0 { &lp.features } else { &h };
+            let tc = Timed::with_args("exchange", &at);
+            send_boundary_rows(comm, ex, h_in, tag, &mut arena, precision);
+            comm_s += tc.stop();
+            let tk = Timed::with_args("compute", &at);
+            layers[l].forward_inner(
+                &mut slots[l],
+                &topo.graph,
+                h_in,
+                &topo.gcn_scale,
+                (true, &mut rng),
+            );
+            compute_s += tk.stop();
+            let tc = Timed::with_args("exchange", &at);
+            recv_boundary_blocks(
+                comm,
+                ex,
+                n_sel,
+                h_in.cols(),
+                topo.feature_scale,
+                tag,
+                &mut arena,
+                cfg.pipeline.then(|| &mut stale_feats[l]),
+                precision,
+            )
+            .await;
+            comm_s += tc.stop();
+            let tk = Timed::with_args("compute", &at);
+            layers[l].forward_boundary(
+                &mut slots[l],
+                &topo.graph,
+                (h_in, arena.boundary()),
+                &topo.row_scale,
+                &topo.gcn_scale,
+                (true, &mut rng),
+                &mut scratch,
+                &mut h_next,
+            );
+            std::mem::swap(&mut h, &mut h_next);
+            compute_s += tk.stop();
+            flops += estimate_flops(
+                cfg.arch,
+                topo.graph.num_edges(),
+                n_in,
+                n_in + n_sel,
+                dims[l],
+                dims[l + 1],
+            );
+        }
 
-    /// Runs one state transition. `Pending` means a poll came up empty
-    /// and the task should park; everything else either continues
-    /// immediately or finishes the rank.
-    fn advance(&mut self) -> Flow {
-        match self.state {
-            RankState::Init => {
-                self.layers = build_layers(&self.cfg, self.plan.feat_dim, self.plan.num_classes);
-                self.slots = self.layers.iter().map(AnyLayer::new_slot).collect();
-                // Static full topology for evaluation (and for static
-                // sampling). Built here rather than in `new` so the k
-                // builds run on the worker set in parallel, and so the
-                // RNG draw order matches the old per-thread code.
-                self.full_topo = Some(build_epoch_topology(
-                    &self.lp,
-                    &BoundarySampling::Bns { p: 1.0 },
-                    0,
-                    self.edge_seed,
-                    &mut self.rng,
-                ));
-                self.state = RankState::EpochStart;
-                Flow::More
-            }
-            RankState::EpochStart => {
-                if self.epoch == self.cfg.epochs {
-                    self.state = RankState::Finished;
-                    return Flow::More;
-                }
-                let epoch = self.epoch;
-                self.tag_base = (epoch as u64) * 256;
-                self.traffic_start = self.comm.stats().clone();
-                self.epoch_span = Some(Timed::with_args(
-                    "epoch",
-                    &[("rank", self.me.into()), ("epoch", epoch.into())],
-                ));
+        // ---- Loss and the gradient seed ----
+        let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
+        let rows = &lp.train_local;
+        let local_loss = match &lp.labels {
+            Labels::Single(labels) => softmax_cross_entropy_into(&h, labels, rows, &mut d).0,
+            Labels::Multi(y) => bce_with_logits_into(&h, y, rows, &mut d),
+        };
+        d.scale(1.0 / plan.global_train.max(1) as f32);
+        compute_s += tk.stop();
 
-                // ---- Phase 1: boundary sampling + selection exchange ----
-                self.sample_timer = Some(Timed::with_args("sample", &[("epoch", epoch.into())]));
-                if self.cfg.sampling.is_static() && self.static_topo.is_some() {
-                    self.finish_sample();
-                    return Flow::More;
-                }
-                // Resampled every epoch into the previous epoch's
-                // topology buffers.
-                let t = self.static_topo.get_or_insert_with(EpochTopology::default);
-                build_epoch_topology_into(
-                    &self.lp,
-                    &self.cfg.sampling,
-                    epoch,
-                    self.edge_seed,
-                    &mut self.rng,
-                    t,
-                );
-                self.sel_op = Some(SelectionOp::begin(
-                    &mut self.comm,
-                    &self.lp,
-                    &t.selected,
-                    self.tag_base,
-                ));
-                self.state = RankState::SelectionWait;
-                Flow::More
-            }
-            RankState::SelectionWait => {
-                let done = {
-                    let op = self.sel_op.as_mut().expect("selection op in flight");
-                    op.poll(&mut self.comm, &self.lp)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.sel_op.take().expect("selection op in flight");
-                self.static_exchange = Some(op.finish());
-                self.finish_sample();
-                Flow::More
-            }
-            RankState::ForwardSend(l) => {
-                // Issue all boundary-feature sends (non-blocking), run
-                // the inner-edge partial work while the blocks are in
-                // flight, then drain arrivals in whatever order they
-                // land. The fold happens into fixed per-owner row
-                // ranges, so the result is bitwise identical to the
-                // serial exchange.
-                let epoch = self.epoch;
-                let tag = self.tag_base + 1 + l as u64;
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let h_in = if l == 0 { &self.lp.features } else { &self.h };
-                let tc =
-                    Timed::with_args("exchange", &[("epoch", epoch.into()), ("layer", l.into())]);
-                send_boundary_rows(
-                    &mut self.comm,
+        // ---- Phase 3: backward, one gradient return per layer ----
+        for l in (0..num_layers).rev() {
+            let at = [("epoch", epoch.into()), ("layer", l.into())];
+            let tk = Timed::with_args("compute", &at);
+            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, n_in, &mut scratch);
+            std::mem::swap(&mut d, &mut scratch.dh);
+            compute_s += tk.stop();
+            let tc = Timed::with_args("exchange", &at);
+            if !ex.is_trivial() {
+                exchange_gradients(
+                    comm,
                     ex,
-                    h_in,
-                    tag,
-                    &mut self.arena,
-                    self.precision,
-                );
-                self.comm_s += tc.stop();
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                self.layers[l].forward_inner(
-                    &mut self.slots[l],
-                    &topo.graph,
-                    h_in,
-                    &topo.gcn_scale,
-                    (true, &mut self.rng),
-                );
-                self.compute_s += tk.stop();
-                self.exchange_timer = Some(Timed::with_args(
-                    "exchange",
-                    &[("epoch", epoch.into()), ("layer", l.into())],
-                ));
-                self.bd_op = Some(BoundaryRecvOp::begin(
-                    ex,
-                    self.n_sel,
-                    h_in.cols(),
+                    &mut d,
+                    &scratch.dh_bd,
                     topo.feature_scale,
-                    tag,
-                    &mut self.arena,
-                    self.precision,
-                ));
-                self.state = RankState::ForwardRecv(l);
-                Flow::More
+                    tag_base + 64 + l as u64,
+                    &mut arena,
+                    cfg.pipeline.then(|| &mut stale_grads[l]),
+                    precision,
+                    sr_seed,
+                )
+                .await;
             }
-            RankState::ForwardRecv(l) => {
-                let done = {
-                    let op = self.bd_op.as_mut().expect("boundary recv in flight");
-                    let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.bd_op = None;
-                self.comm_s += self
-                    .exchange_timer
-                    .take()
-                    .expect("exchange timer armed")
-                    .stop();
-                swap_boundary_stale(
-                    &mut self.arena,
-                    if self.cfg.pipeline {
-                        Some(&mut self.stale_feats[l])
-                    } else {
-                        None
-                    },
-                );
-                let epoch = self.epoch;
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                let h_in = if l == 0 { &self.lp.features } else { &self.h };
-                self.layers[l].forward_boundary(
-                    &mut self.slots[l],
-                    &topo.graph,
-                    (h_in, self.arena.boundary()),
-                    &topo.row_scale,
-                    &topo.gcn_scale,
-                    (true, &mut self.rng),
-                    &mut self.scratch,
-                    &mut self.h_next,
-                );
-                std::mem::swap(&mut self.h, &mut self.h_next);
-                self.compute_s += tk.stop();
-                self.flops += estimate_flops(
-                    self.cfg.arch,
-                    topo.graph.num_edges(),
-                    self.n_in,
-                    self.n_in + self.n_sel,
-                    self.dims[l],
-                    self.dims[l + 1],
-                );
-                self.state = if l + 1 < self.num_layers {
-                    RankState::ForwardSend(l + 1)
-                } else {
-                    RankState::Loss
-                };
-                Flow::More
-            }
-            RankState::Loss => {
-                let epoch = self.epoch;
-                let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
-                let rows = &self.lp.train_local;
-                self.local_loss = match &self.lp.labels {
-                    Labels::Single(labels) => {
-                        softmax_cross_entropy_into(&self.h, labels, rows, &mut self.d).0
-                    }
-                    Labels::Multi(y) => bce_with_logits_into(&self.h, y, rows, &mut self.d),
-                };
-                self.d.scale(1.0 / self.plan.global_train.max(1) as f32);
-                self.compute_s += tk.stop();
-                self.state = RankState::BackwardCompute(self.num_layers - 1);
-                Flow::More
-            }
-            RankState::BackwardCompute(l) => {
-                let epoch = self.epoch;
-                let topo = self.static_topo.as_ref().expect("epoch topology built");
-                let tk =
-                    Timed::with_args("compute", &[("epoch", epoch.into()), ("layer", l.into())]);
-                self.layers[l].backward_seg(
-                    &mut self.slots[l],
-                    &topo.graph,
-                    &self.d,
-                    self.n_in,
-                    &mut self.scratch,
-                );
-                std::mem::swap(&mut self.d, &mut self.scratch.dh);
-                self.compute_s += tk.stop();
-                self.exchange_timer = Some(Timed::with_args(
-                    "exchange",
-                    &[("epoch", epoch.into()), ("layer", l.into())],
-                ));
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                if ex.is_trivial() {
-                    self.comm_s += self
-                        .exchange_timer
-                        .take()
-                        .expect("exchange timer armed")
-                        .stop();
-                    self.state = if l == 0 {
-                        RankState::ReduceBegin
-                    } else {
-                        RankState::BackwardCompute(l - 1)
-                    };
-                    return Flow::More;
-                }
-                self.grad_op = Some(GradRecvOp::begin(
-                    &mut self.comm,
-                    ex,
-                    &self.scratch.dh_bd,
-                    topo.feature_scale,
-                    self.tag_base + 64 + l as u64,
-                    &mut self.arena,
-                    self.precision,
-                    self.sr_seed,
-                ));
-                self.state = RankState::BackwardRecv(l);
-                Flow::More
-            }
-            RankState::BackwardRecv(l) => {
-                let done = {
-                    let op = self.grad_op.as_mut().expect("gradient recv in flight");
-                    let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.grad_op.take().expect("gradient recv in flight");
-                let ex = self.static_exchange.as_ref().expect("selection exchanged");
-                op.finish(
-                    ex,
-                    &mut self.d,
-                    &mut self.arena,
-                    if self.cfg.pipeline {
-                        Some(&mut self.stale_grads[l])
-                    } else {
-                        None
-                    },
-                );
-                self.comm_s += self
-                    .exchange_timer
-                    .take()
-                    .expect("exchange timer armed")
-                    .stop();
-                self.state = if l == 0 {
-                    RankState::ReduceBegin
-                } else {
-                    RankState::BackwardCompute(l - 1)
-                };
-                Flow::More
-            }
-            RankState::ReduceBegin => {
-                let epoch = self.epoch;
-                self.reduce_timer = Some(Timed::with_args("reduce", &[("epoch", epoch.into())]));
-                let grads: Vec<&Matrix> = self.slots.iter().flat_map(LayerSlot::grads).collect();
-                flatten_into(&grads, &mut self.flat);
-                self.flat.push(self.local_loss as f32);
-                self.ar_op = Some(AllReduceOp::begin(&mut self.comm, &mut self.flat));
-                self.state = RankState::ReduceWait;
-                Flow::More
-            }
-            RankState::ReduceWait => {
-                let done = {
-                    let op = self.ar_op.as_mut().expect("all-reduce in flight");
-                    op.poll(&mut self.comm, &mut self.flat)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.ar_op = None;
-                let global_train = self.plan.global_train.max(1) as f64;
-                self.global_loss = *self.flat.last().expect("loss slot") as f64 / global_train;
-                self.flat.pop();
-                if self.me == 0 {
-                    bns_telemetry::gauge_set("epoch.loss", self.global_loss);
-                    bns_telemetry::series_push("epoch.loss", self.epoch as u64, self.global_loss);
-                }
-                if let Some(clip) = self.cfg.clip_norm {
-                    let norm = self
-                        .flat
-                        .iter()
-                        .map(|x| (*x as f64).powi(2))
-                        .sum::<f64>()
-                        .sqrt() as f32;
-                    if norm > clip {
-                        let s = clip / norm;
-                        for x in &mut self.flat {
-                            *x *= s;
-                        }
-                    }
-                }
-                // The reduced gradients go back into the slots' gradient
-                // matrices, which are free once flattened.
-                {
-                    let mut grads: Vec<&mut Matrix> = self
-                        .slots
-                        .iter_mut()
-                        .flat_map(LayerSlot::grads_mut)
-                        .collect();
-                    unflatten_into(&self.flat, &mut grads);
-                }
-                {
-                    let g_refs: Vec<&Matrix> =
-                        self.slots.iter().flat_map(LayerSlot::grads).collect();
-                    let mut params: Vec<&mut Matrix> = self
-                        .layers
-                        .iter_mut()
-                        .flat_map(|l| l.params_mut())
-                        .collect();
-                    self.opt.step(&mut params, &g_refs);
-                }
-                self.reduce_s = self.reduce_timer.take().expect("reduce timer armed").stop();
+            comm_s += tc.stop();
+        }
 
-                // ---- Memory model ----
-                let mem = epoch_activation_bytes(
-                    self.n_in,
-                    self.n_sel,
-                    &self.dims,
-                    self.cfg.dropout > 0.0,
-                );
-                self.peak_mem = self.peak_mem.max(mem);
+        // ---- Phase 4: all-reduce the gradients, Adam step ----
+        let reduce_timer = Timed::with_args("reduce", &[("epoch", epoch.into())]);
+        {
+            let grads: Vec<&Matrix> = slots.iter().flat_map(LayerSlot::grads).collect();
+            flatten_into(&grads, &mut flat);
+        }
+        flat.push(local_loss as f32);
+        comm.all_reduce_sum(&mut flat).await;
+        let global_loss = *flat.last().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
+        flat.pop();
+        if me == 0 {
+            bns_telemetry::gauge_set("epoch.loss", global_loss);
+            bns_telemetry::series_push("epoch.loss", epoch as u64, global_loss);
+        }
+        if let Some(clip) = cfg.clip_norm {
+            let norm = flat.iter().map(|x| (*x as f64).powi(2)).sum::<f64>().sqrt() as f32;
+            if norm > clip {
+                let s = clip / norm;
+                for x in &mut flat {
+                    *x *= s;
+                }
+            }
+        }
+        // The reduced gradients go back into the slots' gradient
+        // matrices, which are free once flattened.
+        {
+            let mut grads: Vec<&mut Matrix> =
+                slots.iter_mut().flat_map(LayerSlot::grads_mut).collect();
+            unflatten_into(&flat, &mut grads);
+        }
+        {
+            let g_refs: Vec<&Matrix> = slots.iter().flat_map(LayerSlot::grads).collect();
+            let mut params: Vec<&mut Matrix> =
+                layers.iter_mut().flat_map(|l| l.params_mut()).collect();
+            opt.step(&mut params, &g_refs);
+        }
+        let reduce_s = reduce_timer.stop();
 
-                // Snapshot training traffic before the (full-boundary)
-                // eval pass so timing/traffic stats reflect training
-                // only.
-                self.epoch_traffic = self.comm.stats().since(&self.traffic_start);
-                self.state = RankState::EvalBegin;
-                Flow::More
-            }
-            RankState::EvalBegin => {
-                let epoch = self.epoch;
-                let do_eval = epoch + 1 == self.cfg.epochs
-                    || (self.cfg.eval_every > 0 && (epoch + 1).is_multiple_of(self.cfg.eval_every));
-                if !do_eval {
-                    self.val = None;
-                    self.test = None;
-                    self.state = RankState::EpochEnd;
-                    return Flow::More;
+        // ---- Memory model ----
+        let mem = epoch_activation_bytes(n_in, n_sel, &dims, cfg.dropout > 0.0);
+        peak_mem = peak_mem.max(mem);
+        // Snapshot training traffic before the (full-boundary) eval pass
+        // so timing/traffic stats reflect training only.
+        let traffic = comm.stats().since(&traffic_start);
+
+        // ---- Evaluation ----
+        let do_eval = epoch + 1 == cfg.epochs
+            || (cfg.eval_every > 0 && (epoch + 1).is_multiple_of(cfg.eval_every));
+        let (val, test) = if do_eval {
+            let eval_span = Timed::with_args("eval", &[("epoch", epoch.into())]);
+            // When training keeps every boundary node (a global
+            // property, so every rank takes this branch together), the
+            // epoch's own exchange serves eval and saves a Control-class
+            // round-trip; otherwise the full-boundary one does.
+            let eval_ex = if cfg.sampling.selects_all() {
+                ex
+            } else {
+                if full_exchange.is_none() {
+                    let sel = &full_topo.selected;
+                    full_exchange = Some(exchange_selection(comm, lp, sel, tag_base + 128).await);
                 }
-                self.eval_span = Some(Timed::with_args("eval", &[("epoch", epoch.into())]));
-                if !self.cfg.sampling.selects_all() && self.full_exchange.is_none() {
-                    let selected = &self
-                        .full_topo
-                        .as_ref()
-                        .expect("full topology built")
-                        .selected;
-                    self.sel_op = Some(SelectionOp::begin(
-                        &mut self.comm,
-                        &self.lp,
-                        selected,
-                        self.tag_base + 128,
-                    ));
-                    self.state = RankState::EvalSelectionWait;
-                    return Flow::More;
-                }
-                self.state = RankState::EvalSend(0);
-                Flow::More
-            }
-            RankState::EvalSelectionWait => {
-                let done = {
-                    let op = self.sel_op.as_mut().expect("selection op in flight");
-                    op.poll(&mut self.comm, &self.lp)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                let op = self.sel_op.take().expect("selection op in flight");
-                self.full_exchange = Some(op.finish());
-                self.state = RankState::EvalSend(0);
-                Flow::More
-            }
-            RankState::EvalSend(l) => {
-                // Arena-backed full-boundary exchange: bitwise equal to
-                // the serial reference, but send staging and the
-                // boundary block reuse the rank's arena, so repeated
-                // eval/serving passes stop allocating here.
-                let tag = self.tag_base + 129 + l as u64;
-                let ex = eval_exchange(
-                    self.cfg.sampling.selects_all(),
-                    &self.static_exchange,
-                    &self.full_exchange,
-                );
+                full_exchange.as_ref().expect("exchanged above")
+            };
+            for l in 0..num_layers {
+                let tag = tag_base + 129 + l as u64;
+                let h_in = if l == 0 { &lp.features } else { &h };
                 // Eval always exchanges exact: metrics compare the exact
                 // forward regardless of the training wire precision.
-                let h_in = if l == 0 { &self.lp.features } else { &self.h };
-                send_boundary_rows(
-                    &mut self.comm,
-                    ex,
+                send_boundary_rows(comm, eval_ex, h_in, tag, &mut arena, WirePrecision::Exact);
+                // The same segmented forward as training, with `train =
+                // false` (no dropout, no RNG draws) — bitwise the fused
+                // forward on the stacked halo.
+                layers[l].forward_inner(
+                    &mut slots[l],
+                    &full_topo.graph,
                     h_in,
-                    tag,
-                    &mut self.arena,
-                    WirePrecision::Exact,
+                    &full_topo.gcn_scale,
+                    (false, &mut rng),
                 );
-                // The same segmented forward as training, with
-                // `train = false` (no dropout, no RNG draws) — bitwise
-                // the fused forward on the stacked halo.
-                let full = self.full_topo.as_ref().expect("full topology built");
-                self.layers[l].forward_inner(
-                    &mut self.slots[l],
-                    &full.graph,
-                    h_in,
-                    &full.gcn_scale,
-                    (false, &mut self.rng),
-                );
-                self.bd_op = Some(BoundaryRecvOp::begin(
-                    ex,
-                    full.selected.len(),
+                recv_boundary_blocks(
+                    comm,
+                    eval_ex,
+                    full_topo.selected.len(),
                     h_in.cols(),
                     1.0,
                     tag,
-                    &mut self.arena,
+                    &mut arena,
+                    None,
                     WirePrecision::Exact,
-                ));
-                self.state = RankState::EvalRecv(l);
-                Flow::More
-            }
-            RankState::EvalRecv(l) => {
-                let done = {
-                    let op = self.bd_op.as_mut().expect("boundary recv in flight");
-                    let ex = eval_exchange(
-                        self.cfg.sampling.selects_all(),
-                        &self.static_exchange,
-                        &self.full_exchange,
-                    );
-                    op.poll(&mut self.comm, ex, &mut self.arena)
-                };
-                if !done {
-                    return Flow::Pending;
-                }
-                self.bd_op = None;
-                let full = self.full_topo.as_ref().expect("full topology built");
-                let h_in = if l == 0 { &self.lp.features } else { &self.h };
-                self.layers[l].forward_boundary(
-                    &mut self.slots[l],
-                    &full.graph,
-                    (h_in, self.arena.boundary()),
-                    &full.row_scale,
-                    &full.gcn_scale,
-                    (false, &mut self.rng),
-                    &mut self.scratch,
-                    &mut self.h_next,
+                )
+                .await;
+                layers[l].forward_boundary(
+                    &mut slots[l],
+                    &full_topo.graph,
+                    (h_in, arena.boundary()),
+                    &full_topo.row_scale,
+                    &full_topo.gcn_scale,
+                    (false, &mut rng),
+                    &mut scratch,
+                    &mut h_next,
                 );
-                std::mem::swap(&mut self.h, &mut self.h_next);
-                if l + 1 < self.num_layers {
-                    self.state = RankState::EvalSend(l + 1);
-                    return Flow::More;
-                }
-                let score_of = |h: &Matrix, rows: &[usize]| -> (u64, u64, u64) {
-                    match &self.lp.labels {
-                        Labels::Single(labels) => {
-                            let (c, t) = accuracy_counts(h, labels, rows);
-                            (c as u64, t as u64, 0)
-                        }
-                        Labels::Multi(y) => {
-                            let c = multilabel_counts(h, y, rows);
-                            (c.tp, c.fp, c.fn_)
-                        }
+                std::mem::swap(&mut h, &mut h_next);
+            }
+            let score_of = |rows: &[usize]| -> (u64, u64, u64) {
+                match &lp.labels {
+                    Labels::Single(labels) => {
+                        let (c, t) = accuracy_counts(&h, labels, rows);
+                        (c as u64, t as u64, 0)
                     }
-                };
-                let val = score_of(&self.h, &self.lp.val_local);
-                let test = score_of(&self.h, &self.lp.test_local);
-                self.val = Some(val);
-                self.test = Some(test);
-                if let Some(t) = self.eval_span.take() {
-                    t.stop();
+                    Labels::Multi(y) => {
+                        let c = multilabel_counts(&h, y, rows);
+                        (c.tp, c.fp, c.fn_)
+                    }
                 }
-                self.state = RankState::EpochEnd;
-                Flow::More
-            }
-            RankState::EpochEnd => {
-                self.epochs_out.push(RankEpoch {
-                    loss: self.global_loss,
-                    sample_s: self.sample_s,
-                    compute_s: self.compute_s,
-                    comm_s: self.comm_s,
-                    reduce_s: self.reduce_s,
-                    traffic: self.epoch_traffic.clone(),
-                    flops: self.flops,
-                    selected: self.n_sel,
-                    val: self.val.take(),
-                    test: self.test.take(),
-                });
-                if let Some(t) = self.epoch_span.take() {
-                    t.stop();
-                }
-                self.epoch += 1;
-                self.state = RankState::EpochStart;
-                Flow::More
-            }
-            RankState::Finished => {
-                self.arena.flush_counters();
-                let output = RankOutput {
-                    epochs: std::mem::take(&mut self.epochs_out),
-                    peak_mem: self.peak_mem,
-                    boundary: self.lp.n_boundary(),
-                    layers: (self.me == 0).then(|| std::mem::take(&mut self.layers)),
-                };
-                *self.out.lock().unwrap() = Some(output);
-                Flow::Done
-            }
-        }
-    }
-}
+            };
+            let scores = (
+                Some(score_of(&lp.val_local)),
+                Some(score_of(&lp.test_local)),
+            );
+            eval_span.stop();
+            scores
+        } else {
+            (None, None)
+        };
 
-impl bns_runtime::Task for RankTask {
-    fn bind(&mut self, waker: bns_runtime::Waker) {
-        // Senders poke this rank's waker right after enqueuing into its
-        // mailbox, so a park that raced a delivery becomes an immediate
-        // re-run (NOTIFIED) instead of a lost wakeup.
-        self.comm.set_waker(Arc::new(move || waker.wake()));
+        epochs_out.push(RankEpoch {
+            loss: global_loss,
+            sample_s,
+            compute_s,
+            comm_s,
+            reduce_s,
+            traffic,
+            flops,
+            selected: n_sel,
+            val,
+            test,
+        });
+        epoch_span.stop();
     }
-
-    fn step(&mut self) -> bns_runtime::Step {
-        // Spans recorded during this step attribute to this rank, not
-        // to whichever OS worker the scheduler picked.
-        bns_telemetry::set_thread_rank(self.me);
-        loop {
-            match self.advance() {
-                Flow::More => {}
-                Flow::Pending => return bns_runtime::Step::Park,
-                Flow::Done => return bns_runtime::Step::Done,
-            }
-        }
-    }
+    arena.flush_counters();
+    let output = RankOutput {
+        epochs: epochs_out,
+        peak_mem,
+        boundary: lp.n_boundary(),
+        layers,
+    };
+    let buffers = Box::new((
+        (slots, scratch, [h, h_next, d], flat, arena, opt),
+        (stale_feats, stale_grads),
+        (full_topo, full_exchange, epoch_topo, epoch_ex),
+    ));
+    (output, buffers)
 }
 
 #[cfg(test)]

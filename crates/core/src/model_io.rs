@@ -87,7 +87,8 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], ModelIoError> {
-        if self.pos + n > self.buf.len() {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.buf.len());
+        let Some(end) = end else {
             // Reader is model IO, reached only via a name-collision
             // edge (Option::take).
             // bns-allow(BNS-A005): error-path message formatting
@@ -96,9 +97,9 @@ impl<'a> Reader<'a> {
                 self.pos,
                 self.buf.len() - self.pos
             )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -117,10 +118,11 @@ impl<'a> Reader<'a> {
     fn matrix(&mut self) -> Result<Matrix, ModelIoError> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
-        let n = rows
+        let bytes = rows
             .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| err("matrix shape overflow"))?;
-        let raw = self.take(n * 4)?;
+        let raw = self.take(bytes)?;
         let data = raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -198,9 +200,12 @@ impl TrainedModel {
         }
         let arch = r.u8()?;
         let n_layers = r.u32()? as usize;
+        // Every layer takes at least one byte, so a hostile count can
+        // reserve no more layers than the input has bytes left.
+        let cap = n_layers.min(bytes.len() - r.pos);
         let model = match arch {
             ARCH_SAGE => {
-                let mut layers = Vec::with_capacity(n_layers);
+                let mut layers = Vec::with_capacity(cap);
                 for _ in 0..n_layers {
                     let act = r.act()?;
                     let dropout = r.f32()?;
@@ -215,7 +220,7 @@ impl TrainedModel {
                 TrainedModel::Sage(SageModel { layers })
             }
             ARCH_GAT => {
-                let mut layers = Vec::with_capacity(n_layers);
+                let mut layers = Vec::with_capacity(cap);
                 for _ in 0..n_layers {
                     let act = r.act()?;
                     let dropout = r.f32()?;
@@ -232,7 +237,7 @@ impl TrainedModel {
                 TrainedModel::Gat(GatModel { layers })
             }
             ARCH_GCN => {
-                let mut layers = Vec::with_capacity(n_layers);
+                let mut layers = Vec::with_capacity(cap);
                 for _ in 0..n_layers {
                     let act = r.act()?;
                     let dropout = r.f32()?;
@@ -372,6 +377,39 @@ mod tests {
         let mut bad_arch = good;
         bad_arch[8] = 0xEE;
         assert!(TrainedModel::from_bytes(&bad_arch).is_err(), "arch tag");
+    }
+
+    #[test]
+    fn hostile_shapes_and_truncations_are_errors_not_panics() {
+        // A first matrix claiming u32::MAX x u32::MAX: the element count
+        // fits a u64, its byte count does not.
+        let mut huge = Vec::new();
+        huge.extend_from_slice(&MAGIC);
+        put_u32(&mut huge, VERSION);
+        huge.push(ARCH_GCN);
+        put_u32(&mut huge, 1);
+        put_act(&mut huge, Activation::Relu);
+        put_f32(&mut huge, 0.0);
+        put_u32(&mut huge, u32::MAX);
+        put_u32(&mut huge, u32::MAX);
+        assert!(TrainedModel::from_bytes(&huge).is_err(), "huge matrix");
+
+        // A layer count far beyond what the bytes could hold.
+        let mut many = huge[..8].to_vec();
+        many.push(ARCH_SAGE);
+        put_u32(&mut many, u32::MAX);
+        assert!(TrainedModel::from_bytes(&many).is_err(), "huge layer count");
+
+        for model in sample_models() {
+            let good = model.to_bytes();
+            for len in 0..good.len() {
+                assert!(
+                    TrainedModel::from_bytes(&good[..len]).is_err(),
+                    "truncation to {len} of {} bytes",
+                    good.len()
+                );
+            }
+        }
     }
 
     #[test]

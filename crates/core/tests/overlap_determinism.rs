@@ -16,14 +16,14 @@ use bns_comm::{run_ranks, WirePrecision};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::exchange::{
-    exchange_features_eval, exchange_features_serial, exchange_gradients_overlapped,
-    exchange_gradients_serial, exchange_selection, recv_boundary_blocks, send_boundary_rows,
-    ExchangeArena,
+    exchange_features_serial, exchange_gradients, exchange_gradients_serial, exchange_selection,
+    recv_boundary_blocks, send_boundary_rows, ExchangeArena,
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_nn::{Activation, SageLayer};
 use bns_partition::{Partitioner, RandomPartitioner};
+use bns_runtime::block_on;
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
         let lp = Arc::clone(&plan2.parts[me]);
         let mut rng = SeededRng::new(seed ^ 0xab5).fork(me as u64 + 1);
         let topo = build_epoch_topology(&lp, &BoundarySampling::Bns { p }, 0, seed, &mut rng);
-        let ex = exchange_selection(&mut comm, &lp, &topo.selected, 0);
+        let ex = block_on(exchange_selection(&mut comm, &lp, &topo.selected, 0));
         let n_in = lp.n_inner();
         let n_sel = topo.selected.len();
         let scale = topo.feature_scale;
@@ -77,7 +77,7 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
                 &mut arena,
                 WirePrecision::Exact,
             );
-            recv_boundary_blocks(
+            block_on(recv_boundary_blocks(
                 &mut comm,
                 &ex,
                 n_sel,
@@ -87,19 +87,12 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
                 &mut arena,
                 None,
                 WirePrecision::Exact,
-            );
+            ));
             assert_bitwise(
                 &h_full,
                 &h_inner.vstack(arena.boundary()),
                 "feature exchange",
             );
-
-            // The one-call arena-backed eval/serving exchange (what the
-            // engine's selects_all eval path now uses) must also match
-            // the serial reference bitwise.
-            let h_eval =
-                exchange_features_eval(&mut comm, &ex, &h_inner, n_sel, scale, tag + 4, &mut arena);
-            assert_bitwise(&h_full, &h_eval, "eval exchange");
 
             // Segmented forward composed on the overlapped halo vs the
             // fused forward on the serial halo, identical RNG streams
@@ -134,7 +127,7 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
             let mut g_serial = base.clone();
             exchange_gradients_serial(&mut comm, &ex, &mut g_serial, &d_bd, scale, tag + 2);
             let mut g_ovl = base;
-            exchange_gradients_overlapped(
+            block_on(exchange_gradients(
                 &mut comm,
                 &ex,
                 &mut g_ovl,
@@ -145,7 +138,7 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
                 None,
                 WirePrecision::Exact,
                 0,
-            );
+            ));
             assert_bitwise(&g_serial, &g_ovl, "gradient exchange");
         }
         true

@@ -4,13 +4,16 @@
 //! (Fig. 3/8, Table 6). A thread-per-rank engine oversubscribes the
 //! host as soon as k exceeds the core count and starves every rank's
 //! kernel-pool share down to one thread. This crate decouples the two:
-//! each rank becomes a [`Task`] — a resumable state machine that runs
-//! until its next blocking point and then returns [`Step::Park`] — and
-//! a fixed set of workers (default `available_parallelism`, override
-//! [`ENV_WORKERS`]) polls whichever tasks are runnable. A parked task
-//! costs a queue slot, not a core; its [`Waker`] (wired into the
-//! `bns-comm` mailbox by the engine) marks it runnable again when a
-//! message arrives.
+//! each rank becomes a [`Task`] that runs until its next blocking point
+//! and then returns [`Step::Park`], and a fixed set of workers (default
+//! `available_parallelism`, override [`ENV_WORKERS`]) polls whichever
+//! tasks are runnable. A parked task costs a queue slot, not a core.
+//!
+//! A rank program is normally an `async fn`: [`future_task`] turns its
+//! future into a [`Task`] whose `step` is one poll, so the compiler
+//! generates the resumable state machine. [`block_on`] drives the same
+//! futures on a plain thread, for tests, benches and thread-per-rank
+//! harnesses.
 //!
 //! # Determinism
 //!
@@ -28,18 +31,31 @@
 //! `Running`, `Notified` (wake arrived mid-step), or `Done`. A wake on
 //! a `Parked` task enqueues it; a wake on a `Running` task flips it to
 //! `Notified` so that when its step returns [`Step::Park`] the worker
-//! re-enqueues it immediately instead of parking — the classic
-//! lost-wakeup race (message arrives between a failed `try_recv` and
-//! the park) cannot drop a task.
+//! re-enqueues it immediately instead of parking. A future task's
+//! `std::task::Waker` is this same [`Waker`], so a receive that
+//! registers `cx.waker()` and then re-checks its mailbox before
+//! returning `Pending` cannot lose a message that lands in between.
+//!
+//! # Lost messages
+//!
+//! Only tasks in the set wake each other: every wake comes from inside
+//! another task's step (the engine's mailbox sends, perfbench's token
+//! ring). So once the last runnable task parks or finishes while others
+//! are still parked, nothing can ever wake them. [`run_tasks`] then
+//! fails the run with a panic that lists the parked tasks, instead of
+//! sleeping forever.
 
 // The scheduler itself holds no unsafe; the audited unsafe stays in
 // bns-tensor/bns-nn (see UNSAFE_LEDGER.md).
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::task::{Context, Poll, Wake};
 
 /// Environment variable overriding the scheduler worker count.
 pub const ENV_WORKERS: &str = "BNS_WORKERS";
@@ -128,6 +144,10 @@ struct Shared {
     available: Condvar,
     /// Tasks not yet DONE; the run ends when it reaches zero.
     live: AtomicUsize,
+    /// Tasks neither PARKED nor DONE. A wake counts its task before the
+    /// waking step ends, so zero while `live > 0` means no task can
+    /// ever wake again.
+    runnable: AtomicUsize,
     /// Set when a task panicked; all workers drain out.
     poisoned: AtomicBool,
     /// First captured panic payload, re-raised on the caller.
@@ -161,6 +181,7 @@ impl Shared {
                         .compare_exchange(PARKED, READY, Ordering::SeqCst, Ordering::SeqCst)
                         .is_ok()
                     {
+                        self.runnable.fetch_add(1, Ordering::SeqCst);
                         self.wakes.fetch_add(1, Ordering::Relaxed);
                         self.enqueue(idx);
                         return;
@@ -181,6 +202,37 @@ impl Shared {
             }
         }
     }
+
+    /// Aborts the run: the first payload is re-raised on the caller and
+    /// every worker drains out.
+    fn fail(&self, payload: PanicPayload) {
+        self.panic
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get_or_insert(payload);
+        // Under the queue lock, like the end-of-run notify.
+        let _q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.available.notify_all();
+    }
+
+    /// Called after a task parked or finished. If it was the last
+    /// runnable task and others are still live, they wait for wakes
+    /// that can no longer come: fail the run instead of hanging.
+    fn retire_runnable(&self) {
+        if self.runnable.fetch_sub(1, Ordering::SeqCst) != 1
+            || self.live.load(Ordering::SeqCst) == 0
+        {
+            return;
+        }
+        let parked: Vec<usize> = (0..self.states.len())
+            .filter(|&i| self.states[i].load(Ordering::SeqCst) == PARKED)
+            .collect();
+        self.fail(Box::new(format!(
+            "run_tasks: tasks {parked:?} are parked and no task is left to wake them \
+             (a message they await was never sent)"
+        )));
+    }
 }
 
 /// Handle that marks one task runnable; clonable, callable from any
@@ -195,6 +247,84 @@ impl Waker {
     /// Marks the task runnable (no-op if it is already queued or done).
     pub fn wake(&self) {
         self.shared.wake(self.idx);
+    }
+}
+
+/// A future task's `std::task::Waker` is backed by its scheduler
+/// [`Waker`], so waking it runs the same Parked/Ready/Running/Notified
+/// protocol.
+impl Wake for Waker {
+    fn wake(self: Arc<Self>) {
+        self.shared.wake(self.idx);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.shared.wake(self.idx);
+    }
+}
+
+/// Runs a future as a [`Task`]: each step is one poll, `Pending` parks
+/// and `Ready` finishes. The future is boxed once here, for the whole
+/// run, and its `std::task::Waker` is built once in `bind`.
+///
+/// A future that returns `Pending` must have registered `cx.waker()`
+/// with whatever will wake it, as any future must.
+pub fn future_task<'a, F>(fut: F) -> Box<dyn Task + 'a>
+where
+    F: Future<Output = ()> + Send + 'a,
+{
+    Box::new(FutureTask {
+        fut: Box::pin(fut),
+        waker: None,
+    })
+}
+
+struct FutureTask<'a> {
+    fut: Pin<Box<dyn Future<Output = ()> + Send + 'a>>,
+    waker: Option<std::task::Waker>,
+}
+
+impl Task for FutureTask<'_> {
+    fn bind(&mut self, waker: Waker) {
+        self.waker = Some(Arc::new(waker).into());
+    }
+
+    fn step(&mut self) -> Step {
+        let waker = self
+            .waker
+            .as_ref()
+            .expect("run_tasks binds before stepping");
+        match self.fut.as_mut().poll(&mut Context::from_waker(waker)) {
+            Poll::Pending => Step::Park,
+            Poll::Ready(()) => Step::Done,
+        }
+    }
+}
+
+/// Drives `fut` to completion on the calling thread, parking the thread
+/// whenever the future is pending. Tests, benches and thread-per-rank
+/// harnesses use it to run the same `async fn`s the scheduler runs.
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    struct Unpark(std::thread::Thread);
+    impl Wake for Unpark {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.unpark();
+        }
+    }
+    let waker = Arc::new(Unpark(std::thread::current())).into();
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = std::pin::pin!(fut);
+    loop {
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+            return out;
+        }
+        // An unpark that landed since the poll makes this return at
+        // once; spurious returns just poll again.
+        std::thread::park();
     }
 }
 
@@ -221,10 +351,14 @@ pub struct RunStats {
 /// The worker count is clamped to `tasks.len()` — extra workers would
 /// never have a task to run.
 ///
+/// Only tasks in the set may wake each other (see "Lost messages" in
+/// the crate docs); a wake from outside the set can arrive too late.
+///
 /// # Panics
 ///
 /// A panic inside any task aborts the run and resurfaces on the caller
-/// (mirroring `run_ranks`'s thread-per-rank behavior).
+/// (mirroring `run_ranks`'s thread-per-rank behavior). So does a run in
+/// which every live task is parked and none is left to wake another.
 pub fn run_tasks<S, G>(mut tasks: Vec<Box<dyn Task + '_>>, workers: usize, setup: S) -> RunStats
 where
     S: Fn(usize) -> G + Sync,
@@ -239,6 +373,7 @@ where
         queue: Mutex::new((0..n).collect()),
         available: Condvar::new(),
         live: AtomicUsize::new(n),
+        runnable: AtomicUsize::new(n),
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
         last_worker: (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect(),
@@ -328,15 +463,7 @@ fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
         };
         match step {
             Err(payload) => {
-                shared
-                    .panic
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get_or_insert(payload);
-                // Under the queue lock, like the end-of-run notify below.
-                let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                shared.poisoned.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.fail(payload);
                 return;
             }
             Ok(Step::Done) => {
@@ -347,10 +474,12 @@ fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
                 // already waiting when `notify_all` fires. Unlocked, the
                 // notify could land between the two and the worker would
                 // sleep forever.
-                let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                let q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                     shared.available.notify_all();
                 }
+                drop(q);
+                shared.retire_runnable();
             }
             Ok(Step::Yield) => {
                 shared.states[idx].store(READY, Ordering::SeqCst);
@@ -365,6 +494,7 @@ fn worker_loop(shared: &Shared, slots: &[Mutex<Box<dyn Task + '_>>], w: usize) {
                 ) {
                     Ok(_) => {
                         shared.parks.fetch_add(1, Ordering::Relaxed);
+                        shared.retire_runnable();
                     }
                     // A wake landed mid-step (state is NOTIFIED):
                     // runnable again immediately.

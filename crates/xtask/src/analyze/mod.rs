@@ -5,7 +5,7 @@
 //! comments, spawn confinement, per-file keyword bans), `analyze`
 //! parses every checked-in source into a token stream and a lightweight
 //! item/expression AST, builds an intra-workspace call graph, and runs
-//! five reachability-aware rules:
+//! four reachability-aware rules:
 //!
 //! * **BNS-A001 determinism-reachability** — no wall-clock reads, hash
 //!   containers, or OS entropy anywhere in the call closure of the
@@ -15,8 +15,6 @@
 //!   README's configuration table.
 //! * **BNS-A003 lock-order** — nested mutex acquisition in the
 //!   scheduler/transport/engine must follow one declared order.
-//! * **BNS-A004 waker-coverage** — a cooperative task whose `step` can
-//!   park on an empty mailbox must register a waker in `bind`.
 //! * **BNS-A005 allocation-in-hot-path** — the per-epoch overlapped
 //!   exchange allocates only through the `ExchangeArena` recycler.
 //!
@@ -66,12 +64,6 @@ pub struct AnalyzeConfig {
     pub lock_order: Vec<String>,
     /// BNS-A002 variable prefix.
     pub env_prefix: String,
-    /// BNS-A004: the cooperative-task trait name.
-    pub task_trait: String,
-    /// BNS-A004: mailbox receive functions that can observe "empty".
-    pub recv_fns: Vec<String>,
-    /// BNS-A004: waker-registration functions.
-    pub waker_fns: Vec<String>,
 }
 
 impl AnalyzeConfig {
@@ -105,18 +97,13 @@ impl AnalyzeConfig {
                 "crates/serve/src/cache.rs".into(),
             ],
             // The per-epoch overlapped exchange: the send side and the
-            // poll-driven receive ops that run inside the scheduler
-            // loop every epoch, and the segmented layers between them.
+            // async receive ops the rank program awaits every epoch,
+            // and the segmented layers between them.
             hot_entries: vec![
                 "send_boundary_rows".into(),
+                "exchange_selection".into(),
                 "recv_boundary_blocks".into(),
-                "swap_boundary_stale".into(),
-                "SelectionOp::poll".into(),
-                "BoundaryRecvOp::begin".into(),
-                "BoundaryRecvOp::poll".into(),
-                "GradRecvOp::begin".into(),
-                "GradRecvOp::poll".into(),
-                "GradRecvOp::finish".into(),
+                "exchange_gradients".into(),
                 // The segmented SAGE/GCN training layers: every buffer
                 // they write is owned by the rank for the whole run.
                 "SageLayer::forward_inner_into".into(),
@@ -139,8 +126,7 @@ impl AnalyzeConfig {
                 // owned values by design, and its costs are metered by
                 // TrafficStats rather than banned.
                 "RankComm::send".into(),
-                "RankComm::try_recv".into(),
-                "RankComm::try_recv_any".into(),
+                "RankComm::poll_recv_any".into(),
                 "RankComm::recv".into(),
                 "RankComm::recv_any".into(),
                 // Telemetry is feature-gated and amortized; its
@@ -175,14 +161,6 @@ impl AnalyzeConfig {
                 "series".into(),
             ],
             env_prefix: "BNS_".into(),
-            task_trait: "Task".into(),
-            recv_fns: vec![
-                "try_recv".into(),
-                "try_recv_any".into(),
-                "recv_any".into(),
-                "wait_message".into(),
-            ],
-            waker_fns: vec!["set_waker".into()],
         }
     }
 
@@ -269,7 +247,6 @@ pub fn analyze(cfg: &AnalyzeConfig) -> std::io::Result<AnalyzeReport> {
         readme.as_deref(),
     ));
     raw.extend(rules::lock_order(&ws, cfg));
-    raw.extend(rules::waker_coverage(&ws, cfg));
     raw.extend(rules::hot_alloc(&ws, cfg));
 
     let mut allows: Vec<Allow> = Vec::new();

@@ -4,8 +4,8 @@
 //! the rules need, and degrades gracefully on anything else:
 //!
 //! * **Functions**: every `fn` item, with its name, enclosing `impl`
-//!   type and trait (so `BoundaryRecvOp::poll` and `Task for RankTask`
-//!   are addressable), body token range, and whether it lives in test
+//!   type and trait (so `ExchangeArena::take_buf` and `Task for
+//!   FutureTask` are addressable), body token range, and whether it lives in test
 //!   code (`#[cfg(test)]` region or a `tests/`/`benches/` path).
 //! * **Call events** inside each body: free/path calls
 //!   (`codec::pack_f16(..)`), method calls (`.poll(..)`), and macro

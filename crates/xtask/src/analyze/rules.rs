@@ -1,4 +1,5 @@
-//! The five call-graph-aware rules (`BNS-A001` … `BNS-A005`).
+//! The four call-graph-aware rules (`BNS-A001`, `BNS-A002`, `BNS-A003`,
+//! `BNS-A005`).
 //!
 //! Each rule returns raw [`Finding`]s; the driver in `analyze/mod.rs`
 //! applies the allowlist afterwards. Rules only report from non-test
@@ -17,7 +18,6 @@ use std::ops::Range;
 pub const A001: (&str, &str) = ("BNS-A001", "determinism-reachability");
 pub const A002: (&str, &str) = ("BNS-A002", "env-read-registry");
 pub const A003: (&str, &str) = ("BNS-A003", "lock-order");
-pub const A004: (&str, &str) = ("BNS-A004", "waker-coverage");
 pub const A005: (&str, &str) = ("BNS-A005", "allocation-in-hot-path");
 
 /// Builds a rule finding, deriving the allowlist key from the covered
@@ -511,104 +511,6 @@ pub fn lock_order(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                 }
                 _ => {}
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// BNS-A004: waker-coverage
-// ---------------------------------------------------------------------------
-
-pub fn waker_coverage(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (id, f) in ws.fns.iter().enumerate() {
-        if f.is_test || f.name != "step" || f.trait_name.as_deref() != Some(&cfg.task_trait) {
-            continue;
-        }
-        let Some(ty) = f.impl_type.clone() else {
-            continue;
-        };
-        // Does step() transitively poll a mailbox?
-        let reach = ws.graph.reach(&[id], &[]);
-        let mut recv_site: Option<(usize, usize, String)> = None;
-        for (&rid, _) in reach.iter() {
-            let g = &ws.fns[rid];
-            for ev in &g.events {
-                let name = match ev {
-                    Event::Call { segments, tok } => segments.last().map(|s| (s.clone(), *tok)),
-                    Event::MethodCall { name, tok } => Some((name.clone(), *tok)),
-                    _ => None,
-                };
-                let Some((name, tok)) = name else { continue };
-                if cfg.recv_fns.contains(&name) {
-                    let line = ws.files[g.file].sig_line(tok);
-                    let candidate = (g.file, line, ws.graph.path_to(&reach, rid, &ws.fns));
-                    let better = match &recv_site {
-                        None => true,
-                        Some((bf, bl, _)) => {
-                            (&ws.files[g.file].rel, line) < (&ws.files[*bf].rel, *bl)
-                        }
-                    };
-                    if better {
-                        recv_site = Some(candidate);
-                    }
-                }
-            }
-        }
-        let Some((rfile, rline, rpath)) = recv_site else {
-            continue;
-        };
-        // Then bind() must register a waker, or a parked task is never
-        // woken by a late message (lost wakeup).
-        let bind: Vec<FnId> = ws
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| {
-                !b.is_test && b.name == "bind" && b.impl_type.as_deref() == Some(ty.as_str())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if bind.is_empty() {
-            out.push(finding(
-                ws,
-                A004,
-                f.file,
-                f.line,
-                format!(
-                    "`{ty}::step` can block on a mailbox receive but `{ty}` has no \
-                     `bind` registering a waker; a parked task would never be woken"
-                ),
-                Some(format!("receive reached via: {rpath}")),
-            ));
-            continue;
-        }
-        let breach = ws.graph.reach(&bind, &[]);
-        let registers = breach.keys().any(|&bid| {
-            ws.fns[bid].events.iter().any(|ev| {
-                let name = match ev {
-                    Event::Call { segments, .. } => segments.last().cloned(),
-                    Event::MethodCall { name, .. } => Some(name.clone()),
-                    _ => None,
-                };
-                name.is_some_and(|n| cfg.waker_fns.contains(&n))
-            })
-        });
-        if !registers {
-            out.push(finding(
-                ws,
-                A004,
-                rfile,
-                rline,
-                format!(
-                    "`{ty}::step` polls a mailbox here but `{ty}::bind` never calls \
-                     {}; a task parked on an empty mailbox is never woken when the \
-                     message lands",
-                    cfg.waker_fns.join("/")
-                ),
-                Some(format!("receive reached via: {rpath}")),
-            ));
         }
     }
     out

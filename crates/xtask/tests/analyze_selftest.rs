@@ -38,14 +38,15 @@ fn fixture_cfg(name: &str) -> AnalyzeConfig {
         root,
         skip: vec![],
         kernel_files: vec!["det_kernel.rs".into()],
-        hot_entries: vec!["hot_entry".into(), "hot_entry_allowed".into()],
+        hot_entries: vec![
+            "hot_entry".into(),
+            "hot_entry_async".into(),
+            "hot_entry_allowed".into(),
+        ],
         arena_allow: vec!["Arena::take".into()],
         lock_scope: vec!["lock_invert.rs".into()],
         lock_order: vec!["slots".into(), "queue".into()],
         env_prefix: "BNS_".into(),
-        task_trait: "Task".into(),
-        recv_fns: vec!["try_recv".into()],
-        waker_fns: vec!["set_waker".into()],
     }
 }
 
@@ -92,19 +93,16 @@ fn every_rule_catches_its_seeded_fixture() {
         ]
     );
 
-    // BNS-A004: Bad's recv site flagged; Good (which registers a
-    // waker in bind) stays silent.
-    let waker = rules_for(&report, "waker_missing.rs");
-    assert_eq!(waker, vec![("BNS-A004".into(), 22)]);
-
-    // BNS-A005: all three allocation shapes in `stage`, and nothing
-    // from inside the sanctioned `Arena::take` cut (line 11).
+    // BNS-A005: all three allocation shapes in `stage`, the one
+    // `stage_async` reaches through `.await`, and nothing from inside
+    // the sanctioned `Arena::take` cut (line 12).
     assert_eq!(
         rules_for(&report, "hot_alloc.rs"),
         vec![
-            ("BNS-A005".into(), 23),
             ("BNS-A005".into(), 24),
             ("BNS-A005".into(), 25),
+            ("BNS-A005".into(), 26),
+            ("BNS-A005".into(), 37),
         ]
     );
 
@@ -153,7 +151,6 @@ fn bless_then_check_roundtrips_and_detects_tampering() {
         "det_kernel.rs".into(),
         "det_helper.rs".into(),
         "lock_invert.rs".into(),
-        "waker_missing.rs".into(),
         "hot_alloc.rs".into(),
         "unused_allow.rs".into(),
     ];
