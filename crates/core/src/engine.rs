@@ -265,12 +265,7 @@ impl EpochStats {
 
     /// Simulated epoch time under a cost model: bottleneck compute +
     /// boundary comm + reduce comm (the three components of the paper's
-    /// Fig. 5 / Table 6).
-    pub fn simulated(&self, cost: &CostModel) -> SimulatedEpoch {
-        self.simulated_scaled(cost, 1.0)
-    }
-
-    /// Like [`EpochStats::simulated`] but with bytes and FLOPs scaled by
+    /// Fig. 5 / Table 6), with bytes and FLOPs scaled by
     /// `workload_scale` while message counts stay fixed. Experiments use
     /// this to project measurements from the scaled-down synthetic
     /// datasets into the paper's dataset-size regime (where transfers
@@ -459,11 +454,6 @@ impl TrainRun {
             return 0.0;
         }
         self.epochs.iter().map(EpochStats::total_s).sum::<f64>() / self.epochs.len() as f64
-    }
-
-    /// Mean simulated epoch time under a cost model.
-    pub fn avg_sim_epoch(&self, cost: &CostModel) -> SimulatedEpoch {
-        self.avg_sim_epoch_scaled(cost, 1.0)
     }
 
     /// Mean simulated epoch time with a workload scale (see
@@ -1680,7 +1670,7 @@ mod tests {
         };
         let run = train(&ds, &part, &cfg);
         let cost = bns_comm::CostModel::pcie3();
-        let sim = run.avg_sim_epoch(&cost);
+        let sim = run.avg_sim_epoch_scaled(&cost, 1.0);
         assert!(sim.pipelined_total() <= sim.total() + 1e-12);
         assert!(sim.pipelined_total() >= sim.comp.max(sim.comm));
     }

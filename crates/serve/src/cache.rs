@@ -17,7 +17,7 @@
 //! identical logits (`tests/determinism.rs` holds this across the
 //! `BNS_THREADS`/`BNS_SIMD` matrix). Lookups go through a dense
 //! `global id -> slot` index — no hash maps in the per-query hot path
-//! (enforced by `cargo xtask audit`).
+//! (enforced by `cargo xtask analyze`, BNS-A001).
 
 /// Slot index marking "not cached".
 const NO_SLOT: u32 = u32::MAX;

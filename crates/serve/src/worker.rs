@@ -3,7 +3,7 @@
 //! [`ShardServer::serve_batch`].
 //!
 //! This module is the **only** place in `bns-serve` allowed to call
-//! `thread::spawn` (`cargo xtask audit` enforces it), mirroring how
+//! `thread::spawn` (`cargo xtask analyze` enforces it), mirroring how
 //! training confines spawns to `bns-comm` and the tensor pool. Each
 //! worker may additionally install a private `bns-tensor` thread pool
 //! so the forward kernels parallelize within a batch — the same

@@ -29,7 +29,7 @@
 //! * **No FMA, ever.** A fused multiply-add rounds once where `mul`
 //!   then `add` rounds twice, so `a*b+c` would differ in the last ulp
 //!   between backends. Every kernel multiplies and adds as separate
-//!   correctly-rounded IEEE 754 ops (`cargo xtask audit` bans FMA
+//!   correctly-rounded IEEE 754 ops (`cargo xtask analyze` bans FMA
 //!   intrinsics in kernel files). `div` and `sqrt` are also correctly
 //!   rounded on every supported ISA, so the Adam kernel is exact too.
 //!   Enabling `avx512f` also enables the `fma` target feature, which

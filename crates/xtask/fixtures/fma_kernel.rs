@@ -1,6 +1,6 @@
-// Seeded violations for tests/selftest.rs: a `mul_add` and an AVX-512
-// fused multiply-add intrinsic in a file the fixture config designates
-// as a kernel (rule 5, fma-in-kernel).
+// BNS-A001 fixture: a `mul_add` and an AVX-512 fused multiply-add
+// intrinsic in a file the fixture config designates as a kernel, each
+// caught at its call line (6 and 11).
 
 pub fn fused(a: f32, b: f32, c: f32) -> f32 {
     a.mul_add(b, c)

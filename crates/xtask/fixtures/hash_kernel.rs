@@ -1,5 +1,5 @@
-//! Fixture: hash collections in a file configured as a kernel
-//! (rule 4 violation when listed in `AuditConfig::kernel_files`).
+//! BNS-A001 fixture: hash collections in a file configured as a kernel
+//! (listed in `AnalyzeConfig::kernel_files`).
 
 use std::collections::HashMap;
 

@@ -1,4 +1,4 @@
-//! Fixture: an unsafe block with no SAFETY comment (rule 1 violation).
+//! BNS-A006 fixture: an unsafe block with no SAFETY comment.
 
 pub fn zero(p: *mut u8) {
     unsafe {

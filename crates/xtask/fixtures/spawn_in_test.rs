@@ -1,5 +1,5 @@
-//! Fixture: thread spawning inside a `#[cfg(test)]` module — exempt
-//! from rule 3.
+//! BNS-A007 fixture: thread spawning inside a `#[cfg(test)]` module is
+//! exempt.
 
 pub fn fine() {}
 

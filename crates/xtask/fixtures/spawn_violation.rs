@@ -1,4 +1,4 @@
-//! Fixture: thread spawning outside the allowlist (rule 3 violation).
+//! BNS-A007 fixture: thread spawning outside the allowlist.
 
 pub fn leak_a_thread() {
     std::thread::spawn(|| {});

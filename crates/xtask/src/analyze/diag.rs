@@ -1,13 +1,12 @@
-//! Diagnostics: the common finding type plus human and `--json`
-//! renderers, shared by `cargo xtask audit` and `cargo xtask analyze`
-//! so the two passes print identically and cannot drift.
+//! Diagnostics: the finding type every rule reports, plus human and
+//! `--json` renderers.
 
 use std::fmt;
 
 /// One diagnostic, pointing at `file:line`.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Stable rule id (`BNS-A001` … / audit rule slug).
+    /// Stable rule id (`BNS-A000` … `BNS-A007`).
     pub rule: String,
     /// Short rule name (`determinism-reachability`).
     pub name: String,

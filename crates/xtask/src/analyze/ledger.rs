@@ -1,14 +1,16 @@
-//! The analyzer's allowlist: `// bns-allow(RULE): reason` comments
-//! mirrored in a hash-keyed `ANALYZE_LEDGER.md`, with the same
-//! invalidation discipline as `UNSAFE_LEDGER.md` — the context hash
-//! covers the rule, the covered code line, and the written reason, so
-//! editing any of them invalidates the ledger row and forces a
-//! deliberate `cargo xtask analyze --bless` after review.
+//! The two generated ledgers, `UNSAFE_LEDGER.md` (BNS-A006 unsafe
+//! sites) and `ANALYZE_LEDGER.md` (`// bns-allow(RULE): reason`
+//! comments). Both are markdown views of one `(file, rule, key) ->
+//! count` table and share its parse, count check and render. A row's
+//! key hashes the code it vouches for, so editing that code invalidates
+//! the row and forces a deliberate `cargo xtask analyze --bless` after
+//! review.
 //!
 //! An allow comment suppresses findings of exactly one rule on the
 //! line it covers: the same line for a trailing comment, the next code
-//! line for a comment on its own line. Three meta findings (rule
-//! `BNS-A000`) keep the system honest: an allow in use but missing
+//! line for a comment on its own line. Its key covers the rule, the
+//! covered code line and the written reason. Meta findings (rule
+//! `BNS-A000`) keep the allowlist honest: an allow in use but missing
 //! from the ledger, a ledger row whose allow is gone, and an allow
 //! that no longer suppresses anything (stale comments must be removed,
 //! not accumulated).
@@ -106,76 +108,202 @@ pub fn allow_key(rule: &str, covered_text: &str, reason: &str) -> u64 {
     fnv1a64(format!("{rule}|{covered_text}|{reason}").as_bytes())
 }
 
-/// `(file, rule, key) -> count` as recorded in ANALYZE_LEDGER.md.
-pub type AllowLedger = BTreeMap<(String, String, u64), usize>;
+/// `(file, rule, key) -> count`: what a ledger records, or what the
+/// code holds live.
+pub type Table = BTreeMap<(String, String, u64), usize>;
 
-/// Parses the checked-in ledger (markdown table, same shape as
-/// UNSAFE_LEDGER.md).
-pub fn parse_allow_ledger(text: &str) -> AllowLedger {
-    let mut out = AllowLedger::new();
-    for line in text.lines() {
-        let t = line.trim();
-        if !t.starts_with('|') {
-            continue;
+/// One live ledger row.
+#[derive(Debug, Clone)]
+pub struct Row {
+    pub file: String,
+    pub rule: String,
+    pub key: u64,
+    /// Live sites sharing the key (each allow is its own row).
+    pub count: usize,
+    /// 1-based line findings about the row point at.
+    pub line: usize,
+    /// The free-text last column: invariant or reason.
+    pub text: String,
+}
+
+impl Row {
+    fn table_key(&self) -> (String, String, u64) {
+        (self.file.clone(), self.rule.clone(), self.key)
+    }
+}
+
+impl From<&Allow> for Row {
+    fn from(a: &Allow) -> Row {
+        Row {
+            file: a.file.clone(),
+            rule: a.rule.clone(),
+            key: a.key,
+            count: 1,
+            line: a.comment_line,
+            text: a.reason.clone(),
         }
-        let cells: Vec<&str> = t.trim_matches('|').split('|').map(str::trim).collect();
-        if cells.len() < 4 || cells[0] == "File" || cells[0].starts_with("---") {
-            continue;
+    }
+}
+
+/// A generated ledger's file name, layout and findings.
+pub struct Ledger {
+    pub name: &'static str,
+    /// What a row vouches for, in messages.
+    what: &'static str,
+    /// `Some(rule)`: rows are `| file | key | count | text |`, all of
+    /// that rule. `None`: rows are `| file | rule | key | text |`, one
+    /// per live site.
+    fixed_rule: Option<&'static str>,
+    /// Rule id and name of the bookkeeping findings.
+    finding: (&'static str, &'static str),
+    header: &'static str,
+}
+
+pub const UNSAFE: Ledger = Ledger {
+    name: "UNSAFE_LEDGER.md",
+    what: "unsafe site",
+    fixed_rule: Some(super::rules::A006.0),
+    finding: super::rules::A006,
+    header: "# Unsafe Ledger\n\n\
+Every `unsafe` site in the workspace, keyed by an FNV-1a 64 hash of its
+`// SAFETY:` comment plus the unsafe line. `cargo xtask analyze` (rule
+BNS-A006) fails when a site is added, removed, or edited without updating
+this file; after reviewing the change, regenerate it with
+`cargo xtask analyze --bless`.
+Generated file — do not edit rows by hand.
+
+| File | Context hash | Sites | Invariant |
+|---|---|---|---|
+",
+};
+
+pub const ALLOWS: Ledger = Ledger {
+    name: "ANALYZE_LEDGER.md",
+    what: "allow",
+    fixed_rule: None,
+    finding: (META_RULE, META_NAME),
+    header: "# Analyze Allowlist Ledger\n\n\
+Every `// bns-allow(rule): reason` comment the static analyzer
+(`cargo xtask analyze`) honors, keyed by an FNV-1a 64 hash of the rule,
+the covered code line, and the written reason. Editing any of the three
+invalidates the row; after reviewing the change, regenerate this file
+with `cargo xtask analyze --bless`. An allow that stops suppressing a
+finding must be deleted from the source, not re-blessed.
+Generated file — do not edit rows by hand.
+
+| File | Rule | Context hash | Reason |
+|---|---|---|---|
+",
+};
+
+impl Ledger {
+    /// Parses the checked-in markdown table (header and separator rows
+    /// carry no `0x` key and are skipped).
+    pub fn parse(&self, text: &str) -> Table {
+        let mut out = Table::new();
+        for line in text.lines() {
+            let Some(row) = line.trim().strip_prefix('|') else {
+                continue;
+            };
+            let cells: Vec<&str> = row
+                .trim_end_matches('|')
+                .split('|')
+                .map(|c| c.trim().trim_matches('`'))
+                .collect();
+            if cells.len() < 4 {
+                continue;
+            }
+            let (rule, key, count) = match self.fixed_rule {
+                Some(rule) => (rule, cells[1], cells[2].parse().unwrap_or(1)),
+                None => (cells[1], cells[2], 1),
+            };
+            let Some(key) = key
+                .strip_prefix("0x")
+                .and_then(|h| u64::from_str_radix(h, 16).ok())
+            else {
+                continue;
+            };
+            *out.entry((cells[0].to_string(), rule.to_string(), key))
+                .or_insert(0) += count;
         }
-        let file = cells[0].trim_matches('`').to_string();
-        let rule = cells[1].trim_matches('`').to_string();
-        let Some(key) = cells[2]
-            .trim_matches('`')
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-        else {
-            continue;
+        out
+    }
+
+    /// Renders the ledger from live rows, in the order given.
+    pub fn render(&self, rows: &[Row]) -> String {
+        let mut out = self.header.to_string();
+        for r in rows {
+            let text = r.text.replace('|', "/");
+            match self.fixed_rule {
+                Some(_) => out.push_str(&format!(
+                    "| `{}` | `0x{:016x}` | {} | {text} |\n",
+                    r.file, r.key, r.count
+                )),
+                None => {
+                    for _ in 0..r.count {
+                        out.push_str(&format!(
+                            "| `{}` | `{}` | `0x{:016x}` | {text} |\n",
+                            r.file, r.rule, r.key
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Count-checks live rows against the recorded table. Every finding
+    /// is blessable: `--bless` rewrites the ledger from the live rows.
+    pub fn check(&self, rows: &[Row], recorded: &Table) -> Vec<Finding> {
+        let mut live = Table::new();
+        for r in rows {
+            *live.entry(r.table_key()).or_insert(0) += r.count;
+        }
+        let finding = |file: &str, line, message, note, key| Finding {
+            rule: self.finding.0.into(),
+            name: self.finding.1.into(),
+            file: file.into(),
+            line,
+            message,
+            note,
+            key,
+            blessable: true,
         };
-        *out.entry((file, rule, key)).or_insert(0) += 1;
+        let (what, name) = (self.what, self.name);
+        let mut out = Vec::new();
+        for r in rows {
+            let n = live[&r.table_key()];
+            let message = match recorded.get(&r.table_key()) {
+                Some(&m) if m == n => continue,
+                Some(&m) => format!(
+                    "{what} 0x{:016x} appears {n} time(s) but {name} records {m}; \
+                     re-bless after review",
+                    r.key
+                ),
+                None => format!(
+                    "{what} 0x{:016x} is not registered in {name}; review it and run \
+                     `cargo xtask analyze --bless`",
+                    r.key
+                ),
+            };
+            let note = Some(format!("on record: {}", r.text));
+            out.push(finding(&r.file, r.line, message, note, r.key));
+        }
+        for (file, rule, key) in recorded.keys().filter(|k| !live.contains_key(*k)) {
+            let message = format!(
+                "ledger row ({file}, {rule}, 0x{key:016x}) matches no live {what}; the code \
+                 changed — re-bless after review"
+            );
+            out.push(finding(name, 1, message, None, *key));
+        }
+        out
     }
-    out
 }
 
-/// Renders the ledger from the in-use allows.
-pub fn render_allow_ledger(allows: &[Allow]) -> String {
-    let mut out = String::from("# Analyze Allowlist Ledger\n\n");
-    out.push_str(
-        "Every `// bns-allow(rule): reason` comment the static analyzer\n\
-         (`cargo xtask analyze`) honors, keyed by an FNV-1a 64 hash of the rule,\n\
-         the covered code line, and the written reason. Editing any of the three\n\
-         invalidates the row; after reviewing the change, regenerate this file\n\
-         with `cargo xtask analyze --bless`. An allow that stops suppressing a\n\
-         finding must be deleted from the source, not re-blessed.\n\
-         Generated file — do not edit rows by hand.\n\n",
-    );
-    out.push_str("| File | Rule | Context hash | Reason |\n");
-    out.push_str("|---|---|---|---|\n");
-    let mut sorted: Vec<&Allow> = allows.iter().collect();
-    sorted.sort_by(|a, b| {
-        (&a.file, a.covered_line, &a.rule).cmp(&(&b.file, b.covered_line, &b.rule))
-    });
-    for a in sorted {
-        out.push_str(&format!(
-            "| `{}` | `{}` | `0x{:016x}` | {} |\n",
-            a.file,
-            a.rule,
-            a.key,
-            a.reason.replace('|', "/")
-        ));
-    }
-    out
-}
-
-/// Splits raw rule findings into (surviving, used allows) and appends
-/// the meta findings that keep comments and ledger in sync.
-pub struct AllowOutcome {
-    /// Findings not suppressed by any allow, plus meta findings.
-    pub findings: Vec<Finding>,
-    /// Allows that suppressed at least one finding.
-    pub used: Vec<Allow>,
-}
-
-pub fn apply_allows(raw: Vec<Finding>, allows: &[Allow], ledger: &AllowLedger) -> AllowOutcome {
+/// Splits raw rule findings into survivors and the allows that
+/// suppressed at least one, and flags every allow that suppressed
+/// nothing.
+pub fn apply_allows(raw: Vec<Finding>, allows: &[Allow]) -> (Vec<Finding>, Vec<Allow>) {
     let mut used_flags = vec![false; allows.len()];
     let mut findings = Vec::new();
     for f in raw {
@@ -187,90 +315,32 @@ pub fn apply_allows(raw: Vec<Finding>, allows: &[Allow], ledger: &AllowLedger) -
             None => findings.push(f),
         }
     }
-    let used: Vec<Allow> = allows
-        .iter()
-        .zip(&used_flags)
-        .filter(|(_, &u)| u)
-        .map(|(a, _)| a.clone())
-        .collect();
-
-    // Meta: every in-use allow must be ledgered, with matching counts.
-    let mut seen: AllowLedger = AllowLedger::new();
-    for a in &used {
-        *seen
-            .entry((a.file.clone(), a.rule.clone(), a.key))
-            .or_insert(0) += 1;
-    }
-    for a in &used {
-        let key = (a.file.clone(), a.rule.clone(), a.key);
-        let live = seen[&key];
-        match ledger.get(&key) {
-            Some(&n) if n == live => {}
-            Some(&n) => findings.push(meta_finding(
-                a,
-                format!(
-                    "allow appears {live} time(s) but the ledger records {n}; \
-                     re-bless after review"
-                ),
-                true,
-            )),
-            None => findings.push(meta_finding(
-                a,
-                format!(
-                    "allow 0x{:016x} is not registered in ANALYZE_LEDGER.md; review it \
-                     and run `cargo xtask analyze --bless`",
-                    a.key
-                ),
-                true,
-            )),
-        }
-    }
-    // Meta: unused allow comments are dead suppressions — delete them.
+    let mut used = Vec::new();
     for (a, &u) in allows.iter().zip(&used_flags) {
-        if !u {
-            findings.push(meta_finding(
-                a,
-                format!(
-                    "allow for {} suppresses no finding; the code changed — remove \
-                     the stale `bns-allow` comment",
-                    a.rule
-                ),
-                false,
-            ));
+        if u {
+            used.push(a.clone());
+            continue;
         }
+        // Unused allow comments are dead suppressions: delete them.
+        findings.push(Finding {
+            rule: META_RULE.into(),
+            name: META_NAME.into(),
+            file: a.file.clone(),
+            line: a.comment_line,
+            message: format!(
+                "allow for {} suppresses no finding; the code changed — remove the \
+                 stale `bns-allow` comment",
+                a.rule
+            ),
+            note: Some(format!("reason on record: {}", a.reason)),
+            key: a.key,
+            blessable: false,
+        });
     }
-    // Meta: ledger rows whose allow is gone.
-    for ((file, rule, key), _) in ledger.iter() {
-        if !seen.contains_key(&(file.clone(), rule.clone(), *key)) {
-            findings.push(Finding {
-                rule: META_RULE.into(),
-                name: META_NAME.into(),
-                file: "ANALYZE_LEDGER.md".into(),
-                line: 1,
-                message: format!(
-                    "ledger row ({file}, {rule}, 0x{key:016x}) matches no in-use allow; \
-                     the code changed — re-bless after review"
-                ),
-                note: None,
-                key: *key,
-                blessable: true,
-            });
-        }
-    }
-    AllowOutcome { findings, used }
-}
-
-fn meta_finding(a: &Allow, message: String, blessable: bool) -> Finding {
-    Finding {
-        rule: META_RULE.into(),
-        name: META_NAME.into(),
-        file: a.file.clone(),
-        line: a.comment_line,
-        message,
-        note: Some(format!("reason on record: {}", a.reason)),
-        key: a.key,
-        blessable,
-    }
+    used.sort_by(|a, b| {
+        (&a.file, a.covered_line, &a.rule).cmp(&(&b.file, b.covered_line, &b.rule))
+    });
+    (findings, used)
 }
 
 #[cfg(test)]
@@ -320,13 +390,25 @@ let v = vec![0.0; n];
     fn ledger_roundtrip() {
         let src = "// bns-allow(BNS-A001): fine\nlet m = HashMap::new();\n";
         let allows = collect_allows(&sf(src));
-        let text = render_allow_ledger(&allows);
-        let parsed = parse_allow_ledger(&text);
+        let text = ALLOWS.render(&[Row::from(&allows[0])]);
+        let parsed = ALLOWS.parse(&text);
         assert_eq!(parsed.len(), 1);
         assert_eq!(
             parsed[&("f.rs".to_string(), "BNS-A001".to_string(), allows[0].key)],
             1
         );
+        // The fixed-rule layout carries the count in a cell.
+        let site = Row {
+            file: "u.rs".into(),
+            rule: UNSAFE.fixed_rule.unwrap().into(),
+            key: 0xab,
+            count: 3,
+            line: 9,
+            text: "a | b".into(),
+        };
+        let text = UNSAFE.render(std::slice::from_ref(&site));
+        assert!(text.ends_with("| `u.rs` | `0x00000000000000ab` | 3 | a / b |\n"));
+        assert_eq!(UNSAFE.parse(&text)[&site.table_key()], 3);
     }
 
     fn raw_finding(file: &str, rule: &str, line: usize) -> Finding {
@@ -350,34 +432,51 @@ let v = vec![0.0; n];
             raw_finding("f.rs", "BNS-A001", 2),
             raw_finding("f.rs", "BNS-A009", 2),
         ];
-        // Empty ledger: the used allow is unledgered, the unused one
-        // stale, the unmatched finding survives.
-        let out = apply_allows(raw, &allows, &AllowLedger::new());
-        assert_eq!(out.used.len(), 1);
-        assert!(out.findings.iter().any(|f| f.rule == "BNS-A009"));
-        assert!(out
-            .findings
-            .iter()
-            .any(|f| f.rule == META_RULE && f.message.contains("not registered")));
-        assert!(out
-            .findings
-            .iter()
-            .any(|f| f.rule == META_RULE && f.message.contains("suppresses no finding")));
+        // The unmatched finding survives and the unused allow is
+        // flagged as dead (not blessable).
+        let (findings, used) = apply_allows(raw, &allows);
+        assert_eq!(used.len(), 1);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().any(|f| f.rule == "BNS-A009"));
+        assert!(findings.iter().any(|f| f.rule == META_RULE
+            && f.message.contains("suppresses no finding")
+            && !f.blessable));
 
-        // Ledger in sync: only the unused-allow meta finding remains.
-        let ledger = parse_allow_ledger(&render_allow_ledger(&out.used));
-        let raw = vec![raw_finding("f.rs", "BNS-A001", 2)];
-        let out = apply_allows(raw, &allows, &ledger);
-        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
-        assert!(out.findings[0].message.contains("suppresses no finding"));
+        // Empty ledger: the used allow is unregistered (blessable); a
+        // ledger rendered from it checks clean.
+        let rows: Vec<Row> = used.iter().map(Row::from).collect();
+        let unledgered = ALLOWS.check(&rows, &Table::new());
+        assert_eq!(unledgered.len(), 1);
+        assert!(unledgered[0].message.contains("not registered") && unledgered[0].blessable);
+        assert_eq!(unledgered[0].line, 1, "anchored at the allow comment");
+        assert!(ALLOWS
+            .check(&rows, &ALLOWS.parse(&ALLOWS.render(&rows)))
+            .is_empty());
     }
 
     #[test]
-    fn stale_ledger_row_is_flagged() {
-        let mut ledger = AllowLedger::new();
+    fn stale_ledger_row_and_count_drift_are_flagged() {
+        let mut ledger = Table::new();
         ledger.insert(("gone.rs".into(), "BNS-A001".into(), 7), 1);
-        let out = apply_allows(Vec::new(), &[], &ledger);
-        assert_eq!(out.findings.len(), 1);
-        assert!(out.findings[0].message.contains("matches no in-use allow"));
+        let out = ALLOWS.check(&[], &ledger);
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("matches no live allow"));
+        assert_eq!(out[0].file, "ANALYZE_LEDGER.md");
+
+        let site = Row {
+            file: "u.rs".into(),
+            rule: UNSAFE.fixed_rule.unwrap().into(),
+            key: 7,
+            count: 2,
+            line: 4,
+            text: String::new(),
+        };
+        let mut ledger = Table::new();
+        ledger.insert(site.table_key(), 1);
+        let out = UNSAFE.check(&[site], &ledger);
+        assert_eq!(out.len(), 1);
+        assert!(out[0]
+            .message
+            .contains("appears 2 time(s) but UNSAFE_LEDGER.md records 1"));
     }
 }

@@ -1,9 +1,9 @@
 //! A dependency-free Rust lexer producing byte-span tokens.
 //!
-//! Unlike the audit's line-local `strip_code`, this lexer handles the
-//! full literal grammar — raw strings with any `#` delimiter count,
-//! byte/raw-byte strings, char literals vs. lifetimes, nested block
-//! comments, numeric literals with exponents and suffixes — and it
+//! It handles the full literal grammar — raw strings with any `#`
+//! delimiter count, byte/raw-byte strings, char literals vs. lifetimes,
+//! nested block comments, numeric literals with exponents and
+//! suffixes — and it
 //! never discards bytes: the produced tokens **tile** the input (every
 //! byte belongs to exactly one token, in order), which is the property
 //! the corpus round-trip test in `tests/analyze_lexer.rs` pins over

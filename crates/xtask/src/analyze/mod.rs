@@ -1,15 +1,15 @@
-//! `cargo xtask analyze` — AST-level determinism & concurrency lints
-//! with call-graph reachability.
+//! `cargo xtask analyze` — the workspace's one lint engine: AST-level
+//! determinism, concurrency and `unsafe` lints with call-graph
+//! reachability.
 //!
-//! Where `cargo xtask audit` is a line-oriented scanner (SAFETY
-//! comments, spawn confinement, per-file keyword bans), `analyze`
-//! parses every checked-in source into a token stream and a lightweight
-//! item/expression AST, builds an intra-workspace call graph, and runs
-//! four reachability-aware rules:
+//! It parses every checked-in source into a token stream and a
+//! lightweight item/expression AST, builds an intra-workspace call
+//! graph, and runs six rules:
 //!
 //! * **BNS-A001 determinism-reachability** — no wall-clock reads, hash
-//!   containers, or OS entropy anywhere in the call closure of the
-//!   deterministic kernels (not just in the kernel files themselves).
+//!   containers, OS entropy or fused multiply-adds anywhere in the call
+//!   closure of the deterministic kernels, nor anywhere in the kernel
+//!   files themselves (those whole-file bans cannot be allowed).
 //! * **BNS-A002 env-read-registry** — every `std::env::var("BNS_*")`
 //!   read must be recorded in `ENV_REGISTRY.md` and documented in the
 //!   README's configuration table.
@@ -17,11 +17,16 @@
 //!   scheduler/transport/engine must follow one declared order.
 //! * **BNS-A005 allocation-in-hot-path** — the per-epoch overlapped
 //!   exchange allocates only through the `ExchangeArena` recycler.
+//! * **BNS-A006 unsafe-ledger** — every `unsafe` carries a
+//!   `// SAFETY:` comment and a row in `UNSAFE_LEDGER.md`.
+//! * **BNS-A007 thread-spawn-confinement** — `thread::spawn` /
+//!   `thread::Builder` only where the config allows.
 //!
 //! Resolution is name-based and over-approximate (see `callgraph`);
 //! intentional violations carry a `// bns-allow(rule): reason` comment
-//! registered in the hash-keyed `ANALYZE_LEDGER.md`
-//! (`cargo xtask analyze --bless`), mirroring `UNSAFE_LEDGER.md`.
+//! registered in the hash-keyed `ANALYZE_LEDGER.md`. A missing SAFETY
+//! comment and a banned token in a kernel file cannot be allowed. `cargo xtask analyze --bless` regenerates
+//! both ledgers and `ENV_REGISTRY.md` (see `ledger`).
 
 pub mod callgraph;
 pub mod diag;
@@ -32,9 +37,15 @@ pub mod rules;
 
 use callgraph::CallGraph;
 use diag::Finding;
-use ledger::{collect_allows, Allow};
-use parser::{parse_functions, Function, SourceFile};
+use ledger::{collect_allows, Row};
+use parser::{is_test_path, parse_functions, Function, SourceFile};
 use std::path::{Path, PathBuf};
+
+/// Relative path prefixes checked by BNS-A006/A007 only. The analyzer
+/// itself and the vendored test-only shims need SAFETY comments and
+/// spawn confinement, but stay out of the call graph and the other
+/// rules: their hygiene is unit tests and clippy.
+const LINT_ONLY: &[&str] = &["crates/xtask", "vendor"];
 
 /// What to analyze and where the policy boundaries are.
 pub struct AnalyzeConfig {
@@ -44,13 +55,16 @@ pub struct AnalyzeConfig {
     pub skip: Vec<String>,
     /// Allowlist ledger (normally `<root>/ANALYZE_LEDGER.md`).
     pub ledger_path: PathBuf,
+    /// Unsafe-site ledger (normally `<root>/UNSAFE_LEDGER.md`).
+    pub unsafe_ledger_path: PathBuf,
     /// Env-read registry (normally `<root>/ENV_REGISTRY.md`).
     pub env_registry_path: PathBuf,
     /// README whose configuration table must document every `BNS_*`
     /// variable (`None` disables the documentation check, e.g. in
     /// fixture runs).
     pub readme_path: Option<PathBuf>,
-    /// BNS-A001 entry points: every non-test fn defined in these files.
+    /// BNS-A001 scope: every non-test fn defined in these files is an
+    /// entry point, and the files are banned whole.
     pub kernel_files: Vec<String>,
     /// BNS-A005 entry points (bare or `Type::method` names).
     pub hot_entries: Vec<String>,
@@ -62,8 +76,8 @@ pub struct AnalyzeConfig {
     pub lock_scope: Vec<String>,
     /// BNS-A003 declared lock order, outermost first.
     pub lock_order: Vec<String>,
-    /// BNS-A002 variable prefix.
-    pub env_prefix: String,
+    /// BNS-A007 allowlist: path prefixes that may spawn threads.
+    pub spawn_allow: Vec<String>,
 }
 
 impl AnalyzeConfig {
@@ -74,25 +88,26 @@ impl AnalyzeConfig {
             skip: vec![
                 "target".into(),
                 ".git".into(),
-                // The analyzer does not analyze itself or the vendored
-                // test-only shims; its own hygiene is covered by its
-                // unit tests and the workspace clippy gate.
-                "crates/xtask".into(),
-                "vendor".into(),
+                // Seeded lint-violation fixtures must not fail the real
+                // run; tests/analyze_selftest.rs walks them explicitly.
+                "crates/xtask/fixtures".into(),
             ],
             ledger_path: root.join("ANALYZE_LEDGER.md"),
+            unsafe_ledger_path: root.join("UNSAFE_LEDGER.md"),
             env_registry_path: root.join("ENV_REGISTRY.md"),
             readme_path: Some(root.join("README.md")),
-            // Same kernel set the audit enforces line-level bans on;
-            // analyze extends the ban to everything they reach.
             kernel_files: vec![
                 "crates/nn/src/aggregate.rs".into(),
                 "crates/nn/src/activation.rs".into(),
                 "crates/nn/src/optim.rs".into(),
                 "crates/tensor/src/matrix.rs".into(),
                 "crates/tensor/src/simd.rs".into(),
+                // The wire codecs: quantize/dequantize must stay
+                // bitwise identical across backends.
                 "crates/tensor/src/simd/codec.rs".into(),
                 "crates/core/src/exchange.rs".into(),
+                // The per-query serving hot path: closure expansion,
+                // feature gather, and the boundary cache.
                 "crates/serve/src/shard.rs".into(),
                 "crates/serve/src/cache.rs".into(),
             ],
@@ -160,7 +175,18 @@ impl AnalyzeConfig {
                 "gauges".into(),
                 "series".into(),
             ],
-            env_prefix: "BNS_".into(),
+            spawn_allow: vec![
+                // The rank transport owns the per-partition threads.
+                "crates/comm/src".into(),
+                // The compute pool owns the worker threads.
+                "crates/tensor/src/pool.rs".into(),
+                // The cooperative scheduler owns the rank-task workers.
+                "crates/runtime/src".into(),
+                // The serving engine's per-shard workers.
+                "crates/serve/src/worker.rs".into(),
+                // The model checker's cooperative scheduler.
+                "vendor/loom".into(),
+            ],
         }
     }
 
@@ -177,45 +203,48 @@ impl AnalyzeConfig {
 /// The parsed workspace: files, functions, and the call graph over
 /// them.
 pub struct Workspace {
+    /// Files in the call graph's scope.
     pub files: Vec<SourceFile>,
     pub fns: Vec<Function>,
     pub graph: CallGraph,
+    /// Files under a `LINT_ONLY` prefix.
+    pub lint_only: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Parses every `.rs` file under the config root.
     pub fn load(cfg: &AnalyzeConfig) -> std::io::Result<Self> {
-        let paths = crate::walk_rust_files(&cfg.root, &cfg.skip)?;
-        let mut files = Vec::with_capacity(paths.len());
-        for p in &paths {
-            let text = std::fs::read_to_string(p)?;
-            let rel = crate::rel_path(&cfg.root, p);
-            files.push(SourceFile::parse(rel, text));
+        let (mut files, mut lint_only) = (Vec::new(), Vec::new());
+        for p in crate::walk_rust_files(&cfg.root, &cfg.skip)? {
+            let rel = crate::rel_path(&cfg.root, &p);
+            let outside = LINT_ONLY.iter().any(|s| rel.starts_with(&format!("{s}/")));
+            let sf = SourceFile::parse(rel, std::fs::read_to_string(&p)?);
+            if outside { &mut lint_only } else { &mut files }.push(sf);
         }
-        Ok(Self::from_files(files))
-    }
-
-    /// Builds the function list and call graph from parsed files
-    /// (exposed for fixture tests that synthesize sources).
-    pub fn from_files(files: Vec<SourceFile>) -> Self {
         let mut fns = Vec::new();
         for (idx, sf) in files.iter().enumerate() {
-            let path_is_test = sf.rel.contains("/tests/") || sf.rel.contains("/benches/");
-            fns.extend(parse_functions(sf, idx, path_is_test));
+            fns.extend(parse_functions(sf, idx, is_test_path(&sf.rel)));
         }
         let graph = CallGraph::build(&fns);
-        Workspace { files, fns, graph }
+        Ok(Workspace {
+            files,
+            fns,
+            graph,
+            lint_only,
+        })
     }
 }
 
 /// Everything one analyze pass produces.
+#[derive(Debug)]
 pub struct AnalyzeReport {
     /// Surviving findings (rule violations not allowlisted, plus
-    /// allowlist/registry bookkeeping), sorted by file/line/rule.
+    /// ledger/registry bookkeeping), sorted by file/line/rule.
     pub findings: Vec<Finding>,
-    /// Allows that suppressed at least one finding — the rows `--bless`
-    /// writes to the ledger.
-    pub used_allows: Vec<Allow>,
+    /// Allows that suppressed at least one finding, and the documented
+    /// unsafe sites: the rows `--bless` writes to the two ledgers.
+    pub allows: Vec<Row>,
+    pub unsafe_sites: Vec<Row>,
     /// Rendered ENV_REGISTRY.md contents for the observed sites — what
     /// `--bless` writes.
     pub env_registry: String,
@@ -223,22 +252,18 @@ pub struct AnalyzeReport {
     pub fns_parsed: usize,
 }
 
-/// Runs all rules, applies the allowlist, and cross-checks both
+/// Runs all rules, applies the allowlist, and cross-checks the three
 /// generated files.
 pub fn analyze(cfg: &AnalyzeConfig) -> std::io::Result<AnalyzeReport> {
     let ws = Workspace::load(cfg)?;
+    let read = |p: &Path| std::fs::read_to_string(p).unwrap_or_default();
+    let all_files = || ws.files.iter().chain(&ws.lint_only);
 
     let mut raw: Vec<Finding> = Vec::new();
     raw.extend(rules::determinism(&ws, cfg));
-    let sites = rules::env_sites(&ws, cfg);
-    let registry = match std::fs::read_to_string(&cfg.env_registry_path) {
-        Ok(s) => rules::parse_env_registry(&s),
-        Err(_) => rules::EnvRegistry::new(),
-    };
-    let readme = cfg
-        .readme_path
-        .as_ref()
-        .and_then(|p| std::fs::read_to_string(p).ok());
+    let sites = rules::env_sites(&ws);
+    let registry = rules::parse_env_registry(&read(&cfg.env_registry_path));
+    let readme = cfg.readme_path.as_deref().map(read);
     raw.extend(rules::env_registry(
         &ws,
         cfg,
@@ -248,46 +273,53 @@ pub fn analyze(cfg: &AnalyzeConfig) -> std::io::Result<AnalyzeReport> {
     ));
     raw.extend(rules::lock_order(&ws, cfg));
     raw.extend(rules::hot_alloc(&ws, cfg));
-
-    let mut allows: Vec<Allow> = Vec::new();
-    for sf in &ws.files {
-        allows.extend(collect_allows(sf));
+    for sf in all_files() {
+        raw.extend(rules::spawn_confinement(sf, cfg));
     }
-    let ledger_rows = match std::fs::read_to_string(&cfg.ledger_path) {
-        Ok(s) => ledger::parse_allow_ledger(&s),
-        Err(_) => ledger::AllowLedger::new(),
-    };
-    let mut outcome = ledger::apply_allows(raw, &allows, &ledger_rows);
-    outcome
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+
+    let allows: Vec<_> = all_files().flat_map(collect_allows).collect();
+    let (mut findings, used) = ledger::apply_allows(raw, &allows);
+    let allows: Vec<Row> = used.iter().map(Row::from).collect();
+    let recorded = ledger::ALLOWS.parse(&read(&cfg.ledger_path));
+    findings.extend(ledger::ALLOWS.check(&allows, &recorded));
+
+    // After the allow pass: no comment can excuse a missing SAFETY or
+    // a banned token in a kernel file.
+    findings.extend(rules::kernel_bans(&ws, cfg));
+    let mut unsafe_sites = Vec::new();
+    for sf in all_files() {
+        findings.extend(rules::unsafe_sites(sf, &mut unsafe_sites));
+    }
+    unsafe_sites.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    let recorded = ledger::UNSAFE.parse(&read(&cfg.unsafe_ledger_path));
+    findings.extend(ledger::UNSAFE.check(&unsafe_sites, &recorded));
+    findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
 
     Ok(AnalyzeReport {
-        findings: outcome.findings,
-        used_allows: outcome.used,
+        findings,
+        allows,
+        unsafe_sites,
         env_registry: rules::render_env_registry(&ws, &sites),
-        files_scanned: ws.files.len(),
+        files_scanned: ws.files.len() + ws.lint_only.len(),
         fns_parsed: ws.fns.len(),
     })
 }
 
-/// Regenerates `ANALYZE_LEDGER.md` and `ENV_REGISTRY.md`, refusing
-/// while non-bookkeeping findings remain — a `--bless` must never paper
-/// over an unallowed violation or a missing README row.
-pub fn bless(cfg: &AnalyzeConfig) -> std::io::Result<Result<usize, Vec<Finding>>> {
-    let report = analyze(cfg)?;
-    let blocking: Vec<Finding> = report
-        .findings
-        .into_iter()
-        .filter(|f| !f.blessable)
-        .collect();
+/// Regenerates `ANALYZE_LEDGER.md`, `UNSAFE_LEDGER.md` and
+/// `ENV_REGISTRY.md`, refusing while non-bookkeeping findings remain —
+/// a `--bless` must never paper over an unallowed violation, a missing
+/// SAFETY comment or a missing README row.
+pub fn bless(cfg: &AnalyzeConfig) -> std::io::Result<Result<AnalyzeReport, Vec<Finding>>> {
+    let mut report = analyze(cfg)?;
+    let blocking: Vec<Finding> = report.findings.drain(..).filter(|f| !f.blessable).collect();
     if !blocking.is_empty() {
         return Ok(Err(blocking));
     }
+    std::fs::write(&cfg.ledger_path, ledger::ALLOWS.render(&report.allows))?;
     std::fs::write(
-        &cfg.ledger_path,
-        ledger::render_allow_ledger(&report.used_allows),
+        &cfg.unsafe_ledger_path,
+        ledger::UNSAFE.render(&report.unsafe_sites),
     )?;
     std::fs::write(&cfg.env_registry_path, &report.env_registry)?;
-    Ok(Ok(report.used_allows.len()))
+    Ok(Ok(report))
 }

@@ -184,11 +184,32 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "let", "mut", "ref", "box", "await", "yield", "dyn", "impl", "pub", "use", "mod", "unsafe",
 ];
 
+/// Whether a workspace-relative path is test code as a whole: it has a
+/// `tests` or `benches` segment (integration tests, benches), at the
+/// root or in a crate.
+pub fn is_test_path(rel: &str) -> bool {
+    rel.split('/').any(|seg| seg == "tests" || seg == "benches")
+}
+
 /// Parses every function (with events) out of one file. `path_is_test`
-/// marks the whole file as test code (integration tests, benches).
+/// marks the whole file as test code (see [`is_test_path`]).
 pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> Vec<Function> {
+    parse_items(sf, file_idx, path_is_test).0
+}
+
+/// Per significant token of `sf`: whether it is test code — the whole
+/// file on a test path, else every `#[cfg(test)]` item (attribute
+/// through body or `;`) and every fn inside one.
+pub fn test_mask(sf: &SourceFile) -> Vec<bool> {
+    parse_items(sf, 0, is_test_path(&sf.rel)).1
+}
+
+/// The functions of `sf` and its test-code mask (see [`test_mask`]).
+fn parse_items(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> (Vec<Function>, Vec<bool>) {
     let mut out = Vec::new();
     let n = sf.sig.len();
+    let mut test = vec![path_is_test; n];
+    let mut mark = |lo: usize, hi: usize| test[lo..=hi.min(n - 1)].fill(true);
     // Context stack entries: (brace depth it opened at, kind).
     #[derive(Clone)]
     enum Ctx {
@@ -201,9 +222,9 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
     }
     let mut ctx: Vec<(usize, Ctx)> = Vec::new();
     let mut depth = 0usize;
-    // Attributes seen since the last item-ish token; `#[cfg(test)]`
-    // makes the next block a Test context.
-    let mut pending_cfg_test = false;
+    // Start of a `#[cfg(test)]` attribute seen since the last item-ish
+    // token: it makes the next block a Test context.
+    let mut pending_cfg_test: Option<usize> = None;
     let mut i = 0usize;
     while i < n {
         let text = sf.sig_text(i);
@@ -224,7 +245,7 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
                             && sf.sig_is(k + 2, "test")
                             && sf.sig_is(k + 3, ")")
                         {
-                            pending_cfg_test = true;
+                            pending_cfg_test.get_or_insert(i);
                             break;
                         }
                         k += 1;
@@ -236,13 +257,21 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
             }
             "{" => {
                 depth += 1;
-                if pending_cfg_test {
+                if let Some(attr) = pending_cfg_test.take() {
                     // The cfg(test) attribute attaches to the item this
                     // brace opens (mod tests { … }).
                     ctx.push((depth, Ctx::Test));
-                    pending_cfg_test = false;
+                    mark(attr, match_group(sf, i, "{", "}"));
                 } else {
                     ctx.push((depth, Ctx::Other));
+                }
+                i += 1;
+            }
+            ";" => {
+                // An item-level `;` ends an item with no body
+                // (`#[cfg(test)] use …;`): its attributes end with it.
+                if let Some(attr) = pending_cfg_test.take() {
+                    mark(attr, i);
                 }
                 i += 1;
             }
@@ -258,7 +287,8 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
                 let (type_name, trait_name, body_open) = parse_impl_header(sf, i);
                 if let Some(open) = body_open {
                     depth += 1;
-                    let kind = if pending_cfg_test {
+                    let kind = if let Some(attr) = pending_cfg_test.take() {
+                        mark(attr, match_group(sf, open, "{", "}"));
                         Ctx::Test
                     } else {
                         Ctx::Impl {
@@ -266,7 +296,6 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
                             trait_name,
                         }
                     };
-                    pending_cfg_test = false;
                     ctx.push((depth, kind));
                     i = open + 1;
                 } else {
@@ -279,17 +308,21 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
                 while j < n && !sf.sig_is(j, "{") {
                     j += 1;
                 }
-                if j < n {
-                    i = match_group(sf, j, "{", "}") + 1;
+                let end = if j < n {
+                    match_group(sf, j, "{", "}")
                 } else {
-                    i = n;
+                    n - 1
+                };
+                if let Some(attr) = pending_cfg_test.take() {
+                    mark(attr, end);
                 }
+                i = end + 1;
             }
             "fn" => {
-                let in_test = pending_cfg_test
+                let attr = pending_cfg_test.take();
+                let in_test = attr.is_some()
                     || path_is_test
                     || ctx.iter().any(|(_, c)| matches!(c, Ctx::Test));
-                pending_cfg_test = false;
                 let (impl_type, trait_name) = ctx
                     .iter()
                     .rev()
@@ -304,6 +337,9 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
                 if let Some((func, next)) =
                     parse_fn(sf, i, file_idx, impl_type, trait_name, in_test)
                 {
+                    if in_test {
+                        mark(attr.unwrap_or(i), next - 1);
+                    }
                     out.push(func);
                     i = next;
                 } else {
@@ -315,7 +351,7 @@ pub fn parse_functions(sf: &SourceFile, file_idx: usize, path_is_test: bool) -> 
             }
         }
     }
-    out
+    (out, test)
 }
 
 /// From an `impl` keyword: returns (self type name, trait name, index
@@ -759,6 +795,40 @@ mod tests {
         assert!(!fns[0].is_test);
         assert!(fns[1].is_test);
         assert!(fns[2].is_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_bodyless_item_covers_only_that_item() {
+        let src = "#[cfg(test)]\nuse std::thread;\n\nfn real() {}\n";
+        let (_sf, fns) = parse(src);
+        assert!(!fns[0].is_test);
+    }
+
+    #[test]
+    fn test_mask_covers_cfg_test_items_only() {
+        let src = concat!(
+            "#[cfg(test)]\nuse std::thread::spawn;\n",
+            "use std::thread::Builder;\n",
+            "#[cfg(test)]\nmod tests { fn t() { x(); } }\n",
+            "fn real() { y(); }\n",
+        );
+        let sf = SourceFile::parse("f.rs".into(), src.into());
+        let mask = test_mask(&sf);
+        let test_lines: std::collections::BTreeSet<usize> = (0..sf.sig.len())
+            .filter(|&i| mask[i])
+            .map(|i| sf.sig_line(i))
+            .collect();
+        assert_eq!(test_lines.into_iter().collect::<Vec<_>>(), vec![1, 2, 4, 5]);
+        let sf = SourceFile::parse("tests/x.rs".into(), src.into());
+        assert!(test_mask(&sf).iter().all(|&t| t));
+    }
+
+    #[test]
+    fn test_paths_match_whole_segments() {
+        assert!(is_test_path("tests/x.rs"));
+        assert!(is_test_path("crates/a/tests/x.rs"));
+        assert!(is_test_path("crates/a/benches/b.rs"));
+        assert!(!is_test_path("crates/a/src/tests_util.rs"));
     }
 
     #[test]

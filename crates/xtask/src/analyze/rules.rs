@@ -1,16 +1,20 @@
-//! The four call-graph-aware rules (`BNS-A001`, `BNS-A002`, `BNS-A003`,
-//! `BNS-A005`).
+//! The rules. `BNS-A001`, `BNS-A002`, `BNS-A003` and `BNS-A005` follow
+//! the call graph; `BNS-A006` (SAFETY comments and the unsafe ledger)
+//! and `BNS-A007` (thread-spawn confinement) are per file.
 //!
 //! Each rule returns raw [`Finding`]s; the driver in `analyze/mod.rs`
-//! applies the allowlist afterwards. Rules only report from non-test
-//! code — the parser marks `#[cfg(test)]` regions and `tests/` paths,
-//! and the call graph refuses to route reachability through test
-//! helpers.
+//! applies the allowlist afterwards (BNS-A006 findings and the
+//! whole-kernel-file BNS-A001 bans skip it). Rules
+//! only report from non-test code — the parser marks `#[cfg(test)]`
+//! regions and `tests/` paths, and the call graph refuses to route
+//! reachability through test helpers — except BNS-A006: every
+//! `unsafe`, test code included, needs its SAFETY comment.
 
 use super::callgraph::FnId;
 use super::diag::Finding;
-use super::ledger::allow_key;
-use super::parser::Event;
+use super::ledger::{allow_key, Row};
+use super::lexer::TokenKind;
+use super::parser::{test_mask, Event, SourceFile};
 use super::{AnalyzeConfig, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -19,18 +23,18 @@ pub const A001: (&str, &str) = ("BNS-A001", "determinism-reachability");
 pub const A002: (&str, &str) = ("BNS-A002", "env-read-registry");
 pub const A003: (&str, &str) = ("BNS-A003", "lock-order");
 pub const A005: (&str, &str) = ("BNS-A005", "allocation-in-hot-path");
+pub const A006: (&str, &str) = ("BNS-A006", "unsafe-ledger");
+pub const A007: (&str, &str) = ("BNS-A007", "thread-spawn-confinement");
 
 /// Builds a rule finding, deriving the allowlist key from the covered
 /// source line so a `// bns-allow` comment on that line matches.
 fn finding(
-    ws: &Workspace,
+    sf: &SourceFile,
     rule: (&str, &str),
-    file_idx: usize,
     line: usize,
     message: String,
     note: Option<String>,
 ) -> Finding {
-    let sf = &ws.files[file_idx];
     let covered = sf.text.lines().nth(line - 1).map(str::trim).unwrap_or("");
     Finding {
         rule: rule.0.into(),
@@ -46,7 +50,7 @@ fn finding(
 
 /// Occurrences of a significant-token sequence inside `range`; returns
 /// the index of each match's first token.
-fn find_seq(sf: &super::parser::SourceFile, range: &Range<usize>, pat: &[&str]) -> Vec<usize> {
+fn find_seq(sf: &SourceFile, range: &Range<usize>, pat: &[&str]) -> Vec<usize> {
     let mut out = Vec::new();
     if range.len() < pat.len() {
         return out;
@@ -63,57 +67,94 @@ fn find_seq(sf: &super::parser::SourceFile, range: &Range<usize>, pat: &[&str]) 
 // BNS-A001: determinism-reachability
 // ---------------------------------------------------------------------------
 
-/// Sources of run-to-run nondeterminism: wall-clock reads, randomized
-/// hash containers, and OS entropy. Banned in every function reachable
-/// from a kernel entry point — the repro contract is bitwise, so the
-/// whole call closure must be deterministic, not just the kernel file.
-const NONDETERMINISM: &[(&[&str], &str)] = &[
-    (&["Instant", ":", ":", "now"], "Instant::now"),
-    (&["SystemTime"], "SystemTime"),
-    (&["HashMap"], "HashMap"),
-    (&["HashSet"], "HashSet"),
-    (&["RandomState"], "RandomState"),
-    (&["OsRng"], "OsRng"),
-    (&["thread_rng"], "thread_rng"),
-    (&["from_entropy"], "from_entropy"),
+/// Banned in every function reachable from a kernel entry point, and
+/// anywhere in a kernel file (items, fields, `use` lines): the repro
+/// contract is bitwise, so the whole call closure must be
+/// deterministic, not just the kernel file. Wall-clock reads,
+/// randomized hash containers and OS entropy vary run to run; a fused
+/// multiply-add rounds once where mul-then-add rounds twice, so it
+/// breaks scalar ≡ SIMD.
+const NONDETERMINISM: &[&str] = &[
+    "SystemTime",
+    "HashMap",
+    "HashSet",
+    "RandomState",
+    "OsRng",
+    "thread_rng",
+    "from_entropy",
+    "mul_add",
 ];
 
-pub fn determinism(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
-    let mut roots: Vec<FnId> = Vec::new();
-    for (id, f) in ws.fns.iter().enumerate() {
-        if !f.is_test && cfg.kernel_files.iter().any(|k| ws.files[f.file].rel == *k) {
-            roots.push(id);
-        }
+/// The banned source starting at significant token `i`, if any.
+fn banned_at(sf: &SourceFile, i: usize) -> Option<&str> {
+    if !sf.sig_is_ident(i) {
+        return None;
     }
+    let t = sf.sig_text(i);
+    let fma_intrinsic = ["fmadd", "fmsub", "vfma"].iter().any(|p| t.contains(p));
+    if NONDETERMINISM.contains(&t) || fma_intrinsic {
+        return Some(t);
+    }
+    let now = t == "Instant" && sf.sig_is(i + 1, ":") && sf.sig_is(i + 2, ":");
+    (now && sf.sig_is(i + 3, "now")).then_some("Instant::now")
+}
+
+pub fn determinism(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
+    let is_kernel = |file: usize| cfg.kernel_files.contains(&ws.files[file].rel);
+    let roots: Vec<FnId> = (0..ws.fns.len())
+        .filter(|&id| !ws.fns[id].is_test && is_kernel(ws.fns[id].file))
+        .collect();
     let reach = ws.graph.reach(&roots, &[]);
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
-    for (&id, _) in reach.iter() {
+    for &id in reach.keys() {
         let f = &ws.fns[id];
-        if f.is_test {
+        // Kernel files themselves are covered by `kernel_bans`.
+        if f.is_test || is_kernel(f.file) {
             continue;
         }
         let sf = &ws.files[f.file];
-        for (pat, label) in NONDETERMINISM {
-            for tok in find_seq(sf, &f.body, pat) {
-                let line = sf.sig_line(tok);
-                if !seen.insert((f.file, line, *label)) {
-                    continue;
-                }
-                out.push(finding(
-                    ws,
-                    A001,
-                    f.file,
-                    line,
-                    format!(
-                        "`{label}` is reachable from a deterministic kernel entry point; \
-                         everything a kernel calls must be bitwise reproducible"
-                    ),
-                    Some(format!(
-                        "example path: {}",
-                        ws.graph.path_to(&reach, id, &ws.fns)
-                    )),
-                ));
+        for tok in f.body.clone() {
+            let Some(label) = banned_at(sf, tok) else {
+                continue;
+            };
+            let line = sf.sig_line(tok);
+            if seen.insert((f.file, line, label.to_string())) {
+                let message = format!(
+                    "`{label}` is reachable from a deterministic kernel entry point; \
+                     everything a kernel calls must be bitwise reproducible"
+                );
+                let note = format!("example path: {}", ws.graph.path_to(&reach, id, &ws.fns));
+                out.push(finding(sf, A001, line, message, Some(note)));
+            }
+        }
+    }
+    out
+}
+
+/// BNS-A001 over each kernel file's whole token stream — items, fields
+/// and `use` lines too, since a field names a type no fn body has to
+/// mention. The driver adds these after the allow pass: nothing in a
+/// kernel file can be excused.
+pub fn kernel_bans(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for sf in ws
+        .files
+        .iter()
+        .filter(|sf| cfg.kernel_files.contains(&sf.rel))
+    {
+        let mut seen = BTreeSet::new();
+        for tok in 0..sf.sig.len() {
+            let Some(label) = banned_at(sf, tok) else {
+                continue;
+            };
+            let line = sf.sig_line(tok);
+            if seen.insert((line, label)) {
+                let message = format!(
+                    "`{label}` in a deterministic kernel file; kernel files must be \
+                     bitwise reproducible throughout, and no allow can excuse this"
+                );
+                out.push(finding(sf, A001, line, message, None));
             }
         }
     }
@@ -123,6 +164,9 @@ pub fn determinism(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 // BNS-A002: env-read-registry
 // ---------------------------------------------------------------------------
+
+/// The variable prefix BNS-A002 tracks.
+const ENV_PREFIX: &str = "BNS_";
 
 /// One observed `std::env::var("BNS_*")` read.
 #[derive(Debug)]
@@ -134,7 +178,7 @@ pub struct EnvSite {
 
 /// Collects every `env::var` read of a `BNS_*` variable, resolving
 /// const names (`ENV_WORKERS` -> `BNS_WORKERS`) across the workspace.
-pub fn env_sites(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<EnvSite> {
+pub fn env_sites(ws: &Workspace) -> Vec<EnvSite> {
     // Pass 1: `const NAME: &str = "BNS_…";` declarations, workspace-wide.
     let mut consts: BTreeMap<String, String> = BTreeMap::new();
     for sf in &ws.files {
@@ -150,7 +194,7 @@ pub fn env_sites(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<EnvSite> {
                     break;
                 }
                 if let Some(v) = str_value(sf, j) {
-                    if v.starts_with(&cfg.env_prefix) {
+                    if v.starts_with(ENV_PREFIX) {
                         consts.insert(name.clone(), v);
                     }
                     break;
@@ -168,13 +212,7 @@ pub fn env_sites(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<EnvSite> {
         for tok in find_seq(sf, &f.body, &["env", ":", ":", "var", "("]) {
             let arg = tok + 5;
             let var = match str_value(sf, arg) {
-                Some(v) => {
-                    if v.starts_with(&cfg.env_prefix) {
-                        Some(v)
-                    } else {
-                        None
-                    }
-                }
+                Some(v) => Some(v).filter(|v| v.starts_with(ENV_PREFIX)),
                 None if sf.sig_is_ident(arg) => consts.get(sf.sig_text(arg)).cloned(),
                 None => None,
             };
@@ -193,12 +231,12 @@ pub fn env_sites(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<EnvSite> {
 
 /// The unquoted value of significant token `i` when it is a plain
 /// string literal.
-fn str_value(sf: &super::parser::SourceFile, i: usize) -> Option<String> {
+fn str_value(sf: &SourceFile, i: usize) -> Option<String> {
     if i >= sf.sig.len() {
         return None;
     }
     let tok = sf.sig_tok(i);
-    if tok.kind != super::lexer::TokenKind::Str {
+    if tok.kind != TokenKind::Str {
         return None;
     }
     let t = tok.text(&sf.text);
@@ -274,9 +312,8 @@ pub fn env_registry(
             Some(&n) => out.push(Finding {
                 blessable: true,
                 ..finding(
-                    ws,
+                    &ws.files[*file_idx],
                     A002,
-                    *file_idx,
                     *line,
                     format!(
                         "`{var}` is read {count} time(s) here but ENV_REGISTRY.md records \
@@ -288,9 +325,8 @@ pub fn env_registry(
             None => out.push(Finding {
                 blessable: true,
                 ..finding(
-                    ws,
+                    &ws.files[*file_idx],
                     A002,
-                    *file_idx,
                     *line,
                     format!(
                         "env read of `{var}` is not recorded in ENV_REGISTRY.md; review \
@@ -329,9 +365,8 @@ pub fn env_registry(
             }
             if !readme.contains(&format!("`{}`", s.var)) {
                 out.push(finding(
-                    ws,
+                    &ws.files[s.file_idx],
                     A002,
-                    s.file_idx,
                     s.line,
                     format!(
                         "`{}` is read here but not documented in {}'s configuration \
@@ -420,9 +455,8 @@ pub fn lock_order(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
             let note = via.map(|v| format!("acquired transitively via `{v}`"));
             if outer == inner {
                 out.push(finding(
-                    ws,
+                    sf,
                     A003,
-                    f.file,
                     line,
                     format!(
                         "lock class `{outer}` acquired while a `{outer}` guard is \
@@ -434,9 +468,8 @@ pub fn lock_order(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
             }
             match (pos(outer), pos(inner)) {
                 (Some(po), Some(pi)) if po > pi => out.push(finding(
-                    ws,
+                    sf,
                     A003,
-                    f.file,
                     line,
                     format!(
                         "lock `{inner}` acquired while holding `{outer}` inverts the \
@@ -450,9 +483,8 @@ pub fn lock_order(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                     for c in [outer, inner] {
                         if pos(c).is_none() && undeclared.insert((f.file, c.to_string())) {
                             out.push(finding(
-                                ws,
+                                sf,
                                 A003,
-                                f.file,
                                 line,
                                 format!(
                                     "lock class `{c}` participates in nesting but is not in \
@@ -553,9 +585,8 @@ pub fn hot_alloc(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
                 return;
             }
             out.push(finding(
-                ws,
+                sf,
                 A005,
-                f.file,
                 line,
                 format!(
                     "`{what}` allocates in the per-epoch exchange hot path; recycle \
@@ -587,4 +618,200 @@ pub fn hot_alloc(ws: &Workspace, cfg: &AnalyzeConfig) -> Vec<Finding> {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// BNS-A006: unsafe-ledger
+// ---------------------------------------------------------------------------
+
+/// Checks every line of `sf` that holds an `unsafe` token. A line with
+/// no `// SAFETY:` comment (on it, or in the comment block above) is a
+/// finding; a documented one adds to the ledger row keyed by the FNV-1a
+/// 64 hash of that comment block and the line, pushed to `rows`.
+pub fn unsafe_sites(sf: &SourceFile, rows: &mut Vec<Row>) -> Vec<Finding> {
+    let lines: Vec<&str> = sf.text.lines().collect();
+    // Per 0-based line: holds an `unsafe` token; last code token.
+    let mut code = vec![(false, ""); lines.len() + 1];
+    for i in 0..sf.sig.len() {
+        let (t, line) = (sf.sig_text(i), &mut code[sf.sig_line(i) - 1]);
+        line.0 |= t == "unsafe" && sf.sig_tok(i).kind == TokenKind::Ident;
+        line.1 = t;
+    }
+    let mut out = Vec::new();
+    let mut by_key: BTreeMap<u64, Row> = BTreeMap::new();
+    for (idx, raw) in lines.iter().enumerate().filter(|&(i, _)| code[i].0) {
+        let block = comment_block_above(&lines, &code, idx);
+        let same_line = raw
+            .find("// SAFETY:")
+            .map(|p| raw[p + "// SAFETY:".len()..].trim());
+        if same_line.is_none() && !block.iter().any(|l| l.starts_with("// SAFETY:")) {
+            let message = format!("`unsafe` without a `// SAFETY:` comment: `{}`", raw.trim());
+            out.push(finding(sf, A006, idx + 1, message, None));
+            continue;
+        }
+        let key = crate::fnv1a64(format!("{}\n{}", block.join("\n"), raw.trim()).as_bytes());
+        let row = by_key.entry(key).or_insert_with(|| Row {
+            file: sf.rel.clone(),
+            rule: A006.0.into(),
+            key,
+            count: 0,
+            line: idx + 1,
+            text: invariant_summary(&block, same_line),
+        });
+        row.count += 1;
+    }
+    rows.extend(by_key.into_values());
+    out
+}
+
+/// The contiguous `//` comment block that documents line `idx`,
+/// skipping over sibling unsafe lines (stacked `unsafe impl`s),
+/// attributes, and statement-opening lines that merely wrap the
+/// expression (`… =` / `… (`).
+fn comment_block_above(lines: &[&str], code: &[(bool, &str)], idx: usize) -> Vec<String> {
+    let mut j = idx;
+    while j > 0 {
+        j -= 1;
+        let t = lines[j].trim();
+        if t.starts_with("//") {
+            let mut top = j;
+            while top > 0 && lines[top - 1].trim().starts_with("//") {
+                top -= 1;
+            }
+            return lines[top..=j]
+                .iter()
+                .map(|l| l.trim().to_string())
+                .collect();
+        }
+        let (has_unsafe, last) = code[j];
+        let attr = t.starts_with("#[") || t.starts_with("#![");
+        if !(has_unsafe || attr || last == "=" || last == "(") {
+            break;
+        }
+    }
+    Vec::new()
+}
+
+/// The invariant summary: the `SAFETY:` line's remainder plus
+/// following comment lines, flattened to one line.
+fn invariant_summary(block: &[String], same_line: Option<&str>) -> String {
+    let from_block = block
+        .iter()
+        .position(|l| l.starts_with("// SAFETY:"))
+        .map(|p| {
+            block[p..]
+                .iter()
+                .map(|l| {
+                    l.trim_start_matches("// SAFETY:")
+                        .trim_start_matches("//")
+                        .trim()
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        });
+    let text = from_block
+        .or_else(|| same_line.map(str::to_string))
+        .unwrap_or_default();
+    let text = text.trim().replace('|', "/");
+    let mut out: String = text.chars().take(96).collect();
+    if out.len() < text.len() {
+        out.push('…');
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// BNS-A007: thread-spawn-confinement
+// ---------------------------------------------------------------------------
+
+/// `thread::spawn` / `thread::Builder` anywhere in `sf` outside test
+/// code — fn bodies, `use` lines, item initializers and `macro_rules!`
+/// bodies alike — unless the file is under a `spawn_allow` prefix:
+/// every other thread must come from the subsystems that own threads,
+/// which keeps the thread topology analyzable.
+pub fn spawn_confinement(sf: &SourceFile, cfg: &AnalyzeConfig) -> Vec<Finding> {
+    if cfg
+        .spawn_allow
+        .iter()
+        .any(|p| sf.rel.starts_with(p.as_str()))
+    {
+        return Vec::new();
+    }
+    let allowed: Vec<String> = cfg.spawn_allow.iter().map(|p| format!("`{p}`")).collect();
+    let test = test_mask(sf);
+    let mut out = Vec::new();
+    for what in ["spawn", "Builder"] {
+        for tok in find_seq(sf, &(0..sf.sig.len()), &["thread", ":", ":", what]) {
+            if test[tok] {
+                continue;
+            }
+            let message = format!(
+                "`thread::{what}` outside the spawn allowlist ({}); use the pool, the \
+                 transport or the scheduler that owns threads",
+                allowed.join(", ")
+            );
+            out.push(finding(sf, A007, sf.sig_line(tok), message, None));
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sf(src: &str) -> SourceFile {
+        SourceFile::parse("f.rs".into(), src.to_string())
+    }
+
+    fn unsafe_lines(src: &str) -> (Vec<usize>, Vec<Row>) {
+        let mut rows = Vec::new();
+        let missing = unsafe_sites(&sf(src), &mut rows);
+        (missing.iter().map(|f| f.line).collect(), rows)
+    }
+
+    #[test]
+    fn safety_scan_skips_siblings_and_wrappers() {
+        let src = concat!(
+            "// SAFETY: serialized by the scheduler.\n",
+            "unsafe impl Send for X {}\n",
+            "unsafe impl Sync for X {}\n",
+            "fn f() {\n",
+            "    // SAFETY: p valid by contract.\n",
+            "    let v: &mut [u8] =\n",
+            "        unsafe { from_raw_parts_mut(p, n) };\n",
+            "}\n",
+        );
+        let (missing, mut rows) = unsafe_lines(src);
+        assert!(missing.is_empty(), "{missing:?}");
+        rows.sort_by_key(|r| r.line);
+        let lines: Vec<usize> = rows.iter().map(|r| r.line).collect();
+        assert_eq!(lines, vec![2, 3, 7]);
+        assert_eq!(rows[0].text, "serialized by the scheduler.");
+    }
+
+    #[test]
+    fn unsafe_is_a_keyword_token() {
+        let src = concat!(
+            "#![forbid(unsafe_code)]\n",
+            "let s = \"unsafe\"; // unsafe\n",
+            "/* unsafe */\n",
+            "pub fn zero(p: *mut u8) {\n",
+            "    unsafe { *p = 0 }\n",
+            "}\n",
+        );
+        assert_eq!(unsafe_lines(src).0, vec![5]);
+    }
+
+    #[test]
+    fn spawn_match_is_token_exact() {
+        let mut cfg = AnalyzeConfig::for_repo(std::path::Path::new("."));
+        cfg.spawn_allow.clear();
+        let src = "fn f() {\n    my_thread::spawner();\n    std::thread::spawn(|| {});\n}\n";
+        let lines: Vec<usize> = spawn_confinement(&sf(src), &cfg)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![3]);
+    }
 }

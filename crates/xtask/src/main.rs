@@ -2,7 +2,8 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::analyze::diag::{render_human, render_json, Finding};
+use xtask::analyze::diag::{render_human, render_json};
+use xtask::analyze::{analyze, bless, AnalyzeConfig};
 
 fn workspace_root() -> PathBuf {
     // crates/xtask -> crates -> workspace root.
@@ -13,85 +14,22 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Prints findings through the shared renderer and returns the exit
-/// code: human findings to stderr, `--json` (machine output) to stdout.
-fn report(findings: &[Finding], json: bool, clean_msg: String) -> ExitCode {
-    if json {
-        print!("{}", render_json(findings));
-        return if findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) != Some("analyze") {
+        eprintln!("usage: cargo xtask analyze [--bless] [--json]");
+        return ExitCode::from(2);
     }
-    if findings.is_empty() {
-        println!("{clean_msg}");
-        ExitCode::SUCCESS
-    } else {
-        eprint!("{}", render_human(findings));
-        eprintln!("{} finding(s)", findings.len());
-        ExitCode::FAILURE
-    }
-}
-
-fn run_audit(args: &[String]) -> ExitCode {
-    let cfg = xtask::AuditConfig::for_repo(&workspace_root());
-    let json = args.iter().any(|a| a == "--json");
+    let cfg = AnalyzeConfig::for_repo(&workspace_root());
     if args.iter().any(|a| a == "--bless") {
-        match xtask::bless(&cfg) {
-            Ok(Ok(n)) => {
+        return match bless(&cfg) {
+            Ok(Ok(rep)) => {
                 println!(
-                    "blessed {} unsafe site(s) into {}",
-                    n,
-                    cfg.ledger_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(Err(blocking)) => {
-                eprintln!("cannot bless while audit violations remain:");
-                let findings: Vec<Finding> = blocking.iter().map(|v| v.to_finding()).collect();
-                eprint!("{}", render_human(&findings));
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("audit failed to run: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        match xtask::audit(&cfg) {
-            Ok(report_) => {
-                let findings: Vec<Finding> =
-                    report_.violations.iter().map(|v| v.to_finding()).collect();
-                report(
-                    &findings,
-                    json,
-                    format!(
-                        "audit clean: {} files scanned, {} unsafe site(s), all documented \
-                         and ledgered",
-                        report_.files_scanned,
-                        report_.sites.iter().map(|s| s.count).sum::<usize>()
-                    ),
-                )
-            }
-            Err(e) => {
-                eprintln!("audit failed to run: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    }
-}
-
-fn run_analyze(args: &[String]) -> ExitCode {
-    let cfg = xtask::analyze::AnalyzeConfig::for_repo(&workspace_root());
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--bless") {
-        match xtask::analyze::bless(&cfg) {
-            Ok(Ok(n)) => {
-                println!(
-                    "blessed {} allow(s) into {} and regenerated {}",
-                    n,
+                    "blessed {} allow(s) and {} unsafe site(s); regenerated {}, {} and {}",
+                    rep.allows.len(),
+                    rep.unsafe_sites.len(),
                     cfg.ledger_path.display(),
+                    cfg.unsafe_ledger_path.display(),
                     cfg.env_registry_path.display()
                 );
                 ExitCode::SUCCESS
@@ -105,35 +43,33 @@ fn run_analyze(args: &[String]) -> ExitCode {
                 eprintln!("analyze failed to run: {e}");
                 ExitCode::FAILURE
             }
-        }
-    } else {
-        match xtask::analyze::analyze(&cfg) {
-            Ok(rep) => report(
-                &rep.findings,
-                json,
-                format!(
-                    "analyze clean: {} files, {} fns, {} allow(s) ledgered",
-                    rep.files_scanned,
-                    rep.fns_parsed,
-                    rep.used_allows.len()
-                ),
-            ),
-            Err(e) => {
-                eprintln!("analyze failed to run: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        };
     }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("audit") => run_audit(&args),
-        Some("analyze") => run_analyze(&args),
-        _ => {
-            eprintln!("usage: cargo xtask <audit|analyze> [--bless] [--json]");
-            ExitCode::from(2)
+    let rep = match analyze(&cfg) {
+        Ok(rep) => rep,
+        Err(e) => {
+            eprintln!("analyze failed to run: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    // Human findings go to stderr, `--json` (machine output) to stdout.
+    if args.iter().any(|a| a == "--json") {
+        print!("{}", render_json(&rep.findings));
+    } else if rep.findings.is_empty() {
+        println!(
+            "analyze clean: {} files, {} fns, {} unsafe site(s), {} allow(s) ledgered",
+            rep.files_scanned,
+            rep.fns_parsed,
+            rep.unsafe_sites.iter().map(|s| s.count).sum::<usize>(),
+            rep.allows.len()
+        );
+    } else {
+        eprint!("{}", render_human(&rep.findings));
+        eprintln!("{} finding(s)", rep.findings.len());
+    }
+    if rep.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

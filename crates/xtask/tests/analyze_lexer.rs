@@ -35,8 +35,7 @@ fn assert_tiles(src: &str, ctx: &str) {
 fn every_workspace_file_tiles() {
     let root = workspace_root();
     // Walk everything the analyzer could ever see — including the
-    // directories the analyze config skips (xtask itself, vendor/,
-    // fixtures with deliberately broken style).
+    // seeded fixtures the analyze config skips.
     let files = xtask::walk_rust_files(&root, &["target".into(), ".git".into()]).unwrap();
     assert!(files.len() >= 100, "corpus too small: {}", files.len());
     for p in &files {

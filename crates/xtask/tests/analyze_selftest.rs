@@ -1,15 +1,13 @@
 //! The analyzer analyzing itself: every rule must catch its seeded
-//! fixture under `fixtures/analyze/`, the allow/bless cycle must
-//! round-trip and detect tampering, and the real workspace must be
-//! clean.
+//! fixture under `fixtures/`, the allow/bless cycle and the unsafe
+//! ledger must round-trip and detect tampering, and the real workspace
+//! must be clean.
 
 use std::path::{Path, PathBuf};
-use xtask::analyze::{analyze, bless, AnalyzeConfig};
+use xtask::analyze::{analyze, bless, AnalyzeConfig, AnalyzeReport};
 
 fn fixtures_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join("analyze")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
 fn workspace_root() -> PathBuf {
@@ -20,9 +18,10 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Config over the analyze fixtures with throwaway generated-file
-/// paths; rule policy mirrors the fixture sources (`det_kernel.rs` is
-/// the kernel, `hot_entry*` the hot path, `slots -> queue` the order).
+/// Config over the fixtures with throwaway generated-file paths; rule
+/// policy mirrors the fixture sources (`*kernel.rs` are the kernels,
+/// `hot_entry*` the hot path, `slots -> queue` the order, and no file
+/// may spawn threads).
 fn fixture_cfg(name: &str) -> AnalyzeConfig {
     let root = fixtures_root();
     let tmp = |suffix: &str| {
@@ -33,11 +32,19 @@ fn fixture_cfg(name: &str) -> AnalyzeConfig {
     };
     AnalyzeConfig {
         ledger_path: tmp("ledger.md"),
+        unsafe_ledger_path: tmp("unsafe.md"),
         env_registry_path: tmp("env.md"),
         readme_path: Some(root.join("README_FIXTURE.md")),
         root,
         skip: vec![],
-        kernel_files: vec!["det_kernel.rs".into()],
+        kernel_files: vec![
+            "det_kernel.rs".into(),
+            "hash_kernel.rs".into(),
+            "fma_kernel.rs".into(),
+            "codec_fma_kernel.rs".into(),
+            "field_hash_kernel.rs".into(),
+            "allowed_fma_kernel.rs".into(),
+        ],
         hot_entries: vec![
             "hot_entry".into(),
             "hot_entry_async".into(),
@@ -46,11 +53,11 @@ fn fixture_cfg(name: &str) -> AnalyzeConfig {
         arena_allow: vec!["Arena::take".into()],
         lock_scope: vec!["lock_invert.rs".into()],
         lock_order: vec!["slots".into(), "queue".into()],
-        env_prefix: "BNS_".into(),
+        spawn_allow: vec![],
     }
 }
 
-fn rules_for(report: &xtask::analyze::AnalyzeReport, file: &str) -> Vec<(String, usize)> {
+fn rules_for(report: &AnalyzeReport, file: &str) -> Vec<(String, usize)> {
     report
         .findings
         .iter()
@@ -59,38 +66,66 @@ fn rules_for(report: &xtask::analyze::AnalyzeReport, file: &str) -> Vec<(String,
         .collect()
 }
 
+fn at(rule: &str, lines: &[usize]) -> Vec<(String, usize)> {
+    lines.iter().map(|&l| (rule.to_string(), l)).collect()
+}
+
 #[test]
 fn every_rule_catches_its_seeded_fixture() {
     let cfg = fixture_cfg("catch");
     let report = analyze(&cfg).unwrap();
+    let blessable = |file: &str| {
+        let fs: Vec<_> = report.findings.iter().filter(|f| f.file == file).collect();
+        assert!(!fs.is_empty(), "{file} has no findings");
+        fs.iter().all(|f| f.blessable)
+    };
 
     // BNS-A001 fires in the helper file, not just the kernel file: the
     // ban follows the call graph.
     assert_eq!(
         rules_for(&report, "det_helper.rs"),
-        vec![("BNS-A001".into(), 4), ("BNS-A001".into(), 5)],
+        at("BNS-A001", &[4, 5]),
         "Instant::now and HashMap reachable from kernel_entry"
+    );
+    // Kernel files are banned whole: the `use` line and the signature
+    // both name HashMap, and a field type alone is enough.
+    assert_eq!(
+        rules_for(&report, "hash_kernel.rs"),
+        at("BNS-A001", &[4, 6])
+    );
+    assert_eq!(
+        rules_for(&report, "field_hash_kernel.rs"),
+        at("BNS-A001", &[7])
+    );
+    // `mul_add` and `_mm512_fmadd_ps`, each at its call line; the wire
+    // codecs are under the same FMA ban as every other kernel file.
+    assert_eq!(
+        rules_for(&report, "fma_kernel.rs"),
+        at("BNS-A001", &[6, 11])
+    );
+    assert_eq!(
+        rules_for(&report, "codec_fma_kernel.rs"),
+        at("BNS-A001", &[7])
+    );
+    // An allow comment cannot excuse a kernel-file ban: the finding
+    // stands, and the allow is unused.
+    assert_eq!(
+        rules_for(&report, "allowed_fma_kernel.rs"),
+        vec![("BNS-A000".to_string(), 6), ("BNS-A001".to_string(), 7)]
     );
 
     // BNS-A002: two unregistered reads (one literal, one via a const)
     // plus the undocumented-in-README finding for the literal one.
-    let env = rules_for(&report, "env_read.rs");
-    assert_eq!(env.len(), 3, "{env:?}");
-    assert!(env.iter().all(|(r, _)| r == "BNS-A002"));
     assert_eq!(
-        env.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-        vec![7, 7, 14],
+        rules_for(&report, "env_read.rs"),
+        at("BNS-A002", &[7, 7, 14]),
         "literal read flagged twice (registry+README), const read once"
     );
 
     // BNS-A003: direct inversion, self-deadlock, transitive inversion.
     assert_eq!(
         rules_for(&report, "lock_invert.rs"),
-        vec![
-            ("BNS-A003".into(), 12),
-            ("BNS-A003".into(), 19),
-            ("BNS-A003".into(), 26),
-        ]
+        at("BNS-A003", &[12, 19, 26])
     );
 
     // BNS-A005: all three allocation shapes in `stage`, the one
@@ -98,31 +133,43 @@ fn every_rule_catches_its_seeded_fixture() {
     // the sanctioned `Arena::take` cut (line 12).
     assert_eq!(
         rules_for(&report, "hot_alloc.rs"),
-        vec![
-            ("BNS-A005".into(), 24),
-            ("BNS-A005".into(), 25),
-            ("BNS-A005".into(), 26),
-            ("BNS-A005".into(), 37),
-        ]
+        at("BNS-A005", &[24, 25, 26, 37])
     );
+
+    // BNS-A006: an undocumented unsafe block is a hard finding; a
+    // documented one only lacks its (blessable) ledger row.
+    assert_eq!(
+        rules_for(&report, "missing_safety.rs"),
+        at("BNS-A006", &[4])
+    );
+    assert!(!blessable("missing_safety.rs"));
+    assert_eq!(rules_for(&report, "documented.rs"), at("BNS-A006", &[5]));
+    assert!(blessable("documented.rs"));
+
+    // BNS-A007: a bare spawn is flagged, also right after a
+    // `#[cfg(test)] use`, in a module-level `use` and in a
+    // `macro_rules!` body; a spawn inside a #[cfg(test)] module is not.
+    assert_eq!(
+        rules_for(&report, "spawn_violation.rs"),
+        at("BNS-A007", &[4])
+    );
+    assert_eq!(
+        rules_for(&report, "spawn_after_cfg_test_use.rs"),
+        at("BNS-A007", &[8])
+    );
+    assert_eq!(
+        rules_for(&report, "spawn_outside_fn_body.rs"),
+        at("BNS-A007", &[5, 9])
+    );
+    assert!(rules_for(&report, "spawn_in_test.rs").is_empty());
 
     // BNS-A000: the used-but-unledgered allow is blessable; the unused
     // allow is not (it must be deleted, not blessed). Both meta
     // findings anchor at the allow comment itself.
-    let allowed = rules_for(&report, "allowed_alloc.rs");
-    assert_eq!(allowed, vec![("BNS-A000".into(), 5)]);
-    assert!(report
-        .findings
-        .iter()
-        .filter(|f| f.file == "allowed_alloc.rs")
-        .all(|f| f.blessable));
-    let unused = rules_for(&report, "unused_allow.rs");
-    assert_eq!(unused, vec![("BNS-A000".into(), 5)]);
-    assert!(report
-        .findings
-        .iter()
-        .filter(|f| f.file == "unused_allow.rs")
-        .all(|f| !f.blessable));
+    assert_eq!(rules_for(&report, "allowed_alloc.rs"), at("BNS-A000", &[5]));
+    assert!(blessable("allowed_alloc.rs"));
+    assert_eq!(rules_for(&report, "unused_allow.rs"), at("BNS-A000", &[5]));
+    assert!(!blessable("unused_allow.rs"));
 }
 
 #[test]
@@ -131,32 +178,61 @@ fn bless_refuses_while_rule_violations_remain() {
     let blocked = bless(&cfg).unwrap().unwrap_err();
     assert!(blocked.iter().any(|f| f.rule == "BNS-A001"));
     assert!(
+        blocked
+            .iter()
+            .any(|f| f.rule == "BNS-A006" && f.file == "missing_safety.rs"),
+        "a missing SAFETY comment blocks the bless"
+    );
+    assert!(
         blocked.iter().all(|f| !f.blessable),
         "only non-blessable findings may block a bless"
     );
     assert!(
-        !cfg.ledger_path.exists() && !cfg.env_registry_path.exists(),
+        !cfg.ledger_path.exists()
+            && !cfg.unsafe_ledger_path.exists()
+            && !cfg.env_registry_path.exists(),
         "a refused bless must not write generated files"
     );
 }
 
+/// Flips one hash digit in a ledger (same width, still valid hex, but a
+/// different value).
+fn tamper(path: &Path) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let digit = text.find("`0x").unwrap() + 3;
+    let mut tampered = text.clone().into_bytes();
+    tampered[digit] = if tampered[digit] == b'f' { b'0' } else { b'f' };
+    let tampered = String::from_utf8(tampered).unwrap();
+    assert_ne!(text, tampered);
+    std::fs::write(path, tampered).unwrap();
+}
+
 #[test]
 fn bless_then_check_roundtrips_and_detects_tampering() {
-    // Restrict the walk to the allowlisted fixture and the env reads so
-    // every finding is bookkeeping (the README check is off: fixture
-    // docs cover only one variable by design).
+    // Restrict the walk to the allowlisted fixture, the env reads and
+    // the documented unsafe site so every finding is bookkeeping (the
+    // README check is off: fixture docs cover only one variable by
+    // design).
     let mut cfg = fixture_cfg("roundtrip");
     cfg.readme_path = None;
-    cfg.skip = vec![
-        "det_kernel.rs".into(),
-        "det_helper.rs".into(),
-        "lock_invert.rs".into(),
-        "hot_alloc.rs".into(),
-        "unused_allow.rs".into(),
-    ];
+    let keep = ["allowed_alloc.rs", "env_read.rs", "documented.rs"];
+    cfg.skip = std::fs::read_dir(fixtures_root())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| !keep.contains(&n.as_str()))
+        .collect();
 
-    let n = bless(&cfg).unwrap().unwrap();
-    assert_eq!(n, 1, "exactly the allowed_alloc.rs allow");
+    let blessed = bless(&cfg).unwrap().unwrap();
+    assert_eq!(
+        blessed.allows.len(),
+        1,
+        "exactly the allowed_alloc.rs allow"
+    );
+    assert_eq!(
+        blessed.unsafe_sites.len(),
+        1,
+        "exactly the documented.rs site"
+    );
 
     let clean = analyze(&cfg).unwrap();
     assert!(
@@ -168,41 +244,39 @@ fn bless_then_check_roundtrips_and_detects_tampering() {
     assert!(registry.contains("`BNS_FIXTURE_WORKERS`"));
     assert!(registry.contains("`BNS_FIXTURE_GAIN`"));
 
-    // Flip one ledger hash digit: the allow becomes unregistered AND
-    // the row becomes stale.
-    let text = std::fs::read_to_string(&cfg.ledger_path).unwrap();
-    let digit = text.find("`0x").unwrap() + 3;
-    let mut tampered = text.clone().into_bytes();
-    tampered[digit] = if tampered[digit] == b'f' { b'0' } else { b'f' };
-    std::fs::write(&cfg.ledger_path, String::from_utf8(tampered).unwrap()).unwrap();
-
+    // A tampered row makes its site unregistered AND the row stale, in
+    // either ledger.
+    let anchored = |report: &AnalyzeReport, rule: &str, file: &str| {
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == rule && f.file == file && f.blessable)
+    };
+    tamper(&cfg.ledger_path);
     let report = analyze(&cfg).unwrap();
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "BNS-A000" && f.file == "allowed_alloc.rs"));
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "BNS-A000" && f.file == "ANALYZE_LEDGER.md"));
+    assert!(anchored(&report, "BNS-A000", "allowed_alloc.rs"));
+    assert!(anchored(&report, "BNS-A000", "ANALYZE_LEDGER.md"));
+
+    tamper(&cfg.unsafe_ledger_path);
+    let report = analyze(&cfg).unwrap();
+    assert!(anchored(&report, "BNS-A006", "documented.rs"));
+    assert!(anchored(&report, "BNS-A006", "UNSAFE_LEDGER.md"));
 
     // A registry row pointing at vanished code is flagged (blessable).
-    std::fs::write(
-        &cfg.ledger_path,
-        xtask::analyze::ledger::render_allow_ledger(&clean.used_allows),
-    )
-    .unwrap();
+    bless(&cfg).unwrap().unwrap();
     let mut registry = std::fs::read_to_string(&cfg.env_registry_path).unwrap();
     registry.push_str("| `BNS_GONE` | `nowhere.rs` | 1 |\n");
     std::fs::write(&cfg.env_registry_path, registry).unwrap();
     let report = analyze(&cfg).unwrap();
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "BNS-A002" && f.file == "ENV_REGISTRY.md" && f.blessable));
+    assert!(anchored(&report, "BNS-A002", "ENV_REGISTRY.md"));
 
-    std::fs::remove_file(&cfg.ledger_path).ok();
-    std::fs::remove_file(&cfg.env_registry_path).ok();
+    for p in [
+        &cfg.ledger_path,
+        &cfg.unsafe_ledger_path,
+        &cfg.env_registry_path,
+    ] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 #[test]
@@ -219,12 +293,18 @@ fn real_workspace_is_analyze_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The workspace genuinely carries ledgered exceptions and env
-    // reads, so an empty scan would mean the engine broke.
+    // The workspace genuinely carries ledgered exceptions, env reads
+    // and unsafe (pool, kernels, loom shim), so an empty scan would
+    // mean the engine broke.
     assert!(
-        report.used_allows.len() >= 10,
+        report.allows.len() >= 10,
         "only {} allows used",
-        report.used_allows.len()
+        report.allows.len()
+    );
+    assert!(
+        report.unsafe_sites.len() >= 10,
+        "only {} unsafe sites",
+        report.unsafe_sites.len()
     );
     assert!(
         report.fns_parsed >= 500,
