@@ -27,11 +27,13 @@
 // bns-tensor, bns-nn and the vendored loom shim; see UNSAFE_LEDGER.md).
 #![forbid(unsafe_code)]
 pub mod algo;
+mod block;
 mod csr;
 pub mod generators;
 mod sampler;
 mod stats;
 
+pub use block::{Adjacency, Block};
 pub use csr::{CsrGraph, GraphBuilder, Subgraph};
 pub use sampler::WeightedSampler;
 pub use stats::{DegreeStats, GraphStats};

@@ -11,7 +11,7 @@
 //! full-graph mean even when only sampled boundary neighbors are present
 //! locally (the engine pre-scales received boundary rows by `1/p`).
 
-use bns_graph::CsrGraph;
+use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{pool, simd, Matrix};
 
 /// A `*mut f32` the pool closures may carry across threads. Sound
@@ -132,13 +132,19 @@ fn segmented_gather_into<F>(
 ///
 /// Parallel over blocks of target rows `v` (each row is written by
 /// exactly one thread in a fixed neighbor order, so the result is
-/// bitwise deterministic at any pool size).
+/// bitwise deterministic at any pool size). `g` is any [`Adjacency`]:
+/// a [`CsrGraph`] in training, a serving [`bns_graph::Block`].
 ///
 /// # Panics
 ///
-/// Panics if `h` has fewer rows than `g` has nodes, `n_out >
-/// g.num_nodes()`, or `row_scale.len() != n_out`.
-pub fn scaled_sum_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, row_scale: &[f32]) -> Matrix {
+/// Panics if `h` has fewer rows than `g` has sources, `n_out >
+/// g.num_rows()`, or `row_scale.len() != n_out`.
+pub fn scaled_sum_aggregate<G: Adjacency>(
+    g: &G,
+    h: &Matrix,
+    n_out: usize,
+    row_scale: &[f32],
+) -> Matrix {
     let mut z = Matrix::default();
     scaled_sum_aggregate_into(g, h, n_out, row_scale, &mut z);
     z
@@ -150,15 +156,15 @@ pub fn scaled_sum_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, row_scale: &
 /// # Panics
 ///
 /// Panics on the same shape mismatches as [`scaled_sum_aggregate`].
-pub fn scaled_sum_aggregate_into(
-    g: &CsrGraph,
+pub fn scaled_sum_aggregate_into<G: Adjacency>(
+    g: &G,
     h: &Matrix,
     n_out: usize,
     row_scale: &[f32],
     z: &mut Matrix,
 ) {
-    assert!(h.rows() >= g.num_nodes(), "feature matrix too small");
-    assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
+    assert!(h.rows() >= g.num_sources(), "feature matrix too small");
+    assert!(n_out <= g.num_rows(), "n_out exceeds graph size");
     assert_eq!(row_scale.len(), n_out, "row_scale length mismatch");
     let d = h.cols();
     let hd = h.as_slice();
@@ -413,12 +419,13 @@ pub fn gcn_fold_boundary(
 
 /// Symmetric-normalized GCN aggregation with self-loops (Kipf & Welling):
 /// `z_v = s_v² · h_v + s_v · Σ_{u ∈ N(v)} s_u · h_u` where callers pass
-/// `s_v = 1/sqrt(deg_full(v) + 1)`. `s` must cover every local row.
+/// `s_v = 1/sqrt(deg_full(v) + 1)`. `s` must cover every source row of
+/// `g` (any [`Adjacency`], as for [`scaled_sum_aggregate`]).
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches.
-pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matrix {
+pub fn gcn_aggregate<G: Adjacency>(g: &G, h: &Matrix, n_out: usize, s: &[f32]) -> Matrix {
     let mut z = Matrix::default();
     gcn_aggregate_into(g, h, n_out, s, &mut z);
     z
@@ -430,10 +437,16 @@ pub fn gcn_aggregate(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32]) -> Matri
 /// # Panics
 ///
 /// Panics on shape mismatches.
-pub fn gcn_aggregate_into(g: &CsrGraph, h: &Matrix, n_out: usize, s: &[f32], z: &mut Matrix) {
-    assert!(h.rows() >= g.num_nodes(), "feature matrix too small");
-    assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
-    assert!(s.len() >= g.num_nodes(), "scale vector too small");
+pub fn gcn_aggregate_into<G: Adjacency>(
+    g: &G,
+    h: &Matrix,
+    n_out: usize,
+    s: &[f32],
+    z: &mut Matrix,
+) {
+    assert!(h.rows() >= g.num_sources(), "feature matrix too small");
+    assert!(n_out <= g.num_rows(), "n_out exceeds graph size");
+    assert!(s.len() >= g.num_sources(), "scale vector too small");
     let d = h.cols();
     let hd = h.as_slice();
     let bk = simd::begin_kernel();

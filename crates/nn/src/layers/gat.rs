@@ -13,7 +13,7 @@
 
 use crate::activation::Activation;
 use crate::layers::{dropout, DropMask};
-use bns_graph::CsrGraph;
+use bns_graph::Adjacency;
 use bns_tensor::{simd, xavier_uniform, Matrix, SeededRng};
 
 /// Single-head GAT layer parameters.
@@ -92,17 +92,18 @@ impl GatLayer {
 
     /// Forward pass over the local graph; the first `n_out` rows of
     /// `h_full` are updated, attending over their local neighbors plus a
-    /// self-loop.
-    pub fn forward(
+    /// self-loop. `g` is a [`bns_graph::CsrGraph`] in training and a
+    /// serving [`bns_graph::Block`].
+    pub fn forward<G: Adjacency>(
         &self,
-        g: &CsrGraph,
+        g: &G,
         h_full: &Matrix,
         n_out: usize,
         train: bool,
         rng: &mut SeededRng,
     ) -> (Matrix, GatCache) {
         assert_eq!(h_full.cols(), self.w.rows(), "input dim mismatch");
-        assert!(n_out <= g.num_nodes(), "n_out exceeds graph size");
+        assert!(n_out <= g.num_rows(), "n_out exceeds graph size");
         let (h_dropped, mask) = if train && self.dropout > 0.0 {
             let (h, m) = dropout(h_full, self.dropout, rng);
             (h, Some(m))
@@ -252,6 +253,7 @@ mod tests {
     use super::*;
     use crate::gradcheck::finite_diff;
     use bns_graph::generators::erdos_renyi_m;
+    use bns_graph::CsrGraph;
 
     fn setup() -> (CsrGraph, GatLayer, Matrix) {
         let mut rng = SeededRng::new(30);

@@ -8,7 +8,7 @@ use crate::aggregate::{
     gcn_fold_boundary,
 };
 use crate::layers::{dropout, DropMask, SegScratch};
-use bns_graph::CsrGraph;
+use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
 /// GCN layer parameters: `h' = act( P h · W + b )` with
@@ -84,10 +84,10 @@ impl GcnLayer {
     }
 
     /// Forward pass; `s[v] = 1/sqrt(deg_full(v) + 1)` for every local
-    /// row.
-    pub fn forward(
+    /// row (every source row of `g`).
+    pub fn forward<G: Adjacency>(
         &self,
-        g: &CsrGraph,
+        g: &G,
         h_full: &Matrix,
         n_out: usize,
         s: &[f32],

@@ -13,7 +13,7 @@ use crate::aggregate::{
     scaled_sum_aggregate_inner_into, scaled_sum_fold_boundary,
 };
 use crate::layers::{dropout, DropMask, SegScratch};
-use bns_graph::CsrGraph;
+use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::simd;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
@@ -119,9 +119,9 @@ impl SageLayer {
     ///
     /// Panics on shape mismatches between `h_full`, the graph and
     /// `row_scale`.
-    pub fn forward(
+    pub fn forward<G: Adjacency>(
         &self,
-        g: &CsrGraph,
+        g: &G,
         h_full: &Matrix,
         n_out: usize,
         row_scale: &[f32],

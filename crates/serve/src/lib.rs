@@ -16,15 +16,16 @@
 //!                                               │  batcher (max_batch, linger)
 //!                                               ▼
 //!                                          ShardServer × k
-//!                                     L-hop closure → induced subgraph
+//!                              L-hop closure (BFS levels) → one block per layer
 //!                                       features:  own rows ── store
 //!                                                  remote  ── BoundaryCache
 //!                                                            (miss → owner fetch)
 //! ```
 //!
 //! * [`shard`] — [`shard::ServePlan`] (deployment state) and
-//!   [`shard::ShardServer`] (exact L-hop minibatch inference, bitwise
-//!   equal to the full-graph forward pass).
+//!   [`shard::ShardServer`] (exact L-hop minibatch inference on
+//!   per-layer frontiers, bitwise equal to the full-graph forward pass;
+//!   typed [`shard::ServeError`]s for invalid batches).
 //! * [`cache`] — [`cache::BoundaryCache`]: degree-pinned hot set plus a
 //!   CLOCK cold region, sized as a fraction of the shard's boundary.
 //! * [`batch`] — bounded FIFO rank queues and the size/linger batcher.
@@ -81,6 +82,6 @@ pub mod worker;
 pub use batch::{BatchPolicy, Query, RankQueue};
 pub use cache::{BoundaryCache, CacheConfig, CacheStats};
 pub use latency::{LatencyRecorder, LatencySummary};
-pub use shard::{ServePlan, ShardServer};
+pub use shard::{RowStats, ServeError, ServePlan, ShardServer};
 pub use traffic::{replay_open_loop, Arrivals, NodeMix};
 pub use worker::{ServeConfig, ServeEngine, ServeReport, ShardReport};

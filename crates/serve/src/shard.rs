@@ -13,19 +13,23 @@
 //!
 //! ## Exactness
 //!
-//! A batch is answered by expanding the L-hop BFS closure of its target
-//! nodes (`L` = model depth), inducing the subgraph on that closure
-//! **sorted by ascending global id**, gathering input features, and
-//! running all `L` layers. This reproduces full-graph logits *bitwise*:
-//! a node at BFS distance `d` from the targets has its complete
-//! neighborhood inside the closure whenever `d < L`, which is exactly
-//! the set of nodes whose layer-`(L-d)` values the targets consume; and
-//! because the closure is sorted ascending, every local CSR row is the
-//! full-graph row filtered in order, so each aggregation sums the same
-//! values in the same order as the full-graph kernel. (Rows at distance
-//! `L` contribute only their layer-0 input features, which are exact by
-//! construction.) `tests/exactness.rs` asserts this against
-//! [`TrainedModel::predict_logits`].
+//! A batch is answered on per-layer frontiers. The L-hop BFS closure of
+//! its target nodes (`L` = model depth) is ordered by BFS level,
+//! ascending global id within a level, so the nodes within `d` hops of
+//! the batch form a prefix of it for every `d`. Layer `l` (0-based)
+//! then runs only on the nodes within `L-1-l` hops: those are exactly
+//! the rows the next layer reads (the top layer computes the targets
+//! alone), and every one of them has its whole neighborhood among the
+//! layer's input rows, the nodes within `L-l` hops. The layer reads
+//! adjacency from a [`Block`] whose row `v` lists `v`'s neighbors'
+//! closure positions in ascending global id — the full graph's CSR
+//! order — so every aggregation sums the same values in the same order
+//! as the full-graph kernel and every GEMM row runs the same chain:
+//! served logits equal [`TrainedModel::predict_logits`] *bitwise*.
+//! (Rows at distance `L` contribute only their input features, which
+//! are exact by construction.) `tests/exactness.rs` holds this for SAGE,
+//! GCN and GAT at depths 1–3 and on edge batches; `tests/determinism.rs`
+//! across SIMD backends, pool sizes and cache configurations.
 //!
 //! ## Feature I/O
 //!
@@ -33,15 +37,19 @@
 //! other ranks go through the [`BoundaryCache`]; a miss reads the
 //! owner's store and is accounted as fetched bytes — the quantity BGL
 //! identifies as the serving bottleneck, and the quantity the cache
-//! ratio sweep in `repro serve` trades against memory.
+//! ratio sweep in `repro serve` trades against memory. The gather reads
+//! the whole closure in ascending global id, whatever row order the
+//! layers use, so the cache's access stream — and with it its CLOCK
+//! state and counters — depends only on each closure's node set.
 
 use crate::cache::{BoundaryCache, CacheConfig, CacheStats};
 use bns_data::Dataset;
 use bns_gcn::engine::TrainedModel;
 use bns_gcn::plan::PartitionPlan;
-use bns_graph::CsrGraph;
+use bns_graph::{Block, CsrGraph};
 use bns_partition::Partitioning;
 use bns_tensor::{Matrix, SeededRng};
+use std::fmt;
 use std::sync::Arc;
 
 /// Everything shared by all shards of one serving deployment. Build it
@@ -151,17 +159,77 @@ impl ServePlan {
             mean_scale: Arc::clone(&self.mean_scale),
             gcn_scale: Arc::clone(&self.gcn_scale),
             cache,
+            rows: RowStats::default(),
             epoch: 0,
             mark: vec![0u32; self.graph.num_nodes()],
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
+            pos: vec![0u32; self.graph.num_nodes()],
             closure: Vec::new(),
+            level_end: Vec::new(),
+            by_id: Vec::new(),
+            block: Block::default(),
+            scale: Vec::new(),
         }
     }
 }
 
+/// Why [`ShardServer::try_serve_batch`] refused a batch. Either error
+/// is found before any shard state (cache, counters, scratch) changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeError {
+    /// The batch has no targets.
+    EmptyBatch,
+    /// A target is not a node of the served graph.
+    NodeOutOfRange {
+        /// The offending target id.
+        node: u32,
+        /// Number of nodes in the graph.
+        nodes: usize,
+    },
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::EmptyBatch => write!(f, "empty batch"),
+            ServeError::NodeOutOfRange { node, nodes } => {
+                write!(f, "node {node} out of range for a graph of {nodes} nodes")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+/// Row counters of the per-layer-frontier forward, snapshotted into the
+/// serve report and flushed as `serve.closure_rows` /
+/// `serve.computed_rows` telemetry counters. Over a run,
+/// `computed_rows / (L · closure_rows)` is the share of a whole-closure
+/// forward's layer rows still computed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowStats {
+    /// Closure rows gathered, summed over batches (the input rows of
+    /// layer 0).
+    pub closure_rows: u64,
+    /// Output rows computed, summed over layers and batches.
+    pub computed_rows: u64,
+}
+
+impl RowStats {
+    /// Accumulates another shard's counters (for the engine report).
+    pub fn merge(&mut self, other: &RowStats) {
+        self.closure_rows += other.closure_rows;
+        self.computed_rows += other.computed_rows;
+    }
+
+    /// Flushes the counters to `bns-telemetry`.
+    pub fn flush_counters(&self) {
+        bns_telemetry::counter_add("serve.closure_rows", self.closure_rows);
+        bns_telemetry::counter_add("serve.computed_rows", self.computed_rows);
+    }
+}
+
 /// One rank's serving state: shared deployment handles, a private
-/// boundary cache, and reusable BFS scratch. Answers batches
+/// boundary cache, and reusable BFS and block scratch. Answers batches
 /// synchronously via [`ShardServer::serve_batch`]; the worker pool in
 /// [`crate::worker`] drives one of these per rank.
 #[derive(Debug)]
@@ -176,13 +244,23 @@ pub struct ShardServer {
     mean_scale: Arc<Vec<f32>>,
     gcn_scale: Arc<Vec<f32>>,
     cache: BoundaryCache,
+    rows: RowStats,
     /// Batch stamp for the `mark` array (epoch-stamped visited set — a
     /// dense array instead of a hash set on the hot path).
     epoch: u32,
     mark: Vec<u32>,
-    frontier: Vec<u32>,
-    next_frontier: Vec<u32>,
-    closure: Vec<usize>,
+    /// `pos[v]` = closure position of global node `v`; valid where
+    /// `mark[v] == epoch`.
+    pos: Vec<u32>,
+    /// The closure in BFS-level order, ascending id within a level.
+    closure: Vec<u32>,
+    /// `level_end[d]` = number of closure nodes within `d` hops.
+    level_end: Vec<usize>,
+    /// The closure in ascending id (the gather's cache access order).
+    by_id: Vec<u32>,
+    block: Block,
+    /// The model's normalizer per closure position.
+    scale: Vec<f32>,
 }
 
 impl ShardServer {
@@ -196,8 +274,14 @@ impl ShardServer {
         self.cache.stats
     }
 
-    /// L-hop BFS closure of `targets`, sorted ascending, into
-    /// `self.closure`. Duplicates in `targets` are fine.
+    /// Snapshot of the closure/computed row counters.
+    pub fn row_stats(&self) -> RowStats {
+        self.rows
+    }
+
+    /// L-hop BFS closure of `targets` into `self.closure`, level by
+    /// level (each level sorted ascending), with `self.level_end` and
+    /// `self.pos` to match. Duplicates in `targets` are fine.
     fn expand_closure(&mut self, targets: &[u32]) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -206,40 +290,47 @@ impl ShardServer {
             self.epoch = 1;
         }
         self.closure.clear();
-        self.frontier.clear();
+        self.level_end.clear();
         for &t in targets {
-            let ti = t as usize;
-            if self.mark[ti] != self.epoch {
-                self.mark[ti] = self.epoch;
-                self.closure.push(ti);
-                self.frontier.push(t);
+            if self.mark[t as usize] != self.epoch {
+                self.mark[t as usize] = self.epoch;
+                self.closure.push(t);
             }
         }
+        self.closure.sort_unstable();
+        self.level_end.push(self.closure.len());
+        let mut level_start = 0;
         for _ in 0..self.depth {
-            self.next_frontier.clear();
-            for fi in 0..self.frontier.len() {
-                let v = self.frontier[fi] as usize;
-                for &u in self.graph.neighbors(v) {
-                    let ui = u as usize;
-                    if self.mark[ui] != self.epoch {
-                        self.mark[ui] = self.epoch;
-                        self.closure.push(ui);
-                        self.next_frontier.push(u);
+            let level_end = self.closure.len();
+            for i in level_start..level_end {
+                for &u in self.graph.neighbors(self.closure[i] as usize) {
+                    if self.mark[u as usize] != self.epoch {
+                        self.mark[u as usize] = self.epoch;
+                        self.closure.push(u);
                     }
                 }
             }
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+            self.closure[level_end..].sort_unstable();
+            self.level_end.push(self.closure.len());
+            level_start = level_end;
         }
-        self.closure.sort_unstable();
+        for (i, &v) in self.closure.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
     }
 
-    /// Gathers input features for the sorted closure: owned rows from
-    /// this shard's store, remote rows through the cache (miss = a
-    /// fetch from the owning shard's store, counted in bytes).
+    /// Gathers input features for the closure (row `i` = closure node
+    /// `i`), reading rows in ascending global id: owned rows from this
+    /// shard's store, remote rows through the cache (miss = a fetch from
+    /// the owning shard's store, counted in bytes).
     fn gather_features(&mut self) -> Matrix {
         let dim = self.stores[self.rank].cols();
         let mut h0 = Matrix::zeros(self.closure.len(), dim);
-        for (i, &g) in self.closure.iter().enumerate() {
+        self.by_id.clear();
+        self.by_id.extend_from_slice(&self.closure);
+        self.by_id.sort_unstable();
+        for &g in &self.by_id {
+            let (g, i) = (g as usize, self.pos[g as usize] as usize);
             let owner = self.owner[g] as usize;
             if owner == self.rank {
                 h0.row_mut(i)
@@ -255,56 +346,94 @@ impl ShardServer {
         h0
     }
 
+    /// Fills `self.block` for layer 0: one row per closure node within
+    /// `L-1` hops, listing its neighbors' closure positions in the full
+    /// graph's (ascending-id) order, over every closure node as source.
+    fn build_block(&mut self) {
+        // `ServePlan::build` refuses a model without layers, so L >= 1.
+        let depth = self.depth;
+        let (rows, sources) = (self.level_end[depth - 1], self.level_end[depth]);
+        let (graph, closure, pos) = (&self.graph, &self.closure, &self.pos);
+        self.block.refill(rows, sources, |v, out| {
+            out.extend(
+                graph
+                    .neighbors(closure[v] as usize)
+                    .iter()
+                    .map(|&u| pos[u as usize]),
+            );
+        });
+    }
+
     /// Answers one batch: logits for `targets` in request order
     /// (`targets.len() x num_classes`), bitwise equal to the rows of
-    /// [`TrainedModel::logits`] on the full graph.
+    /// [`TrainedModel::logits`] on the full graph; or a [`ServeError`],
+    /// with the shard left untouched, for an empty batch or a target
+    /// that is not a node.
+    pub fn try_serve_batch(&mut self, targets: &[u32]) -> Result<Matrix, ServeError> {
+        let nodes = self.graph.num_nodes();
+        if targets.is_empty() {
+            return Err(ServeError::EmptyBatch);
+        }
+        if let Some(&node) = targets.iter().find(|&&t| t as usize >= nodes) {
+            return Err(ServeError::NodeOutOfRange { node, nodes });
+        }
+        self.expand_closure(targets);
+        let mut h = self.gather_features();
+        self.build_block();
+        let normalizer = match &*self.model {
+            TrainedModel::Sage(_) => Some(&self.mean_scale),
+            TrainedModel::Gcn(_) => Some(&self.gcn_scale),
+            TrainedModel::Gat(_) => None,
+        };
+        self.scale.clear();
+        if let Some(norm) = normalizer {
+            self.scale
+                .extend(self.closure.iter().map(|&v| norm[v as usize]));
+        }
+        // Eval-mode forward: dropout off, so the RNG stream is inert —
+        // a fresh fixed-seed RNG keeps the call deterministic anyway.
+        let mut rng = SeededRng::new(0);
+        let depth = self.depth;
+        for l in 0..depth {
+            // Layer l updates the nodes within L-1-l hops from the
+            // nodes within L-l hops.
+            let (n_out, n_src) = (self.level_end[depth - 1 - l], self.level_end[depth - l]);
+            if l > 0 {
+                self.block.truncate(n_out, n_src);
+            }
+            let g = &self.block;
+            h = match &*self.model {
+                TrainedModel::Sage(m) => {
+                    let scale = &self.scale[..n_out];
+                    m.layers[l].forward(g, &h, n_out, scale, false, &mut rng).0
+                }
+                TrainedModel::Gat(m) => m.layers[l].forward(g, &h, n_out, false, &mut rng).0,
+                TrainedModel::Gcn(layers) => {
+                    let scale = &self.scale[..n_src];
+                    layers[l].forward(g, &h, n_out, scale, false, &mut rng).0
+                }
+            };
+            self.rows.computed_rows += n_out as u64;
+        }
+        self.rows.closure_rows += self.closure.len() as u64;
+        // Route each target (request order, duplicates allowed) to its
+        // row: the targets are the closure's first level.
+        let rows: Vec<usize> = targets
+            .iter()
+            .map(|&t| self.pos[t as usize] as usize)
+            .collect();
+        Ok(h.gather_rows(&rows))
+    }
+
+    /// [`ShardServer::try_serve_batch`] for callers that hold a valid
+    /// batch (the worker loop, benchmarks).
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or an out-of-range node id.
     pub fn serve_batch(&mut self, targets: &[u32]) -> Matrix {
-        assert!(!targets.is_empty(), "empty batch");
-        self.expand_closure(targets);
-        let h0 = self.gather_features();
-        let sub = self.graph.induced_subgraph(&self.closure);
-        let n_sub = self.closure.len();
-        // Eval-mode forward: dropout off, so the RNG stream is inert —
-        // a fresh fixed-seed RNG keeps the call deterministic anyway.
-        let mut rng = SeededRng::new(0);
-        let mut h = h0;
-        match &*self.model {
-            TrainedModel::Sage(m) => {
-                let scale: Vec<f32> = self.closure.iter().map(|&g| self.mean_scale[g]).collect();
-                for layer in &m.layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, &scale, false, &mut rng);
-                    h = next;
-                }
-            }
-            TrainedModel::Gat(m) => {
-                for layer in &m.layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, false, &mut rng);
-                    h = next;
-                }
-            }
-            TrainedModel::Gcn(layers) => {
-                let scale: Vec<f32> = self.closure.iter().map(|&g| self.gcn_scale[g]).collect();
-                for layer in layers {
-                    let (next, _) = layer.forward(&sub.graph, &h, n_sub, &scale, false, &mut rng);
-                    h = next;
-                }
-            }
-        }
-        // Route each target (request order, duplicates allowed) to its
-        // closure row.
-        let rows: Vec<usize> = targets
-            .iter()
-            .map(|&t| {
-                self.closure
-                    .binary_search(&(t as usize))
-                    .expect("target is in its own closure")
-            })
-            .collect();
-        h.gather_rows(&rows)
+        self.try_serve_batch(targets)
+            .unwrap_or_else(|e| panic!("serve_batch: {e}"))
     }
 }
 
@@ -388,6 +517,54 @@ mod tests {
         assert_eq!(out.rows(), 3);
         assert_eq!(out.row(0), out.row(1));
         assert_eq!(out.row(1), out.row(2));
+    }
+
+    #[test]
+    fn empty_batch_is_a_typed_error_that_leaves_the_shard_untouched() {
+        let (_ds, plan) = setup(2);
+        let mut server = plan.shard(0, CacheConfig::default());
+        server.serve_batch(&[0, 1]);
+        let (cache, rows, epoch) = (server.cache_stats(), server.row_stats(), server.epoch);
+        assert_eq!(
+            server.try_serve_batch(&[]).unwrap_err(),
+            ServeError::EmptyBatch
+        );
+        assert_eq!(server.cache_stats(), cache);
+        assert_eq!(server.row_stats(), rows);
+        assert_eq!(server.epoch, epoch);
+    }
+
+    #[test]
+    fn out_of_range_node_is_a_typed_error_that_leaves_the_shard_untouched() {
+        let (ds, plan) = setup(2);
+        let n = ds.num_nodes();
+        let mut server = plan.shard(0, CacheConfig::default());
+        let (cache, rows, epoch) = (server.cache_stats(), server.row_stats(), server.epoch);
+        let err = server.try_serve_batch(&[0, n as u32 + 3, 1]).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::NodeOutOfRange {
+                node: n as u32 + 3,
+                nodes: n
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("node {} out of range for a graph of {n} nodes", n + 3)
+        );
+        assert_eq!(server.cache_stats(), cache);
+        assert_eq!(server.row_stats(), rows);
+        assert_eq!(server.epoch, epoch);
+        // The shard still answers a valid batch exactly.
+        let want = plan.model.predict_logits(&ds, &[1]);
+        assert_eq!(server.serve_batch(&[1]), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "serve_batch: empty batch")]
+    fn serve_batch_panics_on_an_invalid_batch() {
+        let (_ds, plan) = setup(2);
+        plan.shard(0, CacheConfig::default()).serve_batch(&[]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::batch::{BatchPolicy, Query, RankQueue};
 use crate::cache::{CacheConfig, CacheStats};
 use crate::latency::{LatencyRecorder, LatencySummary};
-use crate::shard::{ServePlan, ShardServer};
+use crate::shard::{RowStats, ServePlan, ShardServer};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,6 +60,8 @@ pub struct ShardReport {
     pub latency: LatencyRecorder,
     /// Boundary-cache counters.
     pub cache: CacheStats,
+    /// Closure and computed row counters.
+    pub rows: RowStats,
 }
 
 /// Whole-deployment results from [`ServeEngine::shutdown`].
@@ -71,6 +73,8 @@ pub struct ServeReport {
     pub latency: LatencyRecorder,
     /// All shards' cache counters merged.
     pub cache: CacheStats,
+    /// All shards' row counters merged.
+    pub rows: RowStats,
     /// Wall-clock time from engine start to shutdown completion.
     pub elapsed: Duration,
 }
@@ -137,16 +141,20 @@ impl ServeEngine {
     }
 
     /// Routes a fire-and-forget query to the owning shard, blocking on
-    /// a full queue (backpressure). Returns `false` if that queue was
-    /// already shut down.
+    /// a full queue (backpressure). Returns `false` if `node` is not a
+    /// node of the served graph or that queue was already shut down.
     pub fn submit(&self, node: u32, arrival: Instant) -> bool {
         self.submit_query(Query::new(node, arrival))
     }
 
     /// Routes a fully-formed query (e.g. one carrying a reply channel).
+    /// Refuses (returns `false` for) a query whose node is out of
+    /// range, so no shard ever sees one.
     pub fn submit_query(&self, query: Query) -> bool {
-        let rank = self.owner[query.node as usize] as usize;
-        self.queues[rank].push(query)
+        match self.owner.get(query.node as usize) {
+            Some(&rank) => self.queues[rank as usize].push(query),
+            None => false,
+        }
     }
 
     /// Total queries still waiting in queues.
@@ -155,7 +163,7 @@ impl ServeEngine {
     }
 
     /// Closes every queue, lets the workers drain, joins them, and
-    /// merges their reports. Cache counters are flushed to
+    /// merges their reports. Cache and row counters are flushed to
     /// `bns-telemetry`.
     pub fn shutdown(self) -> ServeReport {
         for q in &self.queues {
@@ -169,21 +177,25 @@ impl ServeEngine {
         per_shard.sort_by_key(|s| s.rank);
         let mut latency = LatencyRecorder::default();
         let mut cache = CacheStats::default();
+        let mut rows = RowStats::default();
         let mut queries = 0u64;
         let mut batches = 0u64;
         for s in &per_shard {
             latency.merge(&s.latency);
             cache.merge(&s.cache);
+            rows.merge(&s.rows);
             queries += s.queries;
             batches += s.batches;
         }
         cache.flush_counters();
+        rows.flush_counters();
         bns_telemetry::counter_add("serve.queries", queries);
         bns_telemetry::counter_add("serve.batches", batches);
         ServeReport {
             per_shard,
             latency,
             cache,
+            rows,
             elapsed: self.started.elapsed(),
         }
     }
@@ -234,6 +246,7 @@ fn worker_loop(
         max_batch_seen,
         latency,
         cache: server.cache_stats(),
+        rows: server.row_stats(),
     }
 }
 
@@ -304,6 +317,22 @@ mod tests {
             .collect();
         let got_bits: Vec<u32> = out.row(0).iter().map(|x| x.to_bits()).collect();
         assert_eq!(got_bits, want);
+    }
+
+    #[test]
+    fn submit_refuses_an_out_of_range_node() {
+        let (ds, plan) = plan(2);
+        let engine = ServeEngine::start(&plan, &ServeConfig::default());
+        let t0 = Instant::now();
+        assert!(!engine.submit(ds.num_nodes() as u32, t0));
+        assert!(!engine.submit(u32::MAX, t0));
+        assert!(engine.submit(0, t0));
+        let report = engine.shutdown();
+        assert_eq!(report.latency.count(), 1, "only the valid query is served");
+        // A 2-layer model computes the target and its 1-hop ring.
+        let ring = 1 + ds.graph.degree(0) as u64;
+        assert_eq!(report.rows.computed_rows, ring + 1);
+        assert!(report.rows.closure_rows >= ring);
     }
 
     #[test]
