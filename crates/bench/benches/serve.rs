@@ -5,8 +5,7 @@
 //! round-trip cost that bounds the tail at low batch occupancy.
 
 use bns_data::SyntheticSpec;
-use bns_gcn::engine::TrainedModel;
-use bns_nn::SageModel;
+use bns_gcn::engine::{ModelArch, TrainedModel};
 use bns_partition::{MetisLikePartitioner, Partitioner};
 use bns_serve::{BatchPolicy, CacheConfig, NodeMix, Query, RankQueue, ServePlan};
 use bns_tensor::SeededRng;
@@ -18,11 +17,8 @@ fn build_plan(nodes: usize, k: usize) -> ServePlan {
     let ds = SyntheticSpec::reddit_sim().with_nodes(nodes).generate(1);
     let part = MetisLikePartitioner::default().partition(&ds.graph, k, 0);
     let mut rng = SeededRng::new(9);
-    let model = TrainedModel::Sage(SageModel::new(
-        &[ds.feat_dim(), 64, ds.num_classes],
-        0.0,
-        &mut rng,
-    ));
+    let dims = [ds.feat_dim(), 64, ds.num_classes];
+    let model = TrainedModel::new(ModelArch::Sage, &dims, 0.0, &mut rng);
     ServePlan::build(&ds, &part, model)
 }
 

@@ -25,6 +25,7 @@ use crate::exchange::{
     exchange_gradients, exchange_selection, recv_boundary_blocks, send_boundary_rows,
     EpochExchange, ExchangeArena,
 };
+use crate::fullgraph::split_scores;
 use crate::memory::epoch_activation_bytes;
 use crate::plan::{LocalPartition, PartitionPlan};
 use crate::sampling::{
@@ -34,10 +35,7 @@ use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, Wi
 use bns_data::{Dataset, Labels};
 use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
-use bns_nn::{
-    flatten_into, unflatten_into, Activation, Adam, GatCache, GatGrads, GatLayer, GcnGrads,
-    GcnLayer, GcnSegCache, SageGrads, SageLayer, SageSegCache, SegScratch,
-};
+use bns_nn::{flatten_into, unflatten_into, Adam, Layer, LayerSlot, SegScratch};
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
@@ -45,16 +43,7 @@ use std::future::Future;
 use std::sync::Arc;
 
 /// Which model architecture the engine trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelArch {
-    /// GraphSAGE with mean aggregator (all main experiments).
-    Sage,
-    /// Single-head GAT (the paper's Table 10 ablation).
-    Gat,
-    /// Plain GCN with symmetric normalization (the propagation the
-    /// paper's Appendix A variance analysis is stated for).
-    Gcn,
-}
+pub use bns_nn::ModelArch;
 
 /// Training configuration.
 #[derive(Debug, Clone)]
@@ -318,54 +307,54 @@ impl SimulatedEpoch {
 }
 
 /// A trained model extracted from the engine (all ranks hold identical
-/// replicas; this is rank 0's). Supports single-process full-graph
-/// inference — the "train distributed, deploy anywhere" path.
+/// replicas; this is rank 0's): a non-empty stack of layers of one
+/// architecture. Supports single-process full-graph inference — the
+/// "train distributed, deploy anywhere" path.
 #[derive(Debug, Clone)]
-pub enum TrainedModel {
-    /// GraphSAGE layers.
-    Sage(bns_nn::SageModel),
-    /// GAT layers.
-    Gat(bns_nn::GatModel),
-    /// Plain GCN layers.
-    Gcn(Vec<GcnLayer>),
+pub struct TrainedModel {
+    /// Never empty; every layer has the same architecture.
+    pub(crate) layers: Vec<Layer>,
 }
 
 impl TrainedModel {
+    /// A freshly initialized model: [`Layer::stack`] over `dims`
+    /// (input, hidden..., classes), with weights drawn from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two dims are given.
+    pub fn new(arch: ModelArch, dims: &[usize], dropout: f32, rng: &mut SeededRng) -> Self {
+        Self {
+            layers: Layer::stack(arch, dims, dropout, rng),
+        }
+    }
+
+    /// The layer stack, input layer first.
+    pub fn layers(&self) -> &[Layer] {
+        &self.layers
+    }
+
     /// Number of layers (the serving engine's neighborhood-expansion
     /// depth `L`).
     pub fn num_layers(&self) -> usize {
-        match self {
-            TrainedModel::Sage(m) => m.layers.len(),
-            TrainedModel::Gat(m) => m.layers.len(),
-            TrainedModel::Gcn(layers) => layers.len(),
-        }
+        self.layers.len()
     }
 
     /// Output dimension of the last layer — the number of classes the
     /// model scores.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a model with no layers.
     pub fn num_classes(&self) -> usize {
-        match self {
-            TrainedModel::Sage(m) => m.layers.last().expect("empty model").d_out(),
-            TrainedModel::Gat(m) => m.layers.last().expect("empty model").w.cols(),
-            TrainedModel::Gcn(layers) => layers.last().expect("empty model").w.cols(),
-        }
+        self.layers[self.layers.len() - 1].d_out()
     }
 
     /// Input feature dimension of the first layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a model with no layers.
     pub fn feat_dim(&self) -> usize {
-        match self {
-            TrainedModel::Sage(m) => m.layers.first().expect("empty model").d_in(),
-            TrainedModel::Gat(m) => m.layers.first().expect("empty model").w.rows(),
-            TrainedModel::Gcn(layers) => layers.first().expect("empty model").w.rows(),
-        }
+        self.layers[0].d_in()
+    }
+
+    /// The per-node normalizer every layer reads on `ds`'s graph (see
+    /// [`Layer::normalizer`]).
+    pub fn normalizer(&self, ds: &Dataset) -> Vec<f32> {
+        self.layers[0].normalizer(&ds.graph)
     }
 
     /// Logits for a specific set of nodes (`nodes.len() x num_classes`,
@@ -383,48 +372,15 @@ impl TrainedModel {
     /// Panics if the dataset's feature dimension does not match the
     /// model's input layer.
     pub fn logits(&self, ds: &Dataset) -> Matrix {
-        let mut rng = SeededRng::new(0);
-        let n = ds.num_nodes();
-        match self {
-            TrainedModel::Sage(m) => {
-                let scale = ds.mean_scale();
-                m.forward_full(&ds.graph, &ds.features, &scale, false, &mut rng)
-                    .0
-            }
-            TrainedModel::Gat(m) => {
-                let mut h = ds.features.clone();
-                for layer in &m.layers {
-                    let (next, _) = layer.forward(&ds.graph, &h, n, false, &mut rng);
-                    h = next;
-                }
-                h
-            }
-            TrainedModel::Gcn(layers) => {
-                let scale = ds.gcn_scale();
-                let mut h = ds.features.clone();
-                for layer in layers {
-                    let (next, _) = layer.forward(&ds.graph, &h, n, &scale, false, &mut rng);
-                    h = next;
-                }
-                h
-            }
-        }
+        let (n, norm) = (ds.num_nodes(), self.normalizer(ds));
+        self.layers.iter().fold(ds.features.clone(), |h, l| {
+            l.forward(&ds.graph, &h, n, &norm)
+        })
     }
 
-    /// Scores `(val, test)` on a dataset: accuracy for single-label,
-    /// micro-F1 for multi-label.
+    /// Scores `(val, test)` on a dataset (see [`split_scores`]).
     pub fn evaluate(&self, ds: &Dataset) -> (f64, f64) {
-        let out = self.logits(ds);
-        match &ds.labels {
-            Labels::Single(labels) => (
-                bns_nn::metrics::accuracy(&out, labels, &ds.val),
-                bns_nn::metrics::accuracy(&out, labels, &ds.test),
-            ),
-            Labels::Multi(y) => (
-                bns_nn::metrics::micro_f1(&out, y, &ds.val),
-                bns_nn::metrics::micro_f1(&out, y, &ds.test),
-            ),
-        }
+        split_scores(&self.logits(ds), ds)
     }
 }
 
@@ -510,207 +466,6 @@ impl TrainRun {
     }
 }
 
-// ---------------------------------------------------------------------
-// Layer dispatch
-// ---------------------------------------------------------------------
-
-/// A layer the distributed engine can drive (GraphSAGE or GAT).
-#[derive(Debug, Clone)]
-enum AnyLayer {
-    Sage(SageLayer),
-    Gat(GatLayer),
-    Gcn(GcnLayer),
-}
-
-impl AnyLayer {
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        match self {
-            AnyLayer::Sage(l) => l.params_mut(),
-            AnyLayer::Gat(l) => l.params_mut(),
-            AnyLayer::Gcn(l) => vec![&mut l.w, &mut l.b],
-        }
-    }
-
-    /// The run-long slot this layer's forward cache and gradients live
-    /// in.
-    fn new_slot(&self) -> LayerSlot {
-        match self {
-            AnyLayer::Sage(_) => LayerSlot::Sage(SageSegCache::default(), SageGrads::default()),
-            AnyLayer::Gcn(_) => LayerSlot::Gcn(GcnSegCache::default(), GcnGrads::default()),
-            AnyLayer::Gat(_) => LayerSlot::Gat(None, GatGrads::default()),
-        }
-    }
-}
-
-/// One layer's training state, owned by the rank for the whole run and
-/// overwritten every epoch: the forward cache the backward pass reads
-/// (the eval pass runs through it too) and the parameter gradients,
-/// which after the all-reduce hold the reduced values Adam steps with.
-/// GAT has no segmented kernel — its attention coefficients need
-/// destination *and* source rows — so it runs fused once the boundary
-/// block lands and keeps its fused cache here.
-enum LayerSlot {
-    Sage(SageSegCache, SageGrads),
-    Gcn(GcnSegCache, GcnGrads),
-    Gat(Option<GatCache>, GatGrads),
-}
-
-impl LayerSlot {
-    /// Parameter gradients in `params_mut` order.
-    fn grads(&self) -> Vec<&Matrix> {
-        match self {
-            LayerSlot::Sage(_, g) => SageLayer::grads_vec(g),
-            LayerSlot::Gcn(_, g) => vec![&g.w, &g.b],
-            LayerSlot::Gat(_, g) => GatLayer::grads_vec(g),
-        }
-    }
-
-    /// Mutable parameter gradients in `params_mut` order.
-    fn grads_mut(&mut self) -> Vec<&mut Matrix> {
-        match self {
-            LayerSlot::Sage(_, g) => vec![&mut g.w_self, &mut g.w_neigh, &mut g.b],
-            LayerSlot::Gcn(_, g) => vec![&mut g.w, &mut g.b],
-            LayerSlot::Gat(_, g) => vec![&mut g.w, &mut g.a_l, &mut g.a_r],
-        }
-    }
-}
-
-impl AnyLayer {
-    /// Phase 1 of the overlapped forward: everything that needs only
-    /// inner rows (dropout + inner-edge aggregation).
-    fn forward_inner(
-        &self,
-        slot: &mut LayerSlot,
-        g: &bns_graph::CsrGraph,
-        h_inner: &Matrix,
-        gcn_scale: &[f32],
-        (train, rng): (bool, &mut SeededRng),
-    ) {
-        match (self, slot) {
-            (AnyLayer::Sage(l), LayerSlot::Sage(c, _)) => {
-                l.forward_inner_into(g, h_inner, train, rng, c)
-            }
-            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, _)) => {
-                l.forward_inner_into(g, h_inner, gcn_scale, train, rng, c)
-            }
-            (AnyLayer::Gat(_), LayerSlot::Gat(..)) => {}
-            _ => unreachable!("slot/layer kind mismatch"),
-        }
-    }
-
-    /// Phase 2: fold the received boundary block and finish the layer,
-    /// writing its output into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_boundary(
-        &self,
-        slot: &mut LayerSlot,
-        g: &bns_graph::CsrGraph,
-        (h_inner, h_bd): (&Matrix, &Matrix),
-        row_scale: &[f32],
-        gcn_scale: &[f32],
-        (train, rng): (bool, &mut SeededRng),
-        scratch: &mut SegScratch,
-        out: &mut Matrix,
-    ) {
-        match (self, slot) {
-            (AnyLayer::Sage(l), LayerSlot::Sage(c, _)) => {
-                l.forward_boundary_into(g, c, h_bd, row_scale, train, rng, scratch, out)
-            }
-            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, _)) => {
-                l.forward_boundary_into(g, c, h_bd, gcn_scale, train, rng, scratch, out)
-            }
-            (AnyLayer::Gat(l), LayerSlot::Gat(c, _)) => {
-                let h_full = h_inner.vstack(h_bd);
-                let (o, cache) = l.forward(g, &h_full, h_inner.rows(), train, rng);
-                *out = o;
-                *c = Some(cache);
-            }
-            _ => unreachable!("slot/layer kind mismatch"),
-        }
-    }
-
-    /// Segmented backward: the input gradients land in `scratch.dh`
-    /// (inner rows) and `scratch.dh_bd` (boundary rows), the parameter
-    /// gradients in the slot.
-    fn backward_seg(
-        &self,
-        slot: &mut LayerSlot,
-        g: &bns_graph::CsrGraph,
-        d: &Matrix,
-        n_in: usize,
-        scratch: &mut SegScratch,
-    ) {
-        match (self, slot) {
-            (AnyLayer::Sage(l), LayerSlot::Sage(c, gr)) => {
-                l.backward_seg_into(g, c, d, scratch, gr)
-            }
-            (AnyLayer::Gcn(l), LayerSlot::Gcn(c, gr)) => l.backward_seg_into(g, c, d, scratch, gr),
-            (AnyLayer::Gat(l), LayerSlot::Gat(c, gr)) => {
-                let (dh_full, grads) = l.backward(c.as_ref().expect("forward ran"), d);
-                dh_full.slice_rows_into(0, n_in, &mut scratch.dh);
-                dh_full.slice_rows_into(n_in, dh_full.rows(), &mut scratch.dh_bd);
-                *gr = grads;
-            }
-            _ => unreachable!("slot/layer kind mismatch"),
-        }
-    }
-}
-
-fn build_layers(cfg: &TrainConfig, d_in: usize, d_out: usize) -> Vec<AnyLayer> {
-    let mut dims = Vec::with_capacity(cfg.hidden.len() + 2);
-    dims.push(d_in);
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(d_out);
-    let mut rng = SeededRng::new(cfg.seed);
-    let last = dims.len() - 2;
-    (0..dims.len() - 1)
-        .map(|l| match cfg.arch {
-            ModelArch::Sage => {
-                let act = if l == last {
-                    Activation::Identity
-                } else {
-                    Activation::Relu
-                };
-                AnyLayer::Sage(SageLayer::new(
-                    dims[l],
-                    dims[l + 1],
-                    act,
-                    cfg.dropout,
-                    &mut rng,
-                ))
-            }
-            ModelArch::Gat => {
-                let act = if l == last {
-                    Activation::Identity
-                } else {
-                    Activation::Elu
-                };
-                AnyLayer::Gat(GatLayer::new(
-                    dims[l],
-                    dims[l + 1],
-                    act,
-                    cfg.dropout,
-                    &mut rng,
-                ))
-            }
-            ModelArch::Gcn => {
-                let act = if l == last {
-                    Activation::Identity
-                } else {
-                    Activation::Relu
-                };
-                AnyLayer::Gcn(GcnLayer::new(
-                    dims[l],
-                    dims[l + 1],
-                    act,
-                    cfg.dropout,
-                    &mut rng,
-                ))
-            }
-        })
-        .collect()
-}
-
 /// Full dims vector (input, hidden..., classes).
 fn dims_of(cfg: &TrainConfig, d_in: usize, d_out: usize) -> Vec<usize> {
     let mut dims = vec![d_in];
@@ -741,7 +496,7 @@ struct RankOutput {
     peak_mem: u64,
     boundary: usize,
     /// The trained layers (every rank holds the same replica).
-    layers: Vec<AnyLayer>,
+    layers: Vec<Layer>,
 }
 
 /// A rank's run-long buffers, handed back by its program so that the
@@ -921,7 +676,6 @@ fn assemble_run(plan: &PartitionPlan, outputs: Vec<RankOutput>) -> TrainRun {
     }
     let mut outputs = outputs;
     let layers = std::mem::take(&mut outputs[0].layers);
-    let model = assemble_model(layers);
     TrainRun {
         epochs,
         final_val,
@@ -929,27 +683,7 @@ fn assemble_run(plan: &PartitionPlan, outputs: Vec<RankOutput>) -> TrainRun {
         peak_mem_per_rank: outputs.iter().map(|o| o.peak_mem).collect(),
         k,
         boundary_per_rank: outputs.iter().map(|o| o.boundary).collect(),
-        model,
-    }
-}
-
-fn assemble_model(layers: Vec<AnyLayer>) -> TrainedModel {
-    let mut sages = Vec::new();
-    let mut gats = Vec::new();
-    let mut gcns = Vec::new();
-    for l in layers {
-        match l {
-            AnyLayer::Sage(x) => sages.push(x),
-            AnyLayer::Gat(x) => gats.push(x),
-            AnyLayer::Gcn(x) => gcns.push(x),
-        }
-    }
-    if !sages.is_empty() {
-        TrainedModel::Sage(bns_nn::SageModel { layers: sages })
-    } else if !gats.is_empty() {
-        TrainedModel::Gat(bns_nn::GatModel { layers: gats })
-    } else {
-        TrainedModel::Gcn(gcns)
+        model: TrainedModel { layers },
     }
 }
 
@@ -1019,14 +753,14 @@ async fn rank_program(
     // sends (mixed per (tag, destination) in `exchange_gradients`).
     let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
 
-    let mut layers = build_layers(cfg, plan.feat_dim, plan.num_classes);
+    let mut layers = Layer::stack(cfg.arch, &dims, cfg.dropout, &mut SeededRng::new(cfg.seed));
     // Layer buffers, owned for the whole run and overwritten every
     // epoch (DESIGN.md §7): one slot per layer, one scratch shared by
     // all layers, and the activation / upstream-gradient pair, which
     // ping-pong with the scratch through `mem::swap`. Layer 0 reads
     // `lp.features` in place. The eval pass runs through the same
     // buffers.
-    let mut slots: Vec<LayerSlot> = layers.iter().map(AnyLayer::new_slot).collect();
+    let mut slots: Vec<LayerSlot> = layers.iter().map(Layer::new_slot).collect();
     let mut scratch = SegScratch::default();
     let (mut h, mut h_next, mut d) = (Matrix::default(), Matrix::default(), Matrix::default());
     // The flattened gradients plus the loss, all-reduced in place.
@@ -1111,8 +845,7 @@ async fn rank_program(
                 &mut slots[l],
                 &topo.graph,
                 (h_in, arena.boundary()),
-                &topo.row_scale,
-                &topo.gcn_scale,
+                (&topo.row_scale, &topo.gcn_scale),
                 (true, &mut rng),
                 &mut scratch,
                 &mut h_next,
@@ -1143,7 +876,7 @@ async fn rank_program(
         for l in (0..num_layers).rev() {
             let at = [("epoch", epoch.into()), ("layer", l.into())];
             let tk = Timed::with_args("compute", &at);
-            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, n_in, &mut scratch);
+            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, &mut scratch);
             std::mem::swap(&mut d, &mut scratch.dh);
             compute_s += tk.stop();
             let tc = Timed::with_args("exchange", &at);
@@ -1260,8 +993,7 @@ async fn rank_program(
                     &mut slots[l],
                     &full_topo.graph,
                     (h_in, arena.boundary()),
-                    &full_topo.row_scale,
-                    &full_topo.gcn_scale,
+                    (&full_topo.row_scale, &full_topo.gcn_scale),
                     (false, &mut rng),
                     &mut scratch,
                     &mut h_next,
@@ -1338,7 +1070,7 @@ mod tests {
             peak_mem_per_rank: Vec::new(),
             k: 0,
             boundary_per_rank: Vec::new(),
-            model: TrainedModel::Gcn(Vec::new()),
+            model: TrainedModel::new(ModelArch::Gcn, &[1, 1], 0.0, &mut SeededRng::new(0)),
         };
         assert_eq!(run.avg_epoch_s(), 0.0);
         assert!(run.avg_epoch_s().is_finite());
@@ -1434,26 +1166,27 @@ mod tests {
     fn extracted_model_matches_engine_eval() {
         let ds = small_ds();
         let part = RandomPartitioner.partition(&ds.graph, 3, 4);
-        let cfg = TrainConfig {
-            epochs: 15,
-            hidden: vec![24],
-            ..TrainConfig::quick_test()
-        };
-        let run = train(&ds, &part, &cfg);
-        let (val, test) = run.model.evaluate(&ds);
-        // The engine's final eval runs the same model over the same
-        // full topology; scores must agree exactly up to f32 summation
-        // order in the aggregation.
-        assert!(
-            (val - run.final_val).abs() < 0.01,
-            "{val} vs {}",
-            run.final_val
-        );
-        assert!(
-            (test - run.final_test).abs() < 0.01,
-            "{test} vs {}",
-            run.final_test
-        );
+        for arch in [ModelArch::Sage, ModelArch::Gcn, ModelArch::Gat] {
+            for p in [1.0, 0.3] {
+                let cfg = TrainConfig {
+                    arch,
+                    epochs: 15,
+                    hidden: vec![24],
+                    dropout: 0.3,
+                    sampling: BoundarySampling::Bns { p },
+                    ..TrainConfig::quick_test()
+                };
+                let run = train(&ds, &part, &cfg);
+                // The engine's final eval runs the same model over the
+                // same full topology, folding every aggregation in the
+                // full-graph kernel's order: the scores agree exactly.
+                assert_eq!(
+                    run.model.evaluate(&ds),
+                    (run.final_val, run.final_test),
+                    "{arch:?} p={p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -103,18 +103,24 @@ pub fn train_full(ds: &Dataset, cfg: &FullGraphConfig) -> FullGraphRun {
     }
 }
 
-/// Scores a trained model on the dataset's val and test splits
-/// (accuracy for single-label, micro-F1 for multi-label).
+/// Scores a trained model on the dataset's val and test splits (see
+/// [`split_scores`]).
 pub fn evaluate(model: &SageModel, ds: &Dataset) -> (f64, f64) {
     let scale = ds.mean_scale();
     let mut rng = SeededRng::new(0);
     let (out, _) = model.forward_full(&ds.graph, &ds.features, &scale, false, &mut rng);
+    split_scores(&out, ds)
+}
+
+/// Scores full-graph `logits` on the dataset's `(val, test)` splits:
+/// accuracy for single-label, micro-F1 for multi-label.
+pub fn split_scores(logits: &Matrix, ds: &Dataset) -> (f64, f64) {
     match &ds.labels {
         Labels::Single(labels) => (
-            accuracy(&out, labels, &ds.val),
-            accuracy(&out, labels, &ds.test),
+            accuracy(logits, labels, &ds.val),
+            accuracy(logits, labels, &ds.test),
         ),
-        Labels::Multi(y) => (micro_f1(&out, y, &ds.val), micro_f1(&out, y, &ds.test)),
+        Labels::Multi(y) => (micro_f1(logits, y, &ds.val), micro_f1(logits, y, &ds.test)),
     }
 }
 
@@ -131,17 +137,9 @@ pub fn train_mlp(ds: &Dataset, cfg: &FullGraphConfig) -> (f64, f64) {
     dims.extend_from_slice(&cfg.hidden);
     dims.push(ds.num_classes);
     let mut rng = SeededRng::new(cfg.seed);
-    let last = dims.len() - 2;
-    let mut layers: Vec<LinearLayer> = (0..dims.len() - 1)
-        .map(|l| {
-            let act = if l == last {
-                Activation::Identity
-            } else {
-                Activation::Relu
-            };
-            LinearLayer::new(dims[l], dims[l + 1], act, cfg.dropout, &mut rng)
-        })
-        .collect();
+    let mut layers = bns_nn::layer_stack(&dims, Activation::Relu, |d_in, d_out, act| {
+        LinearLayer::new(d_in, d_out, act, cfg.dropout, &mut rng)
+    });
     let mut opt = Adam::new(cfg.lr);
     let mut drop_rng = SeededRng::new(cfg.seed ^ 0x11);
     for _ in 0..cfg.epochs {
@@ -181,16 +179,7 @@ pub fn train_mlp(ds: &Dataset, cfg: &FullGraphConfig) -> (f64, f64) {
         let (next, _) = layer.forward(&h, false, &mut r);
         h = next;
     }
-    match &ds.labels {
-        Labels::Single(labels) => (
-            bns_nn::metrics::accuracy(&h, labels, &ds.val),
-            bns_nn::metrics::accuracy(&h, labels, &ds.test),
-        ),
-        Labels::Multi(y) => (
-            bns_nn::metrics::micro_f1(&h, y, &ds.val),
-            bns_nn::metrics::micro_f1(&h, y, &ds.test),
-        ),
-    }
+    split_scores(&h, ds)
 }
 
 #[cfg(test)]

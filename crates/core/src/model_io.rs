@@ -11,11 +11,11 @@
 //! payloads included).
 //!
 //! The format is versioned: [`from_bytes`](TrainedModel::from_bytes)
-//! rejects unknown versions/tags with a descriptive [`ModelIoError`]
-//! instead of misinterpreting bytes.
+//! rejects unknown versions/tags and layer-less models with a
+//! descriptive [`ModelIoError`] instead of misinterpreting bytes.
 
 use crate::engine::TrainedModel;
-use bns_nn::{Activation, GatLayer, GatModel, GcnLayer, SageLayer, SageModel};
+use bns_nn::{Activation, GatLayer, GcnLayer, Layer, ModelArch, SageLayer};
 use bns_tensor::Matrix;
 use std::fmt;
 
@@ -23,9 +23,8 @@ use std::fmt;
 const MAGIC: [u8; 4] = *b"BNSM";
 const VERSION: u32 = 1;
 
-const ARCH_SAGE: u8 = 0;
-const ARCH_GAT: u8 = 1;
-const ARCH_GCN: u8 = 2;
+/// The architecture tags: a model's tag is its index here.
+const ARCHS: [ModelArch; 3] = [ModelArch::Sage, ModelArch::Gat, ModelArch::Gcn];
 
 const ACT_RELU: u8 = 0;
 const ACT_IDENTITY: u8 = 1;
@@ -63,6 +62,36 @@ fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {
     put_u32(buf, m.cols() as u32);
     for &x in m.as_slice() {
         put_f32(buf, x);
+    }
+}
+
+fn arch_tag(arch: ModelArch) -> u8 {
+    ARCHS
+        .iter()
+        .position(|&a| a == arch)
+        .expect("every arch has a tag") as u8
+}
+
+/// One layer: activation, dropout, GAT's attention slope, then the
+/// parameter matrices in `params_mut` order.
+fn put_layer(buf: &mut Vec<u8>, layer: &Layer) {
+    let (act, dropout, slope, mats) = match layer {
+        Layer::Sage(l) => (l.act, l.dropout, None, vec![&l.w_self, &l.w_neigh, &l.b]),
+        Layer::Gat(l) => (
+            l.act,
+            l.dropout,
+            Some(l.neg_slope),
+            vec![&l.w, &l.a_l, &l.a_r],
+        ),
+        Layer::Gcn(l) => (l.act, l.dropout, None, vec![&l.w, &l.b]),
+    };
+    put_act(buf, act);
+    put_f32(buf, dropout);
+    if let Some(slope) = slope {
+        put_f32(buf, slope);
+    }
+    for m in mats {
+        put_matrix(buf, m);
     }
 }
 
@@ -139,6 +168,34 @@ impl<'a> Reader<'a> {
             t => Err(err(format!("unknown activation tag {t}"))),
         }
     }
+
+    /// The inverse of [`put_layer`] for a layer of `arch`.
+    fn layer(&mut self, arch: ModelArch) -> Result<Layer, ModelIoError> {
+        let (act, dropout) = (self.act()?, self.f32()?);
+        Ok(match arch {
+            ModelArch::Sage => Layer::Sage(SageLayer {
+                act,
+                dropout,
+                w_self: self.matrix()?,
+                w_neigh: self.matrix()?,
+                b: self.matrix()?,
+            }),
+            ModelArch::Gat => Layer::Gat(GatLayer {
+                act,
+                dropout,
+                neg_slope: self.f32()?,
+                w: self.matrix()?,
+                a_l: self.matrix()?,
+                a_r: self.matrix()?,
+            }),
+            ModelArch::Gcn => Layer::Gcn(GcnLayer {
+                act,
+                dropout,
+                w: self.matrix()?,
+                b: self.matrix()?,
+            }),
+        })
+    }
 }
 
 impl TrainedModel {
@@ -147,40 +204,10 @@ impl TrainedModel {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
         put_u32(&mut buf, VERSION);
-        match self {
-            TrainedModel::Sage(m) => {
-                buf.push(ARCH_SAGE);
-                put_u32(&mut buf, m.layers.len() as u32);
-                for l in &m.layers {
-                    put_act(&mut buf, l.act);
-                    put_f32(&mut buf, l.dropout);
-                    put_matrix(&mut buf, &l.w_self);
-                    put_matrix(&mut buf, &l.w_neigh);
-                    put_matrix(&mut buf, &l.b);
-                }
-            }
-            TrainedModel::Gat(m) => {
-                buf.push(ARCH_GAT);
-                put_u32(&mut buf, m.layers.len() as u32);
-                for l in &m.layers {
-                    put_act(&mut buf, l.act);
-                    put_f32(&mut buf, l.dropout);
-                    put_f32(&mut buf, l.neg_slope);
-                    put_matrix(&mut buf, &l.w);
-                    put_matrix(&mut buf, &l.a_l);
-                    put_matrix(&mut buf, &l.a_r);
-                }
-            }
-            TrainedModel::Gcn(layers) => {
-                buf.push(ARCH_GCN);
-                put_u32(&mut buf, layers.len() as u32);
-                for l in layers {
-                    put_act(&mut buf, l.act);
-                    put_f32(&mut buf, l.dropout);
-                    put_matrix(&mut buf, &l.w);
-                    put_matrix(&mut buf, &l.b);
-                }
-            }
+        buf.push(arch_tag(self.layers[0].arch()));
+        put_u32(&mut buf, self.layers.len() as u32);
+        for l in &self.layers {
+            put_layer(&mut buf, l);
         }
         buf
     }
@@ -198,67 +225,27 @@ impl TrainedModel {
                 "unsupported version {version} (supported: {VERSION})"
             )));
         }
-        let arch = r.u8()?;
+        let tag = r.u8()?;
+        let Some(&arch) = ARCHS.get(tag as usize) else {
+            return Err(err(format!("unknown architecture tag {tag}")));
+        };
         let n_layers = r.u32()? as usize;
+        if n_layers == 0 {
+            return Err(err("model has no layers"));
+        }
         // Every layer takes at least one byte, so a hostile count can
         // reserve no more layers than the input has bytes left.
-        let cap = n_layers.min(bytes.len() - r.pos);
-        let model = match arch {
-            ARCH_SAGE => {
-                let mut layers = Vec::with_capacity(cap);
-                for _ in 0..n_layers {
-                    let act = r.act()?;
-                    let dropout = r.f32()?;
-                    layers.push(SageLayer {
-                        act,
-                        dropout,
-                        w_self: r.matrix()?,
-                        w_neigh: r.matrix()?,
-                        b: r.matrix()?,
-                    });
-                }
-                TrainedModel::Sage(SageModel { layers })
-            }
-            ARCH_GAT => {
-                let mut layers = Vec::with_capacity(cap);
-                for _ in 0..n_layers {
-                    let act = r.act()?;
-                    let dropout = r.f32()?;
-                    let neg_slope = r.f32()?;
-                    layers.push(GatLayer {
-                        act,
-                        dropout,
-                        neg_slope,
-                        w: r.matrix()?,
-                        a_l: r.matrix()?,
-                        a_r: r.matrix()?,
-                    });
-                }
-                TrainedModel::Gat(GatModel { layers })
-            }
-            ARCH_GCN => {
-                let mut layers = Vec::with_capacity(cap);
-                for _ in 0..n_layers {
-                    let act = r.act()?;
-                    let dropout = r.f32()?;
-                    layers.push(GcnLayer {
-                        act,
-                        dropout,
-                        w: r.matrix()?,
-                        b: r.matrix()?,
-                    });
-                }
-                TrainedModel::Gcn(layers)
-            }
-            t => return Err(err(format!("unknown architecture tag {t}"))),
-        };
+        let mut layers = Vec::with_capacity(n_layers.min(bytes.len() - r.pos));
+        for _ in 0..n_layers {
+            layers.push(r.layer(arch)?);
+        }
         if r.pos != bytes.len() {
             return Err(err(format!(
                 "{} trailing bytes after model",
                 bytes.len() - r.pos
             )));
         }
-        Ok(model)
+        Ok(TrainedModel { layers })
     }
 
     /// Writes the model to a file.
@@ -279,20 +266,58 @@ mod tests {
     use super::*;
     use bns_tensor::SeededRng;
 
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|x| x.to_bits()).collect()
-    }
-
     fn sample_models() -> Vec<TrainedModel> {
         let mut rng = SeededRng::new(99);
         vec![
-            TrainedModel::Sage(SageModel::new(&[7, 5, 3], 0.3, &mut rng)),
-            TrainedModel::Gat(GatModel::new(&[6, 4, 2], 0.1, &mut rng)),
-            TrainedModel::Gcn(vec![
-                GcnLayer::new(5, 4, Activation::Relu, 0.2, &mut rng),
-                GcnLayer::new(4, 3, Activation::Identity, 0.0, &mut rng),
-            ]),
+            TrainedModel::new(ModelArch::Sage, &[7, 5, 3], 0.3, &mut rng),
+            TrainedModel::new(ModelArch::Gat, &[6, 4, 2], 0.1, &mut rng),
+            TrainedModel::new(ModelArch::Gcn, &[5, 4, 3], 0.2, &mut rng),
         ]
+    }
+
+    /// FNV-1a (64-bit).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Model files keep their bytes: a fixed seeded model of each
+    /// architecture encodes to the length and FNV-1a hash recorded from
+    /// the format's original one-arm-per-architecture encoder.
+    #[test]
+    fn encoding_matches_recorded_bytes() {
+        let cases = [
+            (
+                ModelArch::Sage,
+                [7, 5, 4, 3],
+                0.3,
+                101,
+                684,
+                0x8653_1501_bccc_7640,
+            ),
+            (
+                ModelArch::Gat,
+                [6, 5, 4, 2],
+                0.1,
+                102,
+                432,
+                0x5639_cb7a_1581_d01f,
+            ),
+            (
+                ModelArch::Gcn,
+                [5, 4, 4, 3],
+                0.2,
+                103,
+                312,
+                0x9393_96eb_0b7f_77f5,
+            ),
+        ];
+        for (arch, dims, dropout, seed, len, hash) in cases {
+            let model = TrainedModel::new(arch, &dims, dropout, &mut SeededRng::new(seed));
+            let bytes = model.to_bytes();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, hash), "{arch:?}");
+        }
     }
 
     #[test]
@@ -303,53 +328,25 @@ mod tests {
             assert_eq!(model.num_layers(), back.num_layers());
             assert_eq!(model.num_classes(), back.num_classes());
             assert_eq!(model.feat_dim(), back.feat_dim());
-            // Bitwise weight equality, architecture by architecture.
-            match (&model, &back) {
-                (TrainedModel::Sage(a), TrainedModel::Sage(b)) => {
-                    for (la, lb) in a.layers.iter().zip(&b.layers) {
-                        assert_eq!(la.act, lb.act);
-                        assert_eq!(la.dropout.to_bits(), lb.dropout.to_bits());
-                        assert_eq!(bits(&la.w_self), bits(&lb.w_self));
-                        assert_eq!(bits(&la.w_neigh), bits(&lb.w_neigh));
-                        assert_eq!(bits(&la.b), bits(&lb.b));
-                    }
-                }
-                (TrainedModel::Gat(a), TrainedModel::Gat(b)) => {
-                    for (la, lb) in a.layers.iter().zip(&b.layers) {
-                        assert_eq!(la.act, lb.act);
-                        assert_eq!(la.neg_slope.to_bits(), lb.neg_slope.to_bits());
-                        assert_eq!(bits(&la.w), bits(&lb.w));
-                        assert_eq!(bits(&la.a_l), bits(&lb.a_l));
-                        assert_eq!(bits(&la.a_r), bits(&lb.a_r));
-                    }
-                }
-                (TrainedModel::Gcn(a), TrainedModel::Gcn(b)) => {
-                    for (la, lb) in a.iter().zip(b) {
-                        assert_eq!(la.act, lb.act);
-                        assert_eq!(bits(&la.w), bits(&lb.w));
-                        assert_eq!(bits(&la.b), bits(&lb.b));
-                    }
-                }
-                _ => panic!("architecture changed in round trip"),
-            }
+            assert_eq!(model.layers(), back.layers());
+            // Bitwise: every field is encoded, so equal bytes mean
+            // equal bits.
+            assert_eq!(back.to_bytes(), bytes);
         }
     }
 
     #[test]
     fn leaky_relu_slope_survives() {
         let mut rng = SeededRng::new(5);
-        let model = TrainedModel::Gcn(vec![GcnLayer::new(
-            3,
-            2,
-            Activation::LeakyRelu(0.07),
-            0.0,
-            &mut rng,
-        )]);
+        let layer = GcnLayer::new(3, 2, Activation::LeakyRelu(0.07), 0.0, &mut rng);
+        let model = TrainedModel {
+            layers: vec![Layer::Gcn(layer)],
+        };
         let back = TrainedModel::from_bytes(&model.to_bytes()).unwrap();
-        let TrainedModel::Gcn(layers) = back else {
+        let Layer::Gcn(layer) = &back.layers()[0] else {
             panic!()
         };
-        assert_eq!(layers[0].act, Activation::LeakyRelu(0.07));
+        assert_eq!(layer.act, Activation::LeakyRelu(0.07));
     }
 
     #[test]
@@ -374,6 +371,10 @@ mod tests {
         bad_version[4] = 0xFF;
         assert!(TrainedModel::from_bytes(&bad_version).is_err(), "version");
 
+        let mut no_layers = good[..13].to_vec();
+        no_layers[9..13].copy_from_slice(&0u32.to_le_bytes());
+        assert!(TrainedModel::from_bytes(&no_layers).is_err(), "no layers");
+
         let mut bad_arch = good;
         bad_arch[8] = 0xEE;
         assert!(TrainedModel::from_bytes(&bad_arch).is_err(), "arch tag");
@@ -386,7 +387,7 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&MAGIC);
         put_u32(&mut huge, VERSION);
-        huge.push(ARCH_GCN);
+        huge.push(arch_tag(ModelArch::Gcn));
         put_u32(&mut huge, 1);
         put_act(&mut huge, Activation::Relu);
         put_f32(&mut huge, 0.0);
@@ -396,7 +397,7 @@ mod tests {
 
         // A layer count far beyond what the bytes could hold.
         let mut many = huge[..8].to_vec();
-        many.push(ARCH_SAGE);
+        many.push(arch_tag(ModelArch::Sage));
         put_u32(&mut many, u32::MAX);
         assert!(TrainedModel::from_bytes(&many).is_err(), "huge layer count");
 

@@ -21,7 +21,7 @@ use bns_gcn::exchange::{
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
-use bns_nn::{Activation, SageLayer};
+use bns_nn::{Activation, SageLayer, SageSegCache, SegScratch};
 use bns_partition::{Partitioner, RandomPartitioner};
 use bns_runtime::block_on;
 use bns_tensor::pool::{self, ThreadPool};
@@ -109,14 +109,18 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
                 true,
                 &mut rng_fused,
             );
-            let partial = layer.forward_inner(&topo.graph, &h_inner, true, &mut rng_seg);
-            let (out_seg, _) = layer.forward_boundary(
+            let (mut cache, mut scratch) = (SageSegCache::default(), SegScratch::default());
+            let mut out_seg = Matrix::default();
+            layer.forward_inner_into(&topo.graph, &h_inner, true, &mut rng_seg, &mut cache);
+            layer.forward_boundary_into(
                 &topo.graph,
-                partial,
+                &mut cache,
                 arena.boundary(),
                 &topo.row_scale,
                 true,
                 &mut rng_seg,
+                &mut scratch,
+                &mut out_seg,
             );
             assert_bitwise(&out_fused, &out_seg, "segmented forward");
 

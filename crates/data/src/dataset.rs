@@ -57,16 +57,12 @@ impl Dataset {
     /// These are *full-graph* degrees, which is what makes BNS-GCN's
     /// `H/p` rescaling an unbiased estimator of the full-graph mean.
     pub fn mean_scale(&self) -> Vec<f32> {
-        (0..self.num_nodes())
-            .map(|v| 1.0 / self.graph.degree(v).max(1) as f32)
-            .collect()
+        self.graph.mean_scale()
     }
 
     /// GCN symmetric-normalization scales: `1/sqrt(deg(v) + 1)`.
     pub fn gcn_scale(&self) -> Vec<f32> {
-        (0..self.num_nodes())
-            .map(|v| 1.0 / ((self.graph.degree(v) + 1) as f32).sqrt())
-            .collect()
+        self.graph.gcn_scale()
     }
 
     /// Checks split disjointness and coverage invariants.

@@ -114,6 +114,21 @@ impl CsrGraph {
         &self.indices[self.indptr[v]..self.indptr[v + 1]]
     }
 
+    /// Mean-aggregator normalizers: `1/deg(v)` per node (1 for isolated
+    /// nodes).
+    pub fn mean_scale(&self) -> Vec<f32> {
+        (0..self.num_nodes())
+            .map(|v| 1.0 / self.degree(v).max(1) as f32)
+            .collect()
+    }
+
+    /// GCN symmetric-normalization scales: `1/sqrt(deg(v) + 1)` per node.
+    pub fn gcn_scale(&self) -> Vec<f32> {
+        (0..self.num_nodes())
+            .map(|v| 1.0 / ((self.degree(v) + 1) as f32).sqrt())
+            .collect()
+    }
+
     /// Whether the undirected edge `{u, v}` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.neighbors(u).binary_search(&(v as u32)).is_ok()

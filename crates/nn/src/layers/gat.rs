@@ -237,11 +237,6 @@ impl GatLayer {
     pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w, &mut self.a_l, &mut self.a_r]
     }
-
-    /// Parameter gradients in [`GatLayer::params_mut`] order.
-    pub fn grads_vec(grads: &GatGrads) -> Vec<&Matrix> {
-        vec![&grads.w, &grads.a_l, &grads.a_r]
-    }
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {

@@ -36,11 +36,6 @@ pub struct GcnCache {
     s: Vec<f32>,
 }
 
-/// Result of [`GcnLayer::forward_inner`] — everything computable before
-/// boundary features have arrived.
-#[derive(Debug, Clone)]
-pub struct GcnInnerPartial(GcnSegCache);
-
 /// Saved forward state for the segmented pass; never stores the
 /// boundary feature rows. The training engine keeps one per layer for
 /// the whole run and overwrites it every epoch.
@@ -118,26 +113,12 @@ impl GcnLayer {
         )
     }
 
-    /// Phase 1 of the segmented forward pass: inner-row dropout and the
+    /// Phase 1 of the segmented forward pass, into a caller-owned cache
+    /// whose buffers are overwritten: inner-row dropout and the
     /// inner-edge partial aggregation (no self-loop term yet); runs
     /// before boundary features arrive. See
     /// [`crate::aggregate::gcn_aggregate_inner`] for the bitwise-identity
     /// argument.
-    pub fn forward_inner(
-        &self,
-        g: &CsrGraph,
-        h_inner: &Matrix,
-        s: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-    ) -> GcnInnerPartial {
-        let mut cache = GcnSegCache::default();
-        self.forward_inner_into(g, h_inner, s, train, rng, &mut cache);
-        GcnInnerPartial(cache)
-    }
-
-    /// [`GcnLayer::forward_inner`] into a caller-owned cache, whose
-    /// buffers are overwritten.
     pub fn forward_inner_into(
         &self,
         g: &CsrGraph,
@@ -157,27 +138,11 @@ impl GcnLayer {
         gcn_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), s, &mut cache.z);
     }
 
-    /// Phase 2 of the segmented forward pass: boundary dropout, boundary
-    /// fold + self-loop finalization, then the dense linear path. `h_bd`
-    /// is borrowed and not cached.
-    pub fn forward_boundary(
-        &self,
-        g: &CsrGraph,
-        partial: GcnInnerPartial,
-        h_bd: &Matrix,
-        s: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-    ) -> (Matrix, GcnSegCache) {
-        let (mut cache, mut out) = (partial.0, Matrix::default());
-        let mut scratch = SegScratch::default();
-        self.forward_boundary_into(g, &mut cache, h_bd, s, train, rng, &mut scratch, &mut out);
-        (out, cache)
-    }
-
-    /// [`GcnLayer::forward_boundary`] on the cache that
-    /// [`GcnLayer::forward_inner_into`] filled, writing the layer output
-    /// into `out`; temporaries live in the shared `scratch`.
+    /// Phase 2 of the segmented forward pass, on the cache that
+    /// [`GcnLayer::forward_inner_into`] filled: boundary dropout,
+    /// boundary fold + self-loop finalization, then the dense linear
+    /// path, writing the layer output into `out`; temporaries live in
+    /// the shared `scratch`. `h_bd` is borrowed and not cached.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_boundary_into(
         &self,
@@ -209,23 +174,11 @@ impl GcnLayer {
         cache.s.extend_from_slice(s);
     }
 
-    /// Segmented backward pass: returns `(dh_inner, dh_bd, grads)` —
-    /// bitwise equal to slicing [`GcnLayer::backward`]'s output at the
-    /// inner/boundary split.
-    pub fn backward_seg(
-        &self,
-        g: &CsrGraph,
-        cache: &GcnSegCache,
-        d_out: &Matrix,
-    ) -> (Matrix, Matrix, GcnGrads) {
-        let (mut scratch, mut grads) = (SegScratch::default(), GcnGrads::default());
-        self.backward_seg_into(g, cache, d_out, &mut scratch, &mut grads);
-        (scratch.dh, scratch.dh_bd, grads)
-    }
-
-    /// [`GcnLayer::backward_seg`] into caller-owned buffers: the input
+    /// Segmented backward pass into caller-owned buffers: the input
     /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
-    /// (boundary rows), the parameter gradients in `grads`.
+    /// (boundary rows), the parameter gradients in `grads` — bitwise
+    /// equal to slicing [`GcnLayer::backward`]'s output at the
+    /// inner/boundary split.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
@@ -345,14 +298,26 @@ mod tests {
         let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
 
         let mut rng_seg = SeededRng::new(88);
-        let partial = layer.forward_inner(&g, &h_inner, &s, true, &mut rng_seg);
-        let (out_s, cache_s) = layer.forward_boundary(&g, partial, &h_bd, &s, true, &mut rng_seg);
-        let (dh_in, dh_bd, grads_s) = layer.backward_seg(&g, &cache_s, &d_out);
+        let (mut cache_s, mut scratch) = (GcnSegCache::default(), SegScratch::default());
+        let (mut out_s, mut grads_s) = (Matrix::default(), GcnGrads::default());
+        layer.forward_inner_into(&g, &h_inner, &s, true, &mut rng_seg, &mut cache_s);
+        layer.forward_boundary_into(
+            &g,
+            &mut cache_s,
+            &h_bd,
+            &s,
+            true,
+            &mut rng_seg,
+            &mut scratch,
+            &mut out_s,
+        );
+        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s);
+        let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
         assert_eq!(bits(&out_f), bits(&out_s));
-        assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(&dh_in));
-        assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(&dh_bd));
+        assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
+        assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
         assert_eq!(bits(&grads_f.w), bits(&grads_s.w));
         assert_eq!(bits(&grads_f.b), bits(&grads_s.b));
     }

@@ -15,11 +15,13 @@
 
 mod gat;
 mod gcn;
+mod layer;
 mod linear;
 mod sage;
 
 pub use gat::{GatCache, GatGrads, GatLayer};
 pub use gcn::{GcnCache, GcnGrads, GcnLayer, GcnSegCache};
+pub use layer::{Layer, LayerSlot, ModelArch};
 pub use linear::{LinearCache, LinearGrads, LinearLayer};
 pub use sage::{SageCache, SageGrads, SageLayer, SageSegCache};
 

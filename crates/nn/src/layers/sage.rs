@@ -43,11 +43,6 @@ pub struct SageCache {
     row_scale: Vec<f32>,
 }
 
-/// Result of [`SageLayer::forward_inner`] — everything computable
-/// before boundary features have arrived.
-#[derive(Debug, Clone)]
-pub struct SageInnerPartial(SageSegCache);
-
 /// Saved forward state for the segmented pass
 /// ([`SageLayer::forward_inner_into`], [`SageLayer::forward_boundary_into`],
 /// [`SageLayer::backward_seg_into`]). Unlike the fused cache it never
@@ -154,30 +149,18 @@ impl SageLayer {
         )
     }
 
-    /// Phase 1 of the segmented forward pass: input dropout on the inner
-    /// rows plus the inner-edge partial aggregation — everything that
-    /// does not touch boundary features, so the engine can run it while
+    /// Phase 1 of the segmented forward pass, into a caller-owned cache
+    /// whose buffers are overwritten: input dropout on the inner rows
+    /// plus the inner-edge partial aggregation — everything that does
+    /// not touch boundary features, so the engine can run it while
     /// boundary blocks are in flight. All `h_inner.rows()` rows are
     /// treated as update targets.
     ///
-    /// Combined with [`SageLayer::forward_boundary`] this is bitwise
-    /// identical to [`SageLayer::forward`] on `vstack(h_inner, h_bd)`:
-    /// dropout draws its RNG stream row-major (inner rows first), and
-    /// sorted CSR rows put inner neighbors before boundary neighbors.
-    pub fn forward_inner(
-        &self,
-        g: &CsrGraph,
-        h_inner: &Matrix,
-        train: bool,
-        rng: &mut SeededRng,
-    ) -> SageInnerPartial {
-        let mut cache = SageSegCache::default();
-        self.forward_inner_into(g, h_inner, train, rng, &mut cache);
-        SageInnerPartial(cache)
-    }
-
-    /// [`SageLayer::forward_inner`] into a caller-owned cache, whose
-    /// buffers are overwritten.
+    /// Combined with [`SageLayer::forward_boundary_into`] this is
+    /// bitwise identical to [`SageLayer::forward`] on
+    /// `vstack(h_inner, h_bd)`: dropout draws its RNG stream row-major
+    /// (inner rows first), and sorted CSR rows put inner neighbors
+    /// before boundary neighbors.
     pub fn forward_inner_into(
         &self,
         g: &CsrGraph,
@@ -196,37 +179,12 @@ impl SageLayer {
         scaled_sum_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), &mut cache.z);
     }
 
-    /// Phase 2 of the segmented forward pass: boundary dropout, boundary
-    /// fold + scaling, and the dense linear path. `h_bd` is borrowed
-    /// (it can live in a reusable exchange arena) and is **not** kept in
-    /// the cache.
-    pub fn forward_boundary(
-        &self,
-        g: &CsrGraph,
-        partial: SageInnerPartial,
-        h_bd: &Matrix,
-        row_scale: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-    ) -> (Matrix, SageSegCache) {
-        let (mut cache, mut out) = (partial.0, Matrix::default());
-        let mut scratch = SegScratch::default();
-        self.forward_boundary_into(
-            g,
-            &mut cache,
-            h_bd,
-            row_scale,
-            train,
-            rng,
-            &mut scratch,
-            &mut out,
-        );
-        (out, cache)
-    }
-
-    /// [`SageLayer::forward_boundary`] on the cache that
-    /// [`SageLayer::forward_inner_into`] filled, writing the layer
-    /// output into `out`; temporaries live in the shared `scratch`.
+    /// Phase 2 of the segmented forward pass, on the cache that
+    /// [`SageLayer::forward_inner_into`] filled: boundary dropout,
+    /// boundary fold + scaling, and the dense linear path, writing the
+    /// layer output into `out`; temporaries live in the shared
+    /// `scratch`. `h_bd` is borrowed (it can live in a reusable
+    /// exchange arena) and is **not** kept in the cache.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_boundary_into(
         &self,
@@ -260,24 +218,11 @@ impl SageLayer {
         cache.row_scale.extend_from_slice(row_scale);
     }
 
-    /// Segmented backward pass: returns `(dh_inner, dh_bd, grads)`
-    /// directly instead of one stacked gradient matrix — bitwise equal
-    /// to slicing [`SageLayer::backward`]'s output at the inner/boundary
-    /// split.
-    pub fn backward_seg(
-        &self,
-        g: &CsrGraph,
-        cache: &SageSegCache,
-        d_out: &Matrix,
-    ) -> (Matrix, Matrix, SageGrads) {
-        let (mut scratch, mut grads) = (SegScratch::default(), SageGrads::default());
-        self.backward_seg_into(g, cache, d_out, &mut scratch, &mut grads);
-        (scratch.dh, scratch.dh_bd, grads)
-    }
-
-    /// [`SageLayer::backward_seg`] into caller-owned buffers: the input
+    /// Segmented backward pass into caller-owned buffers: the input
     /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
-    /// (boundary rows), the parameter gradients in `grads`.
+    /// (boundary rows), the parameter gradients in `grads` — bitwise
+    /// equal to slicing [`SageLayer::backward`]'s output at the
+    /// inner/boundary split.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
@@ -475,15 +420,26 @@ mod tests {
         let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
 
         let mut rng_seg = SeededRng::new(77);
-        let partial = layer.forward_inner(&g, &h_inner, true, &mut rng_seg);
-        let (out_s, cache_s) =
-            layer.forward_boundary(&g, partial, &h_bd, &scale, true, &mut rng_seg);
-        let (dh_in, dh_bd, grads_s) = layer.backward_seg(&g, &cache_s, &d_out);
+        let (mut cache_s, mut scratch) = (SageSegCache::default(), SegScratch::default());
+        let (mut out_s, mut grads_s) = (Matrix::default(), SageGrads::default());
+        layer.forward_inner_into(&g, &h_inner, true, &mut rng_seg, &mut cache_s);
+        layer.forward_boundary_into(
+            &g,
+            &mut cache_s,
+            &h_bd,
+            &scale,
+            true,
+            &mut rng_seg,
+            &mut scratch,
+            &mut out_s,
+        );
+        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s);
+        let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
         assert_eq!(bits(&out_f), bits(&out_s));
-        assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(&dh_in));
-        assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(&dh_bd));
+        assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
+        assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
         assert_eq!(bits(&grads_f.w_self), bits(&grads_s.w_self));
         assert_eq!(bits(&grads_f.w_neigh), bits(&grads_s.w_neigh));
         assert_eq!(bits(&grads_f.b), bits(&grads_s.b));

@@ -9,6 +9,8 @@
 //!   designed for *layer-at-a-time* execution, so the partition-parallel
 //!   engine in `bns-gcn` can interleave communication between layers
 //!   (Algorithm 1 of the paper),
+//! * [`Layer`] — one layer of any [`ModelArch`], the single place that
+//!   decides per architecture for training, evaluation and serving,
 //! * [`aggregate`] — sparse neighbor aggregation kernels shared by the
 //!   layers, parameterized by per-row scales so the engine can implement
 //!   the paper's unbiased `H/p` boundary rescaling,
@@ -31,8 +33,9 @@ mod optim;
 
 pub use activation::Activation;
 pub use layers::{
-    DropMask, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache, LinearCache,
-    LinearGrads, LinearLayer, SageCache, SageGrads, SageLayer, SageSegCache, SegScratch,
+    DropMask, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache, Layer,
+    LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads, SageLayer,
+    SageSegCache, SegScratch,
 };
-pub use models::{flatten_into, unflatten_into, GatModel, SageModel};
+pub use models::{flatten_into, layer_stack, unflatten_into, SageModel};
 pub use optim::Adam;

@@ -2,7 +2,7 @@
 //! optimizers and gradient all-reduce.
 
 use crate::activation::Activation;
-use crate::layers::{GatGrads, GatLayer, SageCache, SageGrads, SageLayer};
+use crate::layers::{SageCache, SageGrads, SageLayer};
 use bns_graph::CsrGraph;
 use bns_tensor::{Matrix, SeededRng};
 
@@ -23,18 +23,9 @@ impl SageModel {
     ///
     /// Panics if fewer than two dims are given.
     pub fn new(dims: &[usize], dropout: f32, rng: &mut SeededRng) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output dims");
-        let last = dims.len() - 2;
-        let layers = (0..dims.len() - 1)
-            .map(|l| {
-                let act = if l == last {
-                    Activation::Identity
-                } else {
-                    Activation::Relu
-                };
-                SageLayer::new(dims[l], dims[l + 1], act, dropout, rng)
-            })
-            .collect();
+        let layers = layer_stack(dims, Activation::Relu, |d_in, d_out, act| {
+            SageLayer::new(d_in, d_out, act, dropout, rng)
+        });
         Self { layers }
     }
 
@@ -98,53 +89,30 @@ impl SageModel {
     }
 }
 
-/// A GAT model (paper Table 10 uses 2 layers): ELU between hidden
-/// layers, identity output.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatModel {
-    /// The layer stack.
-    pub layers: Vec<GatLayer>,
-}
-
-impl GatModel {
-    /// Builds a model with the given layer dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two dims are given.
-    pub fn new(dims: &[usize], dropout: f32, rng: &mut SeededRng) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output dims");
-        let last = dims.len() - 2;
-        let layers = (0..dims.len() - 1)
-            .map(|l| {
-                let act = if l == last {
-                    Activation::Identity
-                } else {
-                    Activation::Elu
-                };
-                GatLayer::new(dims[l], dims[l + 1], act, dropout, rng)
-            })
-            .collect();
-        Self { layers }
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// All parameters, layer by layer.
-    pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    /// Flattens per-layer gradients into optimizer order.
-    pub fn grads_refs(grads: &[GatGrads]) -> Vec<&Matrix> {
-        grads.iter().flat_map(GatLayer::grads_vec).collect()
-    }
+/// Builds one layer per consecutive pair of `dims` (input, hidden...,
+/// output), in order, with `layer(d_in, d_out, act)`: `act` is
+/// `hidden` between layers and identity on the last.
+///
+/// # Panics
+///
+/// Panics if fewer than two dims are given.
+pub fn layer_stack<L>(
+    dims: &[usize],
+    hidden: Activation,
+    mut layer: impl FnMut(usize, usize, Activation) -> L,
+) -> Vec<L> {
+    assert!(dims.len() >= 2, "need at least input and output dims");
+    let last = dims.len() - 2;
+    (0..=last)
+        .map(|l| {
+            let act = if l == last {
+                Activation::Identity
+            } else {
+                hidden
+            };
+            layer(dims[l], dims[l + 1], act)
+        })
+        .collect()
 }
 
 /// Concatenates matrices into the flat `f32` buffer `out` (for gradient

@@ -48,8 +48,7 @@
 //!
 //! ```
 //! use bns_data::SyntheticSpec;
-//! use bns_gcn::engine::TrainedModel;
-//! use bns_nn::SageModel;
+//! use bns_gcn::engine::{ModelArch, TrainedModel};
 //! use bns_partition::{MetisLikePartitioner, Partitioner};
 //! use bns_serve::{CacheConfig, ServeConfig, ServeEngine, ServePlan};
 //! use bns_tensor::SeededRng;
@@ -58,7 +57,8 @@
 //! let ds = SyntheticSpec::reddit_sim().with_nodes(300).generate(1);
 //! let part = MetisLikePartitioner::default().partition(&ds.graph, 4, 0);
 //! let mut rng = SeededRng::new(0);
-//! let model = TrainedModel::Sage(SageModel::new(&[ds.feat_dim(), 16, ds.num_classes], 0.0, &mut rng));
+//! let dims = [ds.feat_dim(), 16, ds.num_classes];
+//! let model = TrainedModel::new(ModelArch::Sage, &dims, 0.0, &mut rng);
 //! let plan = ServePlan::build(&ds, &part, model);
 //! let engine = ServeEngine::start(&plan, &ServeConfig::default());
 //! let t0 = Instant::now();

@@ -48,7 +48,7 @@ use bns_gcn::engine::TrainedModel;
 use bns_gcn::plan::PartitionPlan;
 use bns_graph::{Block, CsrGraph};
 use bns_partition::Partitioning;
-use bns_tensor::{Matrix, SeededRng};
+use bns_tensor::Matrix;
 use std::fmt;
 use std::sync::Arc;
 
@@ -70,10 +70,9 @@ pub struct ServePlan {
     /// another rank's store models a remote fetch and must go through
     /// the cache/fetch path).
     pub stores: Arc<Vec<Matrix>>,
-    /// Replicated mean-aggregator normalizer `1/deg(v)` (SAGE).
-    pub mean_scale: Arc<Vec<f32>>,
-    /// Replicated GCN normalizer `1/sqrt(deg+1)`.
-    pub gcn_scale: Arc<Vec<f32>>,
+    /// Replicated per-node normalizer the model's layers read
+    /// ([`TrainedModel::normalizer`]; empty for GAT).
+    pub normalizer: Arc<Vec<f32>>,
     /// Per rank: that shard's static boundary set ordered by descending
     /// full-graph degree (ties broken by ascending id) — the pinning
     /// priority list.
@@ -118,12 +117,11 @@ impl ServePlan {
             k: plan.k,
             graph: Arc::new(ds.graph.clone()),
             num_classes: model.num_classes(),
+            normalizer: Arc::new(model.normalizer(ds)),
             model: Arc::new(model),
             owner: Arc::new(owner),
             local_row: Arc::new(local_row),
             stores: Arc::new(stores),
-            mean_scale: Arc::new(ds.mean_scale()),
-            gcn_scale: Arc::new(ds.gcn_scale()),
             boundary_by_degree,
         }
     }
@@ -156,8 +154,7 @@ impl ServePlan {
             owner: Arc::clone(&self.owner),
             local_row: Arc::clone(&self.local_row),
             stores: Arc::clone(&self.stores),
-            mean_scale: Arc::clone(&self.mean_scale),
-            gcn_scale: Arc::clone(&self.gcn_scale),
+            normalizer: Arc::clone(&self.normalizer),
             cache,
             rows: RowStats::default(),
             epoch: 0,
@@ -241,8 +238,7 @@ pub struct ShardServer {
     owner: Arc<Vec<u32>>,
     local_row: Arc<Vec<u32>>,
     stores: Arc<Vec<Matrix>>,
-    mean_scale: Arc<Vec<f32>>,
-    gcn_scale: Arc<Vec<f32>>,
+    normalizer: Arc<Vec<f32>>,
     cache: BoundaryCache,
     rows: RowStats,
     /// Batch stamp for the `mark` array (epoch-stamped visited set — a
@@ -259,7 +255,7 @@ pub struct ShardServer {
     /// The closure in ascending id (the gather's cache access order).
     by_id: Vec<u32>,
     block: Block,
-    /// The model's normalizer per closure position.
+    /// The model's normalizer per closure position (empty for GAT).
     scale: Vec<f32>,
 }
 
@@ -380,39 +376,20 @@ impl ShardServer {
         self.expand_closure(targets);
         let mut h = self.gather_features();
         self.build_block();
-        let normalizer = match &*self.model {
-            TrainedModel::Sage(_) => Some(&self.mean_scale),
-            TrainedModel::Gcn(_) => Some(&self.gcn_scale),
-            TrainedModel::Gat(_) => None,
-        };
+        // An empty normalizer (GAT) leaves `scale` empty.
+        let norm = &self.normalizer;
         self.scale.clear();
-        if let Some(norm) = normalizer {
-            self.scale
-                .extend(self.closure.iter().map(|&v| norm[v as usize]));
-        }
-        // Eval-mode forward: dropout off, so the RNG stream is inert —
-        // a fresh fixed-seed RNG keeps the call deterministic anyway.
-        let mut rng = SeededRng::new(0);
+        self.scale
+            .extend(self.closure.iter().filter_map(|&v| norm.get(v as usize)));
         let depth = self.depth;
-        for l in 0..depth {
+        for (l, layer) in self.model.layers().iter().enumerate() {
             // Layer l updates the nodes within L-1-l hops from the
             // nodes within L-l hops.
             let (n_out, n_src) = (self.level_end[depth - 1 - l], self.level_end[depth - l]);
             if l > 0 {
                 self.block.truncate(n_out, n_src);
             }
-            let g = &self.block;
-            h = match &*self.model {
-                TrainedModel::Sage(m) => {
-                    let scale = &self.scale[..n_out];
-                    m.layers[l].forward(g, &h, n_out, scale, false, &mut rng).0
-                }
-                TrainedModel::Gat(m) => m.layers[l].forward(g, &h, n_out, false, &mut rng).0,
-                TrainedModel::Gcn(layers) => {
-                    let scale = &self.scale[..n_src];
-                    layers[l].forward(g, &h, n_out, scale, false, &mut rng).0
-                }
-            };
+            h = layer.forward(&self.block, &h, n_out, &self.scale);
             self.rows.computed_rows += n_out as u64;
         }
         self.rows.closure_rows += self.closure.len() as u64;
@@ -441,19 +418,16 @@ impl ShardServer {
 mod tests {
     use super::*;
     use bns_data::SyntheticSpec;
-    use bns_gcn::engine::TrainedModel;
-    use bns_nn::SageModel;
+    use bns_gcn::engine::{ModelArch, TrainedModel};
     use bns_partition::{MetisLikePartitioner, Partitioner};
+    use bns_tensor::SeededRng;
 
     fn setup(k: usize) -> (Dataset, ServePlan) {
         let ds = SyntheticSpec::reddit_sim().with_nodes(400).generate(11);
         let part = MetisLikePartitioner::default().partition(&ds.graph, k, 1);
         let mut rng = SeededRng::new(4);
-        let model = TrainedModel::Sage(SageModel::new(
-            &[ds.feat_dim(), 16, ds.num_classes],
-            0.0,
-            &mut rng,
-        ));
+        let dims = [ds.feat_dim(), 16, ds.num_classes];
+        let model = TrainedModel::new(ModelArch::Sage, &dims, 0.0, &mut rng);
         let plan = ServePlan::build(&ds, &part, model);
         (ds, plan)
     }

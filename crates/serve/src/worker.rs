@@ -254,8 +254,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use bns_data::SyntheticSpec;
-    use bns_gcn::engine::TrainedModel;
-    use bns_nn::SageModel;
+    use bns_gcn::engine::{ModelArch, TrainedModel};
     use bns_partition::{MetisLikePartitioner, Partitioner};
     use bns_tensor::SeededRng;
 
@@ -263,11 +262,8 @@ mod tests {
         let ds = SyntheticSpec::reddit_sim().with_nodes(300).generate(23);
         let part = MetisLikePartitioner::default().partition(&ds.graph, k, 0);
         let mut rng = SeededRng::new(8);
-        let model = TrainedModel::Sage(SageModel::new(
-            &[ds.feat_dim(), 8, ds.num_classes],
-            0.0,
-            &mut rng,
-        ));
+        let dims = [ds.feat_dim(), 8, ds.num_classes];
+        let model = TrainedModel::new(ModelArch::Sage, &dims, 0.0, &mut rng);
         let p = ServePlan::build(&ds, &part, model);
         (ds, p)
     }

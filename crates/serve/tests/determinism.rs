@@ -12,8 +12,7 @@
 //! matrix here.
 
 use bns_data::SyntheticSpec;
-use bns_gcn::engine::TrainedModel;
-use bns_nn::{GatModel, SageModel};
+use bns_gcn::engine::{ModelArch, TrainedModel};
 use bns_partition::{MetisLikePartitioner, Partitioner};
 use bns_serve::{CacheConfig, ServePlan};
 use bns_tensor::pool::{self, ThreadPool};
@@ -42,16 +41,12 @@ fn serve_all(plan: &ServePlan, cache: CacheConfig, queries: &[u32], batch: usize
     out
 }
 
-fn build(arch: &str) -> (std::sync::Arc<bns_data::Dataset>, ServePlan, Vec<u32>) {
+fn build(arch: ModelArch) -> (std::sync::Arc<bns_data::Dataset>, ServePlan, Vec<u32>) {
     let ds = std::sync::Arc::new(SyntheticSpec::reddit_sim().with_nodes(350).generate(17));
     let part = MetisLikePartitioner::default().partition(&ds.graph, 4, 2);
     let mut rng = SeededRng::new(21);
     let dims = [ds.feat_dim(), 12, ds.num_classes];
-    let model = match arch {
-        "sage" => TrainedModel::Sage(SageModel::new(&dims, 0.0, &mut rng)),
-        "gat" => TrainedModel::Gat(GatModel::new(&dims, 0.0, &mut rng)),
-        _ => unreachable!(),
-    };
+    let model = TrainedModel::new(arch, &dims, 0.0, &mut rng);
     let plan = ServePlan::build(&ds, &part, model);
     // A skewed, duplicate-heavy query stream.
     let mut qrng = SeededRng::new(5);
@@ -63,7 +58,7 @@ fn build(arch: &str) -> (std::sync::Arc<bns_data::Dataset>, ServePlan, Vec<u32>)
 
 #[test]
 fn cached_vs_uncached_bitwise_identical_across_threads_and_lanes() {
-    let (ds, plan, queries) = build("sage");
+    let (ds, plan, queries) = build(ModelArch::Sage);
     // Reference rows, full-graph forward, in per-rank serve order.
     let mut ref_order: Vec<usize> = Vec::new();
     for rank in 0..plan.k {
@@ -117,7 +112,7 @@ fn cached_vs_uncached_bitwise_identical_across_threads_and_lanes() {
 fn gat_serving_matches_reference_with_and_without_cache() {
     // GAT's attention softmax is the numerically touchiest path; one
     // cached-vs-uncached leg keeps it honest.
-    let (ds, plan, queries) = build("gat");
+    let (ds, plan, queries) = build(ModelArch::Gat);
     let warm = serve_all(&plan, CacheConfig::default(), &queries, 16);
     let cold = serve_all(&plan, CacheConfig::disabled(), &queries, 16);
     assert_eq!(bits(&warm), bits(&cold), "cache changed GAT logits");
@@ -138,7 +133,7 @@ fn gat_serving_matches_reference_with_and_without_cache() {
 fn repeated_serving_is_stable_as_cache_fills() {
     // The cache mutates between identical batches (cold -> warm ->
     // evicting); the answers must not.
-    let (_ds, plan, queries) = build("sage");
+    let (_ds, plan, queries) = build(ModelArch::Sage);
     let mut server = plan.shard(
         0,
         CacheConfig {

@@ -6,47 +6,24 @@
 //! cache access order (ascending global id over the whole closure).
 
 use bns_data::{Dataset, SyntheticSpec};
-use bns_gcn::engine::TrainedModel;
+use bns_gcn::engine::{ModelArch, TrainedModel};
 use bns_graph::CsrGraph;
-use bns_nn::{Activation, GatModel, GcnLayer, SageModel};
 use bns_partition::{MetisLikePartitioner, Partitioner};
 use bns_serve::{BoundaryCache, CacheConfig, NodeMix, ServePlan};
 use bns_tensor::{Matrix, SeededRng};
 
-#[derive(Debug, Clone, Copy)]
-enum Arch {
-    Sage,
-    Gcn,
-    Gat,
-}
-
-const ARCHS: [Arch; 3] = [Arch::Sage, Arch::Gcn, Arch::Gat];
+const ARCHS: [ModelArch; 3] = [ModelArch::Sage, ModelArch::Gcn, ModelArch::Gat];
 
 fn bits(row: &[f32]) -> Vec<u32> {
     row.iter().map(|x| x.to_bits()).collect()
 }
 
-fn model(arch: Arch, depth: usize, ds: &Dataset, seed: u64) -> TrainedModel {
+fn model(arch: ModelArch, depth: usize, ds: &Dataset, seed: u64) -> TrainedModel {
     let mut rng = SeededRng::new(seed);
     let mut dims = vec![ds.feat_dim()];
     dims.extend(std::iter::repeat_n(12, depth - 1));
     dims.push(ds.num_classes);
-    match arch {
-        Arch::Sage => TrainedModel::Sage(SageModel::new(&dims, 0.0, &mut rng)),
-        Arch::Gat => TrainedModel::Gat(GatModel::new(&dims, 0.0, &mut rng)),
-        Arch::Gcn => TrainedModel::Gcn(
-            (0..depth)
-                .map(|l| {
-                    let act = if l + 1 == depth {
-                        Activation::Identity
-                    } else {
-                        Activation::Relu
-                    };
-                    GcnLayer::new(dims[l], dims[l + 1], act, 0.0, &mut rng)
-                })
-                .collect(),
-        ),
-    }
+    TrainedModel::new(arch, &dims, 0.0, &mut rng)
 }
 
 /// A reddit-like graph with node `ISOLATED` stripped of its edges, so
@@ -175,7 +152,7 @@ fn row_counters_count_closure_and_frontier_rows() {
     let mut rng = SeededRng::new(2);
     let batch = NodeMix::DegreeProportional.sample(&ds.graph, 6, &mut rng);
     for depth in 1..=3 {
-        let plan = plan(&ds, 2, model(Arch::Sage, depth, &ds, 1));
+        let plan = plan(&ds, 2, model(ModelArch::Sage, depth, &ds, 1));
         let levels = bfs_levels(&ds.graph, &batch, depth);
         let within: Vec<u64> = levels
             .iter()
@@ -210,7 +187,7 @@ fn row_counters_count_closure_and_frontier_rows() {
 fn cache_counters_equal_an_ascending_id_replay() {
     let ds = dataset(1200, 53);
     let depth = 2;
-    let plan = plan(&ds, 3, model(Arch::Sage, depth, &ds, 5));
+    let plan = plan(&ds, 3, model(ModelArch::Sage, depth, &ds, 5));
     let cfg = CacheConfig::default();
     let rank = 1;
     let mut rng = SeededRng::new(19);
