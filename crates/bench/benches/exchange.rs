@@ -11,8 +11,8 @@
 use bns_comm::{run_ranks, WirePrecision};
 use bns_data::SyntheticSpec;
 use bns_gcn::exchange::{
-    exchange_features_serial, exchange_selection, recv_boundary_blocks, send_boundary_rows,
-    EpochExchange, ExchangeArena,
+    exchange_features_serial, recv_boundary_blocks, send_boundary_rows, EpochExchange,
+    ExchangeArena,
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling, EpochTopology};
@@ -28,15 +28,13 @@ use std::sync::Arc;
 const DIM: usize = 64;
 const LAYERS: usize = 3;
 
-fn rank_state(
-    plan: &PartitionPlan,
-    me: usize,
-    comm: &mut bns_comm::RankComm,
-) -> (EpochTopology, EpochExchange, Matrix) {
+fn rank_state(plan: &PartitionPlan, me: usize) -> (EpochTopology, EpochExchange, Matrix) {
     let lp = &plan.parts[me];
     let mut rng = SeededRng::new(17).fork(me as u64 + 1);
-    let topo = build_epoch_topology(lp, &BoundarySampling::Bns { p: 1.0 }, 0, 0, &mut rng);
-    let ex = block_on(exchange_selection(comm, lp, &topo.selected, 0));
+    let full = BoundarySampling::Bns { p: 1.0 };
+    let topo = build_epoch_topology(lp, &full, 0, 0);
+    let mut ex = EpochExchange::default();
+    ex.rebuild(lp, &full, 0, 0, &topo.selected);
     let h = Matrix::random_normal(lp.n_inner(), DIM, 0.0, 1.0, &mut rng);
     (topo, ex, h)
 }
@@ -56,7 +54,7 @@ fn bench_exchange(c: &mut Criterion) {
                 let plan = Arc::clone(&plan_s);
                 let out = run_ranks(k, move |mut comm| {
                     let me = comm.rank();
-                    let (topo, ex, h) = rank_state(&plan, me, &mut comm);
+                    let (topo, ex, h) = rank_state(&plan, me);
                     let n_in = plan.parts[me].n_inner();
                     let mut acc = 0.0f32;
                     for l in 0..LAYERS {
@@ -83,7 +81,7 @@ fn bench_exchange(c: &mut Criterion) {
                 let plan = Arc::clone(&plan_o);
                 let out = run_ranks(k, move |mut comm| {
                     let me = comm.rank();
-                    let (topo, ex, h) = rank_state(&plan, me, &mut comm);
+                    let (topo, ex, h) = rank_state(&plan, me);
                     let n_in = plan.parts[me].n_inner();
                     let mut arena = ExchangeArena::new();
                     let mut acc = 0.0f32;

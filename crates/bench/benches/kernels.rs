@@ -80,19 +80,14 @@ fn bench_boundary_sampling(c: &mut Criterion) {
     let plan = PartitionPlan::build(&ds, &part);
     let lp = Arc::clone(&plan.parts[0]);
     c.bench_function("bns_topology_build_p0.1", |bch| {
-        bch.iter_batched(
-            || SeededRng::new(3),
-            |mut rng| {
-                black_box(build_epoch_topology(
-                    &lp,
-                    &BoundarySampling::Bns { p: 0.1 },
-                    0,
-                    0,
-                    &mut rng,
-                ))
-            },
-            BatchSize::SmallInput,
-        );
+        bch.iter(|| {
+            black_box(build_epoch_topology(
+                &lp,
+                &BoundarySampling::Bns { p: 0.1 },
+                0,
+                3,
+            ))
+        });
     });
 }
 

@@ -9,7 +9,8 @@ pub enum TrafficClass {
     Boundary,
     /// Model-gradient AllReduce.
     AllReduce,
-    /// Sampling-index broadcast and other small control messages.
+    /// Small control messages. The trainer sends none: both ends of a
+    /// boundary derive the sampled selection locally.
     Control,
 }
 

@@ -4,7 +4,8 @@
 //! worker set by `bns-runtime` (`BNS_WORKERS`, default the machine's
 //! available parallelism) — so `k` can exceed the core count without
 //! oversubscribing the machine. Every epoch each rank: (1) samples its
-//! boundary set and broadcasts the selection (lines 4–7), (2) runs the
+//! boundary set and derives, with no message, which of its rows each
+//! peer sampled (lines 4–7; see `crate::exchange`), (2) runs the
 //! layer loop, exchanging boundary features before each layer's forward
 //! and boundary-feature *gradients* after each layer's backward (lines
 //! 8–13), (3) all-reduces weight gradients and steps Adam (lines 14–15).
@@ -22,8 +23,7 @@
 //! hardware-independent throughput comparisons.
 
 use crate::exchange::{
-    exchange_gradients, exchange_selection, recv_boundary_blocks, send_boundary_rows,
-    EpochExchange, ExchangeArena,
+    exchange_gradients, recv_boundary_blocks, send_boundary_rows, EpochExchange, ExchangeArena,
 };
 use crate::fullgraph::split_scores;
 use crate::memory::epoch_activation_bytes;
@@ -35,7 +35,7 @@ use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, Wi
 use bns_data::{Dataset, Labels};
 use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
-use bns_nn::{flatten_into, unflatten_into, Adam, Layer, LayerSlot, SegScratch};
+use bns_nn::{flatten_into, unflatten_into, Adam, EvalScratch, Layer, LayerSlot, SegScratch};
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
@@ -373,9 +373,13 @@ impl TrainedModel {
     /// model's input layer.
     pub fn logits(&self, ds: &Dataset) -> Matrix {
         let (n, norm) = (ds.num_nodes(), self.normalizer(ds));
-        self.layers.iter().fold(ds.features.clone(), |h, l| {
-            l.forward(&ds.graph, &h, n, &norm)
-        })
+        let (mut h, mut next) = (ds.features.clone(), Matrix::default());
+        let mut scratch = EvalScratch::default();
+        for l in &self.layers {
+            l.forward_into(&ds.graph, &h, n, &norm, &mut scratch, &mut next);
+            std::mem::swap(&mut h, &mut next);
+        }
+        h
     }
 
     /// Scores `(val, test)` on a dataset (see [`split_scores`]).
@@ -687,28 +691,6 @@ fn assemble_run(plan: &PartitionPlan, outputs: Vec<RankOutput>) -> TrainRun {
     }
 }
 
-fn estimate_flops(
-    arch: ModelArch,
-    edges: usize,
-    n_in: usize,
-    n_act: usize,
-    d_in: usize,
-    d_out: usize,
-) -> f64 {
-    let fwd = match arch {
-        ModelArch::Sage => {
-            2.0 * edges as f64 * d_in as f64 + 4.0 * n_in as f64 * d_in as f64 * d_out as f64
-        }
-        ModelArch::Gat => {
-            2.0 * n_act as f64 * d_in as f64 * d_out as f64 + 8.0 * edges as f64 * d_out as f64
-        }
-        ModelArch::Gcn => {
-            2.0 * edges as f64 * d_in as f64 + 2.0 * n_in as f64 * d_in as f64 * d_out as f64
-        }
-    };
-    3.0 * fwd // forward + ~2x backward
-}
-
 // ---------------------------------------------------------------------
 // The rank program
 // ---------------------------------------------------------------------
@@ -722,6 +704,78 @@ async fn on_rank<F: Future>(rank: usize, fut: F) -> F::Output {
         fut.as_mut().poll(cx)
     })
     .await
+}
+
+/// The segmented forward over the whole layer stack on one epoch
+/// topology, leaving the logits in `h`; layer `l` exchanges under tag
+/// `tag + l`. Per layer: issue every boundary-row send, run the
+/// inner-edge partial while the blocks are in flight, then fold the
+/// arrivals in whatever order they land — into fixed per-owner row
+/// ranges, so bitwise the serial exchange — and finish the layer.
+///
+/// `train` is `Some((epoch, stale))` for a training pass: dropout draws
+/// from the rank RNG, the PipeGCN cache `stale` (when pipelining)
+/// swaps in last epoch's boundary blocks, and every phase is a span of
+/// `epoch`. An eval pass (`None`) draws nothing and has no phase spans
+/// — it runs inside the epoch's one `eval` span. Returns the pass's
+/// (compute, comm) seconds, zero for eval.
+#[allow(clippy::too_many_arguments)]
+async fn forward_pass(
+    comm: &mut RankComm,
+    layers: &[Layer],
+    (slots, scratch, arena): (&mut [LayerSlot], &mut SegScratch, &mut ExchangeArena),
+    (h, h_next): (&mut Matrix, &mut Matrix),
+    features: &Matrix,
+    (topo, ex): (&EpochTopology, &EpochExchange),
+    tag: u64,
+    rng: &mut SeededRng,
+    precision: WirePrecision,
+    train: Option<(usize, Option<&mut [Option<Matrix>]>)>,
+) -> (f64, f64) {
+    let (epoch, mut stale) = train.map_or((None, None), |(e, s)| (Some(e), s));
+    let train = epoch.is_some();
+    let (mut compute_s, mut comm_s) = (0.0, 0.0);
+    for (l, (layer, slot)) in layers.iter().zip(slots.iter_mut()).enumerate() {
+        let tag = tag + l as u64;
+        let span = |name| {
+            epoch.map(|e| Timed::with_args(name, &[("epoch", e.into()), ("layer", l.into())]))
+        };
+        let lap = |t: Option<Timed>| t.map_or(0.0, Timed::stop);
+        let h_in = if l == 0 { features } else { &*h };
+        let tc = span("exchange");
+        send_boundary_rows(comm, ex, h_in, tag, arena, precision);
+        comm_s += lap(tc);
+        let tk = span("compute");
+        layer.forward_inner(slot, &topo.graph, h_in, &topo.gcn_scale, (train, rng));
+        compute_s += lap(tk);
+        let tc = span("exchange");
+        recv_boundary_blocks(
+            comm,
+            ex,
+            topo.selected.len(),
+            h_in.cols(),
+            topo.feature_scale,
+            tag,
+            arena,
+            stale.as_deref_mut().map(|s| &mut s[l]),
+            precision,
+        )
+        .await;
+        comm_s += lap(tc);
+        let tk = span("compute");
+        layer.forward_boundary(
+            slot,
+            &topo.graph,
+            (h_in, arena.boundary()),
+            (&topo.row_scale, &topo.gcn_scale),
+            (train, rng),
+            scratch,
+            h_next,
+        );
+        std::mem::swap(h, h_next);
+        compute_s += lap(tk);
+    }
+    (compute_s, comm_s)
 }
 
 /// One partition's whole training run: Algorithm 1 as a straight-line
@@ -744,8 +798,10 @@ async fn rank_program(
     let dims = dims_of(cfg, plan.feat_dim, plan.num_classes);
     let num_layers = dims.len() - 1;
     let mut opt = Adam::new(cfg.lr);
+    // Drives dropout only: the boundary selection is a hash of
+    // `sample_seed`, which every rank evaluates alike.
     let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
-    let edge_seed = cfg.seed ^ 0xed6e_5eed;
+    let sample_seed = cfg.seed ^ 0xed6e_5eed;
     // Config wins over `BNS_QUANT`; applies to the training exchanges
     // only, eval always runs exact.
     let precision = cfg.wire_precision.unwrap_or_else(WirePrecision::from_env);
@@ -768,20 +824,14 @@ async fn rank_program(
     let mut arena = ExchangeArena::new();
     let mut stale_feats: Vec<Option<Matrix>> = vec![None; num_layers];
     let mut stale_grads: Vec<Option<Vec<Vec<f32>>>> = vec![None; num_layers];
-    // The static full topology serves evaluation; its exchange is
-    // agreed at the first eval that needs it.
-    let full_topo = build_epoch_topology(
-        lp,
-        &BoundarySampling::Bns { p: 1.0 },
-        0,
-        edge_seed,
-        &mut rng,
-    );
-    let mut full_exchange: Option<EpochExchange> = None;
+    // The static full topology and its exchange serve evaluation.
+    let full = BoundarySampling::Bns { p: 1.0 };
+    let full_topo = build_epoch_topology(lp, &full, 0, sample_seed);
+    let mut full_ex = EpochExchange::default();
+    full_ex.rebuild(lp, &full, 0, sample_seed, &full_topo.selected);
     // The training topology and exchange: built once under static
     // sampling, resampled into the same buffers every epoch otherwise.
-    let mut epoch_topo: Option<EpochTopology> = None;
-    let mut epoch_ex: Option<EpochExchange> = None;
+    let (mut topo, mut ex) = (EpochTopology::default(), EpochExchange::default());
     let mut epochs_out = Vec::with_capacity(cfg.epochs);
     let mut peak_mem = 0u64;
 
@@ -790,77 +840,35 @@ async fn rank_program(
         let traffic_start = comm.stats().clone();
         let epoch_span = Timed::with_args("epoch", &[("rank", me.into()), ("epoch", epoch.into())]);
 
-        // ---- Phase 1: boundary sampling + selection exchange ----
+        // ---- Phase 1: boundary sampling, both directions ----
         let sample_timer = Timed::with_args("sample", &[("epoch", epoch.into())]);
-        if !(cfg.sampling.is_static() && epoch_topo.is_some()) {
-            let t = epoch_topo.get_or_insert_with(EpochTopology::default);
-            build_epoch_topology_into(lp, &cfg.sampling, epoch, edge_seed, &mut rng, t);
-            epoch_ex = Some(exchange_selection(comm, lp, &t.selected, tag_base).await);
+        if epoch == 0 || !cfg.sampling.is_static() {
+            build_epoch_topology_into(lp, &cfg.sampling, epoch, sample_seed, &mut topo);
+            ex.rebuild(lp, &cfg.sampling, epoch, sample_seed, &topo.selected);
         }
         let sample_s = sample_timer.stop();
-        let topo = epoch_topo.as_ref().expect("epoch topology built");
-        let ex = epoch_ex.as_ref().expect("selection exchanged");
         let n_sel = topo.selected.len();
         bns_telemetry::counter_add("sampler.boundary_kept", n_sel as u64);
         bns_telemetry::counter_add("sampler.boundary_total", lp.n_boundary() as u64);
-        let (mut compute_s, mut comm_s, mut flops) = (0.0, 0.0, 0.0);
 
         // ---- Phase 2: forward, one boundary exchange per layer ----
-        for l in 0..num_layers {
-            // Issue all boundary-feature sends, run the inner-edge
-            // partial while the blocks are in flight, then fold
-            // arrivals in whatever order they land: into fixed
-            // per-owner row ranges, so bitwise the serial exchange.
-            let tag = tag_base + 1 + l as u64;
-            let at = [("epoch", epoch.into()), ("layer", l.into())];
-            let h_in = if l == 0 { &lp.features } else { &h };
-            let tc = Timed::with_args("exchange", &at);
-            send_boundary_rows(comm, ex, h_in, tag, &mut arena, precision);
-            comm_s += tc.stop();
-            let tk = Timed::with_args("compute", &at);
-            layers[l].forward_inner(
-                &mut slots[l],
-                &topo.graph,
-                h_in,
-                &topo.gcn_scale,
-                (true, &mut rng),
-            );
-            compute_s += tk.stop();
-            let tc = Timed::with_args("exchange", &at);
-            recv_boundary_blocks(
-                comm,
-                ex,
-                n_sel,
-                h_in.cols(),
-                topo.feature_scale,
-                tag,
-                &mut arena,
-                cfg.pipeline.then(|| &mut stale_feats[l]),
-                precision,
-            )
-            .await;
-            comm_s += tc.stop();
-            let tk = Timed::with_args("compute", &at);
-            layers[l].forward_boundary(
-                &mut slots[l],
-                &topo.graph,
-                (h_in, arena.boundary()),
-                (&topo.row_scale, &topo.gcn_scale),
-                (true, &mut rng),
-                &mut scratch,
-                &mut h_next,
-            );
-            std::mem::swap(&mut h, &mut h_next);
-            compute_s += tk.stop();
-            flops += estimate_flops(
-                cfg.arch,
-                topo.graph.num_edges(),
-                n_in,
-                n_in + n_sel,
-                dims[l],
-                dims[l + 1],
-            );
-        }
+        let stale = cfg.pipeline.then_some(&mut stale_feats[..]);
+        let (mut compute_s, mut comm_s) = forward_pass(
+            comm,
+            &layers,
+            (&mut slots, &mut scratch, &mut arena),
+            (&mut h, &mut h_next),
+            &lp.features,
+            (&topo, &ex),
+            tag_base + 1,
+            &mut rng,
+            precision,
+            Some((epoch, stale)),
+        )
+        .await;
+        let flops = layers.iter().fold(0.0, |f, l| {
+            f + l.estimate_flops(topo.graph.num_edges(), n_in, n_in + n_sel)
+        });
 
         // ---- Loss and the gradient seed ----
         let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
@@ -883,7 +891,7 @@ async fn rank_program(
             if !ex.is_trivial() {
                 exchange_gradients(
                     comm,
-                    ex,
+                    &ex,
                     &mut d,
                     &scratch.dh_bd,
                     topo.feature_scale,
@@ -948,58 +956,21 @@ async fn rank_program(
             || (cfg.eval_every > 0 && (epoch + 1).is_multiple_of(cfg.eval_every));
         let (val, test) = if do_eval {
             let eval_span = Timed::with_args("eval", &[("epoch", epoch.into())]);
-            // When training keeps every boundary node (a global
-            // property, so every rank takes this branch together), the
-            // epoch's own exchange serves eval and saves a Control-class
-            // round-trip; otherwise the full-boundary one does.
-            let eval_ex = if cfg.sampling.selects_all() {
-                ex
-            } else {
-                if full_exchange.is_none() {
-                    let sel = &full_topo.selected;
-                    full_exchange = Some(exchange_selection(comm, lp, sel, tag_base + 128).await);
-                }
-                full_exchange.as_ref().expect("exchanged above")
-            };
-            for l in 0..num_layers {
-                let tag = tag_base + 129 + l as u64;
-                let h_in = if l == 0 { &lp.features } else { &h };
-                // Eval always exchanges exact: metrics compare the exact
-                // forward regardless of the training wire precision.
-                send_boundary_rows(comm, eval_ex, h_in, tag, &mut arena, WirePrecision::Exact);
-                // The same segmented forward as training, with `train =
-                // false` (no dropout, no RNG draws) — bitwise the fused
-                // forward on the stacked halo.
-                layers[l].forward_inner(
-                    &mut slots[l],
-                    &full_topo.graph,
-                    h_in,
-                    &full_topo.gcn_scale,
-                    (false, &mut rng),
-                );
-                recv_boundary_blocks(
-                    comm,
-                    eval_ex,
-                    full_topo.selected.len(),
-                    h_in.cols(),
-                    1.0,
-                    tag,
-                    &mut arena,
-                    None,
-                    WirePrecision::Exact,
-                )
-                .await;
-                layers[l].forward_boundary(
-                    &mut slots[l],
-                    &full_topo.graph,
-                    (h_in, arena.boundary()),
-                    (&full_topo.row_scale, &full_topo.gcn_scale),
-                    (false, &mut rng),
-                    &mut scratch,
-                    &mut h_next,
-                );
-                std::mem::swap(&mut h, &mut h_next);
-            }
+            forward_pass(
+                comm,
+                &layers,
+                (&mut slots, &mut scratch, &mut arena),
+                (&mut h, &mut h_next),
+                &lp.features,
+                (&full_topo, &full_ex),
+                tag_base + 129,
+                &mut rng,
+                // Metrics compare the exact forward, whatever the
+                // training wire precision.
+                WirePrecision::Exact,
+                None,
+            )
+            .await;
             let score_of = |rows: &[usize]| -> (u64, u64, u64) {
                 match &lp.labels {
                     Labels::Single(labels) => {
@@ -1046,7 +1017,7 @@ async fn rank_program(
     let buffers = Box::new((
         (slots, scratch, [h, h_next, d], flat, arena, opt),
         (stale_feats, stale_grads),
-        (full_topo, full_exchange, epoch_topo, epoch_ex),
+        (full_topo, full_ex, topo, ex),
     ));
     (output, buffers)
 }
@@ -1186,6 +1157,110 @@ mod tests {
                     "{arch:?} p={p}"
                 );
             }
+        }
+    }
+
+    /// Both ends of a boundary derive the selection locally, so a
+    /// sampled run — its eval passes included — sends no Control
+    /// message at all.
+    #[test]
+    fn sampled_run_sends_no_control_traffic() {
+        let ds = small_ds();
+        let part = RandomPartitioner.partition(&ds.graph, 3, 5);
+        let plan = Arc::new(PartitionPlan::build(&ds, &part));
+        let cfg = TrainConfig {
+            epochs: 4,
+            eval_every: 2,
+            sampling: BoundarySampling::Bns { p: 0.3 },
+            ..TrainConfig::quick_test()
+        };
+        let run = train_with_plan(&plan, &cfg);
+        for (e, stats) in run.epochs.iter().enumerate() {
+            for t in &stats.traffic_per_rank {
+                assert_eq!(t.bytes(TrafficClass::Control), 0, "epoch {e}");
+                assert!(t.bytes(TrafficClass::Boundary) > 0, "epoch {e}");
+            }
+        }
+        // The epoch stats stop before eval; each rank's whole-run
+        // counters cover the eval passes too.
+        let mut comms = create_world(plan.k);
+        let tasks = comms
+            .iter_mut()
+            .map(|comm| {
+                let (plan, cfg) = (&plan, &cfg);
+                bns_runtime::future_task(async move {
+                    drop(rank_program(comm, plan, cfg).await);
+                })
+            })
+            .collect();
+        bns_runtime::run_tasks(tasks, 1, |_| ());
+        for comm in &comms {
+            assert_eq!(comm.stats().messages(TrafficClass::Control), 0);
+            assert_eq!(comm.stats().bytes(TrafficClass::Control), 0);
+        }
+    }
+
+    /// Static sampling and the edge baselines draw no selection from
+    /// any RNG stream, so their loss curves are pinned to the bits
+    /// (FNV-1a over each epoch's `loss.to_bits()`) recorded from the
+    /// engine that still exchanged selections and drew BNS's from the
+    /// rank RNG.
+    #[test]
+    fn static_and_edge_curves_match_recorded_bits() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let ds = small_ds();
+        let part = RandomPartitioner.partition(&ds.graph, 3, 4);
+        let cases = [
+            (
+                ModelArch::Sage,
+                BoundarySampling::Bns { p: 1.0 },
+                0x0202_1b27_2d89_a0d3,
+            ),
+            (
+                ModelArch::Sage,
+                BoundarySampling::Bns { p: 0.0 },
+                0x5b06_2774_4030_db5e,
+            ),
+            (
+                ModelArch::Sage,
+                BoundarySampling::BoundaryEdge { keep: 0.4 },
+                0x1a22_fe1e_b08b_d19e,
+            ),
+            (
+                ModelArch::Sage,
+                BoundarySampling::DropEdge { keep: 0.7 },
+                0x75c0_4e7c_d439_6d99,
+            ),
+            (
+                ModelArch::Gcn,
+                BoundarySampling::Bns { p: 1.0 },
+                0x307d_0a5b_c556_4782,
+            ),
+        ];
+        for (arch, sampling, want) in cases {
+            let cfg = TrainConfig {
+                arch,
+                epochs: 6,
+                hidden: vec![16],
+                dropout: 0.3,
+                sampling,
+                eval_every: 3,
+                seed: 7,
+                // Pinned: a `BNS_QUANT` leg must not move exact curves.
+                wire_precision: Some(WirePrecision::Exact),
+                ..TrainConfig::quick_test()
+            };
+            let run = train(&ds, &part, &cfg);
+            let bits: Vec<u8> = run
+                .epochs
+                .iter()
+                .flat_map(|e| e.loss.to_bits().to_le_bytes())
+                .collect();
+            assert_eq!(fnv1a(&bits), want, "{arch:?} {}", sampling.label());
         }
     }
 
@@ -1448,9 +1523,11 @@ mod tests {
         let ds = Arc::new(SyntheticSpec::yelp_sim().with_nodes(500).generate(4));
         let part = RandomPartitioner.partition(&ds.graph, 2, 7);
         // Multi-label BCE needs more steps before logits cross zero and
-        // micro-F1 lifts off (all-negative predictions score 0).
+        // micro-F1 lifts off (all-negative predictions score 0). At 40
+        // epochs the score straddles 0.25 across seeds (0.20-0.32); 60
+        // clear it with margin.
         let cfg = TrainConfig {
-            epochs: 40,
+            epochs: 60,
             hidden: vec![24],
             lr: 0.03,
             sampling: BoundarySampling::Bns { p: 0.5 },

@@ -1,6 +1,17 @@
-//! Per-epoch boundary communication: selection exchange, the serial
-//! reference feature/gradient exchange, and the overlap-capable,
-//! allocation-free exchange the engine's hot path uses.
+//! Per-epoch boundary communication: the epoch's traffic plan
+//! ([`EpochExchange`]), the serial reference feature/gradient exchange,
+//! and the overlap-capable, allocation-free exchange the engine's hot
+//! path uses.
+//!
+//! ## Selection without a message
+//!
+//! Algorithm 1 has each partition sample its boundary nodes and then
+//! broadcast the selection so that owners know which rows to send.
+//! Here the selection is a counter hash of (run seed, epoch, receiver,
+//! node) — [`BoundarySampling::keeps`] — that the owner evaluates over
+//! its send list exactly as the receiver evaluates it over its boundary
+//! list, so [`EpochExchange::rebuild`] derives both directions locally.
+//! The first feature send of an epoch waits on no peer.
 //!
 //! ## Overlap architecture
 //!
@@ -13,8 +24,8 @@
 //! inner-edge partial aggregation between the two while boundary blocks
 //! are in flight.
 //!
-//! Every operation that waits on peers ([`exchange_selection`],
-//! [`recv_boundary_blocks`], [`exchange_gradients`]) is an `async fn`.
+//! Every operation that waits on peers ([`recv_boundary_blocks`],
+//! [`exchange_gradients`]) is an `async fn`.
 //! The engine's rank program awaits them on the cooperative scheduler,
 //! where a rank with nothing to receive parks and frees its worker;
 //! tests and benches drive the same futures with
@@ -51,15 +62,18 @@
 //! The serial reference functions stay exact-only. See DESIGN.md §13.
 
 use crate::plan::LocalPartition;
+use crate::sampling::BoundarySampling;
 use bns_comm::{RankComm, TrafficClass, WirePrecision};
 use bns_tensor::simd::{self, codec};
 use bns_tensor::Matrix;
 use std::future::poll_fn;
 use std::ops::Range;
 
-/// Exchanged selection state for one epoch: what to send to and expect
-/// from each peer.
-#[derive(Debug, Clone)]
+/// One epoch's boundary traffic plan: what to send to and expect from
+/// each peer. Built locally on both ends of every boundary from the
+/// same pure selection rule ([`BoundarySampling::keeps`]), so no rank
+/// tells another what it selected.
+#[derive(Debug, Clone, Default)]
 pub struct EpochExchange {
     /// For each peer `j`: local inner rows to send each layer.
     pub rows_to_send: Vec<Vec<usize>>,
@@ -69,80 +83,50 @@ pub struct EpochExchange {
 }
 
 impl EpochExchange {
+    /// Rebuilds the exchange for `epoch` in place, reusing its buffers.
+    /// `selected` is this rank's own selection (the epoch topology's);
+    /// each peer's is re-derived here: the rows sent to `j` are the
+    /// entries of `send_lists[j]` that [`BoundarySampling::keeps`]
+    /// selects with `j` as the receiver — the cut edges of an edge
+    /// strategy read from this rank's own `local_graph` row — which is
+    /// exactly what `j` selected from this rank's owner range.
+    pub fn rebuild(
+        &mut self,
+        lp: &LocalPartition,
+        sampling: &BoundarySampling,
+        epoch: usize,
+        seed: u64,
+        selected: &[usize],
+    ) {
+        let n_in = lp.n_inner();
+        let at = |pos| selected.partition_point(|&p| p < pos);
+        self.owner_sel.clear();
+        for (owner, &(s, e)) in lp.owner_ranges.iter().enumerate() {
+            if owner != lp.rank {
+                self.owner_sel.push((owner, at(s)..at(e)));
+            }
+        }
+        self.rows_to_send
+            .resize_with(lp.owner_ranges.len(), Vec::new);
+        for (j, rows) in self.rows_to_send.iter_mut().enumerate() {
+            // The local ids of the boundary nodes `j` owns.
+            let (s, e) = lp.owner_ranges[j];
+            let owned_by_j = n_in + s..n_in + e;
+            rows.clear();
+            rows.extend(lp.send_lists[j].iter().copied().filter(|&v| {
+                let cut = lp.local_graph.neighbors(v).iter().map(|&x| x as usize);
+                let cut = cut
+                    .filter(|x| owned_by_j.contains(x))
+                    .map(|x| lp.boundary[x - n_in]);
+                sampling.keeps(seed, epoch, j, lp.inner[v], cut)
+            }));
+        }
+    }
+
     /// True when this rank neither sends nor receives boundary rows.
     pub fn is_trivial(&self) -> bool {
         self.owner_sel.iter().all(|(_, r)| r.is_empty())
             && self.rows_to_send.iter().all(|r| r.is_empty())
-    }
-}
-
-/// Per-owner view of this rank's selected boundary nodes: `(owner,
-/// selected-index range, relative positions within the owner's block)`.
-fn per_owner_selection(
-    lp: &LocalPartition,
-    selected: &[usize],
-) -> Vec<(usize, Range<usize>, Vec<u32>)> {
-    // bns-allow(BNS-A005): per-owner list sized by the epoch's fresh sample
-    let mut out = Vec::new();
-    let mut cursor = 0usize;
-    for owner in 0..lp.owner_ranges.len() {
-        if owner == lp.rank {
-            continue;
-        }
-        let (s, e) = lp.owner_ranges[owner];
-        let start = cursor;
-        // Moved into the send to the owner: the message owns it.
-        // bns-allow(BNS-A005): selection payload, one per owner per epoch
-        let mut rel = Vec::new();
-        while cursor < selected.len() && selected[cursor] < e {
-            debug_assert!(selected[cursor] >= s);
-            rel.push((selected[cursor] - s) as u32);
-            cursor += 1;
-        }
-        out.push((owner, start..cursor, rel));
-    }
-    out
-}
-
-/// Tells every owner which of its nodes this rank selected and learns
-/// which local rows each peer wants (Algorithm 1's selection
-/// broadcast). The relative-position vectors are moved into the sends —
-/// no clone on the send path. Peer selections are consumed in arrival
-/// order, but the result is a pure function of the message contents,
-/// so scheduling cannot change it.
-pub async fn exchange_selection(
-    comm: &mut RankComm,
-    lp: &LocalPartition,
-    selected: &[usize],
-    tag: u64,
-) -> EpochExchange {
-    let k = comm.world_size();
-    let me = comm.rank();
-    // Selection state is sized by the fresh boundary sample, so it is
-    // rebuilt once per epoch rather than recycled.
-    // bns-allow(BNS-A005): per-owner selection ranges, once per epoch
-    let mut owner_sel = Vec::new();
-    for (owner, range, rel) in per_owner_selection(lp, selected) {
-        comm.send(owner, tag, rel, TrafficClass::Control);
-        owner_sel.push((owner, range));
-    }
-    // bns-allow(BNS-A005): per-peer send lists, once per epoch
-    let mut rows_to_send = vec![Vec::new(); k];
-    // bns-allow(BNS-A005): pending-peer worklist, once per epoch, world-size bounded
-    let mut remaining: Vec<usize> = (0..k).filter(|&j| j != me).collect();
-    while !remaining.is_empty() {
-        let (src, rel): (usize, Vec<u32>) =
-            poll_fn(|cx| comm.poll_recv_any(cx, tag, &remaining)).await;
-        rows_to_send[src] = rel
-            .iter()
-            .map(|&p| lp.send_lists[src][p as usize])
-            // bns-allow(BNS-A005): per-peer send list rebuilt once per epoch
-            .collect();
-        remaining.retain(|&j| j != src);
-    }
-    EpochExchange {
-        rows_to_send,
-        owner_sel,
     }
 }
 
@@ -645,5 +629,87 @@ pub async fn exchange_gradients(
                 *cache = Some(slots);
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::PartitionPlan;
+    use crate::sampling::build_epoch_topology;
+    use bns_data::SyntheticSpec;
+    use bns_partition::{Partitioner, RandomPartitioner};
+
+    /// Both ends of every boundary derive the same selection: the rows
+    /// an owner sends each peer are exactly the peer's selected
+    /// positions in the owner's range, mapped through `send_lists`, and
+    /// the peer expects them in the matching `owner_sel` range.
+    #[test]
+    fn owner_and_receiver_agree_on_the_selection() {
+        let ds = SyntheticSpec::reddit_sim().with_nodes(400).generate(5);
+        let strategies = [
+            BoundarySampling::Bns { p: 0.1 },
+            BoundarySampling::Bns { p: 0.37 },
+            BoundarySampling::Bns { p: 0.5 },
+            BoundarySampling::BnsUnscaled { p: 0.1 },
+            BoundarySampling::BnsUnscaled { p: 0.37 },
+            BoundarySampling::BnsUnscaled { p: 0.5 },
+            BoundarySampling::BoundaryEdge { keep: 0.4 },
+            BoundarySampling::DropEdge { keep: 0.7 },
+        ];
+        for k in [2usize, 3, 5] {
+            let part = RandomPartitioner.partition(&ds.graph, k, k as u64);
+            let plan = PartitionPlan::build(&ds, &part);
+            for sampling in &strategies {
+                let (mut kept, mut total) = (0usize, 0usize);
+                for epoch in 0..4 {
+                    let seed = 0x5eed + k as u64;
+                    let topos: Vec<_> = plan
+                        .parts
+                        .iter()
+                        .map(|lp| build_epoch_topology(lp, sampling, epoch, seed))
+                        .collect();
+                    let exs: Vec<_> = plan
+                        .parts
+                        .iter()
+                        .zip(&topos)
+                        .map(|(lp, t)| {
+                            let mut ex = EpochExchange::default();
+                            ex.rebuild(lp, sampling, epoch, seed, &t.selected);
+                            ex
+                        })
+                        .collect();
+                    for (j, receiver) in plan.parts.iter().enumerate() {
+                        kept += topos[j].selected.len();
+                        total += receiver.n_boundary();
+                        for (i, owner) in plan.parts.iter().enumerate().filter(|&(i, _)| i != j) {
+                            let (s, e) = receiver.owner_ranges[i];
+                            let picked: Vec<usize> = topos[j]
+                                .selected
+                                .iter()
+                                .filter(|&&pos| (s..e).contains(&pos))
+                                .map(|&pos| owner.send_lists[j][pos - s])
+                                .collect();
+                            let label = sampling.label();
+                            assert_eq!(
+                                exs[i].rows_to_send[j], picked,
+                                "{label} k={k} epoch {epoch}: owner {i} -> receiver {j}"
+                            );
+                            let range = &exs[j].owner_sel.iter().find(|(o, _)| *o == i).unwrap().1;
+                            assert_eq!(range.len(), picked.len(), "{label} k={k} epoch {epoch}");
+                            assert!(topos[j].selected[range.clone()]
+                                .iter()
+                                .all(|p| (s..e).contains(p)));
+                        }
+                    }
+                }
+                // Every strategy here samples: some nodes kept, some not.
+                assert!(
+                    0 < kept && kept < total,
+                    "{} k={k}: {kept}/{total}",
+                    sampling.label()
+                );
+            }
+        }
     }
 }

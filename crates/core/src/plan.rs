@@ -90,6 +90,7 @@ impl PartitionPlan {
         let n = g.num_nodes();
         assert_eq!(part.num_nodes(), n, "partitioning does not match graph");
         let k = part.num_parts();
+        let (mean_scale, gcn_scale) = (g.mean_scale(), g.gcn_scale());
 
         // Split membership lookup: 0 none, 1 train, 2 val, 3 test.
         let mut split_of = vec![0u8; n];
@@ -140,14 +141,8 @@ impl PartitionPlan {
                 let mut nodes = inner_i.clone();
                 nodes.extend_from_slice(&boundary);
                 let sub = g.induced_subgraph(&nodes);
-                let inner_scale: Vec<f32> = inner_i
-                    .iter()
-                    .map(|&v| 1.0 / g.degree(v).max(1) as f32)
-                    .collect();
-                let gcn_scale: Vec<f32> = nodes
-                    .iter()
-                    .map(|&v| 1.0 / ((g.degree(v) + 1) as f32).sqrt())
-                    .collect();
+                let inner_scale: Vec<f32> = inner_i.iter().map(|&v| mean_scale[v]).collect();
+                let gcn_scale: Vec<f32> = nodes.iter().map(|&v| gcn_scale[v]).collect();
                 // Send lists: my inner rows that appear in peer j's
                 // boundary block owned by me.
                 let mut global_to_inner = std::collections::BTreeMap::new();

@@ -1,9 +1,13 @@
 //! Per-epoch boundary sampling: the BNS method itself plus the paper's
 //! edge-sampling ablation baselines (Table 9).
+//!
+//! Every keep decision is a counter hash of the run's sampling seed,
+//! the epoch and the node or edge ids ([`node_kept`], [`edge_kept`]),
+//! never a draw from a rank's RNG stream, so the owner of a boundary
+//! node computes the receiver's selection without being told it.
 
 use crate::plan::LocalPartition;
 use bns_graph::CsrGraph;
-use bns_tensor::SeededRng;
 
 /// The sampling strategy applied every epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,16 +82,41 @@ impl BoundarySampling {
     }
 
     /// True when the strategy selects **every** boundary node on every
-    /// rank (`p = 1` / `keep = 1`). This is a global property — all
-    /// ranks agree — so it is safe to use for collective-avoiding
-    /// decisions like reusing the full-selection exchange for eval
-    /// (a per-rank test such as comparing selected sets could diverge
-    /// across ranks and deadlock).
+    /// rank (`p = 1` / `keep = 1`) — a global property all ranks agree
+    /// on.
     pub fn selects_all(&self) -> bool {
         match *self {
             BoundarySampling::Bns { p } | BoundarySampling::BnsUnscaled { p } => p >= 1.0,
             BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => {
                 keep >= 1.0
+            }
+        }
+    }
+
+    /// Whether `receiver` holds boundary node `node` (a global id) in
+    /// `epoch` — Algorithm 1 line 4, as a pure function of its
+    /// arguments. The receiver evaluates it while it builds its epoch
+    /// topology and the owner while it builds its send lists, so both
+    /// ends of every boundary agree with no message. `cut` yields the
+    /// global ids of `node`'s neighbors inside the receiver's partition
+    /// (its cut edges); only the edge strategies read it.
+    pub fn keeps(
+        &self,
+        seed: u64,
+        epoch: usize,
+        receiver: usize,
+        node: usize,
+        mut cut: impl Iterator<Item = usize>,
+    ) -> bool {
+        match *self {
+            // BNS: an independent Bernoulli(p) per (epoch, receiver, node).
+            BoundarySampling::Bns { p } | BoundarySampling::BnsUnscaled { p } => {
+                node_kept(seed, epoch, receiver, node, p)
+            }
+            // A boundary node stays iff at least one of its cut edges
+            // survives the symmetric hash.
+            BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => {
+                cut.any(|w| edge_kept(seed, epoch, node, w, keep))
             }
         }
     }
@@ -123,42 +152,61 @@ pub struct EpochTopology {
     pub feature_scale: f32,
 }
 
+/// The SplitMix64 finalizer: a bijective avalanche of `z`.
+fn splitmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether the uniform hash `z` falls below `rate` (never, for a rate
+/// of 0 or less).
+fn below(z: u64, rate: f64) -> bool {
+    (z as f64 / u64::MAX as f64) < rate
+}
+
 /// Deterministic symmetric edge-keep decision, shared by the two
 /// partitions incident to a cut edge *without communication*: both
 /// evaluate the same hash of `(seed, epoch, min_id, max_id)`.
 pub fn edge_kept(seed: u64, epoch: usize, gu: usize, gv: usize, keep: f64) -> bool {
-    if keep >= 1.0 {
-        return true;
-    }
-    if keep <= 0.0 {
-        return false;
-    }
     let (a, b) = if gu < gv { (gu, gv) } else { (gv, gu) };
-    let mut z = seed
+    let z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(epoch as u64)
         .wrapping_add((a as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
         .wrapping_add((b as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as f64 / u64::MAX as f64) < keep
+    keep >= 1.0 || below(splitmix(z), keep)
+}
+
+/// Deterministic node-keep decision of BNS: a Bernoulli(`p`) draw for
+/// boundary node `gu` of partition `receiver` in `epoch`, evaluated by
+/// the receiver and by the node's owner alike. One finalizer round
+/// picks the (epoch, receiver) stream, a second one the node, so
+/// streams of neighboring epochs and ranks are decorrelated.
+pub fn node_kept(seed: u64, epoch: usize, receiver: usize, gu: usize, p: f64) -> bool {
+    let stream = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(epoch as u64)
+        .wrapping_add((receiver as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    let z = splitmix(stream).wrapping_add((gu as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
+    p >= 1.0 || below(splitmix(z), p)
 }
 
 /// Builds the epoch topology for one partition.
 ///
-/// `rng` drives the *node* selection (receiver-side, independent per
-/// partition, as in Algorithm 1 line 4); `edge_seed` drives the
-/// *symmetric* edge-keep hash for the edge-sampling baselines.
+/// `seed` is the run's sampling seed: the boundary selection is
+/// [`BoundarySampling::keeps`] with this partition as the receiver, and
+/// the edge-sampling baselines drop edges by [`edge_kept`]. No RNG
+/// stream is drawn, so a node's owner can evaluate the same selection
+/// (see [`crate::exchange::EpochExchange::rebuild`]).
 pub fn build_epoch_topology(
     lp: &LocalPartition,
     sampling: &BoundarySampling,
     epoch: usize,
-    edge_seed: u64,
-    rng: &mut SeededRng,
+    seed: u64,
 ) -> EpochTopology {
     let mut topo = EpochTopology::default();
-    build_epoch_topology_into(lp, sampling, epoch, edge_seed, rng, &mut topo);
+    build_epoch_topology_into(lp, sampling, epoch, seed, &mut topo);
     topo
 }
 
@@ -177,8 +225,7 @@ pub fn build_epoch_topology_into(
     lp: &LocalPartition,
     sampling: &BoundarySampling,
     epoch: usize,
-    edge_seed: u64,
-    rng: &mut SeededRng,
+    seed: u64,
     topo: &mut EpochTopology,
 ) {
     let n_in = lp.n_inner();
@@ -186,39 +233,20 @@ pub fn build_epoch_topology_into(
     let local = &lp.local_graph;
 
     // --- Select boundary nodes ---
-    let selected = &mut topo.selected;
-    selected.clear();
-    let edge_filtered = match *sampling {
-        BoundarySampling::Bns { p } | BoundarySampling::BnsUnscaled { p } => {
-            if p >= 1.0 {
-                selected.extend(0..n_bd);
-            } else if p > 0.0 {
-                selected.extend((0..n_bd).filter(|_| rng.bernoulli(p)));
-            }
-            false
-        }
-        BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => {
-            // A boundary node stays iff at least one of its cut edges
-            // survives the symmetric hash.
-            selected.extend((0..n_bd).filter(|&pos| {
-                let gb = lp.boundary[pos];
-                local
-                    .neighbors(n_in + pos)
-                    .iter()
-                    .filter(|&&x| (x as usize) < n_in)
-                    .any(|&x| edge_kept(edge_seed, epoch, gb, lp.inner[x as usize], keep))
-            }));
-            true
-        }
-    };
+    topo.selected.clear();
+    topo.selected.extend((0..n_bd).filter(|&pos| {
+        let cut = local.neighbors(n_in + pos).iter().map(|&x| x as usize);
+        let cut = cut.filter(|&x| x < n_in).map(|x| lp.inner[x]);
+        sampling.keeps(seed, epoch, lp.rank, lp.boundary[pos], cut)
+    }));
     let drop_inner_edges = matches!(sampling, BoundarySampling::DropEdge { .. });
+    // Node sampling keeps every edge (`edge_kept` at rate 1).
     let keep_rate = match *sampling {
         BoundarySampling::BoundaryEdge { keep } | BoundarySampling::DropEdge { keep } => keep,
         BoundarySampling::Bns { .. } | BoundarySampling::BnsUnscaled { .. } => 1.0,
     };
-    let cut_kept = |v: usize, pos: usize| {
-        !edge_filtered || edge_kept(edge_seed, epoch, lp.inner[v], lp.boundary[pos], keep_rate)
-    };
+    let cut_kept =
+        |v: usize, pos: usize| edge_kept(seed, epoch, lp.inner[v], lp.boundary[pos], keep_rate);
 
     // --- Build the epoch graph ---
     let selected = &topo.selected;
@@ -228,7 +256,7 @@ pub fn build_epoch_topology_into(
                 let nb = nb as usize;
                 if nb < n_in {
                     let kept = !drop_inner_edges
-                        || edge_kept(edge_seed, epoch, lp.inner[v], lp.inner[nb], keep_rate);
+                        || edge_kept(seed, epoch, lp.inner[v], lp.inner[nb], keep_rate);
                     if kept {
                         row.push(nb as u32);
                     }
@@ -275,7 +303,7 @@ mod tests {
     use crate::plan::PartitionPlan;
     use bns_data::SyntheticSpec;
     use bns_partition::{Partitioner, RandomPartitioner};
-    use bns_tensor::Matrix;
+    use bns_tensor::{Matrix, SeededRng};
 
     fn plan() -> PartitionPlan {
         let ds = SyntheticSpec::reddit_sim().with_nodes(400).generate(11);
@@ -287,8 +315,7 @@ mod tests {
     fn p_one_selects_everything() {
         let plan = plan();
         let lp = &plan.parts[0];
-        let mut rng = SeededRng::new(0);
-        let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 1.0 }, 0, 0, &mut rng);
+        let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 1.0 }, 0, 0);
         assert_eq!(t.selected.len(), lp.n_boundary());
         assert_eq!(t.graph.num_nodes(), lp.n_inner() + lp.n_boundary());
         assert_eq!(t.feature_scale, 1.0);
@@ -303,8 +330,7 @@ mod tests {
     fn p_zero_is_isolated() {
         let plan = plan();
         let lp = &plan.parts[1];
-        let mut rng = SeededRng::new(0);
-        let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 0.0 }, 0, 0, &mut rng);
+        let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 0.0 }, 0, 0);
         assert!(t.selected.is_empty());
         assert_eq!(t.graph.num_nodes(), lp.n_inner());
     }
@@ -313,11 +339,10 @@ mod tests {
     fn fractional_p_selects_roughly_p() {
         let plan = plan();
         let lp = &plan.parts[2];
-        let mut rng = SeededRng::new(5);
         let mut total = 0usize;
         let reps = 200;
         for e in 0..reps {
-            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 0.3 }, e, 0, &mut rng);
+            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p: 0.3 }, e, 0);
             total += t.selected.len();
         }
         let frac = total as f64 / (reps * lp.n_boundary()) as f64;
@@ -345,7 +370,7 @@ mod tests {
         let trials = 600;
         let mut mean = Matrix::zeros(lp.n_inner(), 3);
         for e in 0..trials {
-            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p }, e, 0, &mut rng);
+            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p }, e, 0);
             // Assemble epoch features: inner rows + scaled selected rows.
             let mut rows: Vec<usize> = (0..lp.n_inner()).collect();
             rows.extend(t.selected.iter().map(|&pos| lp.n_inner() + pos));
@@ -384,14 +409,7 @@ mod tests {
     fn bes_preserves_inner_edges() {
         let plan = plan();
         let lp = &plan.parts[0];
-        let mut rng = SeededRng::new(1);
-        let t = build_epoch_topology(
-            lp,
-            &BoundarySampling::BoundaryEdge { keep: 0.2 },
-            0,
-            99,
-            &mut rng,
-        );
+        let t = build_epoch_topology(lp, &BoundarySampling::BoundaryEdge { keep: 0.2 }, 0, 99);
         // All inner-inner edges survive under BES.
         for v in 0..lp.n_inner() {
             let full_inner: usize = lp
@@ -416,14 +434,7 @@ mod tests {
     fn dropedge_drops_inner_edges_too() {
         let plan = plan();
         let lp = &plan.parts[0];
-        let mut rng = SeededRng::new(1);
-        let t = build_epoch_topology(
-            lp,
-            &BoundarySampling::DropEdge { keep: 0.5 },
-            0,
-            123,
-            &mut rng,
-        );
+        let t = build_epoch_topology(lp, &BoundarySampling::DropEdge { keep: 0.5 }, 0, 123);
         let full_inner: usize = (0..lp.n_inner())
             .map(|v| {
                 lp.local_graph

@@ -16,8 +16,8 @@ use bns_comm::{run_ranks, WirePrecision};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::exchange::{
-    exchange_features_serial, exchange_gradients, exchange_gradients_serial, exchange_selection,
-    recv_boundary_blocks, send_boundary_rows, ExchangeArena,
+    exchange_features_serial, exchange_gradients, exchange_gradients_serial, recv_boundary_blocks,
+    send_boundary_rows, EpochExchange, ExchangeArena,
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
@@ -54,9 +54,10 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
         let me = comm.rank();
         let _guard = (threads > 1).then(|| pool::install(ThreadPool::new(threads)));
         let lp = Arc::clone(&plan2.parts[me]);
-        let mut rng = SeededRng::new(seed ^ 0xab5).fork(me as u64 + 1);
-        let topo = build_epoch_topology(&lp, &BoundarySampling::Bns { p }, 0, seed, &mut rng);
-        let ex = block_on(exchange_selection(&mut comm, &lp, &topo.selected, 0));
+        let sampling = BoundarySampling::Bns { p };
+        let topo = build_epoch_topology(&lp, &sampling, 0, seed);
+        let mut ex = EpochExchange::default();
+        ex.rebuild(&lp, &sampling, 0, seed, &topo.selected);
         let n_in = lp.n_inner();
         let n_sel = topo.selected.len();
         let scale = topo.feature_scale;

@@ -7,7 +7,6 @@ use bns_gcn::engine::{train, train_with_plan, ConfigError, ModelArch, TrainConfi
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_partition::{Partitioner, Partitioning, RandomPartitioner};
-use bns_tensor::SeededRng;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -181,9 +180,8 @@ proptest! {
         let ds = SyntheticSpec::reddit_sim().with_nodes(250).generate(4);
         let part = RandomPartitioner.partition(&ds.graph, k, seed);
         let plan = PartitionPlan::build(&ds, &part);
-        let mut rng = SeededRng::new(seed);
         for lp in &plan.parts {
-            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p }, 0, seed, &mut rng);
+            let t = build_epoch_topology(lp, &BoundarySampling::Bns { p }, 0, seed);
             prop_assert_eq!(t.graph.num_nodes(), lp.n_inner() + t.selected.len());
             prop_assert!(t.graph.validate().is_ok());
             prop_assert!(t.selected.windows(2).all(|w| w[0] < w[1]));

@@ -4,10 +4,10 @@
 
 use crate::activation::Activation;
 use crate::aggregate::{
-    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_inner_into,
-    gcn_fold_boundary,
+    gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_inner_into,
+    gcn_aggregate_into, gcn_fold_boundary,
 };
-use crate::layers::{dropout, DropMask, SegScratch};
+use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
@@ -96,21 +96,39 @@ impl GcnLayer {
         } else {
             (h_full.clone(), None)
         };
-        let z = gcn_aggregate(g, &h_dropped, n_out, s);
-        let mut pre = z.matmul(&self.w);
-        pre.add_row_broadcast(self.b.row(0));
-        let out = self.act.apply(&pre);
+        let (mut scratch, mut out) = (EvalScratch::default(), Matrix::default());
+        self.forward_eval_into(g, &h_dropped, n_out, s, &mut scratch, &mut out);
         (
             out,
             GcnCache {
                 h_dropped,
                 mask,
-                z,
-                pre,
+                z: scratch.z,
+                pre: scratch.pre,
                 n_out,
                 s: s.to_vec(),
             },
         )
+    }
+
+    /// The forward pass with no dropout and no cache, into caller-owned
+    /// buffers (`out` is reshaped and overwritten). [`GcnLayer::forward`]
+    /// runs it on its dropped input, so with `train = false` the two give
+    /// the same bits; this one does not copy the input.
+    pub fn forward_eval_into<G: Adjacency>(
+        &self,
+        g: &G,
+        h_full: &Matrix,
+        n_out: usize,
+        s: &[f32],
+        scratch: &mut EvalScratch,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(h_full.cols(), self.w.rows(), "input dim mismatch");
+        gcn_aggregate_into(g, h_full, n_out, s, &mut scratch.z);
+        scratch.z.matmul_into(&self.w, &mut scratch.pre);
+        scratch.pre.add_row_broadcast(self.b.row(0));
+        self.act.apply_into(&scratch.pre, out);
     }
 
     /// Phase 1 of the segmented forward pass, into a caller-owned cache

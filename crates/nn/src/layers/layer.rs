@@ -5,8 +5,8 @@
 
 use crate::activation::Activation;
 use crate::layers::{
-    GatCache, GatGrads, GatLayer, GcnGrads, GcnLayer, GcnSegCache, SageGrads, SageLayer,
-    SageSegCache, SegScratch,
+    EvalScratch, GatCache, GatGrads, GatLayer, GcnGrads, GcnLayer, GcnSegCache, SageGrads,
+    SageLayer, SageSegCache, SegScratch,
 };
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{Matrix, SeededRng};
@@ -122,21 +122,45 @@ impl Layer {
         }
     }
 
-    /// Evaluation-mode forward (no dropout): the first `n_out` rows of
-    /// the output, computed from the input rows `h`. `norm` holds
-    /// [`Layer::normalizer`]'s value for each of `g`'s source rows;
-    /// SAGE reads the first `n_out` entries, GCN the first
-    /// `g.num_sources()`, GAT none.
-    pub fn forward<G: Adjacency>(&self, g: &G, h: &Matrix, n_out: usize, norm: &[f32]) -> Matrix {
-        // Dropout is off, so the RNG is never drawn from.
-        let rng = &mut SeededRng::new(0);
+    /// Estimated FLOPs of one training step (forward plus ~2x backward)
+    /// of this layer over `edges` aggregated edges, `n_in` output rows
+    /// and `n_act` projected rows — the compute term of the α–β cost
+    /// model.
+    pub fn estimate_flops(&self, edges: usize, n_in: usize, n_act: usize) -> f64 {
+        let (edges, n_in, n_act) = (edges as f64, n_in as f64, n_act as f64);
+        let (d_in, d_out) = (self.d_in() as f64, self.d_out() as f64);
+        let fwd = match self {
+            Layer::Sage(_) => 2.0 * edges * d_in + 4.0 * n_in * d_in * d_out,
+            Layer::Gat(_) => 2.0 * n_act * d_in * d_out + 8.0 * edges * d_out,
+            Layer::Gcn(_) => 2.0 * edges * d_in + 2.0 * n_in * d_in * d_out,
+        };
+        3.0 * fwd
+    }
+
+    /// Evaluation-mode forward (no dropout) into `out` (reshaped and
+    /// overwritten): the first `n_out` rows of the output, computed
+    /// from the input rows `h`. `norm` holds [`Layer::normalizer`]'s
+    /// value for each of `g`'s source rows; SAGE reads the first
+    /// `n_out` entries, GCN the first `g.num_sources()`, GAT none. A
+    /// caller that keeps `scratch` and `out` across calls, as a serving
+    /// shard does, makes SAGE and GCN allocation-free in steady state;
+    /// GAT still allocates its fused forward's temporaries.
+    pub fn forward_into<G: Adjacency>(
+        &self,
+        g: &G,
+        h: &Matrix,
+        n_out: usize,
+        norm: &[f32],
+        scratch: &mut EvalScratch,
+        out: &mut Matrix,
+    ) {
         match self {
-            Layer::Sage(l) => l.forward(g, h, n_out, &norm[..n_out], false, rng).0,
-            Layer::Gat(l) => l.forward(g, h, n_out, false, rng).0,
+            Layer::Sage(l) => l.forward_eval_into(g, h, n_out, &norm[..n_out], scratch, out),
             Layer::Gcn(l) => {
-                l.forward(g, h, n_out, &norm[..g.num_sources()], false, rng)
-                    .0
+                l.forward_eval_into(g, h, n_out, &norm[..g.num_sources()], scratch, out)
             }
+            // Dropout is off, so the RNG is never drawn from.
+            Layer::Gat(l) => *out = l.forward(g, h, n_out, false, &mut SeededRng::new(0)).0,
         }
     }
 

@@ -113,6 +113,22 @@ pub(crate) fn dropout(x: &Matrix, rate: f32, rng: &mut SeededRng) -> (Matrix, Dr
     (y, mask)
 }
 
+/// Temporaries of the evaluation forward ([`Layer::forward_into`]),
+/// shared by every layer of a stack. A server keeps one per shard, so
+/// once the buffers have grown to the largest batch a SAGE or GCN
+/// forward allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct EvalScratch {
+    /// The aggregate `z`.
+    pub(crate) z: Matrix,
+    /// The updated rows' own inputs (SAGE).
+    pub(crate) h_self: Matrix,
+    /// The pre-activation.
+    pub(crate) pre: Matrix,
+    /// `z · W_neigh` (SAGE).
+    pub(crate) zw: Matrix,
+}
+
 /// Per-rank scratch shared by every layer of the segmented training
 /// path. Only one layer runs at a time, so one set of temporaries
 /// serves all of them; the caller keeps it for the whole run, and the

@@ -9,10 +9,10 @@
 
 use crate::activation::Activation;
 use crate::aggregate::{
-    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
-    scaled_sum_aggregate_inner_into, scaled_sum_fold_boundary,
+    scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
+    scaled_sum_aggregate_inner_into, scaled_sum_aggregate_into, scaled_sum_fold_boundary,
 };
-use crate::layers::{dropout, DropMask, SegScratch};
+use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::simd;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
@@ -130,23 +130,42 @@ impl SageLayer {
         } else {
             (h_full.clone(), None)
         };
-        let z = scaled_sum_aggregate(g, &h_dropped, n_out, row_scale);
-        let h_self = h_dropped.slice_rows(0, n_out);
-        let mut pre = h_self.matmul(&self.w_self);
-        pre.add_assign(&z.matmul(&self.w_neigh));
-        pre.add_row_broadcast(self.b.row(0));
-        let out = self.act.apply(&pre);
+        let (mut s, mut out) = (EvalScratch::default(), Matrix::default());
+        self.forward_eval_into(g, &h_dropped, n_out, row_scale, &mut s, &mut out);
         (
             out,
             SageCache {
                 h_dropped,
                 mask,
-                z,
-                pre,
+                z: s.z,
+                pre: s.pre,
                 n_out,
                 row_scale: row_scale.to_vec(),
             },
         )
+    }
+
+    /// The forward pass with no dropout and no cache, into caller-owned
+    /// buffers (`out` is reshaped and overwritten). [`SageLayer::forward`]
+    /// runs it on its dropped input, so with `train = false` the two give
+    /// the same bits; this one does not copy the input.
+    pub fn forward_eval_into<G: Adjacency>(
+        &self,
+        g: &G,
+        h_full: &Matrix,
+        n_out: usize,
+        row_scale: &[f32],
+        s: &mut EvalScratch,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(h_full.cols(), self.d_in(), "input dim mismatch");
+        scaled_sum_aggregate_into(g, h_full, n_out, row_scale, &mut s.z);
+        h_full.slice_rows_into(0, n_out, &mut s.h_self);
+        s.h_self.matmul_into(&self.w_self, &mut s.pre);
+        s.z.matmul_into(&self.w_neigh, &mut s.zw);
+        s.pre.add_assign(&s.zw);
+        s.pre.add_row_broadcast(self.b.row(0));
+        self.act.apply_into(&s.pre, out);
     }
 
     /// Phase 1 of the segmented forward pass, into a caller-owned cache

@@ -33,9 +33,9 @@ mod optim;
 
 pub use activation::Activation;
 pub use layers::{
-    DropMask, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache, Layer,
-    LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads, SageLayer,
-    SageSegCache, SegScratch,
+    DropMask, EvalScratch, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache,
+    Layer, LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads,
+    SageLayer, SageSegCache, SegScratch,
 };
 pub use models::{flatten_into, layer_stack, unflatten_into, SageModel};
 pub use optim::Adam;

@@ -47,6 +47,7 @@ use bns_data::Dataset;
 use bns_gcn::engine::TrainedModel;
 use bns_gcn::plan::PartitionPlan;
 use bns_graph::{Block, CsrGraph};
+use bns_nn::EvalScratch;
 use bns_partition::Partitioning;
 use bns_tensor::Matrix;
 use std::fmt;
@@ -165,6 +166,9 @@ impl ServePlan {
             by_id: Vec::new(),
             block: Block::default(),
             scale: Vec::new(),
+            h: Matrix::default(),
+            h_next: Matrix::default(),
+            eval: EvalScratch::default(),
         }
     }
 }
@@ -257,6 +261,13 @@ pub struct ShardServer {
     block: Block,
     /// The model's normalizer per closure position (empty for GAT).
     scale: Vec<f32>,
+    /// A layer's input and output rows (the gathered features first),
+    /// swapped after every layer, and the layers' temporaries: kept
+    /// across batches, so a batch's megabyte-sized buffers are reused
+    /// rather than allocated and freed each time.
+    h: Matrix,
+    h_next: Matrix,
+    eval: EvalScratch,
 }
 
 impl ShardServer {
@@ -315,13 +326,15 @@ impl ShardServer {
         }
     }
 
-    /// Gathers input features for the closure (row `i` = closure node
-    /// `i`), reading rows in ascending global id: owned rows from this
-    /// shard's store, remote rows through the cache (miss = a fetch from
-    /// the owning shard's store, counted in bytes).
-    fn gather_features(&mut self) -> Matrix {
+    /// Gathers input features for the closure into `self.h` (row `i` =
+    /// closure node `i`), reading rows in ascending global id: owned
+    /// rows from this shard's store, remote rows through the cache
+    /// (miss = a fetch from the owning shard's store, counted in bytes).
+    fn gather_features(&mut self) {
         let dim = self.stores[self.rank].cols();
-        let mut h0 = Matrix::zeros(self.closure.len(), dim);
+        let h0 = &mut self.h;
+        // Every closure position is written once below.
+        h0.reset(self.closure.len(), dim);
         self.by_id.clear();
         self.by_id.extend_from_slice(&self.closure);
         self.by_id.sort_unstable();
@@ -339,7 +352,6 @@ impl ShardServer {
                 self.cache.admit(g as u32, row);
             }
         }
-        h0
     }
 
     /// Fills `self.block` for layer 0: one row per closure node within
@@ -374,7 +386,7 @@ impl ShardServer {
             return Err(ServeError::NodeOutOfRange { node, nodes });
         }
         self.expand_closure(targets);
-        let mut h = self.gather_features();
+        self.gather_features();
         self.build_block();
         // An empty normalizer (GAT) leaves `scale` empty.
         let norm = &self.normalizer;
@@ -389,7 +401,15 @@ impl ShardServer {
             if l > 0 {
                 self.block.truncate(n_out, n_src);
             }
-            h = layer.forward(&self.block, &h, n_out, &self.scale);
+            layer.forward_into(
+                &self.block,
+                &self.h,
+                n_out,
+                &self.scale,
+                &mut self.eval,
+                &mut self.h_next,
+            );
+            std::mem::swap(&mut self.h, &mut self.h_next);
             self.rows.computed_rows += n_out as u64;
         }
         self.rows.closure_rows += self.closure.len() as u64;
@@ -399,7 +419,7 @@ impl ShardServer {
             .iter()
             .map(|&t| self.pos[t as usize] as usize)
             .collect();
-        Ok(h.gather_rows(&rows))
+        Ok(self.h.gather_rows(&rows))
     }
 
     /// [`ShardServer::try_serve_batch`] for callers that hold a valid

@@ -111,12 +111,13 @@ impl AnalyzeConfig {
                 "crates/serve/src/shard.rs".into(),
                 "crates/serve/src/cache.rs".into(),
             ],
-            // The per-epoch overlapped exchange: the send side and the
-            // async receive ops the rank program awaits every epoch,
-            // and the segmented layers between them.
+            // The per-epoch overlapped exchange: the local selection
+            // builder, the send side and the async receive ops the rank
+            // program awaits every epoch, and the segmented layers
+            // between them.
             hot_entries: vec![
                 "send_boundary_rows".into(),
-                "exchange_selection".into(),
+                "EpochExchange::rebuild".into(),
                 "recv_boundary_blocks".into(),
                 "exchange_gradients".into(),
                 // The segmented SAGE/GCN training layers: every buffer
