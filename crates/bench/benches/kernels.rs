@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks for the hot kernels: dense matmul, sparse
-//! aggregation, graph partitioning, boundary-sampling topology builds,
-//! the ring all-reduce, SAGE layer forward/backward, dropout and one
-//! full distributed training epoch.
+//! aggregation and its segmented backward gather, graph partitioning,
+//! boundary-sampling topology builds, the ring all-reduce, SAGE layer
+//! forward/backward (fused and segmented), dropout and one full
+//! distributed training epoch.
 
 use bns_comm::{run_ranks, TrafficClass};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
-use bns_nn::aggregate::scaled_sum_aggregate;
-use bns_nn::{Activation, DropMask, SageLayer};
+use bns_nn::aggregate::{scaled_sum_aggregate, scaled_sum_aggregate_backward_into};
+use bns_nn::{Activation, DropMask, SageGrads, SageLayer, SageSegCache, SegScratch};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::{Matrix, SeededRng};
@@ -61,6 +62,23 @@ fn bench_aggregate(c: &mut Criterion) {
     c.bench_function("mean_aggregate_4k_d64_pool4", |bch| {
         let _guard = pool::install(ThreadPool::new(4));
         bch.iter(|| black_box(scaled_sum_aggregate(&ds.graph, &h, n, &scale)));
+    });
+}
+
+/// The segmented backward gather at a products rank's shape: 4,000
+/// output rows in 8 source segments, 128 wide, into a reused buffer.
+fn bench_aggregate_backward(c: &mut Criterion) {
+    let mut rng = SeededRng::new(12);
+    let ds = SyntheticSpec::products_sim().with_nodes(4_000).generate(1);
+    let n = ds.num_nodes();
+    let dz = Matrix::random_normal(n, 128, 0.0, 1.0, &mut rng);
+    let scale = ds.mean_scale();
+    let mut dh = Matrix::default();
+    c.bench_function("agg_backward_4k_d128_8seg", |bch| {
+        bch.iter(|| {
+            scaled_sum_aggregate_backward_into(&ds.graph, &dz, n, &scale, &mut dh);
+            black_box(&dh);
+        });
     });
 }
 
@@ -123,6 +141,32 @@ fn bench_sage_layer(c: &mut Criterion) {
     let d = Matrix::filled(out.rows(), out.cols(), 1.0);
     c.bench_function("sage_backward_4k_d64", |bch| {
         bch.iter(|| black_box(layer.backward(&ds.graph, &cache, &d)));
+    });
+    // The engine's path: segmented cache, reused scratch and gradients.
+    let (mut seg, mut scratch, mut out) = (
+        SageSegCache::default(),
+        SegScratch::default(),
+        Matrix::default(),
+    );
+    let empty = Matrix::zeros(0, 64);
+    layer.forward_inner_into(&ds.graph, &h, false, &mut r, &mut seg);
+    let (g, rng) = (&ds.graph, &mut r);
+    layer.forward_boundary_into(
+        g,
+        &mut seg,
+        &empty,
+        &scale,
+        false,
+        rng,
+        &mut scratch,
+        &mut out,
+    );
+    let mut grads = SageGrads::default();
+    c.bench_function("sage_backward_seg_4k_d64", |bch| {
+        bch.iter(|| {
+            layer.backward_seg_into(&ds.graph, &seg, &d, &mut scratch, &mut grads, true);
+            black_box(&scratch.dh);
+        });
     });
 }
 
@@ -198,6 +242,7 @@ criterion_group!(
     targets = bench_matmul,
         bench_matmul_parallel,
         bench_aggregate,
+        bench_aggregate_backward,
         bench_partitioners,
         bench_boundary_sampling,
         bench_allreduce,

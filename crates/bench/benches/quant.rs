@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the wire codecs: pack/unpack
 //! throughput for f16/bf16/int8 (round-to-nearest and stochastic
-//! rounding), forced-scalar vs the best backend this CPU supports, on
+//! rounding), forced-scalar vs every vector backend this CPU runs, on
 //! a boundary-block-sized input (2048 rows × 128 floats — 1 MB).
 //!
 //! The codecs are bitwise identical across backends by construction
@@ -18,18 +18,22 @@ use std::hint::black_box;
 const ROWS: usize = 2_048;
 const D: usize = 128;
 
-/// Benchmarks `f` forced to scalar and forced to the detected best
-/// backend, under the given suffix labels.
+/// Benchmarks `f` forced to scalar and forced to every vector backend
+/// this CPU runs, under the given suffix labels.
 fn bench_forced(c: &mut Criterion, name: &str, mut f: impl FnMut(Backend)) {
     c.bench_function(&format!("{name}_scalar"), |bch| {
         let _g = simd::force(Backend::Scalar);
         bch.iter(|| f(simd::begin_kernel()));
     });
-    let best = simd::detect();
-    c.bench_function(&format!("{name}_simd_{}", best.name()), |bch| {
-        let _g = simd::force(best);
-        bch.iter(|| f(simd::begin_kernel()));
-    });
+    for bk in Backend::ALL {
+        if bk == Backend::Scalar || !bk.is_available() {
+            continue;
+        }
+        c.bench_function(&format!("{name}_simd_{}", bk.name()), |bch| {
+            let _g = simd::force(bk);
+            bch.iter(|| f(simd::begin_kernel()));
+        });
+    }
 }
 
 fn block() -> Vec<f32> {

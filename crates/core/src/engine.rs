@@ -35,7 +35,7 @@ use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, Wi
 use bns_data::{Dataset, Labels};
 use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
-use bns_nn::{flatten_into, unflatten_into, Adam, EvalScratch, Layer, LayerSlot, SegScratch};
+use bns_nn::{Adam, EvalScratch, Layer, LayerSlot, SegScratch};
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
@@ -778,6 +778,41 @@ async fn forward_pass(
     (compute_s, comm_s)
 }
 
+/// Flattens every layer's parameter gradients, in
+/// [`Layer::for_each_param_grad`] order, into `flat` (keeping its
+/// allocation) and appends the rank's loss: the all-reduce payload.
+fn flatten_grads(slots: &[LayerSlot], local_loss: f32, flat: &mut Vec<f32>) {
+    flat.clear();
+    for slot in slots {
+        slot.for_each_grad(|g| flat.extend_from_slice(g.as_slice()));
+    }
+    flat.push(local_loss);
+}
+
+/// Copies the all-reduced gradients `flat` (the payload of
+/// [`flatten_grads`] without the loss) back into the slots and steps
+/// Adam on each `(parameter, gradient)` pair in the same order — the
+/// bits of one `Adam::step` over every pair after the whole copy, since
+/// each pair's update reads only its own gradient.
+fn apply_reduced_grads(
+    layers: &mut [Layer],
+    slots: &mut [LayerSlot],
+    flat: &[f32],
+    opt: &mut Adam,
+) {
+    let mut step = opt.begin_step();
+    let mut off = 0;
+    for (layer, slot) in layers.iter_mut().zip(slots) {
+        layer.for_each_param_grad(slot, |p, g| {
+            let n = g.len();
+            g.as_mut_slice().copy_from_slice(&flat[off..off + n]);
+            off += n;
+            step.update(p, g);
+        });
+    }
+    assert_eq!(off, flat.len(), "flat gradient size mismatch");
+}
+
 /// One partition's whole training run: Algorithm 1 as a straight-line
 /// program. Each `.await` is a point where the rank may park until a
 /// peer's message lands; the compiler-generated state machine carries
@@ -817,6 +852,9 @@ async fn rank_program(
     // `lp.features` in place. The eval pass runs through the same
     // buffers.
     let mut slots: Vec<LayerSlot> = layers.iter().map(Layer::new_slot).collect();
+    for (layer, slot) in layers.iter_mut().zip(&mut slots) {
+        layer.for_each_param_grad(slot, |p, _| opt.push_moments(p));
+    }
     let mut scratch = SegScratch::default();
     let (mut h, mut h_next, mut d) = (Matrix::default(), Matrix::default(), Matrix::default());
     // The flattened gradients plus the loss, all-reduced in place.
@@ -881,18 +919,24 @@ async fn rank_program(
         compute_s += tk.stop();
 
         // ---- Phase 3: backward, one gradient return per layer ----
+        // Layer 0's input gradient is read by nobody: it computes only
+        // what leaves the rank (parameter gradients and boundary rows),
+        // and its gradient exchange sends and drains without folding.
         for l in (0..num_layers).rev() {
             let at = [("epoch", epoch.into()), ("layer", l.into())];
             let tk = Timed::with_args("compute", &at);
-            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, &mut scratch);
-            std::mem::swap(&mut d, &mut scratch.dh);
+            let inner_grad = l > 0;
+            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, &mut scratch, inner_grad);
+            if inner_grad {
+                std::mem::swap(&mut d, &mut scratch.dh);
+            }
             compute_s += tk.stop();
             let tc = Timed::with_args("exchange", &at);
             if !ex.is_trivial() {
                 exchange_gradients(
                     comm,
                     &ex,
-                    &mut d,
+                    inner_grad.then_some(&mut d),
                     &scratch.dh_bd,
                     topo.feature_scale,
                     tag_base + 64 + l as u64,
@@ -908,11 +952,7 @@ async fn rank_program(
 
         // ---- Phase 4: all-reduce the gradients, Adam step ----
         let reduce_timer = Timed::with_args("reduce", &[("epoch", epoch.into())]);
-        {
-            let grads: Vec<&Matrix> = slots.iter().flat_map(LayerSlot::grads).collect();
-            flatten_into(&grads, &mut flat);
-        }
-        flat.push(local_loss as f32);
+        flatten_grads(&slots, local_loss as f32, &mut flat);
         comm.all_reduce_sum(&mut flat).await;
         let global_loss = *flat.last().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
         flat.pop();
@@ -929,19 +969,7 @@ async fn rank_program(
                 }
             }
         }
-        // The reduced gradients go back into the slots' gradient
-        // matrices, which are free once flattened.
-        {
-            let mut grads: Vec<&mut Matrix> =
-                slots.iter_mut().flat_map(LayerSlot::grads_mut).collect();
-            unflatten_into(&flat, &mut grads);
-        }
-        {
-            let g_refs: Vec<&Matrix> = slots.iter().flat_map(LayerSlot::grads).collect();
-            let mut params: Vec<&mut Matrix> =
-                layers.iter_mut().flat_map(|l| l.params_mut()).collect();
-            opt.step(&mut params, &g_refs);
-        }
+        apply_reduced_grads(&mut layers, &mut slots, &flat, &mut opt);
         let reduce_s = reduce_timer.stop();
 
         // ---- Memory model ----
@@ -1261,6 +1289,50 @@ mod tests {
                 .flat_map(|e| e.loss.to_bits().to_le_bytes())
                 .collect();
             assert_eq!(fnv1a(&bits), want, "{arch:?} {}", sampling.label());
+        }
+    }
+
+    /// The int8 wire pinned to recorded bits: FNV-1a over each epoch's
+    /// loss bits followed by every rank's Boundary bytes. p = 1 runs
+    /// the round-to-nearest feature pack and the stochastically rounded
+    /// gradient pack on the full boundary; p = 0.3 runs both on a
+    /// sampled one. Covers the codec kernels and the layer-0 backward
+    /// end to end, whatever `BNS_SIMD` / `BNS_THREADS` / `BNS_WORKERS`.
+    #[test]
+    fn int8_curves_match_recorded_bits() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let ds = small_ds();
+        let part = RandomPartitioner.partition(&ds.graph, 2, 4);
+        let cases = [
+            (ModelArch::Sage, 1.0, 0x87c0_57f9_8e0c_4910),
+            (ModelArch::Sage, 0.3, 0x4732_1ae0_305b_4f6f),
+            (ModelArch::Gcn, 0.3, 0xa72f_a2d2_906b_c19b),
+        ];
+        for (arch, p, want) in cases {
+            let cfg = TrainConfig {
+                arch,
+                epochs: 6,
+                hidden: vec![24],
+                dropout: 0.3,
+                sampling: BoundarySampling::Bns { p },
+                eval_every: 3,
+                seed: 7,
+                wire_precision: Some(WirePrecision::Int8),
+                ..TrainConfig::quick_test()
+            };
+            let run = train(&ds, &part, &cfg);
+            let mut bytes = Vec::new();
+            for e in &run.epochs {
+                bytes.extend(e.loss.to_bits().to_le_bytes());
+                for t in &e.traffic_per_rank {
+                    bytes.extend(t.bytes(TrafficClass::Boundary).to_le_bytes());
+                }
+            }
+            assert_eq!(fnv1a(&bytes), want, "{arch:?} int8 p = {p}");
         }
     }
 

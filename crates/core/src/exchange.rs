@@ -517,6 +517,11 @@ fn swap_boundary_stale(arena: &mut ExchangeArena, stale: Option<&mut Option<Matr
 /// the previous epoch's are applied instead (first epoch applies
 /// fresh).
 ///
+/// `d_inner = None` (the first layer, whose input gradient nobody
+/// reads) still sends every block and receives and drains every peer's
+/// — the same messages and bytes, and the same stale cache — and skips
+/// only the scatter-add.
+///
 /// Non-exact precisions pack each scaled block with stochastic
 /// rounding. The per-destination stream seed is
 /// `codec::rand_at(sr_seed, tag, owner)` — `tag` already encodes epoch
@@ -527,7 +532,7 @@ fn swap_boundary_stale(arena: &mut ExchangeArena, stale: Option<&mut Option<Matr
 pub async fn exchange_gradients(
     comm: &mut RankComm,
     ex: &EpochExchange,
-    d_inner: &mut Matrix,
+    mut d_inner: Option<&mut Matrix>,
     d_bd: &Matrix,
     feature_scale: f32,
     tag: u64,
@@ -594,41 +599,39 @@ pub async fn exchange_gradients(
             }
         };
     }
+    // Applies the per-peer blocks `data` to `d_inner` in ascending
+    // peer order.
+    let mut apply = |data: &[Vec<f32>]| {
+        if let Some(d_inner) = d_inner.as_deref_mut() {
+            for (rows, block) in ex.rows_to_send.iter().zip(data) {
+                if !rows.is_empty() {
+                    d_inner.scatter_add_rows_slice(rows, block);
+                }
+            }
+        }
+    };
     match stale {
         None => {
-            for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
+            apply(&slots);
+            for (rows, data) in ex.rows_to_send.iter().zip(&mut slots) {
+                if !rows.is_empty() {
+                    arena.recycle(std::mem::take(data));
                 }
-                let data = std::mem::take(&mut slots[j]);
-                d_inner.scatter_add_rows_slice(rows, &data);
-                arena.recycle(data);
             }
             arena.grad_slots = slots;
         }
-        Some(cache) => match cache.take() {
-            Some(prev) => {
-                for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
+        Some(cache) => {
+            match cache.take() {
+                Some(prev) => {
+                    apply(&prev);
+                    for buf in prev {
+                        arena.recycle(buf);
                     }
-                    d_inner.scatter_add_rows_slice(rows, &prev[j]);
                 }
-                for buf in prev {
-                    arena.recycle(buf);
-                }
-                *cache = Some(slots);
+                None => apply(&slots),
             }
-            None => {
-                for (j, rows) in ex.rows_to_send.iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    d_inner.scatter_add_rows_slice(rows, &slots[j]);
-                }
-                *cache = Some(slots);
-            }
-        },
+            *cache = Some(slots);
+        }
     }
 }
 

@@ -135,7 +135,7 @@ fn check_world(k: usize, p: f64, seed: u64, threads: usize) {
             block_on(exchange_gradients(
                 &mut comm,
                 &ex,
-                &mut g_ovl,
+                Some(&mut g_ovl),
                 &d_bd,
                 scale,
                 tag + 3,

@@ -13,6 +13,7 @@
 
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{pool, simd, Matrix};
+use std::ops::Range;
 
 /// A `*mut f32` the pool closures may carry across threads. Sound
 /// because every user writes only to a disjoint row range of the
@@ -57,74 +58,53 @@ const SEGMENT_ROWS: usize = 256;
 const SEGMENT_ROWS: usize = 4;
 const MAX_SEGMENTS: usize = 8;
 
-thread_local! {
-    /// [`segmented_gather_into`]'s per-segment partial row, kept per
-    /// thread so a call does not allocate one per pool block.
-    static PARTIAL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
 /// Shared gather skeleton for the backward kernels. `g` is symmetric
 /// with sorted, unique neighbor lists, so the sources of output row `u`
 /// are exactly the prefix of `N(u)` below `n_out`. Each row is written
-/// by one pool job, which splits its sources into the fixed segments,
-/// folds each segment with `fold(acc, sources, u, self_here)` into a
-/// partial started at `+0.0` (ascending `v`; `self_here` marks the
-/// segment holding `v = u`, for kernels with a self term), and adds the
-/// partials to the row in ascending segment order. Segments with no
-/// sources and no self term are skipped, and the first partial is
-/// folded straight into the zeroed row: both are exact, because a sum
-/// started at `+0.0` is never `-0.0`. So each row gets the summation
-/// tree of a per-segment partial-buffer reduction without the buffers.
+/// by one pool job, which cuts its sources at the fixed segment
+/// boundaries and hands them to `gather_row(row, sources, ends, u,
+/// self_seg)`: one register-resident kernel call that sums each
+/// segment from `+0.0` in ascending `v` and adds the segment sums in
+/// order (`self_seg` names the segment holding `v = u`, for kernels
+/// with a self term). So each row gets the summation tree of a
+/// per-segment partial-buffer reduction without the buffers.
 ///
-/// `dh` is reshaped to `n_rows_h x d` and every element is written, so
-/// a reused buffer needs no re-zeroing: a row with no sources (and
-/// every row past the graph) is zeroed here instead.
+/// Only the gradient rows `rows` are computed: `dh` is reshaped to
+/// `rows.len() x d` (row `u` at `u - rows.start`) and every element is
+/// written, so a reused buffer needs no re-zeroing; rows past the graph
+/// are zeroed here.
 fn segmented_gather_into<F>(
     g: &CsrGraph,
-    bk: simd::Backend,
-    (n_out, n_rows_h, d): (usize, usize, usize),
-    fold: F,
+    (rows, n_out, d): (Range<usize>, usize, usize),
+    gather_row: F,
     dh: &mut Matrix,
 ) where
-    F: Fn(&mut [f32], &[u32], usize, bool) + Sync,
+    F: Fn(&mut [f32], &[u32], &[usize], usize, Option<usize>) + Sync,
 {
     let n_seg = n_out.div_ceil(SEGMENT_ROWS).clamp(1, MAX_SEGMENTS);
     let seg = n_out.div_ceil(n_seg).max(1);
-    dh.reset(n_rows_h, d);
-    dh.as_mut_slice()[g.num_nodes() * d..].fill(0.0);
+    let first_row = rows.start;
+    let n = g.num_nodes().clamp(first_row, rows.end);
+    dh.reset(rows.len(), d);
+    dh.as_mut_slice()[(n - first_row) * d..].fill(0.0);
     let dptr = SendMutPtr(dh.as_mut_slice().as_mut_ptr());
-    pool::parallel_row_blocks(g.num_nodes(), AGG_MIN_ROWS, &|u0, u1| {
-        // SAFETY: this block owns the disjoint output rows [u0, u1).
+    pool::parallel_row_blocks(n - first_row, AGG_MIN_ROWS, &|r0, r1| {
+        // SAFETY: this block owns the disjoint output rows [r0, r1).
         let block =
-            unsafe { std::slice::from_raw_parts_mut(dptr.get().add(u0 * d), (u1 - u0) * d) };
-        let mut partial = PARTIAL.take();
-        partial.resize(d, 0.0);
-        for u in u0..u1 {
-            let row = &mut block[(u - u0) * d..(u - u0 + 1) * d];
+            unsafe { std::slice::from_raw_parts_mut(dptr.get().add(r0 * d), (r1 - r0) * d) };
+        let mut ends = [0usize; MAX_SEGMENTS];
+        for r in 0..r1 - r0 {
+            let (row, u) = (&mut block[r * d..(r + 1) * d], first_row + r0 + r);
             let nb = g.neighbors(u);
             let srcs = &nb[..nb.partition_point(|&v| (v as usize) < n_out)];
-            let (mut start, mut first) = (0, true);
-            for b in 0..n_seg {
-                let end = start + srcs[start..].partition_point(|&v| (v as usize) < (b + 1) * seg);
-                let self_here = u < n_out && u / seg == b;
-                if end > start || self_here {
-                    let acc = if first { &mut *row } else { &mut partial[..] };
-                    acc.fill(0.0);
-                    fold(acc, &srcs[start..end], u, self_here);
-                    if !first {
-                        simd::add_assign(bk, row, &partial);
-                    }
-                    first = false;
-                }
-                start = end;
+            let mut start = 0;
+            for (b, end) in ends[..n_seg].iter_mut().enumerate() {
+                start += srcs[start..].partition_point(|&v| (v as usize) < (b + 1) * seg);
+                *end = start;
             }
-            if first {
-                row.fill(0.0);
-            }
+            let self_seg = (u < n_out).then_some(u / seg);
+            gather_row(row, srcs, &ends[..n_seg], u, self_seg);
         }
-        // By path: a bare `.set` would resolve, in the analyzer's call
-        // graph, to an unrelated workspace method.
-        PARTIAL.with(|slot| std::cell::Cell::set(slot, partial));
     });
 }
 
@@ -216,15 +196,34 @@ pub fn scaled_sum_aggregate_backward_into(
     row_scale: &[f32],
     dh: &mut Matrix,
 ) {
+    scaled_sum_aggregate_backward_rows_into(g, dz, 0..n_rows_h, row_scale, dh);
+}
+
+/// [`scaled_sum_aggregate_backward_into`] for the gradient rows `rows`
+/// only: `dh` is reshaped to `rows.len() x d`, its row `i` holding
+/// gradient row `rows.start + i`, each bitwise the full kernel's.
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as
+/// [`scaled_sum_aggregate_backward`] (with `n_rows_h = rows.end`), or
+/// if `rows.start > rows.end`.
+pub fn scaled_sum_aggregate_backward_rows_into(
+    g: &CsrGraph,
+    dz: &Matrix,
+    rows: Range<usize>,
+    row_scale: &[f32],
+    dh: &mut Matrix,
+) {
     let n_out = dz.rows();
     assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
-    assert!(n_rows_h >= g.num_nodes(), "output too small");
+    assert!(rows.end >= g.num_nodes(), "output too small");
     assert_eq!(row_scale.len(), n_out, "row_scale length mismatch");
     let (d, bk) = (dz.cols(), simd::begin_kernel());
-    let fold = |acc: &mut [f32], srcs: &[u32], _: usize, _: bool| {
-        simd::sum_rows_scaled(bk, acc, dz.as_slice(), d, srcs, 0, row_scale);
+    let gather_row = |row: &mut [f32], srcs: &[u32], ends: &[usize], _: usize, _: Option<usize>| {
+        simd::segment_sum_rows_scaled(bk, row, dz.as_slice(), d, srcs, ends, row_scale);
     };
-    segmented_gather_into(g, bk, (n_out, n_rows_h, d), fold, dh);
+    segmented_gather_into(g, (rows, n_out, d), gather_row, dh);
 }
 
 /// Inner-edge partial of [`scaled_sum_aggregate`] on a segmented
@@ -491,20 +490,31 @@ pub fn gcn_aggregate_backward_into(
     s: &[f32],
     dh: &mut Matrix,
 ) {
+    gcn_aggregate_backward_rows_into(g, dz, 0..n_rows_h, s, dh);
+}
+
+/// [`gcn_aggregate_backward_into`] for the gradient rows `rows` only
+/// (see [`scaled_sum_aggregate_backward_rows_into`]).
+///
+/// # Panics
+///
+/// Panics on shape mismatches or if `rows.start > rows.end`.
+pub fn gcn_aggregate_backward_rows_into(
+    g: &CsrGraph,
+    dz: &Matrix,
+    rows: Range<usize>,
+    s: &[f32],
+    dh: &mut Matrix,
+) {
     let n_out = dz.rows();
     assert!(n_out <= g.num_nodes(), "dz has more rows than graph nodes");
-    assert!(n_rows_h >= g.num_nodes(), "output too small");
+    assert!(rows.end >= g.num_nodes(), "output too small");
     assert!(s.len() >= g.num_nodes(), "scale vector too small");
     let (d, bk) = (dz.cols(), simd::begin_kernel());
-    let fold = |acc: &mut [f32], srcs: &[u32], u: usize, self_here: bool| {
-        let (below, above) = srcs.split_at(srcs.partition_point(|&v| (v as usize) < u));
-        simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, below, s, s[u]);
-        if self_here {
-            simd::axpy(bk, acc, s[u] * s[u], dz.row(u));
-        }
-        simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, above, s, s[u]);
+    let gather_row = |row: &mut [f32], srcs: &[u32], ends: &[usize], u, self_seg| {
+        simd::segment_sum_rows_rescaled(bk, row, dz.as_slice(), d, srcs, ends, s, u, self_seg);
     };
-    segmented_gather_into(g, bk, (n_out, n_rows_h, d), fold, dh);
+    segmented_gather_into(g, (rows, n_out, d), gather_row, dh);
 }
 
 #[cfg(test)]

@@ -232,11 +232,6 @@ impl GatLayer {
             self.neg_slope
         }
     }
-
-    /// The layer's parameters (order: `w`, `a_l`, `a_r`).
-    pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.w, &mut self.a_l, &mut self.a_r]
-    }
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {

@@ -4,8 +4,8 @@
 
 use crate::activation::Activation;
 use crate::aggregate::{
-    gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_inner_into,
-    gcn_aggregate_into, gcn_fold_boundary,
+    gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_backward_rows_into,
+    gcn_aggregate_inner_into, gcn_aggregate_into, gcn_fold_boundary,
 };
 use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
 use bns_graph::{Adjacency, CsrGraph};
@@ -196,7 +196,9 @@ impl GcnLayer {
     /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
     /// (boundary rows), the parameter gradients in `grads` — bitwise
     /// equal to slicing [`GcnLayer::backward`]'s output at the
-    /// inner/boundary split.
+    /// inner/boundary split. With `inner_grad = false` the inner rows
+    /// of the gather are skipped (`scratch.dh` is left as it was);
+    /// `dh_bd` and `grads` are the same bits.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
@@ -204,6 +206,7 @@ impl GcnLayer {
         d_out: &Matrix,
         scratch: &mut SegScratch,
         grads: &mut GcnGrads,
+        inner_grad: bool,
     ) {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
@@ -214,11 +217,15 @@ impl GcnLayer {
         sc.dpre.col_sums_into(grads.b.as_mut_slice());
         sc.dpre.matmul_nt_into(&self.w, &mut sc.wt, &mut sc.dz);
         let n_rows = n_inner + cache.n_bd;
-        gcn_aggregate_backward_into(g, &sc.dz, n_rows, &cache.s, &mut sc.dh);
-        sc.dh.slice_rows_into(n_inner, n_rows, &mut sc.dh_bd);
-        sc.dh.truncate_rows(n_inner);
-        if cache.drop_in {
-            cache.mask_in.apply(sc.dh.as_mut_slice());
+        if inner_grad {
+            gcn_aggregate_backward_into(g, &sc.dz, n_rows, &cache.s, &mut sc.dh);
+            sc.dh.slice_rows_into(n_inner, n_rows, &mut sc.dh_bd);
+            sc.dh.truncate_rows(n_inner);
+            if cache.drop_in {
+                cache.mask_in.apply(sc.dh.as_mut_slice());
+            }
+        } else {
+            gcn_aggregate_backward_rows_into(g, &sc.dz, n_inner..n_rows, &cache.s, &mut sc.dh_bd);
         }
         if cache.drop_bd {
             cache.mask_bd.apply(sc.dh_bd.as_mut_slice());
@@ -329,7 +336,7 @@ mod tests {
             &mut scratch,
             &mut out_s,
         );
-        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s);
+        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s, true);
         let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };

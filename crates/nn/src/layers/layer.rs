@@ -102,12 +102,31 @@ impl Layer {
         self.projection().cols()
     }
 
-    /// The layer's parameters, for the optimizer.
-    pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        match self {
-            Layer::Sage(l) => l.params_mut(),
-            Layer::Gat(l) => l.params_mut(),
-            Layer::Gcn(l) => vec![&mut l.w, &mut l.b],
+    /// Visits each parameter with its gradient in `slot`, in the order
+    /// the optimizer's moment slots and the all-reduced gradient buffer
+    /// follow: SAGE `w_self`, `w_neigh`, `b`; GCN `w`, `b`; GAT `w`,
+    /// `a_l`, `a_r` (the model-file order too).
+    pub fn for_each_param_grad(
+        &mut self,
+        slot: &mut LayerSlot,
+        mut f: impl FnMut(&mut Matrix, &mut Matrix),
+    ) {
+        match (self, &mut slot.0) {
+            (Layer::Sage(l), Slot::Sage(_, g)) => {
+                f(&mut l.w_self, &mut g.w_self);
+                f(&mut l.w_neigh, &mut g.w_neigh);
+                f(&mut l.b, &mut g.b);
+            }
+            (Layer::Gcn(l), Slot::Gcn(_, g)) => {
+                f(&mut l.w, &mut g.w);
+                f(&mut l.b, &mut g.b);
+            }
+            (Layer::Gat(l), Slot::Gat(_, g)) => {
+                f(&mut l.w, &mut g.w);
+                f(&mut l.a_l, &mut g.a_l);
+                f(&mut l.a_r, &mut g.a_r);
+            }
+            _ => unreachable!("slot/layer kind mismatch"),
         }
     }
 
@@ -231,17 +250,26 @@ impl Layer {
     /// Segmented backward from the upstream gradient `d` (one row per
     /// inner row): the input gradients land in `scratch.dh` (inner
     /// rows) and `scratch.dh_bd` (boundary rows), the parameter
-    /// gradients in the slot.
+    /// gradients in the slot. With `inner_grad = false` — the first
+    /// layer, whose input gradient nobody reads — SAGE and GCN compute
+    /// only what leaves the rank, the parameter gradients and `dh_bd`,
+    /// and leave `scratch.dh` as it was; GAT's fused pass computes
+    /// everything.
     pub fn backward_seg(
         &self,
         slot: &mut LayerSlot,
         g: &CsrGraph,
         d: &Matrix,
         scratch: &mut SegScratch,
+        inner_grad: bool,
     ) {
         match (self, &mut slot.0) {
-            (Layer::Sage(l), Slot::Sage(c, gr)) => l.backward_seg_into(g, c, d, scratch, gr),
-            (Layer::Gcn(l), Slot::Gcn(c, gr)) => l.backward_seg_into(g, c, d, scratch, gr),
+            (Layer::Sage(l), Slot::Sage(c, gr)) => {
+                l.backward_seg_into(g, c, d, scratch, gr, inner_grad)
+            }
+            (Layer::Gcn(l), Slot::Gcn(c, gr)) => {
+                l.backward_seg_into(g, c, d, scratch, gr, inner_grad)
+            }
             (Layer::Gat(l), Slot::Gat(c, gr)) => {
                 let (dh_full, grads) = l.backward(c.as_ref().expect("forward ran"), d);
                 let n_in = d.rows();
@@ -255,21 +283,13 @@ impl Layer {
 }
 
 impl LayerSlot {
-    /// Parameter gradients in [`Layer::params_mut`] order.
-    pub fn grads(&self) -> Vec<&Matrix> {
+    /// Visits the parameter gradients in [`Layer::for_each_param_grad`]
+    /// order.
+    pub fn for_each_grad(&self, f: impl FnMut(&Matrix)) {
         match &self.0 {
-            Slot::Sage(_, g) => SageLayer::grads_vec(g),
-            Slot::Gcn(_, g) => vec![&g.w, &g.b],
-            Slot::Gat(_, g) => vec![&g.w, &g.a_l, &g.a_r],
-        }
-    }
-
-    /// Mutable parameter gradients in [`Layer::params_mut`] order.
-    pub fn grads_mut(&mut self) -> Vec<&mut Matrix> {
-        match &mut self.0 {
-            Slot::Sage(_, g) => vec![&mut g.w_self, &mut g.w_neigh, &mut g.b],
-            Slot::Gcn(_, g) => vec![&mut g.w, &mut g.b],
-            Slot::Gat(_, g) => vec![&mut g.w, &mut g.a_l, &mut g.a_r],
+            Slot::Sage(_, g) => [&g.w_self, &g.w_neigh, &g.b].into_iter().for_each(f),
+            Slot::Gcn(_, g) => [&g.w, &g.b].into_iter().for_each(f),
+            Slot::Gat(_, g) => [&g.w, &g.a_l, &g.a_r].into_iter().for_each(f),
         }
     }
 }
@@ -277,6 +297,50 @@ impl LayerSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Skipping the inner input gradient (the first layer's backward)
+    /// leaves the boundary rows and the parameter gradients the same
+    /// bits, with dropout on both sides of the split.
+    #[test]
+    fn backward_without_inner_grad_keeps_boundary_rows_and_grads() {
+        let (n_in, n_bd) = (30, 9);
+        let mut rng = SeededRng::new(41);
+        let mut b = bns_graph::GraphBuilder::new(n_in + n_bd);
+        for _ in 0..120 {
+            let u = rng.usize_below(n_in);
+            let v = rng.usize_below(n_in + n_bd);
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        let g = b.build();
+        let mean = g.mean_scale()[..n_in].to_vec();
+        let sym = g.gcn_scale();
+        let h_inner = Matrix::random_normal(n_in, 6, 0.0, 1.0, &mut rng);
+        let h_bd = Matrix::random_normal(n_bd, 6, 0.0, 1.0, &mut rng);
+        let d = Matrix::random_normal(n_in, 5, 0.0, 1.0, &mut rng);
+        for arch in [ModelArch::Sage, ModelArch::Gcn] {
+            let layer = Layer::stack(arch, &[6, 5], 0.3, &mut rng).remove(0);
+            let run = |inner_grad: bool| {
+                let (mut slot, mut scratch) = (layer.new_slot(), SegScratch::default());
+                let (mut out, mut r) = (Matrix::default(), SeededRng::new(5));
+                layer.forward_inner(&mut slot, &g, &h_inner, &sym, (true, &mut r));
+                let hs = (&h_inner, &h_bd);
+                let (norms, train) = ((&mean[..], &sym[..]), (true, &mut r));
+                layer.forward_boundary(&mut slot, &g, hs, norms, train, &mut scratch, &mut out);
+                layer.backward_seg(&mut slot, &g, &d, &mut scratch, inner_grad);
+                let mut bits: Vec<u32> = scratch
+                    .dh_bd
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                slot.for_each_grad(|m| bits.extend(m.as_slice().iter().map(|x| x.to_bits())));
+                bits
+            };
+            assert_eq!(run(true), run(false), "{arch:?}");
+        }
+    }
 
     #[test]
     fn stack_shapes_and_activations() {

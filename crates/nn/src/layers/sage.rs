@@ -10,7 +10,8 @@
 use crate::activation::Activation;
 use crate::aggregate::{
     scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
-    scaled_sum_aggregate_inner_into, scaled_sum_aggregate_into, scaled_sum_fold_boundary,
+    scaled_sum_aggregate_backward_rows_into, scaled_sum_aggregate_inner_into,
+    scaled_sum_aggregate_into, scaled_sum_fold_boundary,
 };
 use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
 use bns_graph::{Adjacency, CsrGraph};
@@ -241,7 +242,10 @@ impl SageLayer {
     /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
     /// (boundary rows), the parameter gradients in `grads` — bitwise
     /// equal to slicing [`SageLayer::backward`]'s output at the
-    /// inner/boundary split.
+    /// inner/boundary split. With `inner_grad = false` the inner rows
+    /// are not computed (`scratch.dh` is left as it was): the self-path
+    /// product `dpre · W_selfᵀ` and the inner rows of the gather are
+    /// skipped, and `dh_bd` and `grads` are the same bits.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
@@ -249,6 +253,7 @@ impl SageLayer {
         d_out: &Matrix,
         scratch: &mut SegScratch,
         grads: &mut SageGrads,
+        inner_grad: bool,
     ) {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
@@ -262,13 +267,18 @@ impl SageLayer {
         s.dpre.col_sums_into(grads.b.as_mut_slice());
         s.dpre.matmul_nt_into(&self.w_neigh, &mut s.wt, &mut s.dz);
         let n_rows = n_inner + cache.n_bd;
-        scaled_sum_aggregate_backward_into(g, &s.dz, n_rows, &cache.row_scale, &mut s.dh);
-        s.dh.slice_rows_into(n_inner, n_rows, &mut s.dh_bd);
-        s.dh.truncate_rows(n_inner);
-        s.dpre.matmul_nt_into(&self.w_self, &mut s.wt, &mut s.dz);
-        s.dh.add_assign(&s.dz);
-        if cache.drop_in {
-            cache.mask_in.apply(s.dh.as_mut_slice());
+        if inner_grad {
+            scaled_sum_aggregate_backward_into(g, &s.dz, n_rows, &cache.row_scale, &mut s.dh);
+            s.dh.slice_rows_into(n_inner, n_rows, &mut s.dh_bd);
+            s.dh.truncate_rows(n_inner);
+            s.dpre.matmul_nt_into(&self.w_self, &mut s.wt, &mut s.dz);
+            s.dh.add_assign(&s.dz);
+            if cache.drop_in {
+                cache.mask_in.apply(s.dh.as_mut_slice());
+            }
+        } else {
+            let (dz, rows) = (&s.dz, n_inner..n_rows);
+            scaled_sum_aggregate_backward_rows_into(g, dz, rows, &cache.row_scale, &mut s.dh_bd);
         }
         if cache.drop_bd {
             cache.mask_bd.apply(s.dh_bd.as_mut_slice());
@@ -452,7 +462,7 @@ mod tests {
             &mut scratch,
             &mut out_s,
         );
-        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s);
+        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s, true);
         let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };

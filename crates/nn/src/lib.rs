@@ -38,4 +38,4 @@ pub use layers::{
     SageLayer, SageSegCache, SegScratch,
 };
 pub use models::{flatten_into, layer_stack, unflatten_into, SageModel};
-pub use optim::Adam;
+pub use optim::{Adam, AdamStep};

@@ -68,13 +68,32 @@ impl Adam {
     pub fn step(&mut self, params: &mut [&mut Matrix], grads: &[&Matrix]) {
         assert_eq!(params.len(), grads.len(), "params/grads count mismatch");
         if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-            self.v = self.m.clone();
+            for p in params.iter() {
+                self.push_moments(p);
+            }
         }
         assert_eq!(self.m.len(), params.len(), "parameter count changed");
+        let mut step = self.begin_step();
+        for (p, g) in params.iter_mut().zip(grads) {
+            step.update(p, g);
+        }
+    }
+
+    /// Adds zeroed moments for one more parameter shaped like `p`.
+    /// [`Adam::step`] does this itself on its first call; a caller of
+    /// [`Adam::begin_step`] does it once per parameter, in update
+    /// order, before the first step.
+    pub fn push_moments(&mut self, p: &Matrix) {
+        self.m.push(Matrix::zeros(p.rows(), p.cols()));
+        self.v.push(Matrix::zeros(p.rows(), p.cols()));
+    }
+
+    /// Starts one update: advances the step count and returns the
+    /// [`AdamStep`] that updates each `(parameter, gradient)` pair in
+    /// turn. Pair `i` of every step uses moment slot `i`, so visiting
+    /// the pairs in place gives the bits of [`Adam::step`] over the same
+    /// pairs in the same order.
+    pub fn begin_step(&mut self) -> AdamStep<'_> {
         self.t += 1;
         let hyper = AdamHyper {
             lr: self.lr,
@@ -85,30 +104,54 @@ impl Adam {
             b1t: 1.0 - self.beta1.powi(self.t as i32),
             b2t: 1.0 - self.beta2.powi(self.t as i32),
         };
-        let bk = simd::begin_kernel();
-        for ((p, g), (m, v)) in params
-            .iter_mut()
-            .zip(grads)
-            .zip(self.m.iter_mut().zip(self.v.iter_mut()))
-        {
-            assert_eq!(p.shape(), g.shape(), "parameter shape changed");
-            assert_eq!(
-                p.shape(),
-                m.shape(),
-                "parameter shape differs from first-call shape"
-            );
-            // `div`/`sqrt` are correctly rounded on every backend, so
-            // the vectorized update is bitwise identical to the scalar
-            // expression sequence.
-            simd::adam_update(
-                bk,
-                p.as_mut_slice(),
-                g.as_slice(),
-                m.as_mut_slice(),
-                v.as_mut_slice(),
-                &hyper,
-            );
+        AdamStep {
+            bk: simd::begin_kernel(),
+            hyper,
+            next: 0,
+            adam: self,
         }
+    }
+}
+
+/// One Adam step in progress, from [`Adam::begin_step`]: each
+/// [`AdamStep::update`] takes the next moment slot.
+#[derive(Debug)]
+pub struct AdamStep<'a> {
+    adam: &'a mut Adam,
+    hyper: AdamHyper,
+    bk: simd::Backend,
+    next: usize,
+}
+
+impl AdamStep<'_> {
+    /// Updates `p` with its gradient `g` using the next moment slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ from the moments at this position,
+    /// or if every moment slot is used already.
+    pub fn update(&mut self, p: &mut Matrix, g: &Matrix) {
+        let i = self.next;
+        assert!(i < self.adam.m.len(), "parameter count changed");
+        let (m, v) = (&mut self.adam.m[i], &mut self.adam.v[i]);
+        self.next += 1;
+        assert_eq!(p.shape(), g.shape(), "parameter shape changed");
+        assert_eq!(
+            p.shape(),
+            m.shape(),
+            "parameter shape differs from first-call shape"
+        );
+        // `div`/`sqrt` are correctly rounded on every backend, so the
+        // vectorized update is bitwise identical to the scalar
+        // expression sequence.
+        simd::adam_update(
+            self.bk,
+            p.as_mut_slice(),
+            g.as_slice(),
+            m.as_mut_slice(),
+            v.as_mut_slice(),
+            &self.hyper,
+        );
     }
 }
 

@@ -20,9 +20,9 @@
 
 use bns_graph::generators::{erdos_renyi_m, ring};
 use bns_nn::aggregate::{
-    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_inner, gcn_fold_boundary,
-    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_inner,
-    scaled_sum_fold_boundary,
+    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_backward_rows_into, gcn_aggregate_inner,
+    gcn_fold_boundary, scaled_sum_aggregate, scaled_sum_aggregate_backward,
+    scaled_sum_aggregate_backward_rows_into, scaled_sum_aggregate_inner, scaled_sum_fold_boundary,
 };
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::simd::{self, Backend};
@@ -154,4 +154,51 @@ fn simd_aggregates_dispatch_and_match_scalar_bitwise() {
     }
     let _ = simd::take_thread_stats();
     assert_eq!(simd::thread_stats().total(), 0, "drain resets the stats");
+}
+
+/// The register-resident backward gather on rows whose sources span at
+/// least three source segments (the graph links every row to one node
+/// in each quarter of the rows, and `N - 4` output rows make three
+/// segments at the active `SEGMENT_ROWS`): parallel equals serial, and
+/// the row-range form the first layer uses writes the full gather's
+/// boundary rows.
+#[test]
+fn segmented_backward_gather_spans_segments() {
+    let n_out = N - 4;
+    let edges = (0..n_out).flat_map(|u| (0..4).map(move |q| (u, (u + q * N / 4 + 1) % N)));
+    let g = bns_graph::CsrGraph::from_edges(N, edges.filter(|&(u, v)| u != v));
+    let mut rng = SeededRng::new(19);
+    let dz = Matrix::random_normal(n_out, D, 0.0, 1.0, &mut rng);
+    let scale: Vec<f32> = (0..N).map(|_| rng.uniform_range(0.1, 2.0)).collect();
+    // The segment size the gather uses (`SEGMENT_ROWS` is 4 under Miri).
+    let n_seg = n_out.div_ceil(if cfg!(miri) { 4 } else { 256 }).clamp(1, 8);
+    let seg = n_out.div_ceil(n_seg);
+    let wide = (0..N).filter(|&u| {
+        let mut segs: Vec<usize> = g.neighbors(u).iter().map(|&v| v as usize / seg).collect();
+        segs.dedup();
+        segs.iter().filter(|&&b| b < n_seg).count() >= 3
+    });
+    assert!(wide.count() >= 4, "rows must reach three segments");
+
+    let sage = scaled_sum_aggregate_backward(&g, &dz, N, &scale[..n_out]);
+    let gcn = gcn_aggregate_backward(&g, &dz, N, &scale);
+    let p = ThreadPool::new(3);
+    let guard = pool::install(p.clone());
+    assert_eq!(
+        sage,
+        scaled_sum_aggregate_backward(&g, &dz, N, &scale[..n_out]),
+        "SAGE gather, parallel vs serial"
+    );
+    assert_eq!(
+        gcn,
+        gcn_aggregate_backward(&g, &dz, N, &scale),
+        "GCN gather, parallel vs serial"
+    );
+    let mut bd = Matrix::default();
+    scaled_sum_aggregate_backward_rows_into(&g, &dz, n_out..N, &scale[..n_out], &mut bd);
+    assert_eq!(bd, take_rows(&sage, n_out, N), "SAGE boundary rows");
+    gcn_aggregate_backward_rows_into(&g, &dz, n_out..N, &scale, &mut bd);
+    assert_eq!(bd, take_rows(&gcn, n_out, N), "GCN boundary rows");
+    assert!(p.stats().parallel_dispatches > 0);
+    drop(guard);
 }

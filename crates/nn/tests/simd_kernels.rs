@@ -235,3 +235,129 @@ fn sage_gradients_identical_scalar_vs_vector() {
         vec![out, dx, grads.w_self, grads.w_neigh, grads.b]
     });
 }
+
+/// The segmented backward gather as it was before it went
+/// register-resident, kept as the reference: per row, each source
+/// segment folds into a partial buffer zeroed to `+0.0` (the first one
+/// straight into the zeroed row), through the plain gather kernels, and
+/// the partials are added to the row in segment order. `fold(acc, srcs,
+/// u, self_here)` is the per-segment fold.
+fn partial_buffer_gather(
+    g: &bns_graph::CsrGraph,
+    (n_out, n_rows_h, d): (usize, usize, usize),
+    bk: Backend,
+    fold: impl Fn(&mut [f32], &[u32], usize, bool),
+) -> Matrix {
+    let segment_rows = if cfg!(miri) { 4 } else { 256 };
+    let n_seg = n_out.div_ceil(segment_rows).clamp(1, 8);
+    let seg = n_out.div_ceil(n_seg).max(1);
+    let mut dh = Matrix::zeros(n_rows_h, d);
+    let mut partial = vec![0.0f32; d];
+    for u in 0..g.num_nodes() {
+        let row = &mut dh.as_mut_slice()[u * d..(u + 1) * d];
+        let nb = g.neighbors(u);
+        let srcs = &nb[..nb.partition_point(|&v| (v as usize) < n_out)];
+        let (mut start, mut first) = (0, true);
+        for b in 0..n_seg {
+            let end = start + srcs[start..].partition_point(|&v| (v as usize) < (b + 1) * seg);
+            let self_here = u < n_out && u / seg == b;
+            if end > start || self_here {
+                let acc = if first { &mut *row } else { &mut partial[..] };
+                acc.fill(0.0);
+                fold(acc, &srcs[start..end], u, self_here);
+                if !first {
+                    simd::add_assign(bk, row, &partial);
+                }
+                first = false;
+            }
+            start = end;
+        }
+    }
+    dh
+}
+
+/// The register-resident segmented backward gathers (SAGE mean and GCN
+/// with its self term) against [`partial_buffer_gather`], bit for bit,
+/// on every backend at 1 and 4 pool threads: rows whose sources span
+/// all 8 segments, boundary rows (sources only, no self term), GCN self
+/// terms in the first, middle and last segment, a column of `-0.0`
+/// terms (whose sums must stay `+0.0`) and a width with a two-vector
+/// strip plus every step-down tail. The row-range form used by the
+/// first layer's backward must give the same boundary rows.
+#[test]
+fn segmented_gather_matches_partial_buffer_reference() {
+    use bns_nn::aggregate::{
+        gcn_aggregate_backward_into, gcn_aggregate_backward_rows_into,
+        scaled_sum_aggregate_backward_into, scaled_sum_aggregate_backward_rows_into,
+    };
+    use bns_tensor::pool::{self, ThreadPool};
+    let (n_out, n_bd, d) = (2100usize, 60usize, 47usize);
+    let n = n_out + n_bd;
+    let mut rng = SeededRng::new(23);
+    let mut b = bns_graph::GraphBuilder::new(n);
+    for u in 0..n_out {
+        for _ in 0..6 {
+            let v = rng.usize_below(n);
+            if v != u {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    let g = b.build();
+    let mut dz = Matrix::random_normal(n_out, d, 0.0, 1.0, &mut rng);
+    for r in 0..n_out {
+        dz[(r, 0)] = -0.0;
+        if r % 3 == 0 {
+            dz[(r, 5)] = -0.0;
+        }
+    }
+    let scale: Vec<f32> = (0..n).map(|_| rng.uniform_range(0.1, 2.0)).collect();
+    let sage_scale = &scale[..n_out];
+    let covered = (0..n).filter(|&u| {
+        let nb = g.neighbors(u);
+        let (lo, hi) = (
+            nb.first().copied(),
+            nb.partition_point(|&v| (v as usize) < n_out),
+        );
+        lo.is_some_and(|lo| (lo as usize) < 263) && hi > 0 && nb[hi - 1] as usize >= 7 * 263
+    });
+    assert!(
+        covered.count() > 100,
+        "rows must span the first to the last segment"
+    );
+    for bk in Backend::ALL.into_iter().filter(|bk| bk.is_available()) {
+        let sage_ref = partial_buffer_gather(&g, (n_out, n, d), bk, |acc, srcs, _, _| {
+            simd::sum_rows_scaled(bk, acc, dz.as_slice(), d, srcs, 0, sage_scale);
+        });
+        let gcn_ref = partial_buffer_gather(&g, (n_out, n, d), bk, |acc, srcs, u, self_here| {
+            let (below, above) = srcs.split_at(srcs.partition_point(|&v| (v as usize) < u));
+            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, below, &scale, scale[u]);
+            if self_here {
+                simd::axpy(bk, acc, scale[u] * scale[u], dz.row(u));
+            }
+            simd::sum_rows_rescaled(bk, acc, dz.as_slice(), d, above, &scale, scale[u]);
+        });
+        assert!(sage_ref.as_slice().chunks(d).all(|r| r[0].to_bits() == 0));
+        let bd_ref = |m: &Matrix| Matrix::from_vec(n_bd, d, m.as_slice()[n_out * d..].to_vec());
+        for threads in [1, 4] {
+            let _f = simd::force(bk);
+            let _p = pool::install(ThreadPool::new(threads));
+            let what = format!("{} at {threads} threads", bk.name());
+            let mut got = Matrix::filled(3, 2, f32::NAN);
+            scaled_sum_aggregate_backward_into(&g, &dz, n, sage_scale, &mut got);
+            assert!(bits_eq(&got, &sage_ref), "SAGE gather, {what}");
+            scaled_sum_aggregate_backward_rows_into(&g, &dz, n_out..n, sage_scale, &mut got);
+            assert!(
+                bits_eq(&got, &bd_ref(&sage_ref)),
+                "SAGE boundary rows, {what}"
+            );
+            gcn_aggregate_backward_into(&g, &dz, n, &scale, &mut got);
+            assert!(bits_eq(&got, &gcn_ref), "GCN gather, {what}");
+            gcn_aggregate_backward_rows_into(&g, &dz, n_out..n, &scale, &mut got);
+            assert!(
+                bits_eq(&got, &bd_ref(&gcn_ref)),
+                "GCN boundary rows, {what}"
+            );
+        }
+    }
+}

@@ -379,6 +379,16 @@ trait Vf32 {
     /// Lanewise `if c > 0.0 { a } else { b }`; NaN and `-0.0` in `c`
     /// select `b`, exactly like the scalar `>` comparison.
     fn select_gtz(c: Self::V, a: Self::V, b: Self::V) -> Self::V;
+    /// Lanewise `if a < b { x } else { y }`; a NaN in `a` or `b`
+    /// selects `y`, exactly like the scalar `<` comparison.
+    fn select_lt(a: Self::V, b: Self::V, x: Self::V, y: Self::V) -> Self::V;
+    /// Lanewise round toward zero, [`f32::trunc`] bit for bit (`-0.5`
+    /// gives `-0.0`; NaN and ±∞ pass through).
+    fn trunc(a: Self::V) -> Self::V;
+    /// Stores each lane, converted to an integer toward zero and
+    /// saturated to `[0, 255]` (NaN gives 0), as one byte at the front
+    /// of `s` — `x as u8` per lane. Lanes must lie below 2³¹.
+    fn narrow_u8(s: &mut [u8], v: Self::V);
     /// Lane `i` is `a` where bit `i` of `bits` is set, `+0.0` where it
     /// is clear, selected without a branch (a bit mask ANDed onto `a`'s
     /// bits, or an AVX-512 mask register).
@@ -442,6 +452,25 @@ impl Vf32 for ScalarV {
         } else {
             b
         }
+    }
+
+    #[inline(always)]
+    fn select_lt(a: f32, b: f32, x: f32, y: f32) -> f32 {
+        if a < b {
+            x
+        } else {
+            y
+        }
+    }
+
+    #[inline(always)]
+    fn trunc(a: f32) -> f32 {
+        a.trunc()
+    }
+
+    #[inline(always)]
+    fn narrow_u8(s: &mut [u8], v: f32) {
+        s[0] = v as u8;
     }
 
     #[inline(always)]
@@ -524,6 +553,45 @@ impl Vf32 for Sse2V {
             let m = x86::_mm_cmpgt_ps(c, x86::_mm_setzero_ps());
             x86::_mm_or_ps(x86::_mm_and_ps(m, a), x86::_mm_andnot_ps(m, b))
         }
+    }
+
+    #[inline(always)]
+    fn select_lt(a: Self::V, b: Self::V, x: Self::V, y: Self::V) -> Self::V {
+        // SAFETY: SSE2 per `Backend::checked` (see `splat`). cmplt is
+        // an ordered compare: NaN lanes produce a zero mask -> `y`.
+        unsafe {
+            let m = x86::_mm_cmplt_ps(a, b);
+            x86::_mm_or_ps(x86::_mm_and_ps(m, x), x86::_mm_andnot_ps(m, y))
+        }
+    }
+
+    #[inline(always)]
+    fn trunc(a: Self::V) -> Self::V {
+        // SAFETY: SSE2 per `Backend::checked` (see `splat`). SSE2 has no
+        // rounding instruction: lanes below 2^23 in magnitude (NaN is
+        // not) round-trip through i32, which truncates, and get their
+        // sign back (so -0.5 -> -0.0); larger lanes, ±inf and NaN are
+        // already whole and pass through.
+        unsafe {
+            let sign = x86::_mm_set1_ps(-0.0);
+            let small =
+                x86::_mm_cmplt_ps(x86::_mm_andnot_ps(sign, a), x86::_mm_set1_ps(8_388_608.0));
+            let t = x86::_mm_cvtepi32_ps(x86::_mm_cvttps_epi32(a));
+            let t = x86::_mm_or_ps(t, x86::_mm_and_ps(a, sign));
+            x86::_mm_or_ps(x86::_mm_and_ps(small, t), x86::_mm_andnot_ps(small, a))
+        }
+    }
+
+    #[inline(always)]
+    fn narrow_u8(s: &mut [u8], v: Self::V) {
+        // SAFETY: SSE2 per `Backend::checked` (see `splat`). cvtt gives
+        // i32::MIN for NaN, which both saturating packs take to 0.
+        let word = unsafe {
+            let i = x86::_mm_cvttps_epi32(v);
+            let w = x86::_mm_packs_epi32(i, i);
+            x86::_mm_cvtsi128_si32(x86::_mm_packus_epi16(w, w)) as u32
+        };
+        s[..4].copy_from_slice(&word.to_le_bytes());
     }
 
     #[inline(always)]
@@ -611,6 +679,38 @@ impl Vf32 for Avx2V {
             let m = x86::_mm256_cmp_ps::<{ x86::_CMP_GT_OQ }>(c, x86::_mm256_setzero_ps());
             x86::_mm256_blendv_ps(b, a, m)
         }
+    }
+
+    #[inline(always)]
+    fn select_lt(a: Self::V, b: Self::V, x: Self::V, y: Self::V) -> Self::V {
+        // SAFETY: AVX2 per `Backend::checked` (see `splat`). _CMP_LT_OQ
+        // is the ordered quiet `<`: NaN lanes give a zero mask -> `y`.
+        unsafe {
+            let m = x86::_mm256_cmp_ps::<{ x86::_CMP_LT_OQ }>(a, b);
+            x86::_mm256_blendv_ps(y, x, m)
+        }
+    }
+
+    #[inline(always)]
+    fn trunc(a: Self::V) -> Self::V {
+        // SAFETY: AVX2 (which implies AVX's vroundps) per
+        // `Backend::checked` (see `splat`).
+        unsafe { x86::_mm256_round_ps::<{ x86::_MM_FROUND_TO_ZERO | x86::_MM_FROUND_NO_EXC }>(a) }
+    }
+
+    #[inline(always)]
+    fn narrow_u8(s: &mut [u8], v: Self::V) {
+        // SAFETY: AVX2 per `Backend::checked` (see `splat`). cvtt gives
+        // i32::MIN for NaN, which both saturating packs take to 0; the
+        // two 128-bit halves are packed in lane order.
+        let word = unsafe {
+            let i = x86::_mm256_cvttps_epi32(v);
+            let lo = x86::_mm256_castsi256_si128(i);
+            let hi = x86::_mm256_extracti128_si256::<1>(i);
+            let w = x86::_mm_packs_epi32(lo, hi);
+            x86::_mm_cvtsi128_si64(x86::_mm_packus_epi16(w, w)) as u64
+        };
+        s[..8].copy_from_slice(&word.to_le_bytes());
     }
 
     #[inline(always)]
@@ -702,6 +802,40 @@ impl Vf32 for Avx512V {
     }
 
     #[inline(always)]
+    fn select_lt(a: Self::V, b: Self::V, x: Self::V, y: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        // _CMP_LT_OQ is the ordered quiet `<`: NaN lanes leave their mask
+        // bit clear, and the blend takes `y` where the bit is clear.
+        unsafe {
+            let m = x86::_mm512_cmp_ps_mask::<{ x86::_CMP_LT_OQ }>(a, b);
+            x86::_mm512_mask_blend_ps(m, y, x)
+        }
+    }
+
+    #[inline(always)]
+    fn trunc(a: Self::V) -> Self::V {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`). Scale 0
+        // (the immediate's high nibble) rounds to whole numbers.
+        unsafe {
+            x86::_mm512_roundscale_ps::<{ x86::_MM_FROUND_TO_ZERO | x86::_MM_FROUND_NO_EXC }>(a)
+        }
+    }
+
+    #[inline(always)]
+    fn narrow_u8(s: &mut [u8], v: Self::V) {
+        assert!(s.len() >= 16);
+        // SAFETY: `s` holds at least 16 bytes (asserted above), so the
+        // unaligned 16-byte store stays in bounds; AVX-512F per
+        // `Backend::checked`. cvtt gives i32::MIN for NaN, which the max
+        // with zero takes to 0 before the unsigned saturating narrow.
+        unsafe {
+            let i = x86::_mm512_max_epi32(x86::_mm512_cvttps_epi32(v), x86::_mm512_setzero_si512());
+            let b = x86::_mm512_cvtusepi32_epi8(i);
+            x86::_mm_storeu_si128(s.as_mut_ptr().cast(), b)
+        }
+    }
+
+    #[inline(always)]
     fn bits_or_zero(bits: u32, a: f32) -> Self::V {
         // SAFETY: AVX-512F per `Backend::checked` (see `splat`). The 16
         // bits are the lane mask itself; clear lanes take `+0.0`.
@@ -780,6 +914,36 @@ impl Vf32 for NeonV {
             let m = core::arch::aarch64::vcgtq_f32(c, core::arch::aarch64::vdupq_n_f32(0.0));
             core::arch::aarch64::vbslq_f32(m, a, b)
         }
+    }
+
+    #[inline(always)]
+    fn select_lt(a: Self::V, b: Self::V, x: Self::V, y: Self::V) -> Self::V {
+        // SAFETY: NEON per `Backend::checked` (see `splat`). vclt is an
+        // ordered compare: NaN lanes produce a zero mask -> `y`.
+        unsafe {
+            let m = core::arch::aarch64::vcltq_f32(a, b);
+            core::arch::aarch64::vbslq_f32(m, x, y)
+        }
+    }
+
+    #[inline(always)]
+    fn trunc(a: Self::V) -> Self::V {
+        // SAFETY: NEON per `Backend::checked` (see `splat`); frintz.
+        unsafe { core::arch::aarch64::vrndq_f32(a) }
+    }
+
+    #[inline(always)]
+    fn narrow_u8(s: &mut [u8], v: Self::V) {
+        use core::arch::aarch64 as neon;
+        // SAFETY: NEON per `Backend::checked` (see `splat`). fcvtzu
+        // truncates and saturates (NaN -> 0), then two saturating
+        // narrows take u32 -> u16 -> u8.
+        let word = unsafe {
+            let h = neon::vqmovn_u32(neon::vcvtq_u32_f32(v));
+            let b = neon::vqmovn_u16(neon::vcombine_u16(h, h));
+            neon::vget_lane_u32::<0>(neon::vreinterpret_u32_u8(b))
+        };
+        s[..4].copy_from_slice(&word.to_le_bytes());
     }
 
     #[inline(always)]
@@ -1034,13 +1198,7 @@ mod kernels {
             for (v, x) in a.iter_mut().enumerate() {
                 *x = S::load(&acc[c + v * S::LANES..]);
             }
-            for &u in idx {
-                let r = (u as usize - offset) * d + c;
-                for (v, x) in a.iter_mut().enumerate() {
-                    let t = term.apply::<S>(u as usize, S::load(&src[r + v * S::LANES..]));
-                    *x = S::add(*x, t);
-                }
-            }
+            fold_strip::<S, V>(&mut a, (src, d, offset, c), idx, term);
             for (v, &x) in a.iter().enumerate() {
                 S::store(&mut acc[c + v * S::LANES..], x);
             }
@@ -1111,6 +1269,154 @@ mod kernels {
         c: f32,
     ) {
         gather::<S>(acc, (src, d, 0), idx, Rescaled(scales, c));
+    }
+
+    /// Where a segmented gather row's self term sits: in segment `seg`,
+    /// before source position `at`, adding `alpha * src.row(row)`.
+    #[derive(Clone, Copy)]
+    struct SelfTerm {
+        seg: usize,
+        at: usize,
+        row: usize,
+        alpha: f32,
+    }
+
+    /// Folds `term(u, src.row(u - offset))` for each `u` in `idx`, in
+    /// order, into the `V` vectors `p` of the strip at column `c`.
+    #[inline(always)]
+    fn fold_strip<S: Vf32, const V: usize>(
+        p: &mut [S::V; V],
+        (src, d, offset, c): (&[f32], usize, usize, usize),
+        idx: &[u32],
+        term: impl Term,
+    ) {
+        for &u in idx {
+            let r = (u as usize - offset) * d + c;
+            for (v, x) in p.iter_mut().enumerate() {
+                let t = term.apply::<S>(u as usize, S::load(&src[r + v * S::LANES..]));
+                *x = S::add(*x, t);
+            }
+        }
+    }
+
+    /// [`gather_strips`] for one segmented backward row, overwriting
+    /// `acc`: the source list `idx` is cut into segments at `ends`
+    /// (segment `b` is `idx[ends[b - 1]..ends[b]]`), each segment's
+    /// partial starts at `+0.0` and folds its terms in order, and the
+    /// partials are added in segment order — the first one *is* the
+    /// row, as if it were folded into a zeroed row. All of it stays in
+    /// registers per column strip. Segments with no terms are skipped:
+    /// adding a `+0.0` partial to a sum that started at `+0.0` (never
+    /// `-0.0`) changes no bit. A row with no terms is `+0.0`.
+    #[inline(always)]
+    fn gather_segments_strips<S: Vf32, const V: usize>(
+        acc: &mut [f32],
+        (src, d): (&[f32], usize),
+        (idx, ends, self_term): (&[u32], &[usize], Option<SelfTerm>),
+        col: &mut usize,
+        term: impl Term,
+    ) {
+        while *col + V * S::LANES <= d {
+            let c = *col;
+            let mut a = [S::splat(0.0); V];
+            let (mut start, mut first) = (0, true);
+            for (b, &end) in ends.iter().enumerate() {
+                let here = self_term.filter(|t| t.seg == b);
+                if end > start || here.is_some() {
+                    let mut p = [S::splat(0.0); V];
+                    let at = here.map_or(end, |t| t.at);
+                    fold_strip::<S, V>(&mut p, (src, d, 0, c), &idx[start..at], term);
+                    if let Some(t) = here {
+                        let r = t.row * d + c;
+                        for (v, x) in p.iter_mut().enumerate() {
+                            let y = S::mul(S::splat(t.alpha), S::load(&src[r + v * S::LANES..]));
+                            *x = S::add(*x, y);
+                        }
+                    }
+                    fold_strip::<S, V>(&mut p, (src, d, 0, c), &idx[at..end], term);
+                    if first {
+                        a = p;
+                    } else {
+                        for (x, y) in a.iter_mut().zip(p) {
+                            *x = S::add(*x, y);
+                        }
+                    }
+                    first = false;
+                }
+                start = end;
+            }
+            for (v, &x) in a.iter().enumerate() {
+                S::store(&mut acc[c + v * S::LANES..], x);
+            }
+            *col = c + V * S::LANES;
+        }
+    }
+
+    /// The columns left after the two-vector strips: one vector of
+    /// `S`, then the step-down tail.
+    #[inline(always)]
+    fn gather_segments_tail<S: Vf32>(
+        acc: &mut [f32],
+        src: (&[f32], usize),
+        segs: (&[u32], &[usize], Option<SelfTerm>),
+        col: &mut usize,
+        term: impl Term,
+    ) {
+        gather_segments_strips::<S, 1>(acc, src, segs, col, term);
+        if S::LANES > 1 {
+            gather_segments_tail::<S::Half>(acc, src, segs, col, term);
+        }
+    }
+
+    #[inline(always)]
+    fn gather_segments<S: Vf32>(
+        acc: &mut [f32],
+        src: (&[f32], usize),
+        segs: (&[u32], &[usize], Option<SelfTerm>),
+        term: impl Term,
+    ) {
+        assert_eq!(acc.len(), src.1, "accumulator width");
+        let mut col = 0;
+        gather_segments_strips::<S, 4>(acc, src, segs, &mut col, term);
+        gather_segments_strips::<S, 2>(acc, src, segs, &mut col, term);
+        gather_segments_tail::<S>(acc, src, segs, &mut col, term);
+    }
+
+    #[inline(always)]
+    pub(super) fn segment_sum_rows_scaled<S: Vf32>(
+        acc: &mut [f32],
+        src: &[f32],
+        d: usize,
+        idx: &[u32],
+        ends: &[usize],
+        scales: &[f32],
+    ) {
+        gather_segments::<S>(acc, (src, d), (idx, ends, None), Scaled(scales));
+    }
+
+    /// The GCN backward row `u`: terms `s_u · (s_v · src_v)`, plus the
+    /// self term `s_u² · src_u` in segment `self_seg`, before its first
+    /// source `v >= u`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn segment_sum_rows_rescaled<S: Vf32>(
+        acc: &mut [f32],
+        src: &[f32],
+        d: usize,
+        idx: &[u32],
+        ends: &[usize],
+        scales: &[f32],
+        u: usize,
+        self_seg: Option<usize>,
+    ) {
+        let self_term = self_seg.map(|seg| SelfTerm {
+            seg,
+            at: idx.partition_point(|&v| (v as usize) < u),
+            row: u,
+            alpha: scales[u] * scales[u],
+        });
+        let term = Rescaled(scales, scales[u]);
+        gather_segments::<S>(acc, (src, d), (idx, ends, self_term), term);
     }
 
     /// Output rows per GEMM register tile.
@@ -1509,6 +1815,47 @@ dispatch_kernels! {
     ///
     /// Panics on out-of-bounds indices or width mismatches.
     pub fn sum_rows_rescaled(acc: &mut [f32], src: &[f32], d: usize, idx: &[u32], scales: &[f32], c: f32);
+
+    /// One row of the segmented backward gather, overwriting `acc`:
+    /// `idx` is cut at `ends` into source segments (segment `b` is
+    /// `idx[ends[b - 1]..ends[b]]`, the first starting at 0); each
+    /// segment sums `scales[v] * src.row(v)` in order from `+0.0`, and
+    /// the segment sums are added in order — the summation tree of a
+    /// per-segment partial-buffer reduction, held in registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds indices, `ends` past `idx`, or
+    /// `acc.len() != d`.
+    pub fn segment_sum_rows_scaled(
+        acc: &mut [f32],
+        src: &[f32],
+        d: usize,
+        idx: &[u32],
+        ends: &[usize],
+        scales: &[f32],
+    );
+
+    /// [`segment_sum_rows_scaled`] for the GCN backward row `u`: each
+    /// term is `scales[u] * (scales[v] * src.row(v))`, and with
+    /// `self_seg = Some(b)` segment `b` also adds the self term
+    /// `(scales[u] * scales[u]) * src.row(u)` before its first source
+    /// `v >= u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds indices, `ends` past `idx`, or
+    /// `acc.len() != d`.
+    pub fn segment_sum_rows_rescaled(
+        acc: &mut [f32],
+        src: &[f32],
+        d: usize,
+        idx: &[u32],
+        ends: &[usize],
+        scales: &[f32],
+        u: usize,
+        self_seg: Option<usize>,
+    );
 
     /// The matmul kernel on one block of output rows: `out[i] +=
     /// a[i][k] * b[k]`, `k` tiled in [`MM_KC`] panels, register tiles

@@ -35,15 +35,38 @@
 //!
 //! # Determinism
 //!
-//! Every conversion is scalar integer/float bit manipulation with an
+//! The f16/bf16 conversions are scalar integer bit manipulation with an
 //! identical per-element program order on every backend; the dispatched
-//! `#[target_feature]` wrappers exist so LLVM may autovectorize those
-//! element-independent loops with wider integer instructions (and so the
-//! dispatch shows up in `simd.dispatch.*` telemetry), never to change
-//! the arithmetic. The only float ops the vector trait executes are
-//! lanewise multiplies in the unpack scale pass — correctly rounded IEEE
-//! ops, so quantize→dequantize is bitwise identical across
-//! scalar/SSE2/AVX2/AVX-512/NEON (proptests in
+//! `#[target_feature]` wrappers let LLVM autovectorize those
+//! element-independent loops (and show the dispatch in
+//! `simd.dispatch.*` telemetry), never changing the arithmetic.
+//!
+//! The int8 packs are lanewise `Vf32` code like every other kernel
+//! family, full vectors then the step-down tail, with the scalar lane
+//! as the reference:
+//!
+//! * **Row fold.** Each lane keeps the first minimum and maximum it
+//!   meets (`select_lt` replaces only on a strict, ordered `<`, so NaN
+//!   is skipped), and the lanes merge by value. The sequential fold
+//!   `if x < lo { lo = x }` keeps the *first* element equal to the
+//!   minimum, which matters only for a zero minimum, where `+0.0` and
+//!   `-0.0` tie and the zero-point header keeps the sign: every lane
+//!   kept its own first zero and the row's first zero is one of them,
+//!   so when the zero lanes agree (a post-ReLU row's zeros are all
+//!   `+0.0`) that is the sign, and only a row whose lanes met different
+//!   zeros first is scanned for its first zero.
+//! * **Rounding.** `y = (x − zero_point) · inv` is clamped to
+//!   `[0, 255]` first (exact: both roundings are monotone and fix 0 and
+//!   255; NaN clamps to 0). Round-to-nearest then adds 1 to `trunc(y)`
+//!   when `y − trunc(y) ≥ 0.5` — exact, half away from zero like
+//!   [`f32::round`], where `floor(y + 0.5)` would round `0.49999997`
+//!   up. Stochastic rounding truncates `y + u`, `u` from the scalar
+//!   position hash per element.
+//!
+//! Sub, mul, add, compare-select and truncate are correctly rounded
+//! lanewise IEEE ops, as is the unpack scale multiply, so
+//! quantize→dequantize is bitwise identical across
+//! scalar/SSE2/AVX2/AVX-512/NEON (proptests and a recorded-bytes pin in
 //! `crates/tensor/tests/codec_roundtrip.rs` force every backend).
 
 use super::*;
@@ -196,46 +219,221 @@ pub fn rand_at(seed: u64, row: u64, j: u64) -> u64 {
     mix64(seed ^ row.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ j.wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
 }
 
-/// Per-row affine parameters for the int8 format: `(scale, zero_point,
-/// inv)` with `scale = (max−min)/255`, `zero_point = min`, `inv =
-/// 255/(max−min)`. The min/max fold skips NaN (comparisons are false);
-/// a row with no finite spread — constant, empty, all-NaN, or a span
-/// that is not finite — degenerates to `scale = 0` so every element
-/// dequantizes to the zero-point exactly.
-fn int8_row_params(srow: &[f32]) -> (f32, f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &x in srow {
-        if x < lo {
-            lo = x;
-        }
-        if x > hi {
-            hi = x;
-        }
-    }
-    let range = hi - lo;
-    if range <= 0.0 || !range.is_finite() {
-        let zp = if lo.is_finite() { lo } else { 0.0 };
-        return (0.0, zp, 0.0);
-    }
-    (range / 255.0, lo, 255.0 / range)
-}
-
 // The codec kernels. Generic over the vector trait like every other
 // kernel family so `dispatch_kernels!` can monomorphize them per
-// backend; the conversions themselves are element-independent scalar
-// bit manipulation (identical program order everywhere — that is the
-// bitwise-determinism argument), and the vector lanes only execute the
-// lanewise unpack scale multiply. The pack kernels therefore do not
-// name `S` — the `#[target_feature]` wrapper still lets LLVM widen
-// their integer loops.
+// backend. The int8 packs and every unpack scale multiply are lanewise
+// `Vf32` code (full vectors, then the step-down tail); the f16/bf16
+// conversions are element-independent scalar bit manipulation with one
+// program order everywhere, so those packs do not name `S` — the
+// `#[target_feature]` wrapper still lets LLVM widen their integer
+// loops.
 #[allow(clippy::extra_unused_type_parameters)]
 mod kernels {
     use super::super::Vf32;
     use super::{
         bf16_to_f32, f16_to_f32, f32_to_bf16_rne, f32_to_bf16_sr, f32_to_f16_rne, f32_to_f16_sr,
-        int8_row_params, rand_at, INT8_HEADER_BYTES,
+        rand_at, INT8_HEADER_BYTES,
     };
+
+    /// Lanes in the widest vector of any backend (AVX-512).
+    const MAX_LANES: usize = 16;
+
+    /// The int8 row fold so far: the least and greatest non-NaN values,
+    /// and which signs of zero some lane's minimum was (bit 0: `+0.0`,
+    /// bit 1: `-0.0`).
+    struct Extremes {
+        lo: f32,
+        hi: f32,
+        zero_signs: u8,
+    }
+
+    /// Folds the first `n` (a power of two) entries of `v` with `keep`
+    /// by halving, so the dependency chain is `log2(n)` deep.
+    #[inline(always)]
+    fn halve(mut v: [f32; MAX_LANES], mut n: usize, keep: impl Fn(f32, f32) -> f32) -> f32 {
+        while n > 1 {
+            n /= 2;
+            for i in 0..n {
+                v[i] = keep(v[i], v[i + n]);
+            }
+        }
+        v[0]
+    }
+
+    impl Extremes {
+        /// Merges the lane minima `los` and maxima `his` of `n` lanes.
+        /// Lanes never hold NaN, so the extreme *values* do not depend
+        /// on the merge order; which lanes' minima were zeros of which
+        /// sign is read only when the minimum is a zero.
+        #[inline(always)]
+        fn merge(&mut self, los: [f32; MAX_LANES], his: [f32; MAX_LANES], n: usize) {
+            let lo = halve(los, n, |a, b| if b < a { b } else { a });
+            let hi = halve(his, n, |a, b| if b > a { b } else { a });
+            if lo < self.lo {
+                self.lo = lo;
+            }
+            if hi > self.hi {
+                self.hi = hi;
+            }
+            if lo == 0.0 {
+                for &l in &los[..n] {
+                    if l == 0.0 {
+                        self.zero_signs |= 1 << l.is_sign_negative() as u8;
+                    }
+                }
+            }
+        }
+
+        /// The row minimum with the sign the sequential fold
+        /// `if x < lo { lo = x }` gives it: that fold keeps the *first*
+        /// element equal to the minimum, which only matters for a zero
+        /// minimum (`+0.0 == -0.0`). Each lane kept its own first zero,
+        /// and the row's first zero is one of those, so when every
+        /// zero lane agrees on the sign, that is the sign; only a row
+        /// whose lanes saw different zeros first is scanned.
+        #[inline(always)]
+        fn first_min(&self, row: &[f32]) -> f32 {
+            match (self.lo == 0.0, self.zero_signs) {
+                (false, _) => self.lo,
+                (true, 0b01) => 0.0,
+                (true, 0b10) => -0.0,
+                (true, _) => row.iter().copied().find(|&x| x == 0.0).unwrap_or(self.lo),
+            }
+        }
+    }
+
+    /// Folds `row` into `e`, full vectors of `S` then the step-down
+    /// tail. Each lane keeps the first minimum and maximum it meets and
+    /// skips NaN, because `select_lt` replaces only on a strict,
+    /// ordered `<`.
+    #[inline(always)]
+    fn fold_extremes<S: Vf32>(row: &[f32], e: &mut Extremes) {
+        let mut chunks = row.chunks_exact(S::LANES);
+        if row.len() >= S::LANES {
+            let (mut lo, mut hi) = (S::splat(f32::INFINITY), S::splat(f32::NEG_INFINITY));
+            for c in &mut chunks {
+                let x = S::load(c);
+                lo = S::select_lt(x, lo, x, lo);
+                hi = S::select_lt(hi, x, x, hi);
+            }
+            let (mut los, mut his) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
+            S::store(&mut los, lo);
+            S::store(&mut his, hi);
+            e.merge(los, his, S::LANES);
+        }
+        if S::LANES > 1 {
+            fold_extremes::<S::Half>(chunks.remainder(), e);
+        }
+    }
+
+    /// Per-row affine parameters for the int8 format: `(scale,
+    /// zero_point, inv)` with `scale = (max−min)/255`, `zero_point =
+    /// min`, `inv = 255/(max−min)`. The min/max fold skips NaN; a row
+    /// with no finite spread — constant, empty, all-NaN, or a span that
+    /// is not finite — degenerates to `scale = 0` so every element
+    /// dequantizes to the zero-point exactly.
+    #[inline(always)]
+    fn int8_row_params<S: Vf32>(srow: &[f32]) -> (f32, f32, f32) {
+        let mut e = Extremes {
+            lo: f32::INFINITY,
+            hi: f32::NEG_INFINITY,
+            zero_signs: 0,
+        };
+        fold_extremes::<S>(srow, &mut e);
+        let (lo, hi) = (e.first_min(srow), e.hi);
+        let range = hi - lo;
+        if range <= 0.0 || !range.is_finite() {
+            let zp = if lo.is_finite() { lo } else { 0.0 };
+            return (0.0, zp, 0.0);
+        }
+        (range / 255.0, lo, 255.0 / range)
+    }
+
+    /// Clamps lanes to `[0, 255]`, NaN and `-0.0` to `+0.0`. Clamping
+    /// before rounding is exact: both roundings below are monotone and
+    /// map `0` and `255` to themselves.
+    #[inline(always)]
+    fn clamp_byte<S: Vf32>(y: S::V) -> S::V {
+        let y = S::select_gtz(y, y, S::splat(0.0));
+        S::select_lt(y, S::splat(255.0), y, S::splat(255.0))
+    }
+
+    /// How an int8 pack rounds the affine-mapped lanes `y` (row
+    /// positions `j..j + S::LANES`) to their byte values.
+    trait Rounding: Copy {
+        fn apply<S: Vf32>(self, y: S::V, j: usize) -> S::V;
+    }
+
+    /// Round half away from zero, as [`f32::round`]. On a clamped lane
+    /// `c - trunc(c)` is exact, so comparing it with `0.5` decides
+    /// the tie exactly, where `floor(c + 0.5)` would round
+    /// `0.49999997` up.
+    #[derive(Clone, Copy)]
+    struct Nearest;
+
+    impl Rounding for Nearest {
+        #[inline(always)]
+        fn apply<S: Vf32>(self, y: S::V, _: usize) -> S::V {
+            let c = clamp_byte::<S>(y);
+            let t = S::trunc(c);
+            S::select_lt(S::sub(c, t), S::splat(0.5), t, S::add(t, S::splat(1.0)))
+        }
+    }
+
+    /// `floor(y + u)` with `u` uniform in `[0, 1)` from the
+    /// counter-based stream of `(seed, row, j)`: up with probability
+    /// equal to the fraction. The hash stays one scalar per element
+    /// feeding the vector lanes.
+    #[derive(Clone, Copy)]
+    struct Stochastic {
+        seed: u64,
+        row: u64,
+    }
+
+    impl Rounding for Stochastic {
+        #[inline(always)]
+        fn apply<S: Vf32>(self, y: S::V, j: usize) -> S::V {
+            let mut u = [0.0f32; MAX_LANES];
+            for (l, x) in u[..S::LANES].iter_mut().enumerate() {
+                let r = rand_at(self.seed, self.row, (j + l) as u64);
+                *x = ((r >> 40) as u32) as f32 / 16_777_216.0;
+            }
+            S::trunc(clamp_byte::<S>(S::add(y, S::load(&u))))
+        }
+    }
+
+    /// `dst[j] = round((src[j] - zp) * inv)` as a byte, full vectors
+    /// then the step-down tail; `j0` is `src[0]`'s row position.
+    #[inline(always)]
+    fn quantize<S: Vf32>(
+        dst: &mut [u8],
+        src: &[f32],
+        (zp, inv): (f32, f32),
+        j0: usize,
+        rounding: impl Rounding,
+    ) {
+        let (zpv, invv) = (S::splat(zp), S::splat(inv));
+        let mut q = dst.chunks_exact_mut(S::LANES);
+        let mut x = src.chunks_exact(S::LANES);
+        let mut j = j0;
+        for (qc, xc) in (&mut q).zip(&mut x) {
+            let y = S::mul(S::sub(S::load(xc), zpv), invv);
+            S::narrow_u8(qc, rounding.apply::<S>(y, j));
+            j += S::LANES;
+        }
+        if S::LANES > 1 {
+            quantize::<S::Half>(q.into_remainder(), x.remainder(), (zp, inv), j, rounding);
+        }
+    }
+
+    /// One int8 wire row: the header, then the quantized elements.
+    #[inline(always)]
+    fn pack_int8_row<S: Vf32>(drow: &mut [u8], srow: &[f32], rounding: impl Rounding) {
+        let (scale, zp, inv) = int8_row_params::<S>(srow);
+        drow[0..4].copy_from_slice(&scale.to_le_bytes());
+        drow[4..8].copy_from_slice(&zp.to_le_bytes());
+        quantize::<S>(&mut drow[INT8_HEADER_BYTES..], srow, (zp, inv), 0, rounding);
+    }
 
     /// Applies the feature-scale multiply lanewise; `scale == 1.0` is
     /// skipped entirely so the gradient path (pre-scaled sends) never
@@ -310,13 +508,7 @@ mod kernels {
         let rb = d + INT8_HEADER_BYTES;
         assert_eq!(dst.len(), (src.len() / d) * rb, "int8 wire buffer size");
         for (drow, srow) in dst.chunks_exact_mut(rb).zip(src.chunks_exact(d)) {
-            let (scale, zp, inv) = int8_row_params(srow);
-            drow[0..4].copy_from_slice(&scale.to_le_bytes());
-            drow[4..8].copy_from_slice(&zp.to_le_bytes());
-            for (q, &x) in drow[INT8_HEADER_BYTES..].iter_mut().zip(srow) {
-                // NaN propagates to NaN here and casts to 0 (-> zp).
-                *q = ((x - zp) * inv).round().clamp(0.0, 255.0) as u8;
-            }
+            pack_int8_row::<S>(drow, srow, Nearest);
         }
     }
 
@@ -333,15 +525,8 @@ mod kernels {
             .zip(src.chunks_exact(d))
             .enumerate()
         {
-            let (scale, zp, inv) = int8_row_params(srow);
-            drow[0..4].copy_from_slice(&scale.to_le_bytes());
-            drow[4..8].copy_from_slice(&zp.to_le_bytes());
-            for (j, (q, &x)) in drow[INT8_HEADER_BYTES..].iter_mut().zip(srow).enumerate() {
-                // floor(y + u) with u uniform in [0,1): up with P = frac.
-                let r = rand_at(seed, row as u64, j as u64);
-                let u = ((r >> 40) as u32) as f32 / 16_777_216.0;
-                *q = ((x - zp) * inv + u).floor().clamp(0.0, 255.0) as u8;
-            }
+            let row = row as u64;
+            pack_int8_row::<S>(drow, srow, Stochastic { seed, row });
         }
     }
 

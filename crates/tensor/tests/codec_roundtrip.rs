@@ -45,6 +45,42 @@ fn sample_rows(rng: &mut SeededRng, rows: usize, d: usize) -> Vec<f32> {
     v
 }
 
+/// Turns some rows of `src` into the int8 fold's corner cases: `+0.0`
+/// and `-0.0` tied as the row min or the row max, in both orders at
+/// random positions (so the tie may span lanes and vectors), a leading
+/// NaN, and all-NaN, constant and ±∞ rows.
+fn plant_corner_rows(rng: &mut SeededRng, src: &mut [f32], d: usize) {
+    for row in src.chunks_exact_mut(d) {
+        let (i, j) = (rng.usize_below(d), rng.usize_below(d));
+        let case = rng.usize_below(10);
+        if (1..=4).contains(&case) {
+            // Every other element strictly positive (min ties) or
+            // strictly negative (max ties).
+            let sign = if case <= 2 { 1.0 } else { -1.0 };
+            for x in row.iter_mut() {
+                *x = sign * (x.abs() + 0.5);
+            }
+            let (a, b) = if case % 2 == 1 {
+                (0.0, -0.0)
+            } else {
+                (-0.0, 0.0)
+            };
+            row[i.min(j)] = a;
+            if i != j {
+                row[i.max(j)] = b;
+            }
+        }
+        match case {
+            5 => row[0] = f32::NAN,
+            6 => row.fill(f32::NAN),
+            7 => row.fill(row[0]),
+            8 => row[i] = f32::INFINITY,
+            9 => row.fill(f32::NEG_INFINITY),
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -109,10 +145,11 @@ proptest! {
     /// train deterministically.
     #[test]
     fn codec_kernels_bitwise_across_backends(
-        rows in 1usize..10, d in 1usize..32, seed in 0u64..1_000_000
+        rows in 1usize..10, d in 1usize..80, seed in 0u64..1_000_000
     ) {
         let mut rng = SeededRng::new(seed);
         let mut src = sample_rows(&mut rng, rows, d);
+        plant_corner_rows(&mut rng, &mut src, d);
         // NaN and ±∞ must not break cross-backend identity either.
         let n = src.len();
         src[rng.usize_below(n)] = f32::NAN;
@@ -314,4 +351,109 @@ fn nan_policy_per_format() {
     codec::unpack_int8(Backend::Scalar, &mut out, &i8w, d, 2.0);
     assert!(out.iter().all(|x| x.is_finite()), "int8 drops NaN to zp");
     assert_eq!(out[0], 2.0, "NaN became zero-point (1.0) x scale (2.0)");
+}
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rows of width `d` that hit every corner of the int8 packs: seeded
+/// training-range rows, post-ReLU rows (half `+0.0`), `+0.0`/`-0.0`
+/// ties in both orders as the row min and as the row max (at nearby
+/// and at far-apart positions, so the tie spans lanes and vectors), a
+/// leading NaN, all-NaN, constant and ±∞ rows, and a row on the
+/// integer grid whose elements sit exactly on and just below the
+/// rounding ties.
+fn int8_corner_rows(rng: &mut SeededRng, d: usize) -> Vec<f32> {
+    let mut rows: Vec<Vec<f32>> = Vec::new();
+    for _ in 0..3 {
+        rows.push((0..d).map(|_| rng.uniform_range(-8.0, 8.0)).collect());
+    }
+    rows.push(
+        (0..d)
+            .map(|_| rng.uniform_range(-2.0, 2.0).max(0.0))
+            .collect(),
+    );
+    let positive =
+        |rng: &mut SeededRng| -> Vec<f32> { (0..d).map(|_| rng.uniform_range(0.5, 4.0)).collect() };
+    let (near, far) = (d / 3, d - 1);
+    // Positions 15 and 17 put the first zero in a higher lane than the
+    // second at every vector width (lanes 15 and 1, 7 and 1, 3 and 1).
+    let lanes_apart = (15.min(d - 1), 17.min(d - 1));
+    for (a, b) in [(0.0f32, -0.0f32), (-0.0, 0.0)] {
+        for (i, j) in [(0, near.max(1).min(d - 1)), (near, far), lanes_apart] {
+            // Zeros as the row min (every other element positive)...
+            let mut r = positive(rng);
+            r[i] = a;
+            if j != i {
+                r[j] = b;
+            }
+            rows.push(r);
+            // ...and as the row max (every other element negative).
+            let mut r: Vec<f32> = positive(rng).iter().map(|x| -x).collect();
+            r[i] = a;
+            if j != i {
+                r[j] = b;
+            }
+            rows.push(r);
+        }
+    }
+    let mut r = positive(rng);
+    r[0] = f32::NAN;
+    rows.push(r);
+    rows.push(vec![f32::NAN; d]);
+    rows.push(vec![2.75; d]);
+    rows.push(vec![-0.0; d]);
+    for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+        let mut r = positive(rng);
+        r[d / 2] = inf;
+        rows.push(r);
+        rows.push(vec![inf; d]);
+    }
+    // Row min 0 and max 255 make the affine map the identity, so these
+    // elements reach the rounding step unchanged: half-way ties round
+    // away from zero, 0.49999997 rounds down.
+    let ties = [0.5f32, 1.5, 2.5, 0.499_999_97, 254.5, 127.5, 3.0];
+    let mut r: Vec<f32> = (0..d).map(|j| ties[j % ties.len()]).collect();
+    r[0] = 0.0;
+    r[d - 1] = 255.0;
+    rows.push(r);
+    rows.concat()
+}
+
+/// The int8 pack bytes are pinned to values recorded from the scalar
+/// fold-and-round implementation, on every backend this CPU runs, at
+/// widths that take every strip and step-down tail.
+#[test]
+fn int8_pack_matches_recorded_bytes() {
+    let (mut rne, mut sr) = (Vec::new(), Vec::new());
+    for d in [1usize, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 40, 64, 79, 128] {
+        let mut rng = SeededRng::new(0x1e8 + d as u64);
+        let src = int8_corner_rows(&mut rng, d);
+        let rows = src.len() / d;
+        let sr_seed = rng.next_u64();
+        let len = rows * (d + codec::INT8_HEADER_BYTES);
+        let pack = |bk| {
+            let (mut wire, mut wire_sr) = (vec![0u8; len], vec![0u8; len]);
+            codec::pack_int8(bk, &mut wire, &src, d);
+            codec::pack_int8_sr(bk, &mut wire_sr, &src, d, sr_seed);
+            (wire, wire_sr)
+        };
+        let (want, want_sr) = pack(Backend::Scalar);
+        for bk in backends() {
+            let (wire, wire_sr) = pack(bk);
+            assert_eq!(wire, want, "pack_int8 d = {d} on {}", bk.name());
+            assert_eq!(wire_sr, want_sr, "pack_int8_sr d = {d} on {}", bk.name());
+        }
+        rne.extend(want);
+        sr.extend(want_sr);
+    }
+    assert_eq!(
+        (fnv1a(&rne), fnv1a(&sr)),
+        (0x730f_7dce_aa8d_8adc, 0x5494_8ff7_967d_0aae),
+        "(pack_int8, pack_int8_sr)"
+    );
 }

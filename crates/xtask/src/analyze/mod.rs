@@ -128,6 +128,10 @@ impl AnalyzeConfig {
                 "GcnLayer::forward_inner_into".into(),
                 "GcnLayer::forward_boundary_into".into(),
                 "GcnLayer::backward_seg_into".into(),
+                // The reduce phase: gradient flatten, then the
+                // write-back and Adam step after the all-reduce.
+                "flatten_grads".into(),
+                "apply_reduced_grads".into(),
             ],
             arena_allow: vec![
                 // The arena recycler is the sanctioned allocator: it
