@@ -4,11 +4,20 @@
 //! computes exactly full-graph training (the paper's premise that
 //! vanilla partition parallelism is *exact*), and (b) as the shared
 //! infrastructure for the sampling-based baselines in [`crate::minibatch`].
+//!
+//! Every trainer here runs the segmented [`Layer`] methods the engine
+//! runs, through one crate-private `Trainer`. At `k = 1` the engine
+//! reproduces [`train_full`]'s trained layers and final scores bit for
+//! bit. Its per-epoch losses agree only to about 8 significant digits:
+//! the engine's loss travels as an `f32` in the all-reduce payload,
+//! while [`train_full`] keeps the `f64` sum.
 
+use crate::engine::TrainedModel;
 use bns_data::{Dataset, Labels};
-use bns_nn::loss::{bce_with_logits, softmax_cross_entropy};
+use bns_graph::CsrGraph;
+use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy, micro_f1};
-use bns_nn::{Adam, SageModel};
+use bns_nn::{Adam, Layer, LayerSlot, ModelArch, SegScratch};
 use bns_tensor::{Matrix, SeededRng};
 
 /// Configuration for full-graph training.
@@ -51,7 +60,120 @@ pub struct FullGraphRun {
     /// Mean epoch wall time, seconds.
     pub avg_epoch_s: f64,
     /// The trained model.
-    pub model: SageModel,
+    pub model: TrainedModel,
+}
+
+/// The layer widths of a model for `ds`: input, `hidden`..., classes.
+pub(crate) fn model_dims(ds: &Dataset, hidden: &[usize]) -> Vec<usize> {
+    let mut dims = vec![ds.feat_dim()];
+    dims.extend_from_slice(hidden);
+    dims.push(ds.num_classes);
+    dims
+}
+
+/// A GraphSAGE [`TrainedModel`] in training on one process, on the
+/// segmented protocol the engine runs: one run-long [`LayerSlot`] per
+/// layer, one [`SegScratch`] and one Adam. A layer's inner rows are the
+/// rows it updates, listed first; its boundary rows are the other
+/// source rows — none on a whole graph or subgraph, the sampled
+/// support or historical rows in a mini-batch block.
+///
+/// `h` carries the activations: the caller loads layer 0's inner rows
+/// into it, and each [`Trainer::forward`] replaces it with the layer's
+/// output. `d` carries the upstream gradient: the caller seeds it from
+/// the loss, and each [`Trainer::backward`] above layer 0 replaces it
+/// with the gradient for that layer's inner input rows.
+pub(crate) struct Trainer {
+    pub(crate) model: TrainedModel,
+    slots: Vec<LayerSlot>,
+    /// After [`Trainer::backward`], `dh_bd` holds the gradient for the
+    /// layer's boundary input rows.
+    pub(crate) scratch: SegScratch,
+    opt: Adam,
+    pub(crate) h: Matrix,
+    next: Matrix,
+    pub(crate) d: Matrix,
+}
+
+impl Trainer {
+    /// A fresh model over `dims`, its weights drawn from `seed`.
+    pub(crate) fn new(dims: &[usize], dropout: f32, lr: f32, seed: u64) -> Self {
+        let mut model =
+            TrainedModel::new(ModelArch::Sage, dims, dropout, &mut SeededRng::new(seed));
+        let mut slots: Vec<LayerSlot> = model.layers.iter().map(Layer::new_slot).collect();
+        let mut opt = Adam::new(lr);
+        for (layer, slot) in model.layers.iter_mut().zip(&mut slots) {
+            layer.for_each_param_grad(slot, |p, _| opt.push_moments(p));
+        }
+        Self {
+            model,
+            slots,
+            scratch: SegScratch::default(),
+            opt,
+            h: Matrix::default(),
+            next: Matrix::default(),
+            d: Matrix::default(),
+        }
+    }
+
+    pub(crate) fn num_layers(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Training forward of layer `l` over `g`, whose source rows are
+    /// `h`'s rows then `h_bd`'s (`None`: no boundary rows). `mean` holds
+    /// the normalizer of each of `h`'s rows. Dropout draws from `rng`,
+    /// inner rows first, as on the stacked rows.
+    pub(crate) fn forward(
+        &mut self,
+        l: usize,
+        g: &CsrGraph,
+        h_bd: Option<&Matrix>,
+        mean: &[f32],
+        rng: &mut SeededRng,
+    ) {
+        let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
+        let none = Matrix::zeros(0, self.h.cols());
+        let h_bd = h_bd.unwrap_or(&none);
+        // A SAGE layer reads no GCN normalizer.
+        layer.forward_inner(slot, g, &self.h, &[], (true, &mut *rng));
+        let (hs, norms, train) = ((&self.h, h_bd), (mean, &[][..]), (true, rng));
+        let (scratch, out) = (&mut self.scratch, &mut self.next);
+        layer.forward_boundary(slot, g, hs, norms, train, scratch, out);
+        std::mem::swap(&mut self.h, &mut self.next);
+    }
+
+    /// Backward of layer `l` from `d`: the parameter gradients land in
+    /// the layer's slot and the boundary rows' input gradient in
+    /// `scratch.dh_bd`. Above layer 0, `d` becomes the inner rows'
+    /// input gradient; layer 0 computes no inner input gradient, as in
+    /// the engine.
+    pub(crate) fn backward(&mut self, l: usize, g: &CsrGraph) {
+        let inner_grad = l > 0;
+        let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
+        layer.backward_seg(slot, g, &self.d, &mut self.scratch, inner_grad);
+        if inner_grad {
+            std::mem::swap(&mut self.d, &mut self.scratch.dh);
+        }
+    }
+
+    /// One Adam step on every parameter, with its gradient in place.
+    pub(crate) fn step(&mut self) {
+        let mut step = self.opt.begin_step();
+        for (layer, slot) in self.model.layers.iter_mut().zip(&mut self.slots) {
+            layer.for_each_param_grad(slot, |p, g| step.update(p, g));
+        }
+    }
+}
+
+/// The summed loss of `logits` over `rows` under `labels`, with its
+/// gradient written into `d`: softmax cross-entropy for single-label,
+/// sigmoid BCE for multi-label.
+pub(crate) fn loss_into(labels: &Labels, logits: &Matrix, rows: &[usize], d: &mut Matrix) -> f64 {
+    match labels {
+        Labels::Single(labels) => softmax_cross_entropy_into(logits, labels, rows, d).0,
+        Labels::Multi(y) => bce_with_logits_into(logits, y, rows, d),
+    }
 }
 
 /// Trains GraphSAGE on the whole graph in one process.
@@ -60,56 +182,39 @@ pub fn train_full(ds: &Dataset, cfg: &FullGraphConfig) -> FullGraphRun {
     let pool_threads = bns_tensor::ThreadConfig::from_env().threads;
     let pool = (pool_threads > 1).then(|| bns_tensor::ThreadPool::new(pool_threads));
     let _pool_guard = pool.map(bns_tensor::pool::install);
-    let mut dims = vec![ds.feat_dim()];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(ds.num_classes);
-    let mut init_rng = SeededRng::new(cfg.seed);
-    let mut model = SageModel::new(&dims, cfg.dropout, &mut init_rng);
+    let dims = model_dims(ds, &cfg.hidden);
+    let mut t = Trainer::new(&dims, cfg.dropout, cfg.lr, cfg.seed);
     let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(1);
-    let mut opt = Adam::new(cfg.lr);
     let scale = ds.mean_scale();
     let mut losses = Vec::with_capacity(cfg.epochs);
     let t0 = std::time::Instant::now();
     for epoch in 0..cfg.epochs {
         let _epoch_span = bns_telemetry::span!("epoch", epoch = epoch);
         let fwd = bns_telemetry::Timed::with_args("compute", &[("epoch", epoch.into())]);
-        let (out, caches) = model.forward_full(&ds.graph, &ds.features, &scale, true, &mut rng);
-        let (loss, mut dlogits) = match &ds.labels {
-            Labels::Single(labels) => {
-                let (l, d, _) = softmax_cross_entropy(&out, labels, &ds.train);
-                (l, d)
-            }
-            Labels::Multi(y) => bce_with_logits(&out, y, &ds.train),
-        };
-        dlogits.scale(1.0 / ds.train.len().max(1) as f32);
-        let grads = model.backward_full(&ds.graph, &caches, &dlogits);
-        let grad_owned: Vec<Matrix> = SageModel::grads_refs(&grads).into_iter().cloned().collect();
-        let grefs: Vec<&Matrix> = grad_owned.iter().collect();
-        let mut params = model.params_mut();
-        opt.step(&mut params, &grefs);
+        t.h.assign(&ds.features);
+        for l in 0..t.num_layers() {
+            t.forward(l, &ds.graph, None, &scale, &mut rng);
+        }
+        let loss = loss_into(&ds.labels, &t.h, &ds.train, &mut t.d);
+        t.d.scale(1.0 / ds.train.len().max(1) as f32);
+        for l in (0..t.num_layers()).rev() {
+            t.backward(l, &ds.graph);
+        }
+        t.step();
         let _ = fwd.stop();
         let epoch_loss = loss / ds.train.len().max(1) as f64;
         bns_telemetry::series_push("epoch.loss", epoch as u64, epoch_loss);
         losses.push(epoch_loss);
     }
     let avg_epoch_s = t0.elapsed().as_secs_f64() / cfg.epochs.max(1) as f64;
-    let (final_val, final_test) = evaluate(&model, ds);
+    let (final_val, final_test) = t.model.evaluate(ds);
     FullGraphRun {
         losses,
         final_val,
         final_test,
         avg_epoch_s,
-        model,
+        model: t.model,
     }
-}
-
-/// Scores a trained model on the dataset's val and test splits (see
-/// [`split_scores`]).
-pub fn evaluate(model: &SageModel, ds: &Dataset) -> (f64, f64) {
-    let scale = ds.mean_scale();
-    let mut rng = SeededRng::new(0);
-    let (out, _) = model.forward_full(&ds.graph, &ds.features, &scale, false, &mut rng);
-    split_scores(&out, ds)
 }
 
 /// Scores full-graph `logits` on the dataset's `(val, test)` splits:
@@ -133,9 +238,7 @@ pub fn split_scores(logits: &Matrix, ds: &Dataset) -> (f64, f64) {
 /// below the GCN's: neighbor aggregation is what recovers those nodes.
 pub fn train_mlp(ds: &Dataset, cfg: &FullGraphConfig) -> (f64, f64) {
     use bns_nn::{Activation, LinearLayer};
-    let mut dims = vec![ds.feat_dim()];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(ds.num_classes);
+    let dims = model_dims(ds, &cfg.hidden);
     let mut rng = SeededRng::new(cfg.seed);
     let mut layers = bns_nn::layer_stack(&dims, Activation::Relu, |d_in, d_out, act| {
         LinearLayer::new(d_in, d_out, act, cfg.dropout, &mut rng)
@@ -150,13 +253,8 @@ pub fn train_mlp(ds: &Dataset, cfg: &FullGraphConfig) -> (f64, f64) {
             caches.push(c);
             h = next;
         }
-        let (_, mut d) = match &ds.labels {
-            Labels::Single(labels) => {
-                let (l, d, _) = softmax_cross_entropy(&h, labels, &ds.train);
-                (l, d)
-            }
-            Labels::Multi(y) => bce_with_logits(&h, y, &ds.train),
-        };
+        let mut d = Matrix::default();
+        loss_into(&ds.labels, &h, &ds.train, &mut d);
         d.scale(1.0 / ds.train.len().max(1) as f32);
         let mut grads = Vec::with_capacity(layers.len());
         for l in (0..layers.len()).rev() {

@@ -2,8 +2,10 @@
 //!
 //! The paper compares BNS-GCN against seven sampling-based methods
 //! (its Tables 4, 5, 11 and 12). This module implements the five
-//! families from scratch on top of the same `SageLayer` stack BNS-GCN
-//! trains, so the comparison isolates the *sampling strategy*:
+//! families from scratch on the same segmented `bns_nn::Layer` path
+//! BNS-GCN trains: a block's target rows are a layer's inner rows and
+//! its other sources the boundary rows, so the comparison isolates the
+//! *sampling strategy*:
 //!
 //! * [`MiniBatchMethod::NeighborSampling`] — GraphSAGE-style per-node
 //!   fanout sampling,
@@ -25,11 +27,9 @@
 //! training* so the paper's Table 12 overhead comparison can be
 //! reproduced. Evaluation is always full-graph inference.
 
-use crate::fullgraph::evaluate;
+use crate::fullgraph::{loss_into, model_dims, Trainer};
 use bns_data::{Dataset, Labels};
 use bns_graph::{GraphBuilder, WeightedSampler};
-use bns_nn::loss::{bce_with_logits, softmax_cross_entropy};
-use bns_nn::{Adam, SageModel};
 use bns_partition::Partitioner;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
@@ -176,12 +176,8 @@ pub fn train_minibatch(
     cfg: &MiniBatchConfig,
 ) -> MiniBatchRun {
     assert!(!ds.train.is_empty(), "no training nodes");
-    let mut dims = vec![ds.feat_dim()];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(ds.num_classes);
-    let mut init_rng = SeededRng::new(cfg.seed);
-    let mut model = SageModel::new(&dims, cfg.dropout, &mut init_rng);
-    let mut opt = Adam::new(cfg.lr);
+    let dims = model_dims(ds, &cfg.hidden);
+    let mut t = Trainer::new(&dims, cfg.dropout, cfg.lr, cfg.seed);
     let mut rng = SeededRng::new(cfg.seed ^ 0xabcd).fork(7);
 
     // Method-specific precomputation counts toward sampling time.
@@ -215,8 +211,10 @@ pub fn train_minibatch(
         ),
         _ => None,
     };
-    let mut sample_s = t_pre.stop();
-    let mut train_s = 0.0f64;
+    let mut clock = Clock {
+        sample_s: t_pre.stop(),
+        train_s: 0.0,
+    };
 
     let steps_per_epoch = match method {
         MiniBatchMethod::ClusterGcn {
@@ -254,151 +252,23 @@ pub fn train_minibatch(
                 }
             };
             let (loss, n_loss) = match method {
-                MiniBatchMethod::NeighborSampling { fanout } => {
-                    let num_layers = model.num_layers();
-                    layerwise_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &batch,
-                        num_layers,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                        |targets, rng| sample_neighbor_block(ds, targets, fanout, rng),
-                    )
+                MiniBatchMethod::NeighborSampling { .. }
+                | MiniBatchMethod::FastGcn { .. }
+                | MiniBatchMethod::Ladies { .. } => {
+                    let sampler = degree_sampler.as_ref();
+                    layerwise_step(ds, &mut t, method, sampler, &batch, &mut rng, &mut clock)
                 }
-                MiniBatchMethod::FastGcn { support } => {
-                    let num_layers = model.num_layers();
-                    let sampler = degree_sampler.as_ref().unwrap();
-                    layerwise_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &batch,
-                        num_layers,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                        |targets, rng| sample_importance_block(ds, targets, support, sampler, rng),
-                    )
+                MiniBatchMethod::VrGcn { .. } => {
+                    let history = history.as_mut().expect("VR-GCN history");
+                    vr_gcn_step(ds, &mut t, &batch, history, &mut rng, &mut clock)
                 }
-                MiniBatchMethod::Ladies { support } => {
-                    let num_layers = model.num_layers();
-                    layerwise_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &batch,
-                        num_layers,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                        |targets, rng| sample_ladies_block(ds, targets, support, rng),
-                    )
-                }
-                MiniBatchMethod::ClusterGcn { per_batch, .. } => {
+                _ => {
                     let t0 = Timed::start("sample");
-                    let cl = clusters.as_ref().unwrap();
-                    let mut nodes = Vec::new();
-                    for _ in 0..per_batch {
-                        nodes.extend_from_slice(&cl[rng.usize_below(cl.len())]);
-                    }
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    sample_s += t0.stop();
-                    subgraph_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &nodes,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                    )
+                    let (cl, sampler) = (clusters.as_deref(), degree_sampler.as_ref());
+                    let nodes = sample_subgraph(ds, method, cl, sampler, &mut rng);
+                    clock.sample_s += t0.stop();
+                    subgraph_step(ds, &mut t, &nodes, &mut rng, &mut clock)
                 }
-                MiniBatchMethod::GraphSaintNode { nodes: m } => {
-                    let t0 = Timed::start("sample");
-                    let s = degree_sampler.as_ref().unwrap();
-                    let mut nodes: Vec<usize> = (0..m).map(|_| s.sample(&mut rng)).collect();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    sample_s += t0.stop();
-                    subgraph_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &nodes,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                    )
-                }
-                MiniBatchMethod::GraphSaintEdge { edges: m } => {
-                    let t0 = Timed::start("sample");
-                    let mut nodes = Vec::with_capacity(2 * m);
-                    let n = ds.num_nodes();
-                    for _ in 0..m {
-                        let v = rng.usize_below(n);
-                        if ds.graph.degree(v) == 0 {
-                            continue;
-                        }
-                        let nbrs = ds.graph.neighbors(v);
-                        let u = nbrs[rng.usize_below(nbrs.len())] as usize;
-                        nodes.push(v);
-                        nodes.push(u);
-                    }
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    sample_s += t0.stop();
-                    subgraph_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &nodes,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                    )
-                }
-                MiniBatchMethod::GraphSaintWalk { roots, length } => {
-                    let t0 = Timed::start("sample");
-                    let mut nodes = Vec::with_capacity(roots * (length + 1));
-                    for _ in 0..roots {
-                        let mut v = ds.train[rng.usize_below(ds.train.len())];
-                        nodes.push(v);
-                        for _ in 0..length {
-                            let nbrs = ds.graph.neighbors(v);
-                            if nbrs.is_empty() {
-                                break;
-                            }
-                            v = nbrs[rng.usize_below(nbrs.len())] as usize;
-                            nodes.push(v);
-                        }
-                    }
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    sample_s += t0.stop();
-                    subgraph_step(
-                        ds,
-                        &mut model,
-                        &mut opt,
-                        &nodes,
-                        &mut rng,
-                        &mut sample_s,
-                        &mut train_s,
-                    )
-                }
-                MiniBatchMethod::VrGcn { .. } => vr_gcn_step(
-                    ds,
-                    &mut model,
-                    &mut opt,
-                    &batch,
-                    history.as_mut().unwrap(),
-                    &mut rng,
-                    &mut sample_s,
-                    &mut train_s,
-                ),
             };
             epoch_loss += loss;
             loss_count += n_loss;
@@ -406,14 +276,14 @@ pub fn train_minibatch(
         losses.push(epoch_loss / loss_count.max(1) as f64);
     }
     let total_s = t_total.elapsed().as_secs_f64();
-    let (final_val, final_test) = evaluate(&model, ds);
+    let (final_val, final_test) = t.model.evaluate(ds);
     MiniBatchRun {
         method: method.name(),
         final_val,
         final_test,
         avg_epoch_s: total_s / cfg.epochs.max(1) as f64,
-        sampling_frac: if sample_s + train_s > 0.0 {
-            sample_s / (sample_s + train_s)
+        sampling_frac: if clock.sample_s + clock.train_s > 0.0 {
+            clock.sample_s / (clock.sample_s + clock.train_s)
         } else {
             0.0
         },
@@ -422,92 +292,97 @@ pub fn train_minibatch(
     }
 }
 
+/// Seconds spent sampling and training, accumulated across steps.
+struct Clock {
+    sample_s: f64,
+    train_s: f64,
+}
+
+/// Multiplies row `r` of `m` by `scale[r]` where that is not 1.
+fn scale_rows(m: &mut Matrix, scale: &[f32]) {
+    for (r, &s) in scale.iter().enumerate() {
+        if s != 1.0 {
+            for x in m.row_mut(r) {
+                *x *= s;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Layer-wise methods (NeighborSampling / FastGCN / LADIES)
 // ---------------------------------------------------------------------
 
-/// One optimization step for layer-wise methods: build blocks top-down
-/// with `make_block`, run forward bottom-up, backward top-down.
-#[allow(clippy::too_many_arguments)]
+/// One optimization step for a layer-wise method: build blocks
+/// top-down with the method's sampler, run forward bottom-up, backward
+/// top-down. `sampler` is FastGCN's degree-proportional node sampler.
 fn layerwise_step(
     ds: &Dataset,
-    model: &mut SageModel,
-    opt: &mut Adam,
+    t: &mut Trainer,
+    method: MiniBatchMethod,
+    sampler: Option<&WeightedSampler>,
     batch: &[usize],
-    num_layers: usize,
     rng: &mut SeededRng,
-    sample_s: &mut f64,
-    train_s: &mut f64,
-    mut make_block: impl FnMut(&[usize], &mut SeededRng) -> LayerBlock,
+    clock: &mut Clock,
 ) -> (f64, usize) {
     if batch.is_empty() {
         return (0.0, 0);
     }
+    let num_layers = t.num_layers();
     let t0 = Timed::start("sample");
     // Blocks from the top (output) layer down; after reversal blocks[l]
     // feeds model layer l.
     let mut blocks: Vec<LayerBlock> = Vec::with_capacity(num_layers);
     let mut targets: Vec<usize> = batch.to_vec();
     for _ in 0..num_layers {
-        let block = make_block(&targets, rng);
+        let block = match method {
+            MiniBatchMethod::NeighborSampling { fanout } => {
+                sample_neighbor_block(ds, &targets, fanout, rng)
+            }
+            MiniBatchMethod::FastGcn { support } => {
+                let sampler = sampler.expect("FastGCN's degree sampler");
+                sample_importance_block(ds, &targets, support, sampler, rng)
+            }
+            MiniBatchMethod::Ladies { support } => sample_ladies_block(ds, &targets, support, rng),
+            _ => unreachable!("{} is not a layer-wise method", method.name()),
+        };
         targets = block.nodes.clone();
         blocks.push(block);
     }
     blocks.reverse();
-    *sample_s += t0.stop();
+    clock.sample_s += t0.stop();
 
     let t1 = Timed::start("train");
-    // Forward bottom-up.
-    let mut h = ds.features.gather_rows(&blocks[0].nodes);
-    let mut caches = Vec::with_capacity(num_layers);
+    // Forward bottom-up: each block's input rows, importance-rescaled,
+    // split into its targets (inner) and its support (boundary).
+    t.h = ds.features.gather_rows(&blocks[0].nodes);
+    let mut h_bd = Matrix::default();
     for (l, b) in blocks.iter().enumerate() {
-        // Importance rescale of support rows.
-        let mut h_scaled = h;
-        for (r, &s) in b.feat_scale.iter().enumerate() {
-            if s != 1.0 {
-                for x in h_scaled.row_mut(r) {
-                    *x *= s;
-                }
-            }
-        }
-        let (next, cache) =
-            model.layers[l].forward(&b.graph, &h_scaled, b.n_targets, &b.row_scale, true, rng);
-        caches.push(cache);
-        h = next;
+        scale_rows(&mut t.h, &b.feat_scale);
+        t.h.slice_rows_into(b.n_targets, t.h.rows(), &mut h_bd);
+        t.h.truncate_rows(b.n_targets);
+        t.forward(l, &b.graph, Some(&h_bd), &b.row_scale, rng);
     }
     // Loss over the final targets (the original batch, which is the
     // prefix of the top block's node list).
     let top = &blocks[num_layers - 1];
     let top_rows: Vec<usize> = (0..top.n_targets).collect();
     let top_nodes = &top.nodes[..top.n_targets];
-    let (loss, mut d) = local_loss(ds, &h, top_nodes, &top_rows);
-    d.scale(1.0 / top.n_targets.max(1) as f32);
-    // Backward top-down, accumulating gradients per layer.
-    let mut grad_acc: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers);
+    let loss = local_loss(ds, &t.h, top_nodes, &top_rows, &mut t.d);
+    t.d.scale(1.0 / top.n_targets.max(1) as f32);
+    // Backward top-down. Above layer 0 the input gradient covers block
+    // l's whole node list, which is exactly block l-1's target list,
+    // and chains through the importance rescale.
     for l in (0..num_layers).rev() {
-        let b = &blocks[l];
-        let (mut dh, grads) = model.layers[l].backward(&b.graph, &caches[l], &d);
-        // Chain rule through the importance rescale.
-        for (r, &s) in b.feat_scale.iter().enumerate() {
-            if s != 1.0 {
-                for x in dh.row_mut(r) {
-                    *x *= s;
-                }
-            }
-        }
-        grad_acc.push(vec![grads.w_self, grads.w_neigh, grads.b]);
-        // dh covers block l's full node list, which is exactly block
-        // l-1's output (target) list.
-        d = dh;
+        t.backward(l, &blocks[l].graph);
         if l > 0 {
-            debug_assert_eq!(d.rows(), blocks[l - 1].n_targets);
+            t.d = t.d.vstack(&t.scratch.dh_bd);
+            scale_rows(&mut t.d, &blocks[l].feat_scale);
+            debug_assert_eq!(t.d.rows(), blocks[l - 1].n_targets);
         }
     }
-    grad_acc.reverse();
-    let flat: Vec<&Matrix> = grad_acc.iter().flatten().collect();
-    let mut params = model.params_mut();
-    opt.step(&mut params, &flat);
-    *train_s += t1.stop();
+    t.step();
+    clock.train_s += t1.stop();
     (loss, top.n_targets)
 }
 
@@ -692,21 +567,74 @@ fn sample_ladies_block(
 // Subgraph methods (ClusterGCN / GraphSAINT)
 // ---------------------------------------------------------------------
 
+/// The node set of one subgraph batch, sorted and deduplicated:
+/// merged clusters (ClusterGCN) or one of GraphSAINT's node, edge and
+/// random-walk samplers. `clusters` are ClusterGCN's, `degree_sampler`
+/// is the GraphSAINT node sampler's degree-proportional sampler.
+fn sample_subgraph(
+    ds: &Dataset,
+    method: MiniBatchMethod,
+    clusters: Option<&[Vec<usize>]>,
+    degree_sampler: Option<&WeightedSampler>,
+    rng: &mut SeededRng,
+) -> Vec<usize> {
+    let mut nodes = Vec::new();
+    match method {
+        MiniBatchMethod::ClusterGcn { per_batch, .. } => {
+            let cl = clusters.expect("ClusterGCN's clusters");
+            for _ in 0..per_batch {
+                nodes.extend_from_slice(&cl[rng.usize_below(cl.len())]);
+            }
+        }
+        MiniBatchMethod::GraphSaintNode { nodes: m } => {
+            let s = degree_sampler.expect("GraphSAINT's degree sampler");
+            nodes.extend((0..m).map(|_| s.sample(rng)));
+        }
+        MiniBatchMethod::GraphSaintEdge { edges: m } => {
+            let n = ds.num_nodes();
+            for _ in 0..m {
+                let v = rng.usize_below(n);
+                if ds.graph.degree(v) == 0 {
+                    continue;
+                }
+                let nbrs = ds.graph.neighbors(v);
+                let u = nbrs[rng.usize_below(nbrs.len())] as usize;
+                nodes.push(v);
+                nodes.push(u);
+            }
+        }
+        MiniBatchMethod::GraphSaintWalk { roots, length } => {
+            for _ in 0..roots {
+                let mut v = ds.train[rng.usize_below(ds.train.len())];
+                nodes.push(v);
+                for _ in 0..length {
+                    let nbrs = ds.graph.neighbors(v);
+                    if nbrs.is_empty() {
+                        break;
+                    }
+                    v = nbrs[rng.usize_below(nbrs.len())] as usize;
+                    nodes.push(v);
+                }
+            }
+        }
+        _ => unreachable!("{} is not a subgraph method", method.name()),
+    }
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
 /// One optimization step on a node-induced subgraph; trains on the
 /// train nodes inside it.
 fn subgraph_step(
     ds: &Dataset,
-    model: &mut SageModel,
-    opt: &mut Adam,
+    t: &mut Trainer,
     nodes: &[usize],
     rng: &mut SeededRng,
-    sample_s: &mut f64,
-    train_s: &mut f64,
+    clock: &mut Clock,
 ) -> (f64, usize) {
     let t0 = Timed::start("sample");
-    let sub = ds.graph.induced_subgraph(nodes);
-    let g = sub.graph;
-    let feats = ds.features.gather_rows(nodes);
+    let g = ds.graph.induced_subgraph(nodes).graph;
     let mut train_rows: Vec<usize> = Vec::new();
     {
         let mut is_train = vec![false; ds.num_nodes()];
@@ -719,23 +647,23 @@ fn subgraph_step(
             }
         }
     }
-    *sample_s += t0.stop();
+    clock.sample_s += t0.stop();
     if train_rows.is_empty() {
         return (0.0, 0);
     }
     let t1 = Timed::start("train");
-    let scale: Vec<f32> = (0..g.num_nodes())
-        .map(|v| 1.0 / g.degree(v).max(1) as f32)
-        .collect();
-    let (out, caches) = model.forward_full(&g, &feats, &scale, true, rng);
-    let (loss, mut d) = local_loss(ds, &out, nodes, &train_rows);
-    d.scale(1.0 / train_rows.len() as f32);
-    let grads = model.backward_full(&g, &caches, &d);
-    let owned: Vec<Matrix> = SageModel::grads_refs(&grads).into_iter().cloned().collect();
-    let refs: Vec<&Matrix> = owned.iter().collect();
-    let mut params = model.params_mut();
-    opt.step(&mut params, &refs);
-    *train_s += t1.stop();
+    let scale = g.mean_scale();
+    t.h = ds.features.gather_rows(nodes);
+    for l in 0..t.num_layers() {
+        t.forward(l, &g, None, &scale, rng);
+    }
+    let loss = local_loss(ds, &t.h, nodes, &train_rows, &mut t.d);
+    t.d.scale(1.0 / train_rows.len() as f32);
+    for l in (0..t.num_layers()).rev() {
+        t.backward(l, &g);
+    }
+    t.step();
+    clock.train_s += t1.stop();
     (loss, train_rows.len())
 }
 
@@ -746,16 +674,13 @@ fn subgraph_step(
 /// One VR-GCN step: exact recomputation for batch nodes, historical
 /// activations for out-of-batch neighbors, histories refreshed for the
 /// batch.
-#[allow(clippy::too_many_arguments)]
 fn vr_gcn_step(
     ds: &Dataset,
-    model: &mut SageModel,
-    opt: &mut Adam,
+    t: &mut Trainer,
     batch: &[usize],
     history: &mut [Matrix],
     rng: &mut SeededRng,
-    sample_s: &mut f64,
-    train_s: &mut f64,
+    clock: &mut Clock,
 ) -> (f64, usize) {
     if batch.is_empty() {
         return (0.0, 0);
@@ -775,68 +700,51 @@ fn vr_gcn_step(
     extras.sort_unstable();
     extras.dedup();
     let mut ordered: Vec<usize> = batch.to_vec();
-    ordered.extend(extras);
-    let sub = ds.graph.induced_subgraph(&ordered);
-    let g = sub.graph;
-    *sample_s += t0.stop();
+    ordered.extend_from_slice(&extras);
+    let g = ds.graph.induced_subgraph(&ordered).graph;
+    clock.sample_s += t0.stop();
 
     let t1 = Timed::start("train");
     let n_t = batch.len();
-    let num_layers = model.num_layers();
+    let num_layers = t.num_layers();
     let row_scale: Vec<f32> = batch
         .iter()
         .map(|&v| 1.0 / ds.graph.degree(v).max(1) as f32)
         .collect();
-    let mut caches = Vec::with_capacity(num_layers);
-    let mut h = ds.features.gather_rows(&ordered);
-    #[allow(clippy::needless_range_loop)] // `l` also indexes `history[l]` on the non-final arm
+    // Layer 0 reads every row's features; above it the batch rows
+    // (inner) are the exact activations and the neighbors (boundary)
+    // the historical ones, and the batch rows refresh the history.
+    t.h = ds.features.gather_rows(batch);
+    let mut h_bd = ds.features.gather_rows(&extras);
     for l in 0..num_layers {
-        let (next, cache) = model.layers[l].forward(&g, &h, n_t, &row_scale, true, rng);
-        caches.push(cache);
-        if l + 1 < num_layers {
-            // Input to layer l+1: exact activations for the batch rows,
-            // historical activations elsewhere; refresh the history.
-            let hist = &mut history[l];
-            let mut h_next = hist.gather_rows(&ordered);
-            for (r, &v) in ordered.iter().enumerate().take(n_t) {
-                h_next.row_mut(r).copy_from_slice(next.row(r));
-                hist.row_mut(v).copy_from_slice(next.row(r));
+        t.forward(l, &g, Some(&h_bd), &row_scale, rng);
+        // Every layer but the last has a history.
+        if let Some(hist) = history.get_mut(l) {
+            for (r, &v) in batch.iter().enumerate() {
+                hist.row_mut(v).copy_from_slice(t.h.row(r));
             }
-            h = h_next;
-        } else {
-            h = next;
+            h_bd = hist.gather_rows(&extras);
         }
     }
     let train_rows: Vec<usize> = (0..n_t).collect();
-    let (loss, mut d) = local_loss(ds, &h, &ordered[..n_t], &train_rows);
-    d.scale(1.0 / n_t as f32);
-    let mut grad_acc: Vec<Vec<Matrix>> = Vec::with_capacity(num_layers);
+    let loss = local_loss(ds, &t.h, batch, &train_rows, &mut t.d);
+    t.d.scale(1.0 / n_t as f32);
+    // Only batch rows backpropagate (history rows are constants).
     for l in (0..num_layers).rev() {
-        let (dh, grads) = model.layers[l].backward(&g, &caches[l], &d);
-        grad_acc.push(vec![grads.w_self, grads.w_neigh, grads.b]);
-        // Only batch rows backpropagate (history rows are constants).
-        d = dh.slice_rows(0, n_t);
+        t.backward(l, &g);
     }
-    grad_acc.reverse();
-    let flat: Vec<&Matrix> = grad_acc.iter().flatten().collect();
-    let mut params = model.params_mut();
-    opt.step(&mut params, &flat);
-    *train_s += t1.stop();
+    t.step();
+    clock.train_s += t1.stop();
     (loss, n_t)
 }
 
-fn local_loss(ds: &Dataset, out: &Matrix, nodes: &[usize], rows: &[usize]) -> (f64, Matrix) {
-    match &ds.labels {
-        Labels::Single(labels) => {
-            let local: Vec<usize> = nodes.iter().map(|&v| labels[v]).collect();
-            let (l, d, _) = softmax_cross_entropy(out, &local, rows);
-            (l, d)
-        }
-        Labels::Multi(y) => {
-            let local = y.gather_rows(nodes);
-            bce_with_logits(out, &local, rows)
-        }
-    }
+/// [`loss_into`] for a block whose row `r` is node `nodes[r]`.
+fn local_loss(ds: &Dataset, out: &Matrix, nodes: &[usize], rows: &[usize], d: &mut Matrix) -> f64 {
+    let labels = match &ds.labels {
+        Labels::Single(labels) => Labels::Single(nodes.iter().map(|&v| labels[v]).collect()),
+        Labels::Multi(y) => Labels::Multi(y.gather_rows(nodes)),
+    };
+    loss_into(&labels, out, rows, d)
 }
 
 #[cfg(test)]

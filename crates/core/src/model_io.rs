@@ -73,7 +73,7 @@ fn arch_tag(arch: ModelArch) -> u8 {
 }
 
 /// One layer: activation, dropout, GAT's attention slope, then the
-/// parameter matrices in `params_mut` order.
+/// parameter matrices in `Layer::for_each_param_grad` order.
 fn put_layer(buf: &mut Vec<u8>, layer: &Layer) {
     let (act, dropout, slope, mats) = match layer {
         Layer::Sage(l) => (l.act, l.dropout, None, vec![&l.w_self, &l.w_neigh, &l.b]),

@@ -308,17 +308,6 @@ impl SageLayer {
         }
         (dh, grads)
     }
-
-    /// The layer's parameters, for the optimizer (order: `w_self`,
-    /// `w_neigh`, `b`).
-    pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.w_self, &mut self.w_neigh, &mut self.b]
-    }
-
-    /// Parameter gradients in [`SageLayer::params_mut`] order.
-    pub fn grads_vec(grads: &SageGrads) -> Vec<&Matrix> {
-        vec![&grads.w_self, &grads.w_neigh, &grads.b]
-    }
 }
 
 #[cfg(test)]

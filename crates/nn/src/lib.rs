@@ -3,7 +3,7 @@
 //!
 //! The BNS-GCN paper trains GraphSAGE models (mean aggregator) and, for
 //! one ablation, GAT. This crate provides exactly those layers plus the
-//! losses, optimizer, metrics and models the experiments need:
+//! losses, optimizer and metrics the experiments need:
 //!
 //! * [`SageLayer`] / [`GatLayer`] / [`GcnLayer`] — forward/backward pairs
 //!   designed for *layer-at-a-time* execution, so the partition-parallel
@@ -37,5 +37,5 @@ pub use layers::{
     Layer, LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads,
     SageLayer, SageSegCache, SegScratch,
 };
-pub use models::{flatten_into, layer_stack, unflatten_into, SageModel};
+pub use models::layer_stack;
 pub use optim::{Adam, AdamStep};

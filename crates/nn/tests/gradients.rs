@@ -2,12 +2,15 @@
 //! functions — the strongest correctness evidence the hand-derived
 //! backward passes have.
 
+mod support;
+
 use bns_data::SyntheticSpec;
 use bns_graph::generators::erdos_renyi_m;
 use bns_nn::gradcheck::finite_diff;
 use bns_nn::loss::{bce_with_logits, softmax_cross_entropy};
-use bns_nn::{Activation, SageLayer, SageModel};
+use bns_nn::{Activation, Layer, ModelArch, SageLayer};
 use bns_tensor::{Matrix, SeededRng};
+use support::Pass;
 
 /// Full pipeline gradient: 2-layer SAGE + softmax CE, checked against
 /// finite differences on the *input features* (gradient flows through
@@ -16,27 +19,22 @@ use bns_tensor::{Matrix, SeededRng};
 fn two_layer_model_input_gradient() {
     let mut rng = SeededRng::new(50);
     let g = erdos_renyi_m(10, 22, &mut rng);
-    let model = SageModel::new(&[3, 4, 2], 0.0, &mut rng);
+    let layers = Layer::stack(ModelArch::Sage, &[3, 4, 2], 0.0, &mut rng);
     let x = Matrix::random_normal(10, 3, 0.0, 1.0, &mut rng);
     let labels = vec![0usize, 1, 0, 1, 0, 1, 0, 1, 0, 1];
     let rows: Vec<usize> = (0..10).collect();
     let scale: Vec<f32> = (0..10).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
 
+    let mut pass = Pass::new(&layers);
     let loss_of = |xp: &Matrix| -> f64 {
-        let mut r = SeededRng::new(0);
-        let (out, _) = model.forward_full(&g, xp, &scale, false, &mut r);
+        let out = Pass::new(&layers).forward(&layers, &g, xp, &scale);
         softmax_cross_entropy(&out, &labels, &rows).0
     };
 
-    let mut r = SeededRng::new(0);
-    let (out, caches) = model.forward_full(&g, &x, &scale, false, &mut r);
+    let out = pass.forward(&layers, &g, &x, &scale);
     let (_, dlogits, _) = softmax_cross_entropy(&out, &labels, &rows);
     // Backward through the model, capturing the input gradient.
-    let mut d = dlogits;
-    for l in (0..model.num_layers()).rev() {
-        let (dh, _) = model.layers[l].backward(&g, &caches[l], &d);
-        d = dh;
-    }
+    let d = pass.backward(&layers, &g, &dlogits);
     let fd = finite_diff(&x, 1e-2, |xp| loss_of(xp));
     assert!(
         d.approx_eq(&fd, 0.08),
@@ -51,28 +49,37 @@ fn two_layer_model_input_gradient() {
 fn first_layer_weight_gradient_through_stack() {
     let mut rng = SeededRng::new(51);
     let g = erdos_renyi_m(8, 16, &mut rng);
-    let model = SageModel::new(&[3, 4, 2], 0.0, &mut rng);
+    let layers = Layer::stack(ModelArch::Sage, &[3, 4, 2], 0.0, &mut rng);
     let x = Matrix::random_normal(8, 3, 0.0, 1.0, &mut rng);
     let labels = vec![0usize, 1, 0, 1, 0, 1, 0, 1];
     let rows: Vec<usize> = (0..8).collect();
     let scale: Vec<f32> = (0..8).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
 
-    let mut r = SeededRng::new(0);
-    let (out, caches) = model.forward_full(&g, &x, &scale, false, &mut r);
+    let mut pass = Pass::new(&layers);
+    let out = pass.forward(&layers, &g, &x, &scale);
     let (_, dlogits, _) = softmax_cross_entropy(&out, &labels, &rows);
-    let grads = model.backward_full(&g, &caches, &dlogits);
+    pass.backward(&layers, &g, &dlogits);
+    // Gradients come in `w_self`, `w_neigh`, `b` order.
+    let mut grads = Vec::new();
+    pass.slots[0].for_each_grad(|m| grads.push(m.clone()));
+    let w_neigh = &grads[1];
 
-    let fd = finite_diff(&model.layers[0].w_neigh, 1e-2, |w| {
-        let mut m2 = model.clone();
-        m2.layers[0].w_neigh = w.clone();
-        let mut r = SeededRng::new(0);
-        let (out, _) = m2.forward_full(&g, &x, &scale, false, &mut r);
+    let Layer::Sage(first) = &layers[0] else {
+        unreachable!("a SAGE stack")
+    };
+    let fd = finite_diff(&first.w_neigh, 1e-2, |w| {
+        let mut l2 = layers.clone();
+        let Layer::Sage(first) = &mut l2[0] else {
+            unreachable!("a SAGE stack")
+        };
+        first.w_neigh = w.clone();
+        let out = Pass::new(&l2).forward(&l2, &g, &x, &scale);
         softmax_cross_entropy(&out, &labels, &rows).0
     });
     assert!(
-        grads[0].w_neigh.approx_eq(&fd, 0.08),
+        w_neigh.approx_eq(&fd, 0.08),
         "w_neigh gradient mismatch: {}",
-        grads[0].w_neigh.max_abs_diff(&fd)
+        w_neigh.max_abs_diff(&fd)
     );
 }
 
@@ -143,21 +150,22 @@ fn dropout_mask_consistency() {
 fn deep_model_gradients_are_finite() {
     let ds = SyntheticSpec::reddit_sim().with_nodes(300).generate(55);
     let mut rng = SeededRng::new(55);
-    let model = SageModel::new(&[ds.feat_dim(), 32, 32, 32, ds.num_classes], 0.0, &mut rng);
+    let dims = [ds.feat_dim(), 32, 32, 32, ds.num_classes];
+    let layers = Layer::stack(ModelArch::Sage, &dims, 0.0, &mut rng);
     let scale = ds.mean_scale();
-    let mut r = SeededRng::new(0);
-    let (out, caches) = model.forward_full(&ds.graph, &ds.features, &scale, false, &mut r);
+    let mut pass = Pass::new(&layers);
+    let out = pass.forward(&layers, &ds.graph, &ds.features, &scale);
     let bns_data::Labels::Single(labels) = &ds.labels else {
         panic!()
     };
     let (_, dlogits, _) = softmax_cross_entropy(&out, labels, &ds.train);
-    let grads = model.backward_full(&ds.graph, &caches, &dlogits);
-    for (l, g) in grads.iter().enumerate() {
-        assert!(!g.w_self.has_non_finite(), "layer {l} w_self");
-        assert!(!g.w_neigh.has_non_finite(), "layer {l} w_neigh");
-        assert!(
-            g.w_self.frobenius_norm() > 0.0,
-            "layer {l} got zero gradient"
-        );
+    pass.backward(&layers, &ds.graph, &dlogits);
+    for (l, slot) in pass.slots.iter().enumerate() {
+        let mut grads = Vec::new();
+        slot.for_each_grad(|m| grads.push(m.clone()));
+        let (w_self, w_neigh) = (&grads[0], &grads[1]);
+        assert!(!w_self.has_non_finite(), "layer {l} w_self");
+        assert!(!w_neigh.has_non_finite(), "layer {l} w_neigh");
+        assert!(w_self.frobenius_norm() > 0.0, "layer {l} got zero gradient");
     }
 }

@@ -9,6 +9,8 @@
 //! clear the fan-out threshold (64 rows per block) and to span several
 //! 256-row source segments, not just fall back to the serial path.
 
+mod support;
+
 use bns_graph::generators::erdos_renyi_m;
 use bns_graph::{CsrGraph, GraphBuilder};
 use bns_nn::aggregate::{
@@ -16,11 +18,12 @@ use bns_nn::aggregate::{
 };
 use bns_nn::gradcheck::finite_diff;
 use bns_nn::loss::softmax_cross_entropy;
-use bns_nn::SageModel;
+use bns_nn::{Layer, ModelArch};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::simd::{self, Backend};
 use bns_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
+use support::Pass;
 
 fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
     a.shape() == b.shape()
@@ -190,18 +193,14 @@ proptest! {
 fn model_forward_bitwise_under_pool() {
     let mut rng = SeededRng::new(77);
     let g = erdos_renyi_m(300, 900, &mut rng);
-    let model = SageModel::new(&[24, 32, 5], 0.0, &mut rng);
+    let layers = Layer::stack(ModelArch::Sage, &[24, 32, 5], 0.0, &mut rng);
     let x = Matrix::random_normal(300, 24, 0.0, 1.0, &mut rng);
     let scale: Vec<f32> = (0..300).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
 
-    let serial = {
-        let mut r = SeededRng::new(0);
-        model.forward_full(&g, &x, &scale, false, &mut r).0
-    };
+    let serial = Pass::new(&layers).forward(&layers, &g, &x, &scale);
     for threads in [2usize, 4] {
         let _guard = pool::install(ThreadPool::new(threads));
-        let mut r = SeededRng::new(0);
-        let (out, _) = model.forward_full(&g, &x, &scale, false, &mut r);
+        let out = Pass::new(&layers).forward(&layers, &g, &x, &scale);
         assert!(
             bitwise_eq(&serial, &out),
             "model forward diverged at {threads} threads"
@@ -217,23 +216,18 @@ fn gradcheck_through_parallel_path() {
     let _guard = pool::install(ThreadPool::new(4));
     let mut rng = SeededRng::new(78);
     let g = erdos_renyi_m(10, 22, &mut rng);
-    let model = SageModel::new(&[3, 4, 2], 0.0, &mut rng);
+    let layers = Layer::stack(ModelArch::Sage, &[3, 4, 2], 0.0, &mut rng);
     let x = Matrix::random_normal(10, 3, 0.0, 1.0, &mut rng);
     let labels = vec![0usize, 1, 0, 1, 0, 1, 0, 1, 0, 1];
     let rows: Vec<usize> = (0..10).collect();
     let scale: Vec<f32> = (0..10).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
 
-    let mut r = SeededRng::new(0);
-    let (out, caches) = model.forward_full(&g, &x, &scale, false, &mut r);
+    let mut pass = Pass::new(&layers);
+    let out = pass.forward(&layers, &g, &x, &scale);
     let (_, dlogits, _) = softmax_cross_entropy(&out, &labels, &rows);
-    let mut d = dlogits;
-    for l in (0..model.num_layers()).rev() {
-        let (dh, _) = model.layers[l].backward(&g, &caches[l], &d);
-        d = dh;
-    }
+    let d = pass.backward(&layers, &g, &dlogits);
     let fd = finite_diff(&x, 1e-2, |xp| {
-        let mut r = SeededRng::new(0);
-        let (out, _) = model.forward_full(&g, xp, &scale, false, &mut r);
+        let out = Pass::new(&layers).forward(&layers, &g, xp, &scale);
         softmax_cross_entropy(&out, &labels, &rows).0
     });
     assert!(
