@@ -13,6 +13,7 @@ use bns_nn::aggregate::{scaled_sum_aggregate, scaled_sum_aggregate_backward_into
 use bns_nn::{Activation, DropMask, SageGrads, SageLayer, SageSegCache, SegScratch};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
 use bns_tensor::pool::{self, ThreadPool};
+use bns_tensor::simd;
 use bns_tensor::{Matrix, SeededRng};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -27,6 +28,106 @@ fn bench_matmul(c: &mut Criterion) {
     });
     c.bench_function("matmul_tn_256", |bch| {
         bch.iter(|| black_box(a.matmul_tn(&b)));
+    });
+}
+
+/// The zero-skipping product against the dense tile on one operand at
+/// growing shares of zeros, at a reddit-width layer shape (750 rows of
+/// 256 features times a 256 x 256 weight): where the two cross sets
+/// `SKIP_MIN_ZEROS`. Also a 750 x 256 transpose.
+fn bench_matmul_skip(c: &mut Criterion) {
+    let mut rng = SeededRng::new(2);
+    let (rows, kd, n) = (750, 256, 256);
+    let b = Matrix::random_normal(kd, n, 0.0, 1.0, &mut rng);
+    let bk = simd::active();
+    for zeros in [0.3f32, 0.4, 0.5, 0.6, 0.75, 0.85] {
+        let a = Matrix::from_fn(rows, kd, |_, _| {
+            if rng.uniform() < zeros {
+                0.0
+            } else {
+                rng.normal(0.0, 1.0)
+            }
+        });
+        let pct = (zeros * 100.0).round();
+        let mut out = vec![0.0; rows * n];
+        c.bench_function(&format!("matmul_skip_dense_tile_z{pct}"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                simd::mm_nn_block(bk, a.as_slice(), b.as_slice(), &mut out, kd, n);
+                black_box(&out);
+            });
+        });
+        c.bench_function(&format!("matmul_skip_kernel_z{pct}"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                simd::mm_skip_block(bk, a.as_slice(), b.as_slice(), &mut out, kd, n);
+                black_box(&out);
+            });
+        });
+    }
+    // Narrow products: the output layer's 16 classes (reddit-sim), a
+    // 64-wide hidden layer (the serving model) and a 128-wide one
+    // (products-sim), at half zeros; then the weight gradient `Aᵀ·B`,
+    // which reads the sparse `A` down its columns, at the hidden
+    // layers' 83%. These set `SKIP_MIN_COLS`.
+    let (m, k) = (750, 256);
+    let sparse = |z: f32, rng: &mut SeededRng| {
+        Matrix::from_fn(m, k, |_, _| {
+            if rng.uniform() < z {
+                0.0
+            } else {
+                rng.normal(0.0, 1.0)
+            }
+        })
+    };
+    let a = sparse(0.5, &mut rng);
+    for n in [16usize, 64, 128] {
+        let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+        let mut out = vec![0.0; m * n];
+        c.bench_function(&format!("matmul_skip_dense_tile_750x256x{n}_z50"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                simd::mm_nn_block(bk, a.as_slice(), b.as_slice(), &mut out, k, n);
+                black_box(&out);
+            });
+        });
+        c.bench_function(&format!("matmul_skip_kernel_750x256x{n}_z50"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                simd::mm_skip_block(bk, a.as_slice(), b.as_slice(), &mut out, k, n);
+                black_box(&out);
+            });
+        });
+    }
+    let a = sparse(0.83, &mut rng);
+    for n in [16usize, 64, 128, 256] {
+        let d = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
+        let mut out = vec![0.0; k * n];
+        c.bench_function(
+            &format!("matmul_tn_skip_dense_tile_256x750x{n}_z83"),
+            |bch| {
+                bch.iter(|| {
+                    out.fill(0.0);
+                    simd::mm_tn_block(bk, a.as_slice(), d.as_slice(), &mut out, (0, k), k, n);
+                    black_box(&out);
+                });
+            },
+        );
+        c.bench_function(&format!("matmul_tn_skip_kernel_256x750x{n}_z83"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                simd::mm_skip_tn_block(bk, a.as_slice(), d.as_slice(), &mut out, (0, k), k, n);
+                black_box(&out);
+            });
+        });
+    }
+    let a = Matrix::random_normal(rows, kd, 0.0, 1.0, &mut rng);
+    let mut t = Matrix::default();
+    c.bench_function("transpose_750x256", |bch| {
+        bch.iter(|| {
+            a.transpose_into(&mut t);
+            black_box(&t);
+        });
     });
 }
 
@@ -164,7 +265,8 @@ fn bench_sage_layer(c: &mut Criterion) {
     let mut grads = SageGrads::default();
     c.bench_function("sage_backward_seg_4k_d64", |bch| {
         bch.iter(|| {
-            layer.backward_seg_into(&ds.graph, &seg, &d, &mut scratch, &mut grads, true);
+            let mut d = d.clone();
+            layer.backward_seg_into(&ds.graph, &seg, &mut d, &mut scratch, &mut grads, true);
             black_box(&scratch.dh);
         });
     });
@@ -240,6 +342,7 @@ criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_matmul,
+        bench_matmul_skip,
         bench_matmul_parallel,
         bench_aggregate,
         bench_aggregate_backward,

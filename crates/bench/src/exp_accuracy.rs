@@ -106,7 +106,7 @@ pub fn table4(scale: Scale) {
             MiniBatchMethod::FastGcn { support: 400 },
             MiniBatchMethod::NeighborSampling { fanout: 10 },
             MiniBatchMethod::Ladies { support: 400 },
-            MiniBatchMethod::VrGcn { batch: 256 },
+            MiniBatchMethod::VrGcn,
             MiniBatchMethod::ClusterGcn {
                 clusters: 16,
                 per_batch: 4,

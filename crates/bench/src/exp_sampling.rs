@@ -28,7 +28,7 @@ pub fn table11(scale: Scale) {
     for m in [
         MiniBatchMethod::NeighborSampling { fanout: 10 },
         MiniBatchMethod::FastGcn { support: 400 },
-        MiniBatchMethod::VrGcn { batch: 256 },
+        MiniBatchMethod::VrGcn,
         MiniBatchMethod::ClusterGcn {
             clusters: 16,
             per_batch: 4,

@@ -926,7 +926,7 @@ async fn rank_program(
             let at = [("epoch", epoch.into()), ("layer", l.into())];
             let tk = Timed::with_args("compute", &at);
             let inner_grad = l > 0;
-            layers[l].backward_seg(&mut slots[l], &topo.graph, &d, &mut scratch, inner_grad);
+            layers[l].backward_seg(&mut slots[l], &topo.graph, &mut d, &mut scratch, inner_grad);
             if inner_grad {
                 std::mem::swap(&mut d, &mut scratch.dh);
             }

@@ -147,11 +147,11 @@ impl Trainer {
     /// the layer's slot and the boundary rows' input gradient in
     /// `scratch.dh_bd`. Above layer 0, `d` becomes the inner rows'
     /// input gradient; layer 0 computes no inner input gradient, as in
-    /// the engine.
+    /// the engine, and leaves its pre-activation gradient in `d`.
     pub(crate) fn backward(&mut self, l: usize, g: &CsrGraph) {
         let inner_grad = l > 0;
         let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
-        layer.backward_seg(slot, g, &self.d, &mut self.scratch, inner_grad);
+        layer.backward_seg(slot, g, &mut self.d, &mut self.scratch, inner_grad);
         if inner_grad {
             std::mem::swap(&mut self.d, &mut self.scratch.dh);
         }

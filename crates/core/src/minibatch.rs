@@ -80,11 +80,10 @@ pub enum MiniBatchMethod {
         /// Walk length.
         length: usize,
     },
-    /// VR-GCN-style variance reduction with historical activations.
-    VrGcn {
-        /// Mini-batch size (train nodes per step).
-        batch: usize,
-    },
+    /// VR-GCN-style variance reduction with historical activations;
+    /// its mini-batch size is [`MiniBatchConfig::batch_size`], as for
+    /// the layer-wise methods.
+    VrGcn,
 }
 
 impl MiniBatchMethod {
@@ -98,7 +97,7 @@ impl MiniBatchMethod {
             MiniBatchMethod::GraphSaintNode { .. } => "GraphSAINT-Node",
             MiniBatchMethod::GraphSaintEdge { .. } => "GraphSAINT-Edge",
             MiniBatchMethod::GraphSaintWalk { .. } => "GraphSAINT-RW",
-            MiniBatchMethod::VrGcn { .. } => "VR-GCN",
+            MiniBatchMethod::VrGcn => "VR-GCN",
         }
     }
 }
@@ -204,7 +203,7 @@ pub fn train_minibatch(
     };
     let mut history: Option<Vec<Matrix>> = match method {
         // Historical activations per hidden layer output.
-        MiniBatchMethod::VrGcn { .. } => Some(
+        MiniBatchMethod::VrGcn => Some(
             (1..dims.len() - 1)
                 .map(|l| Matrix::zeros(ds.num_nodes(), dims[l]))
                 .collect(),
@@ -258,7 +257,7 @@ pub fn train_minibatch(
                     let sampler = degree_sampler.as_ref();
                     layerwise_step(ds, &mut t, method, sampler, &batch, &mut rng, &mut clock)
                 }
-                MiniBatchMethod::VrGcn { .. } => {
+                MiniBatchMethod::VrGcn => {
                     let history = history.as_mut().expect("VR-GCN history");
                     vr_gcn_step(ds, &mut t, &batch, history, &mut rng, &mut clock)
                 }
@@ -453,13 +452,12 @@ fn sample_importance_block(
     sampler: &WeightedSampler,
     rng: &mut SeededRng,
 ) -> LayerBlock {
-    let n = ds.num_nodes();
     let mut nodes: Vec<usize> = targets.to_vec();
     let mut index_of = std::collections::HashMap::new();
     for (i, &v) in nodes.iter().enumerate() {
         index_of.insert(v, i);
     }
-    let total_w: f64 = (0..n).map(|v| ds.graph.degree(v) as f64 + 1.0).sum();
+    let total_w = sampler.total();
     let mut mult: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     for _ in 0..support {
         *mult.entry(sampler.sample(rng)).or_insert(0) += 1;
@@ -815,7 +813,7 @@ mod tests {
 
     #[test]
     fn vr_gcn_learns() {
-        let r = run(MiniBatchMethod::VrGcn { batch: 64 }, 15);
+        let r = run(MiniBatchMethod::VrGcn, 15);
         assert!(r.final_test > 0.35, "{}: test {}", r.method, r.final_test);
     }
 

@@ -94,7 +94,7 @@ fn trainers_match_recorded_bits() {
             roots: 30,
             length: 3,
         },
-        MiniBatchMethod::VrGcn { batch: 64 },
+        MiniBatchMethod::VrGcn,
     ];
     let mut got: Vec<(String, u64)> = vec![
         ("full-graph reddit".into(), full_graph(&reddit)),

@@ -21,6 +21,7 @@ use bns_tensor::SeededRng;
 pub struct WeightedSampler {
     prob: Vec<f64>,
     alias: Vec<usize>,
+    total: f64,
 }
 
 impl WeightedSampler {
@@ -65,7 +66,7 @@ impl WeightedSampler {
         for i in small.into_iter().chain(large) {
             prob[i] = 1.0;
         }
-        Self { prob, alias }
+        Self { prob, alias, total }
     }
 
     /// Number of categories.
@@ -77,6 +78,12 @@ impl WeightedSampler {
     /// rejects empty weights).
     pub fn is_empty(&self) -> bool {
         self.prob.is_empty()
+    }
+
+    /// The sum of the weights, added in order: index `i` is drawn with
+    /// probability `weights[i] / total()`.
+    pub fn total(&self) -> f64 {
+        self.total
     }
 
     /// Draws one index.

@@ -7,7 +7,20 @@
 //! `exp` has no vector form here, so it keeps scalar loops — but its
 //! backward is fused the same way.
 
+use crate::layers::DropMask;
 use bns_tensor::{simd, Matrix};
+
+/// What a segmented cache keeps of a pre-activation for the backward
+/// pass ([`Activation::apply_keeping`]). Only the field its activation
+/// needs is filled: ReLU's derivative depends only on the sign, so it
+/// keeps one bit per element instead of an `f32`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ActKeep {
+    /// ReLU: which elements were `> 0`.
+    positive: DropMask,
+    /// LeakyReLU and ELU: the pre-activation.
+    pre: Matrix,
+}
 
 /// An elementwise activation applied after a layer's linear part.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +52,10 @@ impl Activation {
     /// overwritten): `x` is copied in, then mapped in place.
     pub fn apply_into(&self, x: &Matrix, out: &mut Matrix) {
         out.assign(x);
-        let o = out.as_mut_slice();
+        self.apply_in_place(out.as_mut_slice());
+    }
+
+    fn apply_in_place(&self, o: &mut [f32]) {
         match *self {
             Activation::Relu => simd::relu(simd::begin_kernel(), o),
             Activation::Identity => {}
@@ -48,6 +64,39 @@ impl Activation {
                 for v in o {
                     *v = if *v > 0.0 { *v } else { v.exp() - 1.0 };
                 }
+            }
+        }
+    }
+
+    /// Applies the activation to the pre-activation `x` in place,
+    /// keeping in `keep` what [`Activation::backward_kept`] reads:
+    /// ReLU one bit per element, LeakyReLU and ELU the pre-activation,
+    /// identity nothing. The output bits are [`Activation::apply`]'s.
+    pub(crate) fn apply_keeping(&self, x: &mut Matrix, keep: &mut ActKeep) {
+        match *self {
+            Activation::Relu => keep.positive.relu(x.as_mut_slice()),
+            Activation::Identity => {}
+            Activation::LeakyRelu(_) | Activation::Elu => {
+                keep.pre.assign(x);
+                self.apply_in_place(x.as_mut_slice());
+            }
+        }
+    }
+
+    /// The backward step in place on the upstream gradient `d`, from
+    /// what [`Activation::apply_keeping`] kept: the bits
+    /// [`Activation::backward_into`] gives at that pre-activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` has another shape than the kept pre-activation.
+    pub(crate) fn backward_kept(&self, keep: &ActKeep, d: &mut Matrix) {
+        match *self {
+            Activation::Relu => keep.positive.apply(d.as_mut_slice()),
+            Activation::Identity => {}
+            Activation::LeakyRelu(_) | Activation::Elu => {
+                assert_eq!(keep.pre.shape(), d.shape(), "activation backward shape");
+                self.backward_in_place(keep.pre.as_slice(), d.as_mut_slice());
             }
         }
     }
@@ -76,7 +125,11 @@ impl Activation {
     pub fn backward_into(&self, pre: &Matrix, upstream: &Matrix, out: &mut Matrix) {
         assert_eq!(pre.shape(), upstream.shape(), "activation backward shape");
         out.assign(upstream);
-        let (o, p) = (out.as_mut_slice(), pre.as_slice());
+        self.backward_in_place(pre.as_slice(), out.as_mut_slice());
+    }
+
+    /// Multiplies `o` by the derivative at `p`, in place.
+    fn backward_in_place(&self, p: &[f32], o: &mut [f32]) {
         match *self {
             Activation::Identity => {}
             Activation::Relu => simd::relu_backward(simd::begin_kernel(), o, p),

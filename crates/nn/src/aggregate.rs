@@ -164,9 +164,9 @@ pub fn scaled_sum_aggregate_into<G: Adjacency>(
 
 /// Adjoint of [`scaled_sum_aggregate`]: given `dz` (`n_out x d`), returns
 /// `dh` (`n_rows_h x d`) with `dh_u = Σ_{v ∈ N_g(u), v < n_out}
-/// row_scale[v] · dz_v`: a gather over output rows, summed in fixed
-/// source segments (see [`segmented_gather`]), bitwise deterministic at
-/// any pool size.
+/// row_scale[v] · dz_v`: a gather over output rows, summed in source
+/// segments fixed by the problem size alone, so bitwise deterministic
+/// at any pool size.
 ///
 /// # Panics
 ///

@@ -2,7 +2,7 @@
 //! used by the variance-analysis experiments (paper Appendix A analyzes
 //! exactly this propagation `Z = P H W`).
 
-use crate::activation::Activation;
+use crate::activation::{ActKeep, Activation};
 use crate::aggregate::{
     gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_backward_rows_into,
     gcn_aggregate_inner_into, gcn_aggregate_into, gcn_fold_boundary,
@@ -47,7 +47,7 @@ pub struct GcnSegCache {
     drop_in: bool,
     drop_bd: bool,
     z: Matrix,
-    pre: Matrix,
+    act: ActKeep,
     n_bd: usize,
     s: Vec<f32>,
 }
@@ -184,9 +184,9 @@ impl GcnLayer {
             h_bd
         };
         gcn_fold_boundary(g, &mut cache.z, &cache.h_in_dropped, h_bd_used, n_inner, s);
-        cache.z.matmul_into(&self.w, &mut cache.pre);
-        cache.pre.add_row_broadcast(self.b.row(0));
-        self.act.apply_into(&cache.pre, out);
+        cache.z.matmul_into(&self.w, out);
+        out.add_row_broadcast(self.b.row(0));
+        self.act.apply_keeping(out, &mut cache.act);
         cache.n_bd = h_bd.rows();
         cache.s.clear();
         cache.s.extend_from_slice(s);
@@ -198,12 +198,13 @@ impl GcnLayer {
     /// equal to slicing [`GcnLayer::backward`]'s output at the
     /// inner/boundary split. With `inner_grad = false` the inner rows
     /// of the gather are skipped (`scratch.dh` is left as it was);
-    /// `dh_bd` and `grads` are the same bits.
+    /// `dh_bd` and `grads` are the same bits. The upstream gradient
+    /// `d_out` is overwritten with the gradient at the pre-activation.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
         cache: &GcnSegCache,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         scratch: &mut SegScratch,
         grads: &mut GcnGrads,
         inner_grad: bool,
@@ -211,11 +212,12 @@ impl GcnLayer {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
         let sc = scratch;
-        self.act.backward_into(&cache.pre, d_out, &mut sc.dpre);
-        cache.z.matmul_tn_into(&sc.dpre, &mut grads.w);
+        self.act.backward_kept(&cache.act, d_out);
+        let dpre = &*d_out;
+        cache.z.matmul_tn_into(dpre, &mut grads.w);
         grads.b.reset(1, self.w.cols());
-        sc.dpre.col_sums_into(grads.b.as_mut_slice());
-        sc.dpre.matmul_nt_into(&self.w, &mut sc.wt, &mut sc.dz);
+        dpre.col_sums_into(grads.b.as_mut_slice());
+        dpre.matmul_nt_into(&self.w, &mut sc.dz);
         let n_rows = n_inner + cache.n_bd;
         if inner_grad {
             gcn_aggregate_backward_into(g, &sc.dz, n_rows, &cache.s, &mut sc.dh);
@@ -336,7 +338,8 @@ mod tests {
             &mut scratch,
             &mut out_s,
         );
-        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s, true);
+        let mut d = d_out.clone();
+        layer.backward_seg_into(&g, &cache_s, &mut d, &mut scratch, &mut grads_s, true);
         let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };

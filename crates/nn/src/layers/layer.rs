@@ -254,12 +254,13 @@ impl Layer {
     /// layer, whose input gradient nobody reads — SAGE and GCN compute
     /// only what leaves the rank, the parameter gradients and `dh_bd`,
     /// and leave `scratch.dh` as it was; GAT's fused pass computes
-    /// everything.
+    /// everything. SAGE and GCN overwrite `d` with the gradient at the
+    /// pre-activation; GAT leaves it as it was.
     pub fn backward_seg(
         &self,
         slot: &mut LayerSlot,
         g: &CsrGraph,
-        d: &Matrix,
+        d: &mut Matrix,
         scratch: &mut SegScratch,
         inner_grad: bool,
     ) {
@@ -328,7 +329,7 @@ mod tests {
                 let hs = (&h_inner, &h_bd);
                 let (norms, train) = ((&mean[..], &sym[..]), (true, &mut r));
                 layer.forward_boundary(&mut slot, &g, hs, norms, train, &mut scratch, &mut out);
-                layer.backward_seg(&mut slot, &g, &d, &mut scratch, inner_grad);
+                layer.backward_seg(&mut slot, &g, &mut d.clone(), &mut scratch, inner_grad);
                 let mut bits: Vec<u32> = scratch
                     .dh_bd
                     .as_slice()

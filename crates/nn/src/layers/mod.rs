@@ -27,7 +27,8 @@ pub use sage::{SageCache, SageGrads, SageLayer, SageSegCache};
 
 use bns_tensor::{simd, Matrix, SeededRng};
 
-/// An inverted-dropout keep mask, one bit per element.
+/// An inverted-dropout keep mask, one bit per element; also the ReLU
+/// mask of the segmented caches, with factor 1.
 ///
 /// [`DropMask::draw`] consumes the RNG stream exactly as the former
 /// f32 mask did, one `rng.bernoulli(keep)` per element in row-major
@@ -91,6 +92,19 @@ impl DropMask {
         self.bits[j / 64] >> (j % 64) & 1 == 1
     }
 
+    /// ReLU on `x` in place, keeping which elements stayed positive:
+    /// afterwards [`DropMask::apply`] multiplies by `1.0` where the
+    /// input was `> 0` and by `+0.0` elsewhere (NaN included) — the
+    /// bits of the ReLU backward at that input, from one bit per
+    /// element instead of the `f32` pre-activation.
+    pub(crate) fn relu(&mut self, x: &mut [f32]) {
+        self.scale = 1.0;
+        self.len = x.len();
+        self.bits.clear();
+        self.bits.resize(x.len().div_ceil(64), 0);
+        simd::relu_mask(simd::begin_kernel(), x, &mut self.bits);
+    }
+
     /// `x[j] *= keeps(j) ? 1/keep : +0.0`, in place (the forward
     /// dropout and its backward alike).
     ///
@@ -138,14 +152,10 @@ pub struct EvalScratch {
 pub struct SegScratch {
     /// The dropped copy of the boundary block (training only).
     pub(crate) bd_dropped: Matrix,
-    /// `z · W_neigh` (SAGE forward).
-    pub(crate) zw: Matrix,
-    /// Gradient at the pre-activation.
-    pub(crate) dpre: Matrix,
-    /// Gradient at the aggregate (then reused for `dpre · W_selfᵀ`).
+    /// `z · W_neigh` in the SAGE forward; in the backward, the
+    /// gradient at the aggregate (then `dpre · W_selfᵀ`). One buffer
+    /// serves both passes, which never overlap.
     pub(crate) dz: Matrix,
-    /// Transpose scratch for the `A · Bᵀ` products.
-    pub(crate) wt: Matrix,
     /// After a segmented backward: the gradient for the inner input
     /// rows. The engine swaps it out as the next layer's upstream.
     pub dh: Matrix,

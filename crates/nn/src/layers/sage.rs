@@ -7,7 +7,7 @@
 //! formulation (a concatenation followed by one weight matrix is exactly
 //! two weight matrices added).
 
-use crate::activation::Activation;
+use crate::activation::{ActKeep, Activation};
 use crate::aggregate::{
     scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
     scaled_sum_aggregate_backward_rows_into, scaled_sum_aggregate_inner_into,
@@ -59,7 +59,7 @@ pub struct SageSegCache {
     drop_in: bool,
     drop_bd: bool,
     z: Matrix,
-    pre: Matrix,
+    act: ActKeep,
     n_bd: usize,
     row_scale: Vec<f32>,
 }
@@ -228,11 +228,11 @@ impl SageLayer {
             h_bd
         };
         scaled_sum_fold_boundary(g, &mut cache.z, h_bd_used, n_inner, row_scale);
-        cache.h_in_dropped.matmul_into(&self.w_self, &mut cache.pre);
-        cache.z.matmul_into(&self.w_neigh, &mut scratch.zw);
-        cache.pre.add_assign(&scratch.zw);
-        cache.pre.add_row_broadcast(self.b.row(0));
-        self.act.apply_into(&cache.pre, out);
+        cache.h_in_dropped.matmul_into(&self.w_self, out);
+        cache.z.matmul_into(&self.w_neigh, &mut scratch.dz);
+        out.add_assign(&scratch.dz);
+        out.add_row_broadcast(self.b.row(0));
+        self.act.apply_keeping(out, &mut cache.act);
         cache.n_bd = h_bd.rows();
         cache.row_scale.clear();
         cache.row_scale.extend_from_slice(row_scale);
@@ -245,12 +245,15 @@ impl SageLayer {
     /// inner/boundary split. With `inner_grad = false` the inner rows
     /// are not computed (`scratch.dh` is left as it was): the self-path
     /// product `dpre · W_selfᵀ` and the inner rows of the gather are
-    /// skipped, and `dh_bd` and `grads` are the same bits.
+    /// skipped, and `dh_bd` and `grads` are the same bits. The upstream
+    /// gradient `d_out` is overwritten with the gradient at the
+    /// pre-activation (`dpre`), so the pass needs no buffer of its own
+    /// for it.
     pub fn backward_seg_into(
         &self,
         g: &CsrGraph,
         cache: &SageSegCache,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         scratch: &mut SegScratch,
         grads: &mut SageGrads,
         inner_grad: bool,
@@ -258,20 +261,19 @@ impl SageLayer {
         let n_inner = cache.h_in_dropped.rows();
         assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
         let s = scratch;
-        self.act.backward_into(&cache.pre, d_out, &mut s.dpre);
-        cache
-            .h_in_dropped
-            .matmul_tn_into(&s.dpre, &mut grads.w_self);
-        cache.z.matmul_tn_into(&s.dpre, &mut grads.w_neigh);
+        self.act.backward_kept(&cache.act, d_out);
+        let dpre = &*d_out;
+        cache.h_in_dropped.matmul_tn_into(dpre, &mut grads.w_self);
+        cache.z.matmul_tn_into(dpre, &mut grads.w_neigh);
         grads.b.reset(1, self.d_out());
-        s.dpre.col_sums_into(grads.b.as_mut_slice());
-        s.dpre.matmul_nt_into(&self.w_neigh, &mut s.wt, &mut s.dz);
+        dpre.col_sums_into(grads.b.as_mut_slice());
+        dpre.matmul_nt_into(&self.w_neigh, &mut s.dz);
         let n_rows = n_inner + cache.n_bd;
         if inner_grad {
             scaled_sum_aggregate_backward_into(g, &s.dz, n_rows, &cache.row_scale, &mut s.dh);
             s.dh.slice_rows_into(n_inner, n_rows, &mut s.dh_bd);
             s.dh.truncate_rows(n_inner);
-            s.dpre.matmul_nt_into(&self.w_self, &mut s.wt, &mut s.dz);
+            dpre.matmul_nt_into(&self.w_self, &mut s.dz);
             s.dh.add_assign(&s.dz);
             if cache.drop_in {
                 cache.mask_in.apply(s.dh.as_mut_slice());
@@ -426,41 +428,47 @@ mod tests {
         let scale: Vec<f32> = (0..n_in).map(|v| 1.0 / g.degree(v).max(1) as f32).collect();
         let d_out = Matrix::random_normal(n_in, 3, 0.0, 1.0, &mut rng);
 
-        let mut rng_fused = SeededRng::new(77);
-        let (out_f, cache_f) = layer.forward(
-            &g,
-            &h_inner.vstack(&h_bd),
-            n_in,
-            &scale,
-            true,
-            &mut rng_fused,
-        );
-        let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
+        // ReLU keeps one bit per element, LeakyReLU its pre-activation.
+        for act in [Activation::Relu, Activation::LeakyRelu(0.1)] {
+            layer.act = act;
+            let mut rng_fused = SeededRng::new(77);
+            let (out_f, cache_f) = layer.forward(
+                &g,
+                &h_inner.vstack(&h_bd),
+                n_in,
+                &scale,
+                true,
+                &mut rng_fused,
+            );
+            let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
 
-        let mut rng_seg = SeededRng::new(77);
-        let (mut cache_s, mut scratch) = (SageSegCache::default(), SegScratch::default());
-        let (mut out_s, mut grads_s) = (Matrix::default(), SageGrads::default());
-        layer.forward_inner_into(&g, &h_inner, true, &mut rng_seg, &mut cache_s);
-        layer.forward_boundary_into(
-            &g,
-            &mut cache_s,
-            &h_bd,
-            &scale,
-            true,
-            &mut rng_seg,
-            &mut scratch,
-            &mut out_s,
-        );
-        layer.backward_seg_into(&g, &cache_s, &d_out, &mut scratch, &mut grads_s, true);
-        let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
+            let mut rng_seg = SeededRng::new(77);
+            let (mut cache_s, mut scratch) = (SageSegCache::default(), SegScratch::default());
+            let (mut out_s, mut grads_s) = (Matrix::default(), SageGrads::default());
+            layer.forward_inner_into(&g, &h_inner, true, &mut rng_seg, &mut cache_s);
+            layer.forward_boundary_into(
+                &g,
+                &mut cache_s,
+                &h_bd,
+                &scale,
+                true,
+                &mut rng_seg,
+                &mut scratch,
+                &mut out_s,
+            );
+            let mut d = d_out.clone();
+            layer.backward_seg_into(&g, &cache_s, &mut d, &mut scratch, &mut grads_s, true);
+            let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
 
-        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&out_f), bits(&out_s));
-        assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
-        assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
-        assert_eq!(bits(&grads_f.w_self), bits(&grads_s.w_self));
-        assert_eq!(bits(&grads_f.w_neigh), bits(&grads_s.w_neigh));
-        assert_eq!(bits(&grads_f.b), bits(&grads_s.b));
+            let bits =
+                |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&out_f), bits(&out_s), "{act:?}");
+            assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
+            assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
+            assert_eq!(bits(&grads_f.w_self), bits(&grads_s.w_self));
+            assert_eq!(bits(&grads_f.w_neigh), bits(&grads_s.w_neigh));
+            assert_eq!(bits(&grads_f.b), bits(&grads_s.b));
+        }
     }
 
     #[test]

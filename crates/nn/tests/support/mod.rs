@@ -42,7 +42,7 @@ impl Pass {
     pub fn backward(&mut self, layers: &[Layer], g: &CsrGraph, d: &Matrix) -> Matrix {
         let mut d = d.clone();
         for (layer, slot) in layers.iter().zip(&mut self.slots).rev() {
-            layer.backward_seg(slot, g, &d, &mut self.scratch, true);
+            layer.backward_seg(slot, g, &mut d, &mut self.scratch, true);
             d = std::mem::take(&mut self.scratch.dh);
         }
         d

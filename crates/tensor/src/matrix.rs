@@ -2,6 +2,7 @@
 //! network and training engine crates.
 
 use crate::SeededRng;
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -284,10 +285,17 @@ impl Matrix {
     /// output element is accumulated in ascending-`k` order by exactly
     /// one thread, vectorized across output *columns* with no FMA, so
     /// the result is bitwise identical at any thread count and any
-    /// SIMD lane width. Unlike the earlier scalar kernel there is
-    /// **no** skip of zero entries: `0 * NaN` must stay `NaN`
-    /// (IEEE 754), so divergence in either operand always propagates
-    /// to the product.
+    /// SIMD lane width.
+    ///
+    /// When the product has at least 128 columns, at least half of
+    /// `self` is `±0.0` and every element of `rhs` is finite, the
+    /// kernel walks only `self`'s nonzero elements
+    /// ([`crate::simd::mm_skip_block`]). That gives the same bits: a
+    /// skipped term `0 · b` with finite `b` is `±0.0`, and each chain
+    /// starts at `+0.0`, which adding `±0.0` never turns into `-0.0`.
+    /// A NaN in `self` is not zero, so it is kept; a NaN or ±∞ in `rhs`
+    /// sends the product down the dense path, so `0 · ∞ = NaN` still
+    /// propagates.
     ///
     /// # Panics
     ///
@@ -310,26 +318,10 @@ impl Matrix {
             "matmul: {}x{} * {}x{} shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.mm_nn(rhs.cols, &rhs.data, out);
-    }
-
-    /// The shared NN-layout product core: `out = self * B` where `B` is
-    /// a flat row-major `self.cols x n` buffer. The SIMD backend is
-    /// resolved once here, on the calling thread, and handed to the
-    /// pool closures (worker threads never consult dispatch state).
-    fn mm_nn(&self, n: usize, b: &[f32], out: &mut Matrix) {
-        out.reset_zeroed(self.rows, n);
-        let kd = self.cols;
-        let a = &self.data;
         let bk = crate::simd::begin_kernel();
-        let min_rows = par_min_rows(self.rows, kd * n);
-        let optr = SendMutPtr(out.data.as_mut_ptr());
-        crate::pool::parallel_row_blocks(self.rows, min_rows, &|i0, i1| {
-            // SAFETY: each block owns the disjoint output rows [i0, i1).
-            let oblock =
-                unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
-            crate::simd::mm_nn_block(bk, &a[i0 * kd..i1 * kd], b, oblock, kd, n);
-        });
+        let skip =
+            rhs.cols >= SKIP_MIN_COLS && skippable_share(bk, &self.data, &rhs.data).is_some();
+        product(bk, self, rhs, skip, out);
     }
 
     /// `self^T * rhs` without materializing the transpose.
@@ -339,6 +331,13 @@ impl Matrix {
     /// regardless of blocking or lane width (the [`crate::simd`]
     /// kernel vectorizes across output columns), so results are
     /// bitwise deterministic.
+    ///
+    /// Like [`Matrix::matmul`] it skips zeros, of whichever operand is
+    /// sparser, under the same rule, with at least 128 output columns
+    /// to skip `self`'s zeros and 128 output rows to skip `rhs`'s. The
+    /// kernel then reads the sparse operand down its columns. To skip
+    /// `rhs`'s zeros it computes `(rhsᵀ · self)ᵀ`, whose every element
+    /// is the same ascending chain of the same products, each commuted.
     ///
     /// # Panics
     ///
@@ -361,20 +360,45 @@ impl Matrix {
             "matmul_tn: {}x{} ^T * {}x{} shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        let bk = crate::simd::begin_kernel();
+        // A sparse operand's zeros are skipped only when the product is
+        // wide enough to repay reading it down its columns; when both
+        // qualify, the sparser one's are.
+        let wide = |m: &Matrix| m.cols >= SKIP_MIN_COLS;
+        let share_a = wide(rhs).then(|| skippable_share(bk, &self.data, &rhs.data));
+        let share_b = wide(self).then(|| skippable_share(bk, &rhs.data, &self.data));
+        let (share_a, share_b) = (share_a.flatten(), share_b.flatten());
+        if share_b.is_some_and(|b| share_a.is_none_or(|a| b > a)) {
+            let mut prod = SCRATCH.replace(Matrix::default());
+            rhs.mm_tn(bk, self, true, &mut prod);
+            prod.transpose_into(out);
+            SCRATCH.replace(prod);
+        } else {
+            self.mm_tn(bk, rhs, share_a.is_some(), out);
+        }
+    }
+
+    /// `out = self^T * rhs`, parallel over blocks of output rows, with
+    /// the kernel reading `self` with its strides swapped; `skip` walks
+    /// only `self`'s nonzero elements.
+    fn mm_tn(&self, bk: crate::simd::Backend, rhs: &Matrix, skip: bool, out: &mut Matrix) {
         out.reset_zeroed(self.cols, rhs.cols);
         let n = rhs.cols;
         let kd = self.cols;
         let rows = self.rows;
         let a = &self.data;
         let b = &rhs.data;
-        let bk = crate::simd::begin_kernel();
         let min_rows = par_min_rows(kd, rows * n);
         let optr = SendMutPtr(out.data.as_mut_ptr());
         crate::pool::parallel_row_blocks(kd, min_rows, &|i0, i1| {
             // SAFETY: disjoint output rows [i0, i1) per block.
             let oblock =
                 unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
-            crate::simd::mm_tn_block(bk, a, b, oblock, (i0, i1), kd, n);
+            if skip {
+                crate::simd::mm_skip_tn_block(bk, a, b, oblock, (i0, i1), kd, n);
+            } else {
+                crate::simd::mm_tn_block(bk, a, b, oblock, (i0, i1), kd, n);
+            }
         });
     }
 
@@ -387,32 +411,39 @@ impl Matrix {
     /// float sequence of the former `acc += x * y` loop — so results
     /// are bitwise unchanged and deterministic at any thread count and
     /// lane width. The transpose is a one-off `O(k·n)` copy against an
-    /// `O(m·k·n)` product.
+    /// `O(m·k·n)` product. `self`'s zeros are skipped under
+    /// [`Matrix::matmul`]'s rule, with `rhs.rows()` output columns.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        let (mut bt, mut out) = (Matrix::default(), Matrix::default());
-        self.matmul_nt_into(rhs, &mut bt, &mut out);
+        let mut out = Matrix::default();
+        self.matmul_nt_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::matmul_nt`] into a caller-owned buffer, with `bt` as
-    /// the scratch for the `rhs` transpose (both reshaped and
-    /// overwritten).
+    /// [`Matrix::matmul_nt`] into a caller-owned buffer (reshaped and
+    /// overwritten). The `rhs` transpose lives in per-thread scratch.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, bt: &mut Matrix, out: &mut Matrix) {
+    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} * {}x{} ^T shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        rhs.transpose_into(bt);
-        self.mm_nn(rhs.rows, &bt.data, out);
+        let bk = crate::simd::begin_kernel();
+        let skip =
+            rhs.rows >= SKIP_MIN_COLS && skippable_share(bk, &self.data, &rhs.data).is_some();
+        // `replace`, not `take`/`set`: the analyzer's call graph
+        // resolves a bare `.set()` to an unrelated workspace method.
+        let mut bt = SCRATCH.replace(Matrix::default());
+        rhs.transpose_into(&mut bt);
+        product(bk, self, &bt, skip, out);
+        SCRATCH.replace(bt);
     }
 
     /// The transpose as a new matrix.
@@ -424,11 +455,22 @@ impl Matrix {
 
     /// [`Matrix::transpose`] into a caller-owned buffer (reshaped and
     /// overwritten).
+    ///
+    /// Runs in 32 x 32 tiles, so each tile's source rows and destination
+    /// rows stay in L1 while it is copied.
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let (rows, cols) = (self.rows, self.cols);
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+                for c in c0..c1 {
+                    let dst = &mut out.data[c * rows + r0..c * rows + r1];
+                    for (d, r) in dst.iter_mut().zip(r0..r1) {
+                        *d = self.data[r * cols + c];
+                    }
+                }
             }
         }
     }
@@ -763,6 +805,81 @@ const PAR_MIN_WORK: usize = 64 * 1024;
 #[cfg(miri)]
 const PAR_MIN_WORK: usize = 64;
 
+/// The share of `±0.0` elements from which a product skips an
+/// operand's zeros ([`crate::simd::mm_skip_block`]). Set from the
+/// `matmul_skip_*` group of the kernels bench (750 x 256 times
+/// 256 x 256): on a 16-lane AVX-512 host the zero-skipping kernel
+/// breaks even with the dense tile near 40% zeros and is 1.2x faster
+/// at 50%, 2.1x at 75% and 2.9x at 85%; with 8-lane AVX2 it is 1.7x
+/// faster at 50%. Half keeps a margin above that break-even; narrower
+/// products stay dense ([`SKIP_MIN_COLS`]).
+const SKIP_MIN_ZEROS: f64 = 0.5;
+
+/// The narrowest product that skips an operand's zeros. The
+/// zero-skipping kernel lists each row's nonzeros once and then spends
+/// a fixed amount per nonzero and column strip, which a narrow product
+/// does not repay. In the kernels bench at half zeros
+/// (`matmul_skip_*_750x256x{16,64,128}_z50`) it is 2.0x slower than the
+/// dense tile at 16 columns, 1.2x slower at 64 and even at 128; reading
+/// the sparse operand of `Aᵀ·B` down its columns costs more still
+/// (`matmul_tn_skip_*` at 83% zeros: 3x slower at 16 columns, slower at
+/// 64, 1.3x faster at 128 and 2.1x at 256).
+const SKIP_MIN_COLS: usize = 128;
+
+/// Side of the square tiles [`Matrix::transpose_into`] copies.
+const TRANSPOSE_TILE: usize = 32;
+
+thread_local! {
+    /// The transposed matrix of a product that needs one:
+    /// [`Matrix::matmul_nt_into`]'s `rhsᵀ`, and
+    /// [`Matrix::matmul_tn_into`]'s `Bᵀ A` when it skips `B`'s zeros,
+    /// before its transpose lands in the output. Kept per thread, not
+    /// per caller, so a call does not allocate and a training rank
+    /// holds no buffer of its own for it.
+    static SCRATCH: Cell<Matrix> = Cell::default();
+}
+
+/// `[±0.0 count, NaN and ±∞ count]` of `x`.
+fn census(bk: crate::simd::Backend, x: &[f32]) -> [usize; 2] {
+    let mut counts = [0; 2];
+    crate::simd::census(bk, x, &mut counts);
+    counts
+}
+
+/// The share of `sparse`'s elements that are `±0.0`, if a product may
+/// skip them: at least [`SKIP_MIN_ZEROS`] of them, and no NaN or ±∞ in
+/// `other` whose `0 · b` term would be lost.
+fn skippable_share(bk: crate::simd::Backend, sparse: &[f32], other: &[f32]) -> Option<f64> {
+    let [zeros, _] = census(bk, sparse);
+    let share = zeros as f64 / sparse.len().max(1) as f64;
+    (share >= SKIP_MIN_ZEROS && census(bk, other)[1] == 0).then_some(share)
+}
+
+/// The shared NN-layout product `out = a · b`, through the
+/// zero-skipping kernel if `skip` holds and the dense tile otherwise.
+/// The SIMD backend `bk` was resolved once on the calling thread and is
+/// handed to the pool closures (worker threads never consult dispatch
+/// state).
+fn product(bk: crate::simd::Backend, a: &Matrix, b: &Matrix, skip: bool, out: &mut Matrix) {
+    debug_assert_eq!(a.cols, b.rows);
+    let (rows, kd, n) = (a.rows, a.cols, b.cols);
+    let (a, b) = (&a.data, &b.data);
+    out.reset_zeroed(rows, n);
+    let min_rows = par_min_rows(rows, kd * n);
+    let optr = SendMutPtr(out.data.as_mut_ptr());
+    crate::pool::parallel_row_blocks(rows, min_rows, &|i0, i1| {
+        // SAFETY: each block owns the disjoint output rows [i0, i1).
+        let oblock =
+            unsafe { std::slice::from_raw_parts_mut(optr.get().add(i0 * n), (i1 - i0) * n) };
+        let ablock = &a[i0 * kd..i1 * kd];
+        if skip {
+            crate::simd::mm_skip_block(bk, ablock, b, oblock, kd, n);
+        } else {
+            crate::simd::mm_nn_block(bk, ablock, b, oblock, kd, n);
+        }
+    });
+}
+
 /// Minimum rows per parallel block for a kernel whose per-output-row
 /// cost is `work_per_row` multiply-adds.
 fn par_min_rows(rows: usize, work_per_row: usize) -> usize {
@@ -906,12 +1023,12 @@ mod tests {
         let c = Matrix::random_normal(9, 7, 0.0, 1.0, &mut rng);
         let d = Matrix::random_normal(7, 5, 0.0, 1.0, &mut rng);
         let dirty = || Matrix::filled(11, 13, f32::NAN);
-        let (mut out, mut bt) = (dirty(), dirty());
+        let mut out = dirty();
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
         a.matmul_tn_into(&c, &mut out);
         assert_eq!(out, a.matmul_tn(&c));
-        a.matmul_nt_into(&d, &mut bt, &mut out);
+        a.matmul_nt_into(&d, &mut out);
         assert_eq!(out, a.matmul_nt(&d));
         a.transpose_into(&mut out);
         assert_eq!(out, a.transpose());

@@ -17,7 +17,7 @@
 //! # Determinism contract
 //!
 //! Results are **bitwise identical at every lane width**, extending the
-//! thread-count invariance established by the pool. Two rules make this
+//! thread-count invariance established by the pool. These rules make this
 //! hold:
 //!
 //! * **Reduction order is never changed.** Kernels vectorize across
@@ -35,6 +35,13 @@
 //!   Enabling `avx512f` also enables the `fma` target feature, which
 //!   changes nothing: Rust never contracts a separate `a * b + c` into
 //!   a fused op, so only an explicit FMA intrinsic could fuse.
+//! * **Zeros are skipped only where no bit can move.** The
+//!   zero-skipping products ([`mm_skip_block`], [`mm_skip_tn_block`])
+//!   leave out the `0 · b` terms of each chain, which is exact when
+//!   every `b` is finite: such a term is `±0.0`, and a chain that
+//!   started at `+0.0` is never `-0.0` in round-to-nearest, so adding
+//!   `±0.0` to it is a no-op. The caller ([`crate::Matrix`]) checks
+//!   the other operand with [`census`] first.
 //!
 //! One caveat: when an add or mul combines **two NaNs with different
 //! payloads** (e.g. an injected `f32::NAN` meeting the `0xFFC00000`
@@ -393,6 +400,9 @@ trait Vf32 {
     /// is clear, selected without a branch (a bit mask ANDed onto `a`'s
     /// bits, or an AVX-512 mask register).
     fn bits_or_zero(bits: u32, a: f32) -> Self::V;
+    /// Bit `i` set where lane `i` is not `±0.0`: an unordered `!=`, so
+    /// NaN lanes set their bit, as the scalar `x != 0.0` does.
+    fn nonzero_bits(a: Self::V) -> u32;
 }
 
 /// The scalar reference "backend": one lane, plain f32 arithmetic. The
@@ -476,6 +486,11 @@ impl Vf32 for ScalarV {
     #[inline(always)]
     fn bits_or_zero(bits: u32, a: f32) -> f32 {
         f32::from_bits(a.to_bits() & 0u32.wrapping_sub(bits & 1))
+    }
+
+    #[inline(always)]
+    fn nonzero_bits(a: f32) -> u32 {
+        (a != 0.0) as u32
     }
 }
 
@@ -606,6 +621,13 @@ impl Vf32 for Sse2V {
             x86::_mm_and_ps(m, x86::_mm_set1_ps(a))
         }
     }
+
+    #[inline(always)]
+    fn nonzero_bits(a: Self::V) -> u32 {
+        // SAFETY: SSE2 per `Backend::checked` (see `splat`). cmpneq is
+        // the unordered `!=`: NaN lanes set their bit.
+        unsafe { x86::_mm_movemask_ps(x86::_mm_cmpneq_ps(a, x86::_mm_setzero_ps())) as u32 }
+    }
 }
 
 /// 8-lane AVX2.
@@ -725,6 +747,16 @@ impl Vf32 for Avx2V {
             x86::_mm256_and_ps(m, x86::_mm256_set1_ps(a))
         }
     }
+
+    #[inline(always)]
+    fn nonzero_bits(a: Self::V) -> u32 {
+        // SAFETY: AVX2 per `Backend::checked` (see `splat`). _CMP_NEQ_UQ
+        // is the unordered `!=`: NaN lanes set their bit.
+        unsafe {
+            let m = x86::_mm256_cmp_ps::<{ x86::_CMP_NEQ_UQ }>(a, x86::_mm256_setzero_ps());
+            x86::_mm256_movemask_ps(m) as u32
+        }
+    }
 }
 
 /// 16-lane AVX-512 (`avx512f`).
@@ -841,6 +873,15 @@ impl Vf32 for Avx512V {
         // bits are the lane mask itself; clear lanes take `+0.0`.
         unsafe { x86::_mm512_maskz_mov_ps(bits as u16, x86::_mm512_set1_ps(a)) }
     }
+
+    #[inline(always)]
+    fn nonzero_bits(a: Self::V) -> u32 {
+        // SAFETY: AVX-512F per `Backend::checked` (see `splat`).
+        // _CMP_NEQ_UQ is the unordered `!=`: NaN lanes set their bit.
+        unsafe {
+            x86::_mm512_cmp_ps_mask::<{ x86::_CMP_NEQ_UQ }>(a, x86::_mm512_setzero_ps()) as u32
+        }
+    }
 }
 
 /// 4-lane NEON (aarch64 baseline).
@@ -956,6 +997,19 @@ impl Vf32 for NeonV {
             let m = neon::vtstq_u32(neon::vdupq_n_u32(bits), lane);
             let av = neon::vreinterpretq_u32_f32(neon::vdupq_n_f32(a));
             neon::vreinterpretq_f32_u32(neon::vandq_u32(m, av))
+        }
+    }
+
+    #[inline(always)]
+    fn nonzero_bits(a: Self::V) -> u32 {
+        use core::arch::aarch64 as neon;
+        // SAFETY: NEON per `Backend::checked` (see `splat`). `vceqz` is
+        // ordered, so NaN lanes compare unequal to zero; the inverted
+        // lane masks pick each lane's own bit, summed across lanes.
+        unsafe {
+            let lane = neon::vld1q_u32([1u32, 2, 4, 8].as_ptr());
+            let nz = neon::vmvnq_u32(neon::vceqzq_f32(a));
+            neon::vaddvq_u32(neon::vandq_u32(nz, lane))
         }
     }
 }
@@ -1513,14 +1567,9 @@ mod kernels {
             return;
         }
         let (h, hh) = (Half::<S>::LANES, Half::<Half<S>>::LANES);
-        let mut strips = Vec::new();
-        let mut j = 0;
-        for w in [2 * S::LANES, S::LANES, h, hh, 1] {
-            while j + w <= n {
-                strips.push((j, w));
-                j += w;
-            }
-        }
+        // Listed once per call: the tiles below sweep the strips for
+        // every four rows.
+        let strips: Vec<_> = column_strips(n, [2 * S::LANES, S::LANES, h, hh, 1]).collect();
         // The packing buffer is reused per thread: every span a tile
         // reads is copied in first, so stale contents are never seen.
         let mut packed = PACKED.take();
@@ -1531,13 +1580,7 @@ mod kernels {
         while kb < kd {
             let kend = (kb + MM_KC).min(kd);
             let depth = kend - kb;
-            let mut off = 0;
-            for &(j, w) in &strips {
-                for (k, dst) in packed[off..off + depth * w].chunks_exact_mut(w).enumerate() {
-                    dst.copy_from_slice(&b[(kb + k) * n + j..][..w]);
-                }
-                off += depth * w;
-            }
+            pack_panel(b, n, (kb, depth), strips.iter().copied(), &mut packed);
             for (t, tile) in out.chunks_mut(MR * n).enumerate() {
                 let at = (a0 + t * MR * rs + kb * ks, rs, ks);
                 let mut off = 0;
@@ -1584,6 +1627,366 @@ mod kernels {
     ) {
         let rows = a.len().checked_div(kd).unwrap_or(0);
         mm_panels::<S>(a, (i0, 1, kd), b, rows, &mut out_block[..(i1 - i0) * n], n);
+    }
+
+    /// Vectors of columns per zero-skipping strip (64 columns on
+    /// AVX-512): two rows of them make eight independent chains.
+    const SKIP_V: usize = 4;
+
+    /// One nonzero element of a panel row of `A`: its value and its
+    /// position `k` in the panel.
+    type Nz = (f32, u32);
+
+    // [`nonzeros`] keeps a panel row's nonzero bits in whole words.
+    const _: () = assert!(MM_KC.is_multiple_of(64));
+
+    /// Writes `row`'s nonzero elements (NaN included), ascending, to
+    /// the front of `list` and returns their count. A panel row holds
+    /// at most [`MM_KC`] elements, so the list fits the stack.
+    #[inline(always)]
+    fn nonzeros<S: Vf32>(row: &[f32], list: &mut [Nz; MM_KC]) -> usize {
+        // The panel's nonzero bits first, then one walk over the set
+        // bits: one hard-to-predict loop exit per word, not per vector.
+        let mut words = [0u64; MM_KC / 64];
+        let mut chunks = row.chunks_exact(S::LANES);
+        let mut base = 0;
+        for c in &mut chunks {
+            words[base / 64] |= u64::from(S::nonzero_bits(S::load(c))) << (base % 64);
+            base += S::LANES;
+        }
+        for &x in chunks.remainder() {
+            words[base / 64] |= u64::from(x != 0.0) << (base % 64);
+            base += 1;
+        }
+        let mut count = 0;
+        for (w, mut bits) in words.into_iter().enumerate() {
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                list[count] = (row[k], k as u32);
+                count += 1;
+                bits &= bits - 1;
+            }
+        }
+        count
+    }
+
+    /// `acc[v] += x · bp[k · W + v · LANES..]` for one listed `(x, k)`,
+    /// where `bp` is a packed strip `W = V · LANES` columns wide. A
+    /// named function, not a closure: a closure would not inherit the
+    /// caller's target features and would be called, not inlined.
+    #[inline(always)]
+    fn skip_step<S: Vf32, const V: usize>(acc: &mut [S::V; V], (x, k): Nz, bp: &[f32]) {
+        let (w, k) = (V * S::LANES, k as usize);
+        let (xv, bk) = (S::splat(x), &bp[k * w..k * w + w]);
+        for (v, y) in acc.iter_mut().enumerate() {
+            *y = S::add(*y, S::mul(xv, S::load(&bk[v * S::LANES..])));
+        }
+    }
+
+    /// `out[r][c] += x · b(k, c)` over each listed `(x, k)` of row `r`'s
+    /// list, for the `M` rows of `out` (row stride `n`) and the `V`
+    /// vectors of columns from `j`, whose panel rows `bp` holds packed.
+    /// The rows run side by side while both have elements left, so
+    /// their `M x V` chains overlap; each chain still takes its own
+    /// row's elements in ascending `k`, multiply then add.
+    #[inline(always)]
+    fn skip_tile<S: Vf32, const M: usize, const V: usize>(
+        lists: [&[Nz]; M],
+        bp: &[f32],
+        out: &mut [f32],
+        (n, j): (usize, usize),
+    ) {
+        let mut acc = [[S::splat(0.0); V]; M];
+        for (r, ar) in acc.iter_mut().enumerate() {
+            for (v, x) in ar.iter_mut().enumerate() {
+                *x = S::load(&out[r * n + j + v * S::LANES..]);
+            }
+        }
+        let mut common = usize::MAX;
+        for list in &lists {
+            common = common.min(list.len());
+        }
+        for t in 0..common {
+            for (ar, list) in acc.iter_mut().zip(&lists) {
+                skip_step::<S, V>(ar, list[t], bp);
+            }
+        }
+        for (ar, list) in acc.iter_mut().zip(&lists) {
+            for &nz in &list[common..] {
+                skip_step::<S, V>(ar, nz, bp);
+            }
+        }
+        for (r, ar) in acc.iter().enumerate() {
+            for (v, &x) in ar.iter().enumerate() {
+                S::store(&mut out[r * n + j + v * S::LANES..], x);
+            }
+        }
+    }
+
+    /// The `V`-vector column strip at `j` for every row of a group, two
+    /// rows at a time (the last one alone if the count is odd): the
+    /// strip's packed panel stays in L1 across the group.
+    #[inline(always)]
+    fn skip_strip<S: Vf32, const V: usize>(
+        lists: &[&[Nz]],
+        bp: &[f32],
+        out: &mut [f32],
+        nj: (usize, usize),
+    ) {
+        for (pair, tile) in lists.chunks(2).zip(out.chunks_mut(2 * nj.0)) {
+            match *pair {
+                [l0, l1] => skip_tile::<S, 2, V>([l0, l1], bp, tile, nj),
+                [l0] => skip_tile::<S, 1, V>([l0], bp, tile, nj),
+                _ => unreachable!("chunks(2) yields one or two rows"),
+            }
+        }
+    }
+
+    /// Rows of `A` per zero-skipping group: each lists its nonzero
+    /// elements once per panel, then every column strip sweeps the
+    /// group, so a strip's packed panel is read from L1 by all but the
+    /// first rows.
+    const SKIP_G: usize = 32;
+
+    /// The strips, as `(first column, width)`, that cover `n` columns
+    /// with `widths`, widest first.
+    #[inline(always)]
+    fn column_strips<const W: usize>(
+        n: usize,
+        widths: [usize; W],
+    ) -> impl Iterator<Item = (usize, usize)> {
+        let mut j = 0;
+        widths.into_iter().flat_map(move |w| {
+            let (start, count) = (j, (n - j) / w);
+            j += count * w;
+            (0..count).map(move |i| (start + i * w, w))
+        })
+    }
+
+    /// Copies rows `kb..kb + depth` of the row-major `B` (`n` columns)
+    /// into `packed`, one strip after another, each contiguous in `k`.
+    #[inline(always)]
+    fn pack_panel(
+        b: &[f32],
+        n: usize,
+        (kb, depth): (usize, usize),
+        strips: impl Iterator<Item = (usize, usize)>,
+        packed: &mut [f32],
+    ) {
+        let mut off = 0;
+        for (j, w) in strips {
+            for (k, dst) in packed[off..off + depth * w].chunks_exact_mut(w).enumerate() {
+                dst.copy_from_slice(&b[(kb + k) * n + j..][..w]);
+            }
+            off += depth * w;
+        }
+    }
+
+    /// Lists, for each of the `rows` output rows `i` of a group, the
+    /// nonzero elements `A(i, k)` of the panel `k < depth`, where the
+    /// panel's `A(i, k)` sits at `a[i * rs + k * ks]`: as
+    /// [`nonzeros`] over each row when `ks = 1` (`A B`), or, when
+    /// `rs = 1` (`Aᵀ B`, where the group's rows are `rows` adjacent
+    /// columns of the stored matrix), by scanning the panel's stored
+    /// rows in ascending `k` and appending each nonzero to its output
+    /// row's list — no transposed copy. Returns the total count.
+    #[inline(always)]
+    fn group_nonzeros<S: Vf32>(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        (rows, depth): (usize, usize),
+        store: &mut [[Nz; MM_KC]; SKIP_G],
+        counts: &mut [usize; SKIP_G],
+    ) -> usize {
+        if ks == 1 {
+            for (r, (list, count)) in store
+                .iter_mut()
+                .zip(counts.iter_mut())
+                .take(rows)
+                .enumerate()
+            {
+                *count = nonzeros::<S>(&a[r * rs..r * rs + depth], list);
+            }
+        } else {
+            assert_eq!(rs, 1, "A is read along rows or along columns");
+            counts.fill(0);
+            for k in 0..depth {
+                let v = &a[k * ks..k * ks + rows];
+                let mut chunks = v.chunks_exact(S::LANES);
+                let mut base = 0;
+                for c in &mut chunks {
+                    let mut bits = S::nonzero_bits(S::load(c));
+                    while bits != 0 {
+                        let r = base + bits.trailing_zeros() as usize;
+                        store[r][counts[r]] = (v[r], k as u32);
+                        counts[r] += 1;
+                        bits &= bits - 1;
+                    }
+                    base += S::LANES;
+                }
+                for (r, &x) in chunks.remainder().iter().enumerate() {
+                    let r = base + r;
+                    if x != 0.0 {
+                        store[r][counts[r]] = (x, k as u32);
+                        counts[r] += 1;
+                    }
+                }
+            }
+        }
+        counts[..rows].iter().sum()
+    }
+
+    /// `out += A B` like [`mm_panels`], walking only `A`'s nonzero
+    /// elements; `A(i, k)` sits at `a[a0 + i * rs + k * ks]` with
+    /// `ks = 1` (`A B`) or `rs = 1` (`Aᵀ B`). Per [`MM_KC`]-deep panel,
+    /// `B` is packed into column strips (as [`mm_panels`] does); per
+    /// group of [`SKIP_G`] output rows, each row lists its nonzero
+    /// elements once ([`group_nonzeros`]), and then each strip runs
+    /// over the group's rows. Each output element is the dense kernel's
+    /// ascending-`k` chain with the `0 · b` terms left out; for finite
+    /// `b` such a term is `±0.0`, and adding `±0.0` to a chain that
+    /// started at `+0.0` (so is never `-0.0`) changes no bit.
+    #[inline(always)]
+    fn mm_skip<S: Vf32>(
+        a: &[f32],
+        (a0, rs, ks): (usize, usize, usize),
+        b: &[f32],
+        kd: usize,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        type Half<S> = <S as Vf32>::Half;
+        if n == 0 {
+            return;
+        }
+        let (l, h, hh) = (S::LANES, Half::<S>::LANES, Half::<Half<S>>::LANES);
+        let widths = [SKIP_V * l, 2 * l, l, h, hh, 1];
+        let mut packed = PACKED.take();
+        if packed.len() < MM_KC.min(kd) * n {
+            packed.resize(MM_KC.min(kd) * n, 0.0);
+        }
+        let mut store = [[(0.0, 0); MM_KC]; SKIP_G];
+        let mut counts = [0; SKIP_G];
+        let mut kb = 0;
+        while kb < kd {
+            let kend = (kb + MM_KC).min(kd);
+            let depth = kend - kb;
+            let mut packed_yet = false;
+            for (g, group) in out.chunks_mut(SKIP_G * n).enumerate() {
+                let rows = group.len() / n;
+                let ag = &a[a0 + g * SKIP_G * rs + kb * ks..];
+                let dims = (rows, depth);
+                if group_nonzeros::<S>(ag, (rs, ks), dims, &mut store, &mut counts) == 0 {
+                    continue;
+                }
+                if !packed_yet {
+                    pack_panel(b, n, (kb, depth), column_strips(n, widths), &mut packed);
+                    packed_yet = true;
+                }
+                let mut lists: [&[Nz]; SKIP_G] = [&[]; SKIP_G];
+                for ((dst, list), &count) in lists.iter_mut().zip(&store).zip(&counts) {
+                    *dst = &list[..count];
+                }
+                let lists = &lists[..rows];
+                let mut off = 0;
+                for (j, w) in column_strips(n, widths) {
+                    let bp = &packed[off..off + depth * w];
+                    if w == SKIP_V * l {
+                        skip_strip::<S, SKIP_V>(lists, bp, group, (n, j));
+                    } else if w == 2 * l {
+                        skip_strip::<S, 2>(lists, bp, group, (n, j));
+                    } else if w == l {
+                        skip_strip::<S, 1>(lists, bp, group, (n, j));
+                    } else if w == h {
+                        skip_strip::<Half<S>, 1>(lists, bp, group, (n, j));
+                    } else if w == hh {
+                        skip_strip::<Half<Half<S>>, 1>(lists, bp, group, (n, j));
+                    } else {
+                        skip_strip::<ScalarV, 1>(lists, bp, group, (n, j));
+                    }
+                    off += depth * w;
+                }
+            }
+            kb = kend;
+        }
+        // `replace`, not `set`: the analyzer's call graph resolves a
+        // bare `.set()` to an unrelated workspace method.
+        PACKED.replace(packed);
+    }
+
+    #[inline(always)]
+    pub(super) fn mm_skip_block<S: Vf32>(
+        a_block: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        kd: usize,
+        n: usize,
+    ) {
+        mm_skip::<S>(a_block, (0, kd, 1), b, kd, out_block, n);
+    }
+
+    #[inline(always)]
+    pub(super) fn mm_skip_tn_block<S: Vf32>(
+        a: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        (i0, i1): (usize, usize),
+        kd: usize,
+        n: usize,
+    ) {
+        let rows = a.len().checked_div(kd).unwrap_or(0);
+        mm_skip::<S>(a, (i0, 1, kd), b, rows, &mut out_block[..(i1 - i0) * n], n);
+    }
+
+    /// Adds `x`'s zeros (`±0.0`) to `counts[0]` and its NaN and ±∞
+    /// elements to `counts[1]`: full vectors then the step-down tail.
+    /// `v - v` is `+0.0` exactly when `v` is finite.
+    #[inline(always)]
+    pub(super) fn census<S: Vf32>(x: &[f32], counts: &mut [usize; 2]) {
+        let mut chunks = x.chunks_exact(S::LANES);
+        let (mut nonzero, mut non_finite, mut seen) = (0, 0, 0);
+        for c in &mut chunks {
+            let v = S::load(c);
+            nonzero += S::nonzero_bits(v).count_ones() as usize;
+            non_finite += S::nonzero_bits(S::sub(v, v)).count_ones() as usize;
+            seen += S::LANES;
+        }
+        counts[0] += seen - nonzero;
+        counts[1] += non_finite;
+        if S::LANES > 1 {
+            census::<S::Half>(chunks.remainder(), counts);
+        }
+    }
+
+    /// In-place ReLU from element `bit0` of `bits` on, setting bit `j`
+    /// (bit `j % 64` of word `j / 64`) where the result is nonzero,
+    /// i.e. where the input was `> 0`: full vectors then the step-down
+    /// tail. Every width divides 64, so a lane group never straddles
+    /// two words.
+    #[inline(always)]
+    fn relu_bits<S: Vf32>(out: &mut [f32], bits: &mut [u64], bit0: usize) {
+        let mut o = out.chunks_exact_mut(S::LANES);
+        let mut b = bit0;
+        for oc in &mut o {
+            let v = S::load(oc);
+            let r = Relu {}.apply::<S>(v, v);
+            S::store(oc, r);
+            bits[b / 64] |= u64::from(S::nonzero_bits(r)) << (b % 64);
+            b += S::LANES;
+        }
+        if S::LANES > 1 {
+            relu_bits::<S::Half>(o.into_remainder(), bits, b);
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn relu_mask<S: Vf32>(out: &mut [f32], bits: &mut [u64]) {
+        assert!(
+            bits.len() * 64 >= out.len(),
+            "mask has fewer bits than elements"
+        );
+        bits.fill(0);
+        relu_bits::<S>(out, bits, 0);
     }
 
     /// The Adam update, full vectors then the step-down tail; on
@@ -1858,7 +2261,7 @@ dispatch_kernels! {
     );
 
     /// The matmul kernel on one block of output rows: `out[i] +=
-    /// a[i][k] * b[k]`, `k` tiled in [`MM_KC`] panels, register tiles
+    /// a[i][k] * b[k]`, `k` tiled in 128-deep panels, register tiles
     /// of four output rows vectorized across the `n` output columns.
     /// Per-element accumulation order is ascending `k`, identical to
     /// the untiled scalar loop.
@@ -1876,6 +2279,38 @@ dispatch_kernels! {
         kd: usize,
         n: usize,
     );
+
+    /// [`mm_nn_block`] that skips `a_block`'s zero elements: the same
+    /// bits whenever every element of `b` is finite (a `0 · ∞` or
+    /// `0 · NaN` term would be NaN, and skipping it would lose it).
+    /// `out_block` must hold `+0.0` or earlier partial sums that
+    /// started at `+0.0`.
+    pub fn mm_skip_block(a_block: &[f32], b: &[f32], out_block: &mut [f32], kd: usize, n: usize);
+
+    /// [`mm_tn_block`] that skips `a`'s zero elements, with the same
+    /// bits whenever every element of `b` is finite (see
+    /// [`mm_skip_block`]).
+    pub fn mm_skip_tn_block(
+        a: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        i01: (usize, usize),
+        kd: usize,
+        n: usize,
+    );
+
+    /// Adds the number of `±0.0` elements of `x` to `counts[0]` and of
+    /// NaN and ±∞ elements to `counts[1]`.
+    pub fn census(x: &[f32], counts: &mut [usize; 2]);
+
+    /// In-place ReLU (as [`relu`]) that also records which results are
+    /// nonzero — exactly the elements whose input was `> 0` — as bit
+    /// `j % 64` of word `j / 64` of `bits`; the other bits are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` holds fewer than `out.len()` bits.
+    pub fn relu_mask(out: &mut [f32], bits: &mut [u64]);
 
     /// One Adam update over a flat parameter tensor, replicating the
     /// scalar expression order exactly (see [`AdamHyper`]); `div` and

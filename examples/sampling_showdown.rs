@@ -45,7 +45,7 @@ fn main() {
             roots: 120,
             length: 4,
         },
-        MiniBatchMethod::VrGcn { batch: 256 },
+        MiniBatchMethod::VrGcn,
     ] {
         let run = train_minibatch(&ds, method, &cfg);
         println!(
