@@ -4,7 +4,7 @@
 //! forward/backward (fused and segmented), dropout and one full
 //! distributed training epoch.
 
-use bns_comm::{run_ranks, TrafficClass};
+use bns_comm::{create_world, TrafficClass};
 use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
@@ -12,6 +12,7 @@ use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_nn::aggregate::{scaled_sum_aggregate, scaled_sum_aggregate_backward_into};
 use bns_nn::{Activation, DropMask, SageGrads, SageLayer, SageSegCache, SegScratch};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
+use bns_runtime::{future_task, run_tasks, Task, WorkerConfig};
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::simd;
 use bns_tensor::{Matrix, SeededRng};
@@ -213,11 +214,19 @@ fn bench_boundary_sampling(c: &mut Criterion) {
 fn bench_allreduce(c: &mut Criterion) {
     c.bench_function("ring_allreduce_4ranks_64k_floats", |bch| {
         bch.iter(|| {
-            let out = run_ranks(4, |mut comm| {
-                let mut buf = vec![1.0f32; 65_536];
-                bns_runtime::block_on(comm.all_reduce_sum(&mut buf));
-                comm.stats().bytes(TrafficClass::AllReduce)
-            });
+            let mut out = [0u64; 4];
+            let tasks: Vec<Box<dyn Task + '_>> = create_world(4)
+                .into_iter()
+                .zip(&mut out)
+                .map(|(mut comm, bytes)| {
+                    future_task(async move {
+                        let mut buf = vec![1.0f32; 65_536];
+                        comm.all_reduce_sum(&mut buf).await;
+                        *bytes = comm.stats().bytes(TrafficClass::AllReduce);
+                    })
+                })
+                .collect();
+            run_tasks(tasks, WorkerConfig::from_env().workers, |_| ());
             black_box(out)
         });
     });

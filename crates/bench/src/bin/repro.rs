@@ -18,7 +18,7 @@
 //! capture on.
 
 use bns_bench::*;
-use bns_gcn::engine::ConfigError;
+use bns_gcn::engine::{ConfigError, Diverged};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,11 +72,13 @@ fn main() {
     }
 
     // A rejected training configuration panics with a typed
-    // `ConfigError` payload; report it as a usage error (exit 2)
-    // instead of a crash.
+    // `ConfigError` payload, a diverged run with a `Diverged` one;
+    // report each in one line instead of a crash: a usage error
+    // (exit 2) and a failed run (exit 1).
+    let typed = |p: &(dyn std::any::Any + Send)| p.is::<ConfigError>() || p.is::<Diverged>();
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if info.payload().downcast_ref::<ConfigError>().is_none() {
+        if !typed(info.payload()) {
             default_hook(info);
         }
     }));
@@ -84,13 +86,15 @@ fn main() {
         let t0 = std::time::Instant::now();
         println!("\n==== {e} (scale: {scale:?}) ====");
         if let Err(payload) = std::panic::catch_unwind(|| run_experiment(e, scale)) {
-            match payload.downcast_ref::<ConfigError>() {
-                Some(err) => {
-                    eprintln!("{e}: invalid training configuration: {err}");
-                    std::process::exit(2);
-                }
-                None => std::panic::resume_unwind(payload),
+            if let Some(err) = payload.downcast_ref::<ConfigError>() {
+                eprintln!("{e}: invalid training configuration: {err}");
+                std::process::exit(2);
             }
+            if let Some(err) = payload.downcast_ref::<Diverged>() {
+                eprintln!("{e}: {err}");
+                std::process::exit(1);
+            }
+            std::panic::resume_unwind(payload);
         }
         println!("[{e} finished in {:.1}s]", t0.elapsed().as_secs_f64());
     }

@@ -1,12 +1,12 @@
 //! Per-rank communication handles, point-to-point messaging and
 //! collectives.
 
-// The mailbox transport (channels, rank threads) goes through
-// `crate::sync`, which resolves to `std` normally and to the vendored
-// loom shims under `--cfg loom` so the protocol can be model-checked
-// exhaustively (tests/loom_mailbox.rs).
+// The mailbox transport (the inbox channel and the waker cell) goes
+// through `crate::sync`, which resolves to `std` normally and to the
+// vendored loom shims under `--cfg loom` so the protocol can be
+// model-checked (tests/loom_mailbox.rs).
 use crate::sync::mpsc::{channel, Receiver, Sender};
-use crate::sync::thread;
+use crate::sync::{poisoned, Mutex};
 use crate::{TrafficClass, TrafficStats};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -44,12 +44,10 @@ type Envelope = (usize, Message);
 
 /// Shared waker slot for one rank's inbox: the waker of the last
 /// [`RankComm::poll_recv_any`] that came up empty. Senders hold clones
-/// of the *destination's* slot and wake it after enqueuing.
-/// Deliberately plain `std` sync even under `--cfg loom`: the loom
-/// mailbox models use the blocking receives, which never register a
-/// waker, and a modeled mutex here would only inflate the checked state
-/// space (same policy as the telemetry counters, DESIGN.md §9).
-type WakerCell = std::sync::Mutex<Option<Waker>>;
+/// of the *destination's* slot and wake it after enqueuing. A loom
+/// `Mutex` under `--cfg loom`, so the models check the register/wake
+/// race itself.
+type WakerCell = Mutex<Option<Waker>>;
 
 /// One outgoing edge of the mailbox mesh: the destination's inbox
 /// sender plus the destination's waker slot.
@@ -60,13 +58,14 @@ struct Peer {
 
 /// One rank's endpoint in a simulated world of `world_size` ranks.
 ///
-/// Create a full world with [`create_world`] or spawn threads directly
-/// with [`run_ranks`]. Point-to-point messages are matched by `(source,
-/// tag)`; collectives must be invoked by **all ranks in the same order**
-/// (they synchronize internally via sequence-numbered tags).
+/// Create a full world with [`create_world`] and run each endpoint's
+/// rank program as a `bns_runtime` task. Point-to-point messages are
+/// matched by `(source, tag)`; collectives must be invoked by **all
+/// ranks in the same order** (they synchronize internally via
+/// sequence-numbered tags).
 ///
 /// Delivery uses a single shared inbox per rank (every peer holds a
-/// clone of the same sender), so [`RankComm::recv_any`] can hand back
+/// clone of the same sender), so [`RankComm::poll_recv_any`] can hand back
 /// whichever peer's message lands first. Per-peer FIFO order is still
 /// guaranteed: an mpsc channel preserves the send order of each
 /// individual producer.
@@ -122,7 +121,7 @@ pub fn create_world(world_size: usize) -> Vec<RankComm> {
     let mut wakers: Vec<Arc<WakerCell>> = Vec::with_capacity(world_size);
     for j in 0..world_size {
         let (s, r) = channel();
-        let w: Arc<WakerCell> = Arc::new(std::sync::Mutex::new(None));
+        let w: Arc<WakerCell> = Arc::new(Mutex::new(None));
         inboxes.push(r);
         for (i, row) in senders.iter_mut().enumerate() {
             if i != j {
@@ -157,32 +156,6 @@ pub fn create_world(world_size: usize) -> Vec<RankComm> {
             #[cfg(debug_assertions)]
             recorded_bytes: 0,
         })
-        .collect()
-}
-
-/// Spawns one thread per rank, runs `f` on each, and returns the results
-/// in rank order. Panics in any rank propagate.
-pub fn run_ranks<T, F>(world_size: usize, f: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(RankComm) -> T + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let comms = create_world(world_size);
-    let handles: Vec<_> = comms
-        .into_iter()
-        .map(|comm| {
-            let f = Arc::clone(&f);
-            thread::spawn(move || {
-                // One trace timeline (tid) per rank.
-                bns_telemetry::set_thread_rank(comm.rank());
-                f(comm)
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread panicked"))
         .collect()
 }
 
@@ -258,7 +231,7 @@ impl RankComm {
         // guaranteed to observe the message on its next drain. The waker
         // is cloned out of the slot first, so no lock is held while
         // scheduler code runs.
-        let cell = peer.waker.lock().unwrap_or_else(|e| e.into_inner());
+        let cell = peer.waker.lock().unwrap_or_else(poisoned);
         let waker = cell.clone();
         drop(cell);
         if let Some(w) = waker {
@@ -267,50 +240,17 @@ impl RankComm {
     }
 
     /// Receives the next message from rank `from` with tag `tag`,
-    /// blocking until it arrives. Messages with other tags from the same
-    /// peer are buffered.
+    /// blocking the calling thread until it arrives: one-candidate
+    /// [`RankComm::poll_recv_any`] under `bns_runtime::block_on`.
+    /// Messages with other tags or from other peers are buffered. Rank
+    /// tasks await `poll_recv_any` instead, so they park rather than
+    /// block a scheduler worker.
     ///
     /// # Panics
     ///
-    /// Panics on self-receive, out-of-bounds rank, payload type mismatch,
-    /// or if the peer disconnected before sending.
+    /// As [`RankComm::poll_recv_any`].
     pub fn recv<T: Wire>(&mut self, from: usize, tag: u64) -> T {
-        self.check_sources(&[from]);
-        let msg = match self.take_pending(from, tag) {
-            Some(msg) => msg,
-            None => self.recv_blocking(|src, t| src == from && t == tag).1,
-        };
-        self.downcast_msg(msg, from, tag)
-    }
-
-    /// Receives a message with tag `tag` from **whichever** candidate in
-    /// `from` delivers first, returning `(source, payload)`. Buffered
-    /// (pending) messages win over fresh arrivals, scanned in `from`
-    /// order; messages from other peers or with other tags are buffered
-    /// as in [`RankComm::recv`].
-    ///
-    /// Emits `comm.recv_any_ready` when a match was already buffered
-    /// (the wait was fully overlapped by compute) and
-    /// `comm.recv_any_waited` when it had to block — the ratio of the
-    /// two is the overlap hit rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is empty, contains this rank or an out-of-bounds
-    /// rank, on payload type mismatch, or if a peer disconnected.
-    pub fn recv_any<T: Wire>(&mut self, tag: u64, from: &[usize]) -> (usize, T) {
-        self.check_sources(from);
-        let (src, msg) = match self.take_pending_any(tag, from) {
-            Some(found) => {
-                bns_telemetry::counter_add("comm.recv_any_ready", 1);
-                found
-            }
-            None => {
-                bns_telemetry::counter_add("comm.recv_any_waited", 1);
-                self.recv_blocking(|src, t| t == tag && from.contains(&src))
-            }
-        };
-        (src, self.downcast_msg(msg, src, tag))
+        bns_runtime::block_on(poll_fn(|cx| self.poll_recv_any(cx, tag, &[from]))).1
     }
 
     /// `debug_assertions`-gated delivery invariant: within one
@@ -347,40 +287,23 @@ impl RankComm {
     /// Receive-side argument checks: a non-empty candidate list of
     /// in-bounds peers, never this rank.
     fn check_sources(&self, from: &[usize]) {
-        assert!(!from.is_empty(), "recv_any needs at least one candidate");
+        assert!(!from.is_empty(), "a receive needs at least one candidate");
         for &src in from {
             assert!(src < self.world, "recv from rank {src} out of bounds");
             assert_ne!(src, self.rank, "self-receive is not allowed");
         }
     }
 
-    /// Blocks on the inbox until an envelope satisfying `wanted(source,
-    /// tag)` arrives, buffering every other envelope into the pending
-    /// queues on the way.
-    fn recv_blocking(&mut self, wanted: impl Fn(usize, u64) -> bool) -> (usize, Message) {
-        loop {
-            let (src, msg) = self.inbox.recv().expect("peer disconnected");
-            if wanted(src, msg.tag) {
-                self.note_delivery(src, &msg);
-                return (src, msg);
-            }
-            self.pending[src].push_back(msg);
-        }
-    }
-
-    /// Pops the first pending message matching `(from, tag)`, if any.
-    fn take_pending(&mut self, from: usize, tag: u64) -> Option<Message> {
-        let pos = self.pending[from].iter().position(|m| m.tag == tag)?;
-        let msg = self.pending[from].remove(pos).unwrap();
-        self.note_delivery(from, &msg);
-        Some(msg)
-    }
-
-    /// The first pending message with tag `tag`, scanning candidates in
-    /// `from` order.
+    /// Pops the first pending message with tag `tag`, scanning
+    /// candidates in `from` order.
     fn take_pending_any(&mut self, tag: u64, from: &[usize]) -> Option<(usize, Message)> {
-        from.iter()
-            .find_map(|&src| self.take_pending(src, tag).map(|m| (src, m)))
+        let (src, pos) = from.iter().find_map(|&src| {
+            let pos = self.pending[src].iter().position(|m| m.tag == tag)?;
+            Some((src, pos))
+        })?;
+        let msg = self.pending[src].remove(pos).unwrap();
+        self.note_delivery(src, &msg);
+        Some((src, msg))
     }
 
     /// Moves every queued inbox envelope into the per-source pending
@@ -416,9 +339,9 @@ impl RankComm {
     }
 
     /// Polls for a message with tag `tag` from **whichever** candidate
-    /// in `from` delivers first: the asynchronous [`RankComm::recv_any`],
-    /// on the same pending-queue matching (buffered messages win, in
-    /// `from` order; everything else is buffered, never dropped).
+    /// in `from` delivers first, returning `(source, payload)`. Buffered
+    /// (pending) messages win, scanned in `from` order; messages from
+    /// other peers or with other tags are buffered, never dropped.
     ///
     /// On an empty mailbox it registers `cx.waker()` in this rank's
     /// waker cell and drains the inbox once more before returning
@@ -446,7 +369,7 @@ impl RankComm {
         }
         if found.is_none() && !disconnected {
             {
-                let mut cell = self.waker.lock().unwrap_or_else(|e| e.into_inner());
+                let mut cell = self.waker.lock().unwrap_or_else(poisoned);
                 if !cell.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
                     *cell = Some(cx.waker().clone());
                 }
@@ -529,189 +452,6 @@ const MAX_COLL_STEPS: u64 = 1 << 20;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bns_runtime::block_on;
-
-    #[test]
-    fn point_to_point_roundtrip() {
-        let out = run_ranks(2, |mut c| {
-            let peer = 1 - c.rank();
-            c.send(peer, 1, vec![c.rank() as u32 * 10], TrafficClass::Control);
-            let got: Vec<u32> = c.recv(peer, 1);
-            got[0]
-        });
-        assert_eq!(out, vec![10, 0]);
-    }
-
-    #[test]
-    fn out_of_order_tags_are_buffered() {
-        let out = run_ranks(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, 5, vec![5.0f32], TrafficClass::Control);
-                c.send(1, 6, vec![6.0f32], TrafficClass::Control);
-                0.0
-            } else {
-                // Receive in reverse order of sending.
-                let b: Vec<f32> = c.recv(0, 6);
-                let a: Vec<f32> = c.recv(0, 5);
-                a[0] * 10.0 + b[0]
-            }
-        });
-        assert_eq!(out[1], 56.0);
-    }
-
-    #[test]
-    fn recv_any_returns_first_arrival() {
-        // Rank 2 sends immediately; rank 1 only sends after rank 0's
-        // go-signal, so rank 0's first recv_any can only ever see rank 2.
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                let (first, a): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]);
-                c.send(1, 9, vec![0u8], TrafficClass::Control); // go
-                let (second, b): (usize, Vec<u32>) = c.recv_any(7, &[1, 2]);
-                vec![first as u32, a[0], second as u32, b[0]]
-            }
-            1 => {
-                let _: Vec<u8> = c.recv(0, 9);
-                c.send(0, 7, vec![100u32], TrafficClass::Control);
-                vec![]
-            }
-            _ => {
-                c.send(0, 7, vec![200u32], TrafficClass::Control);
-                vec![]
-            }
-        });
-        assert_eq!(out[0], vec![2, 200, 1, 100]);
-    }
-
-    #[test]
-    fn recv_any_buffers_unrelated_messages() {
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                // Wait until everything is in flight before receiving.
-                let _: Vec<u8> = c.recv(1, 99);
-                let (src, v): (usize, Vec<u32>) = c.recv_any(7, &[2]);
-                assert_eq!((src, v[0]), (2, 5));
-                // The candidate's *other*-tag message and the non-candidate
-                // message must both have been buffered, not dropped.
-                let other: Vec<u32> = c.recv(2, 8);
-                let non_candidate: Vec<u32> = c.recv(1, 7);
-                other[0] * 10 + non_candidate[0]
-            }
-            1 => {
-                c.send(0, 7, vec![3u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                0
-            }
-            _ => {
-                c.send(0, 8, vec![4u32], TrafficClass::Control);
-                c.send(0, 7, vec![5u32], TrafficClass::Control);
-                0
-            }
-        });
-        assert_eq!(out[0], 43);
-    }
-
-    #[test]
-    fn recv_any_prefers_pending_in_candidate_order() {
-        let out = run_ranks(3, |mut c| match c.rank() {
-            0 => {
-                // Make sure both peer messages are buffered first.
-                let _: Vec<u8> = c.recv(1, 99);
-                let _: Vec<u8> = c.recv(2, 99);
-                let warm: Vec<u32> = c.recv(1, 7);
-                assert_eq!(warm[0], 1);
-                c.send(1, 7, vec![warm[0]], TrafficClass::Control);
-                // Both rank-1 and rank-2 tag-8 messages are now pending;
-                // candidate order [2, 1] must pick rank 2 first.
-                let (first, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]);
-                let (second, _): (usize, Vec<u32>) = c.recv_any(8, &[2, 1]);
-                (first * 10 + second) as u32
-            }
-            1 => {
-                c.send(0, 7, vec![1u32], TrafficClass::Control);
-                c.send(0, 8, vec![11u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                let _: Vec<u32> = c.recv(0, 7);
-                0
-            }
-            _ => {
-                c.send(0, 8, vec![22u32], TrafficClass::Control);
-                c.send(0, 99, vec![0u8], TrafficClass::Control);
-                0
-            }
-        });
-        assert_eq!(out[0], 21);
-    }
-
-    #[test]
-    fn recv_any_traffic_accounting_unchanged() {
-        let out = run_ranks(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, 1, vec![0f32; 64], TrafficClass::Boundary);
-            } else {
-                let (_, v): (usize, Vec<f32>) = c.recv_any(1, &[0]);
-                assert_eq!(v.len(), 64);
-            }
-            c.stats().clone()
-        });
-        assert_eq!(out[0].bytes(TrafficClass::Boundary), 256);
-        assert_eq!(out[1].total_bytes(), 0);
-    }
-
-    #[test]
-    fn all_reduce_sum_is_correct_for_various_world_sizes() {
-        for k in [1usize, 2, 3, 4, 7] {
-            for len in [0usize, 1, 5, 16, 33] {
-                let out = run_ranks(k, move |mut c| {
-                    let mut buf: Vec<f32> = (0..len)
-                        .map(|i| (c.rank() + 1) as f32 * (i + 1) as f32)
-                        .collect();
-                    block_on(c.all_reduce_sum(&mut buf));
-                    buf
-                });
-                let total_rank: f32 = (1..=k).map(|r| r as f32).sum();
-                for buf in &out {
-                    for (i, &x) in buf.iter().enumerate() {
-                        let expect = total_rank * (i + 1) as f32;
-                        assert!(
-                            (x - expect).abs() < 1e-4,
-                            "k={k} len={len} i={i}: {x} != {expect}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_reduce_ring_traffic_volume() {
-        let k = 4usize;
-        let len = 1024usize;
-        let out = run_ranks(k, move |mut c| {
-            let mut buf = vec![1.0f32; len];
-            block_on(c.all_reduce_sum(&mut buf));
-            c.stats().bytes(TrafficClass::AllReduce)
-        });
-        // Ring: each rank sends 2*(k-1) chunks of len/k floats.
-        let expect = (2 * (k - 1) * (len / k) * 4) as u64;
-        for &b in &out {
-            assert_eq!(b, expect);
-        }
-    }
-
-    #[test]
-    fn traffic_counts_point_to_point() {
-        let out = run_ranks(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, 1, vec![0f32; 100], TrafficClass::Boundary);
-            } else {
-                let _: Vec<f32> = c.recv(0, 1);
-            }
-            c.stats().clone()
-        });
-        assert_eq!(out[0].bytes(TrafficClass::Boundary), 400);
-        assert_eq!(out[1].total_bytes(), 0);
-    }
 
     #[test]
     #[should_panic(expected = "reserved")]

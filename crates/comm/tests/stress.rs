@@ -1,14 +1,17 @@
 //! Stress and failure-mode tests for the communicator.
 
-use bns_comm::{create_world, run_ranks, CostModel, TrafficClass};
-use bns_runtime::block_on;
+mod support;
+
+use bns_comm::{create_world, CostModel, TrafficClass};
 use bns_tensor::SeededRng;
+use std::future::poll_fn;
+use support::run_world;
 
 /// Many interleaved tags and peers: tag matching must never cross wires.
 #[test]
 fn interleaved_tags_across_many_ranks() {
     let k = 6;
-    let out = run_ranks(k, move |mut c| {
+    let out = run_world(k, 2, |mut c| async move {
         let me = c.rank();
         // Send a distinct payload per (peer, tag) pair...
         for peer in 0..k {
@@ -29,7 +32,7 @@ fn interleaved_tags_across_many_ranks() {
             .collect();
         rng.shuffle(&mut pairs);
         for (peer, tag) in pairs {
-            let v: Vec<u32> = c.recv(peer, tag);
+            let (_, v): (usize, Vec<u32>) = poll_fn(|cx| c.poll_recv_any(cx, tag, &[peer])).await;
             assert_eq!(v[0] as u64, (peer * 100 + me * 10) as u64 + tag);
             sum += v[0] as u64;
         }
@@ -42,11 +45,11 @@ fn interleaved_tags_across_many_ranks() {
 /// numbers must not collide).
 #[test]
 fn thousand_collectives() {
-    let out = run_ranks(3, |mut c| {
+    let out = run_world(3, 2, |mut c| async move {
         let mut acc = 0.0f32;
         for i in 0..1000 {
             let mut buf = vec![(c.rank() + i) as f32];
-            block_on(c.all_reduce_sum(&mut buf));
+            c.all_reduce_sum(&mut buf).await;
             acc += buf[0];
         }
         acc
@@ -61,11 +64,11 @@ fn thousand_collectives() {
 /// Large payloads round-trip intact.
 #[test]
 fn megabyte_payload() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, 2, |mut c| async move {
         let peer = 1 - c.rank();
         let data: Vec<f32> = (0..262_144).map(|i| i as f32).collect();
         c.send(peer, 0, data, TrafficClass::Boundary);
-        let got: Vec<f32> = c.recv(peer, 0);
+        let (_, got): (usize, Vec<f32>) = poll_fn(|cx| c.poll_recv_any(cx, 0, &[peer])).await;
         (got.len(), got[1000])
     });
     for (len, v) in out {
@@ -77,14 +80,14 @@ fn megabyte_payload() {
 /// Mixed payload types on different tags coexist.
 #[test]
 fn mixed_payload_types() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, 2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1u8, 2, 3], TrafficClass::Control);
         c.send(peer, 2, vec![7u64], TrafficClass::Control);
         c.send(peer, 3, vec![0.5f32], TrafficClass::Boundary);
-        let a: Vec<u8> = c.recv(peer, 1);
-        let b: Vec<u64> = c.recv(peer, 2);
-        let f: Vec<f32> = c.recv(peer, 3);
+        let (_, a): (usize, Vec<u8>) = poll_fn(|cx| c.poll_recv_any(cx, 1, &[peer])).await;
+        let (_, b): (usize, Vec<u64>) = poll_fn(|cx| c.poll_recv_any(cx, 2, &[peer])).await;
+        let (_, f): (usize, Vec<f32>) = poll_fn(|cx| c.poll_recv_any(cx, 3, &[peer])).await;
         (a.len(), b[0], f[0])
     });
     assert_eq!(out[0], (3, 7, 0.5));
@@ -94,12 +97,12 @@ fn mixed_payload_types() {
 /// Wire sizes are element-size accurate per type.
 #[test]
 fn wire_size_accounting() {
-    let out = run_ranks(2, |mut c| {
+    let out = run_world(2, 2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1u8, 2, 3], TrafficClass::Control);
         c.send(peer, 2, vec![7u64, 8], TrafficClass::Control);
-        let _: Vec<u8> = c.recv(peer, 1);
-        let _: Vec<u64> = c.recv(peer, 2);
+        let _: (usize, Vec<u8>) = poll_fn(|cx| c.poll_recv_any(cx, 1, &[peer])).await;
+        let _: (usize, Vec<u64>) = poll_fn(|cx| c.poll_recv_any(cx, 2, &[peer])).await;
         c.stats().bytes(TrafficClass::Control)
     });
     assert_eq!(out, vec![19, 19]); // 3*1 + 2*8
@@ -114,14 +117,15 @@ fn self_send_panics() {
     c.send(0, 1, vec![0u8], TrafficClass::Control);
 }
 
-/// Type confusion inside a rank panics; `run_ranks` propagates it.
+/// Type confusion inside a rank panics; `run_tasks` propagates it.
 #[test]
-#[should_panic(expected = "rank thread panicked")]
+#[should_panic(expected = "type mismatch")]
 fn type_mismatch_panics() {
-    run_ranks(2, |mut c| {
+    run_world(2, 2, |mut c| async move {
         let peer = 1 - c.rank();
         c.send(peer, 1, vec![1.0f32], TrafficClass::Control);
-        let _: Vec<u64> = c.recv(peer, 1); // wrong type
+        // Wrong type.
+        let _: (usize, Vec<u64>) = poll_fn(|cx| c.poll_recv_any(cx, 1, &[peer])).await;
     });
 }
 

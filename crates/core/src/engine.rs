@@ -124,6 +124,29 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Training diverged: the global loss after an epoch's all-reduce was
+/// not finite. [`train_with_plan`] panics with this payload (see
+/// [`std::panic::panic_any`]) instead of training on with NaNs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Diverged {
+    /// The epoch whose loss was not finite.
+    pub epoch: usize,
+    /// That loss (NaN or infinite).
+    pub loss: f64,
+}
+
+impl std::fmt::Display for Diverged {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "training diverged: global loss {} at epoch {}",
+            self.loss, self.epoch
+        )
+    }
+}
+
+impl std::error::Error for Diverged {}
+
 impl TrainConfig {
     /// Checks the fields training would otherwise trip over mid-run (or
     /// silently train on): the dropout rate, the learning rate, the
@@ -513,8 +536,10 @@ type RankBuffers = Box<dyn Send>;
 ///
 /// # Panics
 ///
-/// Panics if the partitioning does not match the dataset, or with a
-/// [`ConfigError`] payload if [`TrainConfig::validate`] rejects `cfg`.
+/// Panics if the partitioning does not match the dataset, with a
+/// [`ConfigError`] payload if [`TrainConfig::validate`] rejects `cfg`,
+/// or with a [`Diverged`] payload if an epoch's global loss is not
+/// finite.
 pub fn train(ds: &Arc<Dataset>, part: &Partitioning, cfg: &TrainConfig) -> TrainRun {
     let plan = Arc::new(PartitionPlan::build(ds, part));
     train_with_plan(&plan, cfg)
@@ -527,7 +552,8 @@ pub fn train(ds: &Arc<Dataset>, part: &Partitioning, cfg: &TrainConfig) -> Train
 /// # Panics
 ///
 /// Panics with a [`ConfigError`] payload (see [`std::panic::panic_any`])
-/// if [`TrainConfig::validate`] rejects `cfg`.
+/// if [`TrainConfig::validate`] rejects `cfg`, and with a [`Diverged`]
+/// payload if an epoch's global loss is not finite.
 pub fn train_with_plan(plan: &Arc<PartitionPlan>, cfg: &TrainConfig) -> TrainRun {
     if let Err(e) = cfg.validate() {
         // A typed payload, so a caller can `catch_unwind` and report
@@ -955,6 +981,13 @@ async fn rank_program(
         flatten_grads(&slots, local_loss as f32, &mut flat);
         comm.all_reduce_sum(&mut flat).await;
         let global_loss = *flat.last().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
+        if !global_loss.is_finite() {
+            // Every rank reduced the same bits, so all of them stop here.
+            std::panic::panic_any(Diverged {
+                epoch,
+                loss: global_loss,
+            });
+        }
         flat.pop();
         if me == 0 {
             bns_telemetry::gauge_set("epoch.loss", global_loss);

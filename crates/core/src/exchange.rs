@@ -1,7 +1,6 @@
 //! Per-epoch boundary communication: the epoch's traffic plan
-//! ([`EpochExchange`]), the serial reference feature/gradient exchange,
-//! and the overlap-capable, allocation-free exchange the engine's hot
-//! path uses.
+//! ([`EpochExchange`]) and the overlap-capable, allocation-free
+//! exchange the engine runs.
 //!
 //! ## Selection without a message
 //!
@@ -15,29 +14,30 @@
 //!
 //! ## Overlap architecture
 //!
-//! The serial path ([`exchange_features_serial`]) blocks on peers in
-//! fixed owner order and materializes the halo as `vstack(h_inner,
-//! h_bd)` — a full copy of the inner activation matrix per layer. The
-//! overlapped path splits that into [`send_boundary_rows`] (issue all
-//! sends, non-blocking) and [`recv_boundary_blocks`] (await arrivals
-//! with [`RankComm::poll_recv_any`]), so the engine can run the
-//! inner-edge partial aggregation between the two while boundary blocks
-//! are in flight.
+//! A serial exchange would await peers in fixed owner order and
+//! materialize the halo as `vstack(h_inner, h_bd)` — a full copy of the
+//! inner activation matrix per layer. The exchange here splits that
+//! into [`send_boundary_rows`] (issue all sends, non-blocking) and
+//! [`recv_boundary_blocks`] (await arrivals with
+//! [`RankComm::poll_recv_any`]), so the engine can run the inner-edge
+//! partial aggregation between the two while boundary blocks are in
+//! flight.
 //!
 //! Every operation that waits on peers ([`recv_boundary_blocks`],
 //! [`exchange_gradients`]) is an `async fn`.
 //! The engine's rank program awaits them on the cooperative scheduler,
 //! where a rank with nothing to receive parks and frees its worker;
-//! tests and benches drive the same futures with
-//! `bns_runtime::block_on`.
+//! tests and benches run the same futures as `bns_runtime::run_tasks`
+//! tasks.
 //!
 //! ## Determinism
 //!
 //! Blocks are *received* in arrival order but *written* to fixed,
 //! disjoint row ranges of the boundary block (and gradient blocks are
 //! *applied* in fixed ascending peer order), so the result is bitwise
-//! identical to the serial path no matter which peer delivers first.
-//! The proptests in `tests/overlap_determinism.rs` enforce this.
+//! identical to the serial exchange no matter which peer delivers
+//! first. The proptests in `tests/overlap_determinism.rs` enforce this
+//! against a serial reference kept in the tests' support module.
 //!
 //! ## Allocation-freedom
 //!
@@ -274,76 +274,6 @@ fn unpack_block(dst: &mut [f32], wire: &[u8], d: usize, scale: f32, precision: W
         WirePrecision::Bf16 => codec::unpack_bf16(bk, dst, wire, scale),
         WirePrecision::Int8 => codec::unpack_int8(bk, dst, wire, d, scale),
         WirePrecision::Exact => unreachable!("exact payloads arrive unpacked"),
-    }
-}
-
-/// Serial reference exchange (the bitwise ground truth the overlapped
-/// path is tested against): sends the
-/// requested feature rows to every peer, receives blocks in fixed owner
-/// order, and returns the stacked `vstack(h_inner, h_bd)`.
-pub fn exchange_features_serial(
-    comm: &mut RankComm,
-    ex: &EpochExchange,
-    h_inner: &Matrix,
-    n_selected: usize,
-    feature_scale: f32,
-    tag: u64,
-) -> Matrix {
-    let d = h_inner.cols();
-    for (j, rows) in ex.rows_to_send.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        let block = h_inner.gather_rows(rows);
-        comm.send(j, tag, block.into_vec(), TrafficClass::Boundary);
-    }
-    let mut h_bd = Matrix::zeros(n_selected, d);
-    for (owner, range) in &ex.owner_sel {
-        if range.is_empty() {
-            continue;
-        }
-        let data: Vec<f32> = comm.recv(*owner, tag);
-        debug_assert_eq!(data.len(), range.len() * d);
-        h_bd.as_mut_slice()[range.start * d..range.end * d].copy_from_slice(&data);
-    }
-    if feature_scale != 1.0 {
-        h_bd.scale(feature_scale);
-    }
-    h_inner.vstack(&h_bd)
-}
-
-/// Serial reference gradient exchange: sends boundary-row gradients
-/// back to their owners (scaled by `feature_scale`, the chain rule
-/// through the `H/p` rescale) and accumulates peers' contributions in
-/// fixed ascending peer order.
-pub fn exchange_gradients_serial(
-    comm: &mut RankComm,
-    ex: &EpochExchange,
-    d_inner: &mut Matrix,
-    d_bd: &Matrix,
-    feature_scale: f32,
-    tag: u64,
-) {
-    let d = d_inner.cols();
-    for (owner, range) in &ex.owner_sel {
-        if range.is_empty() {
-            continue;
-        }
-        let mut block: Vec<f32> = d_bd.as_slice()[range.start * d..range.end * d].to_vec();
-        if feature_scale != 1.0 {
-            for x in &mut block {
-                *x *= feature_scale;
-            }
-        }
-        comm.send(*owner, tag, block, TrafficClass::Boundary);
-    }
-    for (j, rows) in ex.rows_to_send.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        let data: Vec<f32> = comm.recv(j, tag);
-        let block = Matrix::from_vec(rows.len(), d, data);
-        d_inner.scatter_add_rows(rows, &block);
     }
 }
 

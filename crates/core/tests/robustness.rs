@@ -3,7 +3,7 @@
 //! behaviour on degenerate inputs.
 
 use bns_data::{Labels, SyntheticSpec};
-use bns_gcn::engine::{train, train_with_plan, ConfigError, ModelArch, TrainConfig};
+use bns_gcn::engine::{train, train_with_plan, ConfigError, Diverged, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
 use bns_partition::{Partitioner, Partitioning, RandomPartitioner};
@@ -110,6 +110,37 @@ fn train_with_plan_panics_with_the_config_error() {
         payload.downcast_ref::<ConfigError>(),
         Some(&ConfigError::Dropout(1.0))
     );
+}
+
+/// One NaN input feature on a training node makes epoch 0's global
+/// loss NaN; every rank reads that from the all-reduce and the run
+/// stops there with a typed payload, on any worker count. The model has
+/// no hidden layer: a ReLU maps NaN to 0, so behind one the NaN would
+/// reach the weights but not the loss.
+#[test]
+fn nan_feature_fails_fast_with_the_epoch() {
+    let mut ds = SyntheticSpec::reddit_sim().with_nodes(120).generate(1);
+    let node = ds.train[0];
+    ds.features.row_mut(node)[0] = f32::NAN;
+    let ds = Arc::new(ds);
+    for k in [2usize, 3] {
+        let part = RandomPartitioner.partition(&ds.graph, k, 1);
+        let plan = Arc::new(PartitionPlan::build(&ds, &part));
+        for workers in [1usize, 2] {
+            let c = TrainConfig {
+                hidden: Vec::new(),
+                workers: Some(workers),
+                ..cfg(BoundarySampling::Bns { p: 1.0 })
+            };
+            let payload = std::panic::catch_unwind(|| train_with_plan(&plan, &c))
+                .expect_err("a NaN loss must not train on");
+            let err = payload
+                .downcast_ref::<Diverged>()
+                .unwrap_or_else(|| panic!("k={k} workers={workers}: not a Diverged payload"));
+            assert_eq!(err.epoch, 0, "k={k} workers={workers}");
+            assert!(err.loss.is_nan());
+        }
+    }
 }
 
 /// A partitioning that isolates one node per partition plus a big rest

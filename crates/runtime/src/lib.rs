@@ -11,9 +11,9 @@
 //!
 //! A rank program is normally an `async fn`: [`future_task`] turns its
 //! future into a [`Task`] whose `step` is one poll, so the compiler
-//! generates the resumable state machine. [`block_on`] drives the same
-//! futures on a plain thread, for tests, benches and thread-per-rank
-//! harnesses.
+//! generates the resumable state machine. [`block_on`] drives one
+//! future on a plain thread (the communicator's blocking `recv` is a
+//! `block_on` over its asynchronous receive).
 //!
 //! # Determinism
 //!
@@ -302,8 +302,7 @@ impl Task for FutureTask<'_> {
 }
 
 /// Drives `fut` to completion on the calling thread, parking the thread
-/// whenever the future is pending. Tests, benches and thread-per-rank
-/// harnesses use it to run the same `async fn`s the scheduler runs.
+/// whenever the future is pending, for a caller outside any task set.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     struct Unpark(std::thread::Thread);
     impl Wake for Unpark {
@@ -357,8 +356,8 @@ pub struct RunStats {
 /// # Panics
 ///
 /// A panic inside any task aborts the run and resurfaces on the caller
-/// (mirroring `run_ranks`'s thread-per-rank behavior). So does a run in
-/// which every live task is parked and none is left to wake another.
+/// with its original payload. So does a run in which every live task is
+/// parked and none is left to wake another.
 pub fn run_tasks<S, G>(mut tasks: Vec<Box<dyn Task + '_>>, workers: usize, setup: S) -> RunStats
 where
     S: Fn(usize) -> G + Sync,
@@ -405,8 +404,7 @@ where
         let _guard = setup(0);
         worker_loop(&shared, &slots, 0);
     });
-    // Re-raise the first captured panic on the caller, as run_ranks'
-    // join would.
+    // Re-raise the first captured panic on the caller.
     let payload = {
         let mut first = shared.panic.lock().unwrap_or_else(|e| e.into_inner());
         // The edge to Reader::take (whose .len() reaches the sampler

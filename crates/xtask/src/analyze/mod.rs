@@ -148,7 +148,6 @@ impl AnalyzeConfig {
                 "RankComm::send".into(),
                 "RankComm::poll_recv_any".into(),
                 "RankComm::recv".into(),
-                "RankComm::recv_any".into(),
                 // Telemetry is feature-gated and amortized; its
                 // registry is not part of the exchange data path.
                 "counter_add".into(),
@@ -181,8 +180,6 @@ impl AnalyzeConfig {
                 "series".into(),
             ],
             spawn_allow: vec![
-                // The rank transport owns the per-partition threads.
-                "crates/comm/src".into(),
                 // The compute pool owns the worker threads.
                 "crates/tensor/src/pool.rs".into(),
                 // The cooperative scheduler owns the rank-task workers.
