@@ -11,7 +11,7 @@ use bns_data::SyntheticSpec;
 use bns_gcn::exchange::{recv_boundary_blocks, send_boundary_rows, EpochExchange, ExchangeArena};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling, EpochTopology};
-use bns_nn::aggregate::{scaled_sum_aggregate_inner, scaled_sum_fold_boundary};
+use bns_nn::aggregate::{scaled_sum_aggregate_inner_into, scaled_sum_fold_boundary};
 use bns_runtime::{future_task, run_tasks, Task, WorkerConfig};
 use bns_tensor::{Matrix, SeededRng};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -71,7 +71,8 @@ async fn overlapped_rank(mut comm: RankComm, plan: &PartitionPlan, acc: &mut f32
             &mut arena,
             WirePrecision::Exact,
         );
-        let mut z = scaled_sum_aggregate_inner(&topo.graph, &h, n_in);
+        let mut z = Matrix::default();
+        scaled_sum_aggregate_inner_into(&topo.graph, &h, n_in, &mut z);
         recv_boundary_blocks(
             &mut comm,
             &ex,

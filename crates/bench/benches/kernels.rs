@@ -9,8 +9,8 @@ use bns_data::SyntheticSpec;
 use bns_gcn::engine::{train_with_plan, ModelArch, TrainConfig};
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
-use bns_nn::aggregate::{scaled_sum_aggregate, scaled_sum_aggregate_backward_into};
-use bns_nn::{Activation, DropMask, SageGrads, SageLayer, SageSegCache, SegScratch};
+use bns_nn::aggregate::{scaled_sum_aggregate, scaled_sum_aggregate_backward_rows_into};
+use bns_nn::{Activation, DropMask, Layer, SageLayer, SegScratch};
 use bns_partition::{MetisLikePartitioner, Partitioner, RandomPartitioner};
 use bns_runtime::{future_task, run_tasks, Task, WorkerConfig};
 use bns_tensor::pool::{self, ThreadPool};
@@ -178,7 +178,7 @@ fn bench_aggregate_backward(c: &mut Criterion) {
     let mut dh = Matrix::default();
     c.bench_function("agg_backward_4k_d128_8seg", |bch| {
         bch.iter(|| {
-            scaled_sum_aggregate_backward_into(&ds.graph, &dz, n, &scale, &mut dh);
+            scaled_sum_aggregate_backward_rows_into(&ds.graph, &dz, 0..n, &scale, &mut dh);
             black_box(&dh);
         });
     });
@@ -252,30 +252,26 @@ fn bench_sage_layer(c: &mut Criterion) {
     c.bench_function("sage_backward_4k_d64", |bch| {
         bch.iter(|| black_box(layer.backward(&ds.graph, &cache, &d)));
     });
-    // The engine's path: segmented cache, reused scratch and gradients.
-    let (mut seg, mut scratch, mut out) = (
-        SageSegCache::default(),
-        SegScratch::default(),
-        Matrix::default(),
-    );
+    // The engine's path: a run-long slot and scratch.
+    let seg = Layer::Sage(layer.clone());
+    let (mut slot, mut scratch, mut out) =
+        (seg.new_slot(), SegScratch::default(), Matrix::default());
     let empty = Matrix::zeros(0, 64);
-    layer.forward_inner_into(&ds.graph, &h, false, &mut r, &mut seg);
-    let (g, rng) = (&ds.graph, &mut r);
-    layer.forward_boundary_into(
-        g,
-        &mut seg,
-        &empty,
-        &scale,
-        false,
-        rng,
+    seg.forward_inner(&mut slot, &ds.graph, &h, &[], (false, &mut r));
+    let (hs, norms) = ((&h, &empty), (&scale[..], &[][..]));
+    seg.forward_boundary(
+        &mut slot,
+        &ds.graph,
+        hs,
+        norms,
+        (false, &mut r),
         &mut scratch,
         &mut out,
     );
-    let mut grads = SageGrads::default();
     c.bench_function("sage_backward_seg_4k_d64", |bch| {
         bch.iter(|| {
             let mut d = d.clone();
-            layer.backward_seg_into(&ds.graph, &seg, &mut d, &mut scratch, &mut grads, true);
+            seg.backward_seg(&mut slot, &ds.graph, &mut d, &mut scratch, true);
             black_box(&scratch.dh);
         });
     });

@@ -25,7 +25,7 @@
 use crate::exchange::{
     exchange_gradients, recv_boundary_blocks, send_boundary_rows, EpochExchange, ExchangeArena,
 };
-use crate::fullgraph::split_scores;
+use crate::fullgraph::{loss_into, model_dims, split_scores, Trainer};
 use crate::memory::epoch_activation_bytes;
 use crate::plan::{LocalPartition, PartitionPlan};
 use crate::sampling::{
@@ -33,12 +33,11 @@ use crate::sampling::{
 };
 use bns_comm::{create_world, CostModel, RankComm, TrafficClass, TrafficStats, WirePrecision};
 use bns_data::{Dataset, Labels};
-use bns_nn::loss::{bce_with_logits_into, softmax_cross_entropy_into};
 use bns_nn::metrics::{accuracy_counts, multilabel_counts, F1Counts};
-use bns_nn::{Adam, EvalScratch, Layer, LayerSlot, SegScratch};
+use bns_nn::{EvalScratch, Layer};
 use bns_partition::Partitioning;
 use bns_telemetry::Timed;
-use bns_tensor::{Matrix, SeededRng};
+use bns_tensor::{simd, Matrix, SeededRng};
 use std::future::Future;
 use std::sync::Arc;
 
@@ -124,24 +123,34 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Training diverged: the global loss after an epoch's all-reduce was
-/// not finite. [`train_with_plan`] panics with this payload (see
+/// Training diverged: after an epoch's all-reduce the global loss or an
+/// all-reduced gradient value was not finite. A NaN input behind a ReLU
+/// shows only in the gradient: the ReLU maps it to 0, so the loss stays
+/// finite while the first layer's weight gradient turns NaN.
+/// [`train_with_plan`] panics with this payload (see
 /// [`std::panic::panic_any`]) instead of training on with NaNs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Diverged {
-    /// The epoch whose loss was not finite.
+    /// The epoch that diverged.
     pub epoch: usize,
-    /// That loss (NaN or infinite).
+    /// Its global loss: NaN or infinite if the loss diverged.
     pub loss: f64,
+    /// How many all-reduced gradient values were NaN or infinite.
+    pub non_finite_grads: usize,
 }
 
 impl std::fmt::Display for Diverged {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "training diverged: global loss {} at epoch {}",
-            self.loss, self.epoch
-        )
+        let (e, loss, n) = (self.epoch, self.loss, self.non_finite_grads);
+        if loss.is_finite() {
+            let grads = "all-reduced gradient values are NaN or infinite";
+            write!(
+                f,
+                "training diverged: {n} {grads} at epoch {e} (global loss {loss})"
+            )
+        } else {
+            write!(f, "training diverged: global loss {loss} at epoch {e}")
+        }
     }
 }
 
@@ -493,14 +502,6 @@ impl TrainRun {
     }
 }
 
-/// Full dims vector (input, hidden..., classes).
-fn dims_of(cfg: &TrainConfig, d_in: usize, d_out: usize) -> Vec<usize> {
-    let mut dims = vec![d_in];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(d_out);
-    dims
-}
-
 // ---------------------------------------------------------------------
 // The trainer
 // ---------------------------------------------------------------------
@@ -733,11 +734,12 @@ async fn on_rank<F: Future>(rank: usize, fut: F) -> F::Output {
 }
 
 /// The segmented forward over the whole layer stack on one epoch
-/// topology, leaving the logits in `h`; layer `l` exchanges under tag
-/// `tag + l`. Per layer: issue every boundary-row send, run the
-/// inner-edge partial while the blocks are in flight, then fold the
-/// arrivals in whatever order they land — into fixed per-owner row
-/// ranges, so bitwise the serial exchange — and finish the layer.
+/// topology, leaving the logits in `t.h`; layer 0 reads `features` in
+/// place, and layer `l` exchanges under tag `tag + l`. Per layer: issue
+/// every boundary-row send, run the inner-edge partial while the blocks
+/// are in flight, then fold the arrivals in whatever order they land —
+/// into fixed per-owner row ranges, so bitwise the serial exchange —
+/// and finish the layer.
 ///
 /// `train` is `Some((epoch, stale))` for a training pass: dropout draws
 /// from the rank RNG, the PipeGCN cache `stale` (when pipelining)
@@ -748,9 +750,7 @@ async fn on_rank<F: Future>(rank: usize, fut: F) -> F::Output {
 #[allow(clippy::too_many_arguments)]
 async fn forward_pass(
     comm: &mut RankComm,
-    layers: &[Layer],
-    (slots, scratch, arena): (&mut [LayerSlot], &mut SegScratch, &mut ExchangeArena),
-    (h, h_next): (&mut Matrix, &mut Matrix),
+    (t, arena): (&mut Trainer, &mut ExchangeArena),
     features: &Matrix,
     (topo, ex): (&EpochTopology, &EpochExchange),
     tag: u64,
@@ -761,25 +761,25 @@ async fn forward_pass(
     let (epoch, mut stale) = train.map_or((None, None), |(e, s)| (Some(e), s));
     let train = epoch.is_some();
     let (mut compute_s, mut comm_s) = (0.0, 0.0);
-    for (l, (layer, slot)) in layers.iter().zip(slots.iter_mut()).enumerate() {
+    for l in 0..t.num_layers() {
         let tag = tag + l as u64;
         let span = |name| {
             epoch.map(|e| Timed::with_args(name, &[("epoch", e.into()), ("layer", l.into())]))
         };
         let lap = |t: Option<Timed>| t.map_or(0.0, Timed::stop);
-        let h_in = if l == 0 { features } else { &*h };
+        let x = (l == 0).then_some(features);
         let tc = span("exchange");
-        send_boundary_rows(comm, ex, h_in, tag, arena, precision);
+        send_boundary_rows(comm, ex, x.unwrap_or(&t.h), tag, arena, precision);
         comm_s += lap(tc);
         let tk = span("compute");
-        layer.forward_inner(slot, &topo.graph, h_in, &topo.gcn_scale, (train, rng));
+        t.forward_inner(l, &topo.graph, x, &topo.gcn_scale, (train, rng));
         compute_s += lap(tk);
         let tc = span("exchange");
         recv_boundary_blocks(
             comm,
             ex,
             topo.selected.len(),
-            h_in.cols(),
+            t.model.layers[l].d_in(),
             topo.feature_scale,
             tag,
             arena,
@@ -789,54 +789,11 @@ async fn forward_pass(
         .await;
         comm_s += lap(tc);
         let tk = span("compute");
-        layer.forward_boundary(
-            slot,
-            &topo.graph,
-            (h_in, arena.boundary()),
-            (&topo.row_scale, &topo.gcn_scale),
-            (train, rng),
-            scratch,
-            h_next,
-        );
-        std::mem::swap(h, h_next);
+        let norms = (&topo.row_scale[..], &topo.gcn_scale[..]);
+        t.forward_boundary(l, &topo.graph, (x, arena.boundary()), norms, (train, rng));
         compute_s += lap(tk);
     }
     (compute_s, comm_s)
-}
-
-/// Flattens every layer's parameter gradients, in
-/// [`Layer::for_each_param_grad`] order, into `flat` (keeping its
-/// allocation) and appends the rank's loss: the all-reduce payload.
-fn flatten_grads(slots: &[LayerSlot], local_loss: f32, flat: &mut Vec<f32>) {
-    flat.clear();
-    for slot in slots {
-        slot.for_each_grad(|g| flat.extend_from_slice(g.as_slice()));
-    }
-    flat.push(local_loss);
-}
-
-/// Copies the all-reduced gradients `flat` (the payload of
-/// [`flatten_grads`] without the loss) back into the slots and steps
-/// Adam on each `(parameter, gradient)` pair in the same order — the
-/// bits of one `Adam::step` over every pair after the whole copy, since
-/// each pair's update reads only its own gradient.
-fn apply_reduced_grads(
-    layers: &mut [Layer],
-    slots: &mut [LayerSlot],
-    flat: &[f32],
-    opt: &mut Adam,
-) {
-    let mut step = opt.begin_step();
-    let mut off = 0;
-    for (layer, slot) in layers.iter_mut().zip(slots) {
-        layer.for_each_param_grad(slot, |p, g| {
-            let n = g.len();
-            g.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-            off += n;
-            step.update(p, g);
-        });
-    }
-    assert_eq!(off, flat.len(), "flat gradient size mismatch");
 }
 
 /// One partition's whole training run: Algorithm 1 as a straight-line
@@ -856,9 +813,7 @@ async fn rank_program(
     let me = comm.rank();
     let lp: &LocalPartition = &plan.parts[me];
     let n_in = lp.n_inner();
-    let dims = dims_of(cfg, plan.feat_dim, plan.num_classes);
-    let num_layers = dims.len() - 1;
-    let mut opt = Adam::new(cfg.lr);
+    let dims = model_dims(plan.feat_dim, &cfg.hidden, plan.num_classes);
     // Drives dropout only: the boundary selection is a hash of
     // `sample_seed`, which every rank evaluates alike.
     let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(me as u64 + 1);
@@ -870,24 +825,15 @@ async fn rank_program(
     // sends (mixed per (tag, destination) in `exchange_gradients`).
     let sr_seed = cfg.seed ^ 0x570c_4a57_1c5e_ed00;
 
-    let mut layers = Layer::stack(cfg.arch, &dims, cfg.dropout, &mut SeededRng::new(cfg.seed));
-    // Layer buffers, owned for the whole run and overwritten every
-    // epoch (DESIGN.md §7): one slot per layer, one scratch shared by
-    // all layers, and the activation / upstream-gradient pair, which
-    // ping-pong with the scratch through `mem::swap`. Layer 0 reads
-    // `lp.features` in place. The eval pass runs through the same
-    // buffers.
-    let mut slots: Vec<LayerSlot> = layers.iter().map(Layer::new_slot).collect();
-    for (layer, slot) in layers.iter_mut().zip(&mut slots) {
-        layer.for_each_param_grad(slot, |p, _| opt.push_moments(p));
-    }
-    let mut scratch = SegScratch::default();
-    let (mut h, mut h_next, mut d) = (Matrix::default(), Matrix::default(), Matrix::default());
+    // The model and its layer buffers, owned for the whole run and
+    // overwritten every epoch (DESIGN.md §7). The eval pass runs
+    // through the same buffers.
+    let mut t = Trainer::new(cfg.arch, &dims, cfg.dropout, cfg.lr, cfg.seed);
     // The flattened gradients plus the loss, all-reduced in place.
     let mut flat: Vec<f32> = Vec::new();
     let mut arena = ExchangeArena::new();
-    let mut stale_feats: Vec<Option<Matrix>> = vec![None; num_layers];
-    let mut stale_grads: Vec<Option<Vec<Vec<f32>>>> = vec![None; num_layers];
+    let mut stale_feats: Vec<Option<Matrix>> = vec![None; t.num_layers()];
+    let mut stale_grads: Vec<Option<Vec<Vec<f32>>>> = vec![None; t.num_layers()];
     // The static full topology and its exchange serve evaluation.
     let full = BoundarySampling::Bns { p: 1.0 };
     let full_topo = build_epoch_topology(lp, &full, 0, sample_seed);
@@ -919,9 +865,7 @@ async fn rank_program(
         let stale = cfg.pipeline.then_some(&mut stale_feats[..]);
         let (mut compute_s, mut comm_s) = forward_pass(
             comm,
-            &layers,
-            (&mut slots, &mut scratch, &mut arena),
-            (&mut h, &mut h_next),
+            (&mut t, &mut arena),
             &lp.features,
             (&topo, &ex),
             tag_base + 1,
@@ -930,40 +874,31 @@ async fn rank_program(
             Some((epoch, stale)),
         )
         .await;
-        let flops = layers.iter().fold(0.0, |f, l| {
+        let flops = t.model.layers.iter().fold(0.0, |f, l| {
             f + l.estimate_flops(topo.graph.num_edges(), n_in, n_in + n_sel)
         });
 
         // ---- Loss and the gradient seed ----
         let tk = Timed::with_args("compute", &[("epoch", epoch.into())]);
-        let rows = &lp.train_local;
-        let local_loss = match &lp.labels {
-            Labels::Single(labels) => softmax_cross_entropy_into(&h, labels, rows, &mut d).0,
-            Labels::Multi(y) => bce_with_logits_into(&h, y, rows, &mut d),
-        };
-        d.scale(1.0 / plan.global_train.max(1) as f32);
+        let local_loss = loss_into(&lp.labels, &t.h, &lp.train_local, &mut t.d);
+        t.d.scale(1.0 / plan.global_train.max(1) as f32);
         compute_s += tk.stop();
 
         // ---- Phase 3: backward, one gradient return per layer ----
-        // Layer 0's input gradient is read by nobody: it computes only
-        // what leaves the rank (parameter gradients and boundary rows),
-        // and its gradient exchange sends and drains without folding.
-        for l in (0..num_layers).rev() {
+        // Layer 0 returns no inner input gradient: its gradient exchange
+        // sends and drains without folding.
+        for l in (0..t.num_layers()).rev() {
             let at = [("epoch", epoch.into()), ("layer", l.into())];
             let tk = Timed::with_args("compute", &at);
-            let inner_grad = l > 0;
-            layers[l].backward_seg(&mut slots[l], &topo.graph, &mut d, &mut scratch, inner_grad);
-            if inner_grad {
-                std::mem::swap(&mut d, &mut scratch.dh);
-            }
+            let (dh, dh_bd) = t.backward(l, &topo.graph);
             compute_s += tk.stop();
             let tc = Timed::with_args("exchange", &at);
             if !ex.is_trivial() {
                 exchange_gradients(
                     comm,
                     &ex,
-                    inner_grad.then_some(&mut d),
-                    &scratch.dh_bd,
+                    dh,
+                    dh_bd,
                     topo.feature_scale,
                     tag_base + 64 + l as u64,
                     &mut arena,
@@ -978,17 +913,22 @@ async fn rank_program(
 
         // ---- Phase 4: all-reduce the gradients, Adam step ----
         let reduce_timer = Timed::with_args("reduce", &[("epoch", epoch.into())]);
-        flatten_grads(&slots, local_loss as f32, &mut flat);
+        t.flatten_grads(&mut flat);
+        flat.push(local_loss as f32);
         comm.all_reduce_sum(&mut flat).await;
-        let global_loss = *flat.last().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
-        if !global_loss.is_finite() {
+        let global_loss = flat.pop().expect("loss slot") as f64 / plan.global_train.max(1) as f64;
+        // [zeros, NaN or ±∞]: a NaN behind a ReLU leaves the loss
+        // finite and shows only here.
+        let mut census = [0; 2];
+        simd::census(simd::begin_kernel(), &flat, &mut census);
+        if !global_loss.is_finite() || census[1] > 0 {
             // Every rank reduced the same bits, so all of them stop here.
             std::panic::panic_any(Diverged {
                 epoch,
                 loss: global_loss,
+                non_finite_grads: census[1],
             });
         }
-        flat.pop();
         if me == 0 {
             bns_telemetry::gauge_set("epoch.loss", global_loss);
             bns_telemetry::series_push("epoch.loss", epoch as u64, global_loss);
@@ -1002,7 +942,7 @@ async fn rank_program(
                 }
             }
         }
-        apply_reduced_grads(&mut layers, &mut slots, &flat, &mut opt);
+        t.step(Some(&flat));
         let reduce_s = reduce_timer.stop();
 
         // ---- Memory model ----
@@ -1019,9 +959,7 @@ async fn rank_program(
             let eval_span = Timed::with_args("eval", &[("epoch", epoch.into())]);
             forward_pass(
                 comm,
-                &layers,
-                (&mut slots, &mut scratch, &mut arena),
-                (&mut h, &mut h_next),
+                (&mut t, &mut arena),
                 &lp.features,
                 (&full_topo, &full_ex),
                 tag_base + 129,
@@ -1035,11 +973,11 @@ async fn rank_program(
             let score_of = |rows: &[usize]| -> (u64, u64, u64) {
                 match &lp.labels {
                     Labels::Single(labels) => {
-                        let (c, t) = accuracy_counts(&h, labels, rows);
-                        (c as u64, t as u64, 0)
+                        let (c, n) = accuracy_counts(&t.h, labels, rows);
+                        (c as u64, n as u64, 0)
                     }
                     Labels::Multi(y) => {
-                        let c = multilabel_counts(&h, y, rows);
+                        let c = multilabel_counts(&t.h, y, rows);
                         (c.tp, c.fp, c.fn_)
                     }
                 }
@@ -1073,10 +1011,10 @@ async fn rank_program(
         epochs: epochs_out,
         peak_mem,
         boundary: lp.n_boundary(),
-        layers,
+        layers: std::mem::take(&mut t.model.layers),
     };
     let buffers = Box::new((
-        (slots, scratch, [h, h_next, d], flat, arena, opt),
+        (t, flat, arena),
         (stale_feats, stale_grads),
         (full_topo, full_ex, topo, ex),
     ));

@@ -155,9 +155,27 @@ pub struct ExchangeArena {
     pub out_of_order_blocks: u64,
 }
 
-/// Bound on recycled buffers kept around (layer dims recur every epoch,
-/// so a small pool reaches steady state quickly).
+/// Bound on recycled buffers kept per element type (layer dims recur
+/// every epoch, so a small pool reaches steady state quickly).
 const ARENA_MAX_FREE: usize = 32;
+
+/// An element type of the payload buffers the arena recycles: f32 rows
+/// and quantized wire bytes, each type on its own free list.
+trait Recycled: Copy + Default {
+    fn free_list(arena: &mut ExchangeArena) -> &mut Vec<Vec<Self>>;
+}
+
+impl Recycled for f32 {
+    fn free_list(arena: &mut ExchangeArena) -> &mut Vec<Vec<f32>> {
+        &mut arena.free
+    }
+}
+
+impl Recycled for u8 {
+    fn free_list(arena: &mut ExchangeArena) -> &mut Vec<Vec<u8>> {
+        &mut arena.free_u8
+    }
+}
 
 impl ExchangeArena {
     /// An empty arena.
@@ -171,45 +189,28 @@ impl ExchangeArena {
         &self.h_bd
     }
 
-    /// A zeroed buffer of exactly `len` floats, served from the free
-    /// list when a large-enough recycled buffer exists.
-    fn take_buf(&mut self, len: usize) -> Vec<f32> {
-        if let Some(pos) = self.free.iter().position(|b| b.capacity() >= len) {
-            let mut buf = self.free.swap_remove(pos);
-            self.bytes_reused += 4 * len as u64;
-            buf.clear();
-            buf.resize(len, 0.0);
-            return buf;
-        }
-        self.bytes_alloc += 4 * len as u64;
-        vec![0.0; len]
+    /// A zeroed buffer of exactly `len` elements, served from the free
+    /// list of its element type when a large-enough recycled buffer
+    /// exists.
+    fn take_buf<T: Recycled>(&mut self, len: usize) -> Vec<T> {
+        let bytes = (len * std::mem::size_of::<T>()) as u64;
+        let free = T::free_list(self);
+        let Some(pos) = free.iter().position(|b| b.capacity() >= len) else {
+            self.bytes_alloc += bytes;
+            return vec![T::default(); len];
+        };
+        let mut buf = free.swap_remove(pos);
+        self.bytes_reused += bytes;
+        buf.clear();
+        buf.resize(len, T::default());
+        buf
     }
 
-    /// Returns a payload buffer to the free list.
-    fn recycle(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > 0 && self.free.len() < ARENA_MAX_FREE {
-            self.free.push(buf);
-        }
-    }
-
-    /// A zeroed wire buffer of exactly `len` bytes, recycled like
-    /// [`ExchangeArena::take_buf`].
-    fn take_u8(&mut self, len: usize) -> Vec<u8> {
-        if let Some(pos) = self.free_u8.iter().position(|b| b.capacity() >= len) {
-            let mut buf = self.free_u8.swap_remove(pos);
-            self.bytes_reused += len as u64;
-            buf.clear();
-            buf.resize(len, 0);
-            return buf;
-        }
-        self.bytes_alloc += len as u64;
-        vec![0; len]
-    }
-
-    /// Returns a wire buffer to the free list.
-    fn recycle_u8(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 && self.free_u8.len() < ARENA_MAX_FREE {
-            self.free_u8.push(buf);
+    /// Returns a buffer to the free list of its element type.
+    fn recycle<T: Recycled>(&mut self, buf: Vec<T>) {
+        let free = T::free_list(self);
+        if buf.capacity() > 0 && free.len() < ARENA_MAX_FREE {
+            free.push(buf);
         }
     }
 
@@ -250,7 +251,7 @@ fn pack_block(
     sr: Option<u64>,
 ) -> Vec<u8> {
     let rows = src.len() / d;
-    let mut wire = arena.take_u8(precision.payload_bytes(rows, d));
+    let mut wire = arena.take_buf(precision.payload_bytes(rows, d));
     let bk = simd::begin_kernel();
     match (precision, sr) {
         (WirePrecision::F16, None) => codec::pack_f16(bk, &mut wire, src),
@@ -408,7 +409,7 @@ pub async fn recv_boundary_blocks(
             BlockPayload::Wire(wire) => {
                 debug_assert_eq!(wire.len(), precision.payload_bytes(range.len(), d));
                 unpack_block(dst, &wire, d, feature_scale, precision);
-                arena.recycle_u8(wire);
+                arena.recycle(wire);
             }
         }
     }
@@ -524,7 +525,7 @@ pub async fn exchange_gradients(
                 debug_assert_eq!(wire.len(), precision.payload_bytes(rows, d));
                 let mut data = arena.take_buf(rows * d);
                 unpack_block(&mut data, &wire, d, 1.0, precision);
-                arena.recycle_u8(wire);
+                arena.recycle(wire);
                 data
             }
         };

@@ -63,32 +63,29 @@ pub struct FullGraphRun {
     pub model: TrainedModel,
 }
 
-/// The layer widths of a model for `ds`: input, `hidden`..., classes.
-pub(crate) fn model_dims(ds: &Dataset, hidden: &[usize]) -> Vec<usize> {
-    let mut dims = vec![ds.feat_dim()];
-    dims.extend_from_slice(hidden);
-    dims.push(ds.num_classes);
-    dims
+/// The layer widths of a model: input, `hidden`..., output.
+pub(crate) fn model_dims(d_in: usize, hidden: &[usize], d_out: usize) -> Vec<usize> {
+    [&[d_in], hidden, &[d_out]].concat()
 }
 
-/// A GraphSAGE [`TrainedModel`] in training on one process, on the
-/// segmented protocol the engine runs: one run-long [`LayerSlot`] per
-/// layer, one [`SegScratch`] and one Adam. A layer's inner rows are the
-/// rows it updates, listed first; its boundary rows are the other
-/// source rows — none on a whole graph or subgraph, the sampled
-/// support or historical rows in a mini-batch block.
+/// A [`TrainedModel`] in training, on the segmented protocol every
+/// trainer runs: one run-long [`LayerSlot`] per layer, one
+/// [`SegScratch`] and one Adam. A layer's inner rows are the rows it
+/// updates, listed first; its boundary rows are the other source rows:
+/// none on a whole graph or subgraph, the sampled support or historical
+/// rows in a mini-batch block, the rows peers send in the engine.
 ///
-/// `h` carries the activations: the caller loads layer 0's inner rows
-/// into it, and each [`Trainer::forward`] replaces it with the layer's
-/// output. `d` carries the upstream gradient: the caller seeds it from
-/// the loss, and each [`Trainer::backward`] above layer 0 replaces it
-/// with the gradient for that layer's inner input rows.
+/// `h` carries the activations: each forward replaces it with the
+/// layer's output, and a layer reads it as its inner rows unless the
+/// caller passes them (the engine passes its partition's features to
+/// layer 0, which reads them in place). `d` carries the upstream
+/// gradient: the caller seeds it from the loss, and each
+/// [`Trainer::backward`] above layer 0 replaces it with the gradient for
+/// that layer's inner input rows.
 pub(crate) struct Trainer {
     pub(crate) model: TrainedModel,
     slots: Vec<LayerSlot>,
-    /// After [`Trainer::backward`], `dh_bd` holds the gradient for the
-    /// layer's boundary input rows.
-    pub(crate) scratch: SegScratch,
+    scratch: SegScratch,
     opt: Adam,
     pub(crate) h: Matrix,
     next: Matrix,
@@ -96,10 +93,9 @@ pub(crate) struct Trainer {
 }
 
 impl Trainer {
-    /// A fresh model over `dims`, its weights drawn from `seed`.
-    pub(crate) fn new(dims: &[usize], dropout: f32, lr: f32, seed: u64) -> Self {
-        let mut model =
-            TrainedModel::new(ModelArch::Sage, dims, dropout, &mut SeededRng::new(seed));
+    /// A fresh `arch` model over `dims`, its weights drawn from `seed`.
+    pub(crate) fn new(arch: ModelArch, dims: &[usize], dropout: f32, lr: f32, seed: u64) -> Self {
+        let mut model = TrainedModel::new(arch, dims, dropout, &mut SeededRng::new(seed));
         let mut slots: Vec<LayerSlot> = model.layers.iter().map(Layer::new_slot).collect();
         let mut opt = Adam::new(lr);
         for (layer, slot) in model.layers.iter_mut().zip(&mut slots) {
@@ -120,10 +116,45 @@ impl Trainer {
         self.slots.len()
     }
 
-    /// Training forward of layer `l` over `g`, whose source rows are
-    /// `h`'s rows then `h_bd`'s (`None`: no boundary rows). `mean` holds
-    /// the normalizer of each of `h`'s rows. Dropout draws from `rng`,
-    /// inner rows first, as on the stacked rows.
+    /// Phase 1 of layer `l`'s forward over `g`: everything that needs
+    /// only the inner rows (`x`, or `h` if `None`), so it can run while
+    /// the boundary rows are in flight. `sym` is the GCN normalizer of
+    /// every source row. Dropout draws from the RNG iff training.
+    pub(crate) fn forward_inner(
+        &mut self,
+        l: usize,
+        g: &CsrGraph,
+        x: Option<&Matrix>,
+        sym: &[f32],
+        train: (bool, &mut SeededRng),
+    ) {
+        let h = x.unwrap_or(&self.h);
+        self.model.layers[l].forward_inner(&mut self.slots[l], g, h, sym, train);
+    }
+
+    /// Phase 2: folds the boundary rows `h_bd` and finishes layer `l`,
+    /// replacing `h` with its output. `x` is as in
+    /// [`Trainer::forward_inner`]; `mean` is the SAGE normalizer of
+    /// every inner row, `sym` the GCN one of every source row.
+    pub(crate) fn forward_boundary(
+        &mut self,
+        l: usize,
+        g: &CsrGraph,
+        (x, h_bd): (Option<&Matrix>, &Matrix),
+        (mean, sym): (&[f32], &[f32]),
+        train: (bool, &mut SeededRng),
+    ) {
+        let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
+        let hs = (x.unwrap_or(&self.h), h_bd);
+        let (scratch, out) = (&mut self.scratch, &mut self.next);
+        layer.forward_boundary(slot, g, hs, (mean, sym), train, scratch, out);
+        std::mem::swap(&mut self.h, &mut self.next);
+    }
+
+    /// Both phases of the training forward of SAGE layer `l` on one
+    /// process, over `g`, whose source rows are `h`'s rows then `h_bd`'s
+    /// (`None`: no boundary rows). Dropout draws from `rng`, inner rows
+    /// first, as on the stacked rows.
     pub(crate) fn forward(
         &mut self,
         l: usize,
@@ -132,36 +163,58 @@ impl Trainer {
         mean: &[f32],
         rng: &mut SeededRng,
     ) {
-        let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
         let none = Matrix::zeros(0, self.h.cols());
-        let h_bd = h_bd.unwrap_or(&none);
         // A SAGE layer reads no GCN normalizer.
-        layer.forward_inner(slot, g, &self.h, &[], (true, &mut *rng));
-        let (hs, norms, train) = ((&self.h, h_bd), (mean, &[][..]), (true, rng));
-        let (scratch, out) = (&mut self.scratch, &mut self.next);
-        layer.forward_boundary(slot, g, hs, norms, train, scratch, out);
-        std::mem::swap(&mut self.h, &mut self.next);
+        self.forward_inner(l, g, None, &[], (true, &mut *rng));
+        let hs = (None, h_bd.unwrap_or(&none));
+        self.forward_boundary(l, g, hs, (mean, &[]), (true, rng));
     }
 
     /// Backward of layer `l` from `d`: the parameter gradients land in
-    /// the layer's slot and the boundary rows' input gradient in
-    /// `scratch.dh_bd`. Above layer 0, `d` becomes the inner rows'
-    /// input gradient; layer 0 computes no inner input gradient, as in
-    /// the engine, and leaves its pre-activation gradient in `d`.
-    pub(crate) fn backward(&mut self, l: usize, g: &CsrGraph) {
+    /// the layer's slot. Returns the layer's input gradients: the inner
+    /// rows' (now in `d`) and the boundary rows'. Layer 0's inner input
+    /// gradient is read by nobody, so it computes none (`None`) and
+    /// leaves its pre-activation gradient in `d`.
+    pub(crate) fn backward(&mut self, l: usize, g: &CsrGraph) -> (Option<&mut Matrix>, &Matrix) {
         let inner_grad = l > 0;
         let (layer, slot) = (&self.model.layers[l], &mut self.slots[l]);
         layer.backward_seg(slot, g, &mut self.d, &mut self.scratch, inner_grad);
         if inner_grad {
             std::mem::swap(&mut self.d, &mut self.scratch.dh);
         }
+        (inner_grad.then_some(&mut self.d), &self.scratch.dh_bd)
     }
 
-    /// One Adam step on every parameter, with its gradient in place.
-    pub(crate) fn step(&mut self) {
+    /// Flattens every parameter gradient, in
+    /// [`Layer::for_each_param_grad`] order, into `flat`, keeping its
+    /// allocation: the all-reduce payload.
+    pub(crate) fn flatten_grads(&self, flat: &mut Vec<f32>) {
+        flat.clear();
+        for slot in &self.slots {
+            slot.for_each_grad(|g| flat.extend_from_slice(g.as_slice()));
+        }
+    }
+
+    /// One Adam step on every parameter. With `reduced` (the
+    /// all-reduced [`Trainer::flatten_grads`] payload) each gradient is
+    /// first overwritten with its reduced values; each update reads
+    /// only its own gradient, so these are the bits of a step after the
+    /// whole copy.
+    pub(crate) fn step(&mut self, reduced: Option<&[f32]>) {
         let mut step = self.opt.begin_step();
+        let mut off = 0;
         for (layer, slot) in self.model.layers.iter_mut().zip(&mut self.slots) {
-            layer.for_each_param_grad(slot, |p, g| step.update(p, g));
+            layer.for_each_param_grad(slot, |p, g| {
+                if let Some(flat) = reduced {
+                    let n = g.len();
+                    g.as_mut_slice().copy_from_slice(&flat[off..off + n]);
+                    off += n;
+                }
+                step.update(p, g);
+            });
+        }
+        if let Some(flat) = reduced {
+            assert_eq!(off, flat.len(), "flat gradient size mismatch");
         }
     }
 }
@@ -182,8 +235,8 @@ pub fn train_full(ds: &Dataset, cfg: &FullGraphConfig) -> FullGraphRun {
     let pool_threads = bns_tensor::ThreadConfig::from_env().threads;
     let pool = (pool_threads > 1).then(|| bns_tensor::ThreadPool::new(pool_threads));
     let _pool_guard = pool.map(bns_tensor::pool::install);
-    let dims = model_dims(ds, &cfg.hidden);
-    let mut t = Trainer::new(&dims, cfg.dropout, cfg.lr, cfg.seed);
+    let dims = model_dims(ds.feat_dim(), &cfg.hidden, ds.num_classes);
+    let mut t = Trainer::new(ModelArch::Sage, &dims, cfg.dropout, cfg.lr, cfg.seed);
     let mut rng = SeededRng::new(cfg.seed ^ 0x5eed_0000).fork(1);
     let scale = ds.mean_scale();
     let mut losses = Vec::with_capacity(cfg.epochs);
@@ -200,7 +253,7 @@ pub fn train_full(ds: &Dataset, cfg: &FullGraphConfig) -> FullGraphRun {
         for l in (0..t.num_layers()).rev() {
             t.backward(l, &ds.graph);
         }
-        t.step();
+        t.step(None);
         let _ = fwd.stop();
         let epoch_loss = loss / ds.train.len().max(1) as f64;
         bns_telemetry::series_push("epoch.loss", epoch as u64, epoch_loss);
@@ -238,7 +291,7 @@ pub fn split_scores(logits: &Matrix, ds: &Dataset) -> (f64, f64) {
 /// below the GCN's: neighbor aggregation is what recovers those nodes.
 pub fn train_mlp(ds: &Dataset, cfg: &FullGraphConfig) -> (f64, f64) {
     use bns_nn::{Activation, LinearLayer};
-    let dims = model_dims(ds, &cfg.hidden);
+    let dims = model_dims(ds.feat_dim(), &cfg.hidden, ds.num_classes);
     let mut rng = SeededRng::new(cfg.seed);
     let mut layers = bns_nn::layer_stack(&dims, Activation::Relu, |d_in, d_out, act| {
         LinearLayer::new(d_in, d_out, act, cfg.dropout, &mut rng)

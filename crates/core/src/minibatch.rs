@@ -30,6 +30,7 @@
 use crate::fullgraph::{loss_into, model_dims, Trainer};
 use bns_data::{Dataset, Labels};
 use bns_graph::{GraphBuilder, WeightedSampler};
+use bns_nn::ModelArch;
 use bns_partition::Partitioner;
 use bns_telemetry::Timed;
 use bns_tensor::{Matrix, SeededRng};
@@ -175,8 +176,8 @@ pub fn train_minibatch(
     cfg: &MiniBatchConfig,
 ) -> MiniBatchRun {
     assert!(!ds.train.is_empty(), "no training nodes");
-    let dims = model_dims(ds, &cfg.hidden);
-    let mut t = Trainer::new(&dims, cfg.dropout, cfg.lr, cfg.seed);
+    let dims = model_dims(ds.feat_dim(), &cfg.hidden, ds.num_classes);
+    let mut t = Trainer::new(ModelArch::Sage, &dims, cfg.dropout, cfg.lr, cfg.seed);
     let mut rng = SeededRng::new(cfg.seed ^ 0xabcd).fork(7);
 
     // Method-specific precomputation counts toward sampling time.
@@ -373,14 +374,13 @@ fn layerwise_step(
     // l's whole node list, which is exactly block l-1's target list,
     // and chains through the importance rescale.
     for l in (0..num_layers).rev() {
-        t.backward(l, &blocks[l].graph);
-        if l > 0 {
-            t.d = t.d.vstack(&t.scratch.dh_bd);
-            scale_rows(&mut t.d, &blocks[l].feat_scale);
-            debug_assert_eq!(t.d.rows(), blocks[l - 1].n_targets);
+        if let (Some(d), d_bd) = t.backward(l, &blocks[l].graph) {
+            *d = d.vstack(d_bd);
+            scale_rows(d, &blocks[l].feat_scale);
+            debug_assert_eq!(d.rows(), blocks[l - 1].n_targets);
         }
     }
-    t.step();
+    t.step(None);
     clock.train_s += t1.stop();
     (loss, top.n_targets)
 }
@@ -660,7 +660,7 @@ fn subgraph_step(
     for l in (0..t.num_layers()).rev() {
         t.backward(l, &g);
     }
-    t.step();
+    t.step(None);
     clock.train_s += t1.stop();
     (loss, train_rows.len())
 }
@@ -731,7 +731,7 @@ fn vr_gcn_step(
     for l in (0..num_layers).rev() {
         t.backward(l, &g);
     }
-    t.step();
+    t.step(None);
     clock.train_s += t1.stop();
     (loss, n_t)
 }

@@ -250,6 +250,57 @@ fn engine_matches_recorded_bits() {
     assert_table("the engine's", &got, want);
 }
 
+/// The model-file rows: an FNV-1a hash over `TrainedModel::to_bytes` of
+/// a model the engine trained at k = 2 (dropout on, sampled boundary),
+/// per architecture, and of the full-graph reference's model. They pin
+/// the trained weights and the file layout together.
+#[test]
+fn model_files_match_recorded_bits() {
+    let ds = Arc::new(SyntheticSpec::reddit_sim().with_nodes(300).generate(23));
+    let part = RandomPartitioner.partition(&ds.graph, 2, 4);
+    let plan = Arc::new(PartitionPlan::build(&ds, &part));
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (arch, name) in [
+        (ModelArch::Sage, "sage"),
+        (ModelArch::Gcn, "gcn"),
+        (ModelArch::Gat, "gat"),
+    ] {
+        let cfg = TrainConfig {
+            arch,
+            hidden: HIDDEN.to_vec(),
+            dropout: 0.3,
+            lr: 0.01,
+            epochs: 3,
+            sampling: BoundarySampling::Bns { p: 0.5 },
+            eval_every: 0,
+            seed: 11,
+            clip_norm: None,
+            pipeline: false,
+            workers: None,
+            wire_precision: Some(WirePrecision::Exact),
+        };
+        let bytes = train_with_plan(&plan, &cfg).model.to_bytes();
+        got.push((format!("{name} k2 model file"), fnv1a(&bytes)));
+    }
+    let cfg = FullGraphConfig {
+        hidden: HIDDEN.to_vec(),
+        dropout: 0.3,
+        lr: 0.01,
+        epochs: 3,
+        seed: 11,
+    };
+    let bytes = train_full(&ds, &cfg).model.to_bytes();
+    got.push(("full-graph model file".into(), fnv1a(&bytes)));
+
+    let want: &[(&str, u64)] = &[
+        ("sage k2 model file", 0x2f7a_0437_db0c_6104),
+        ("gcn k2 model file", 0x4a1e_7089_6ab6_0b68),
+        ("gat k2 model file", 0x6d94_ef16_5cc8_461e),
+        ("full-graph model file", 0x1962_71a4_2101_bb5e),
+    ];
+    assert_table("the model files'", &got, want);
+}
+
 /// Vanilla partition parallelism is exact (the paper's premise), bit
 /// for bit at `k = 1`: the engine trains the same layers as the
 /// full-graph reference and scores them the same, dropout included.

@@ -22,7 +22,7 @@ use bns_gcn::exchange::{
 };
 use bns_gcn::plan::PartitionPlan;
 use bns_gcn::sampling::{build_epoch_topology, BoundarySampling};
-use bns_nn::{Activation, SageLayer, SageSegCache, SegScratch};
+use bns_nn::{Activation, Layer, SageLayer, SegScratch};
 use bns_partition::{Partitioner, RandomPartitioner};
 use bns_runtime::{future_task, run_tasks, Task};
 use bns_tensor::pool::{self, ThreadPool};
@@ -121,16 +121,16 @@ async fn check_rank(mut comm: RankComm, plan: &PartitionPlan, p: f64, seed: u64)
             true,
             &mut rng_fused,
         );
-        let (mut cache, mut scratch) = (SageSegCache::default(), SegScratch::default());
+        let seg = Layer::Sage(layer.clone());
+        let (mut slot, mut scratch) = (seg.new_slot(), SegScratch::default());
         let mut out_seg = Matrix::default();
-        layer.forward_inner_into(&topo.graph, &h_inner, true, &mut rng_seg, &mut cache);
-        layer.forward_boundary_into(
+        seg.forward_inner(&mut slot, &topo.graph, &h_inner, &[], (true, &mut rng_seg));
+        seg.forward_boundary(
+            &mut slot,
             &topo.graph,
-            &mut cache,
-            arena.boundary(),
-            &topo.row_scale,
-            true,
-            &mut rng_seg,
+            (&h_inner, arena.boundary()),
+            (&topo.row_scale, &[]),
+            (true, &mut rng_seg),
             &mut scratch,
             &mut out_seg,
         );

@@ -112,11 +112,11 @@ fn train_with_plan_panics_with_the_config_error() {
     );
 }
 
-/// One NaN input feature on a training node makes epoch 0's global
-/// loss NaN; every rank reads that from the all-reduce and the run
-/// stops there with a typed payload, on any worker count. The model has
-/// no hidden layer: a ReLU maps NaN to 0, so behind one the NaN would
-/// reach the weights but not the loss.
+/// One NaN input feature on a training node stops the run at epoch 0
+/// with a typed payload, on any worker count. With no hidden layer the
+/// NaN reaches the global loss. Behind a hidden ReLU, which maps NaN to
+/// 0, the loss stays finite, but the first layer's weight gradient
+/// turns NaN; every rank reads that from the all-reduce and stops.
 #[test]
 fn nan_feature_fails_fast_with_the_epoch() {
     let mut ds = SyntheticSpec::reddit_sim().with_nodes(120).generate(1);
@@ -126,19 +126,25 @@ fn nan_feature_fails_fast_with_the_epoch() {
     for k in [2usize, 3] {
         let part = RandomPartitioner.partition(&ds.graph, k, 1);
         let plan = Arc::new(PartitionPlan::build(&ds, &part));
-        for workers in [1usize, 2] {
+        for (hidden, workers) in [(vec![], 1usize), (vec![], 2), (vec![16], 1), (vec![16], 2)] {
+            let what = format!("k={k} hidden={hidden:?} workers={workers}");
             let c = TrainConfig {
-                hidden: Vec::new(),
+                hidden: hidden.clone(),
                 workers: Some(workers),
                 ..cfg(BoundarySampling::Bns { p: 1.0 })
             };
             let payload = std::panic::catch_unwind(|| train_with_plan(&plan, &c))
-                .expect_err("a NaN loss must not train on");
+                .expect_err("a NaN must not train on");
             let err = payload
                 .downcast_ref::<Diverged>()
-                .unwrap_or_else(|| panic!("k={k} workers={workers}: not a Diverged payload"));
-            assert_eq!(err.epoch, 0, "k={k} workers={workers}");
-            assert!(err.loss.is_nan());
+                .unwrap_or_else(|| panic!("{what}: not a Diverged payload"));
+            assert_eq!(err.epoch, 0, "{what}");
+            if hidden.is_empty() {
+                assert!(err.loss.is_nan(), "{what}");
+            } else {
+                assert!(err.loss.is_finite(), "{what}: the loss stays finite");
+                assert!(err.to_string().contains("gradient"), "{what}: {err}");
+            }
         }
     }
 }

@@ -178,30 +178,14 @@ pub fn scaled_sum_aggregate_backward(
     row_scale: &[f32],
 ) -> Matrix {
     let mut dh = Matrix::default();
-    scaled_sum_aggregate_backward_into(g, dz, n_rows_h, row_scale, &mut dh);
+    scaled_sum_aggregate_backward_rows_into(g, dz, 0..n_rows_h, row_scale, &mut dh);
     dh
 }
 
-/// [`scaled_sum_aggregate_backward`] into a caller-owned buffer
-/// (reshaped and overwritten).
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as
-/// [`scaled_sum_aggregate_backward`].
-pub fn scaled_sum_aggregate_backward_into(
-    g: &CsrGraph,
-    dz: &Matrix,
-    n_rows_h: usize,
-    row_scale: &[f32],
-    dh: &mut Matrix,
-) {
-    scaled_sum_aggregate_backward_rows_into(g, dz, 0..n_rows_h, row_scale, dh);
-}
-
-/// [`scaled_sum_aggregate_backward_into`] for the gradient rows `rows`
-/// only: `dh` is reshaped to `rows.len() x d`, its row `i` holding
-/// gradient row `rows.start + i`, each bitwise the full kernel's.
+/// [`scaled_sum_aggregate_backward`] for the gradient rows `rows` only,
+/// into a caller-owned buffer: `dh` is reshaped to `rows.len() x d`,
+/// its row `i` holding gradient row `rows.start + i`, each bitwise the
+/// full kernel's.
 ///
 /// # Panics
 ///
@@ -227,8 +211,9 @@ pub fn scaled_sum_aggregate_backward_rows_into(
 }
 
 /// Inner-edge partial of [`scaled_sum_aggregate`] on a segmented
-/// `(h_inner, h_bd)` view: `z_v = Σ_{u ∈ N_g(v), u < n_inner} h_u` for
-/// `v < n_out`, **unscaled** (the scale is applied by
+/// `(h_inner, h_bd)` view, into a caller-owned buffer (reshaped and
+/// overwritten): `z_v = Σ_{u ∈ N_g(v), u < n_inner} h_u` for `v <
+/// n_out`, **unscaled** (the scale is applied by
 /// [`scaled_sum_fold_boundary`] after the boundary fold). `n_inner =
 /// h_inner.rows()`.
 ///
@@ -242,19 +227,6 @@ pub fn scaled_sum_aggregate_backward_rows_into(
 /// # Panics
 ///
 /// Panics if `n_out > g.num_nodes()` or `n_out > h_inner.rows()`.
-pub fn scaled_sum_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize) -> Matrix {
-    let mut z = Matrix::default();
-    scaled_sum_aggregate_inner_into(g, h_inner, n_out, &mut z);
-    z
-}
-
-/// [`scaled_sum_aggregate_inner`] into a caller-owned buffer (reshaped
-/// and overwritten).
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as
-/// [`scaled_sum_aggregate_inner`].
 pub fn scaled_sum_aggregate_inner_into(
     g: &CsrGraph,
     h_inner: &Matrix,
@@ -281,7 +253,7 @@ pub fn scaled_sum_aggregate_inner_into(
     });
 }
 
-/// Completes [`scaled_sum_aggregate_inner`]: folds the boundary-edge
+/// Completes [`scaled_sum_aggregate_inner_into`]: folds the boundary-edge
 /// contributions (`h_bd` row `u - n_inner` for neighbors `u >=
 /// n_inner`) into `z`, then applies `row_scale`. After this call `z`
 /// equals `scaled_sum_aggregate(g, vstack(h_inner, h_bd), n_out,
@@ -324,23 +296,11 @@ pub fn scaled_sum_fold_boundary(
     });
 }
 
-/// Inner-edge partial of [`gcn_aggregate`] on a segmented view:
-/// `z_v = Σ_{u ∈ N_g(v), u < n_inner} s_u · h_u` for `v < n_out`,
-/// without the self-loop term (applied by [`gcn_fold_boundary`]). Same
-/// sorted-CSR bitwise-identity argument as
-/// [`scaled_sum_aggregate_inner`].
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn gcn_aggregate_inner(g: &CsrGraph, h_inner: &Matrix, n_out: usize, s: &[f32]) -> Matrix {
-    let mut z = Matrix::default();
-    gcn_aggregate_inner_into(g, h_inner, n_out, s, &mut z);
-    z
-}
-
-/// [`gcn_aggregate_inner`] into a caller-owned buffer (reshaped and
-/// overwritten).
+/// Inner-edge partial of [`gcn_aggregate`] on a segmented view, into a
+/// caller-owned buffer (reshaped and overwritten): `z_v = Σ_{u ∈
+/// N_g(v), u < n_inner} s_u · h_u` for `v < n_out`, without the
+/// self-loop term (applied by [`gcn_fold_boundary`]). Same sorted-CSR
+/// bitwise-identity argument as [`scaled_sum_aggregate_inner_into`].
 ///
 /// # Panics
 ///
@@ -372,7 +332,7 @@ pub fn gcn_aggregate_inner_into(
     });
 }
 
-/// Completes [`gcn_aggregate_inner`]: folds boundary neighbors, then
+/// Completes [`gcn_aggregate_inner_into`]: folds boundary neighbors, then
 /// the self-loop finalization `z_v = s_v · z_v + s_v² · h_v` (with
 /// `h_v` taken from `h_inner` — targets are always inner rows). After
 /// this call `z` equals `gcn_aggregate(g, vstack(h_inner, h_bd), n_out,
@@ -473,28 +433,12 @@ pub fn gcn_aggregate_into<G: Adjacency>(
 /// Panics on shape mismatches.
 pub fn gcn_aggregate_backward(g: &CsrGraph, dz: &Matrix, n_rows_h: usize, s: &[f32]) -> Matrix {
     let mut dh = Matrix::default();
-    gcn_aggregate_backward_into(g, dz, n_rows_h, s, &mut dh);
+    gcn_aggregate_backward_rows_into(g, dz, 0..n_rows_h, s, &mut dh);
     dh
 }
 
-/// [`gcn_aggregate_backward`] into a caller-owned buffer (reshaped and
-/// overwritten).
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn gcn_aggregate_backward_into(
-    g: &CsrGraph,
-    dz: &Matrix,
-    n_rows_h: usize,
-    s: &[f32],
-    dh: &mut Matrix,
-) {
-    gcn_aggregate_backward_rows_into(g, dz, 0..n_rows_h, s, dh);
-}
-
-/// [`gcn_aggregate_backward_into`] for the gradient rows `rows` only
-/// (see [`scaled_sum_aggregate_backward_rows_into`]).
+/// [`gcn_aggregate_backward`] for the gradient rows `rows` only, into a
+/// caller-owned buffer (see [`scaled_sum_aggregate_backward_rows_into`]).
 ///
 /// # Panics
 ///
@@ -605,6 +549,13 @@ mod tests {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// What an `_into` kernel writes into a fresh buffer.
+    fn fresh(kernel: impl FnOnce(&mut Matrix)) -> Matrix {
+        let mut out = Matrix::default();
+        kernel(&mut out);
+        out
+    }
+
     #[test]
     fn segmented_mean_matches_fused_bitwise() {
         for seed in [1u64, 5, 9] {
@@ -612,7 +563,7 @@ mod tests {
             let mut rng = SeededRng::new(seed + 100);
             let scale: Vec<f32> = (0..n_inner).map(|_| rng.uniform_range(0.1, 2.0)).collect();
             let fused = scaled_sum_aggregate(&g, &h_inner.vstack(&h_bd), n_inner, &scale);
-            let mut z = scaled_sum_aggregate_inner(&g, &h_inner, n_inner);
+            let mut z = fresh(|z| scaled_sum_aggregate_inner_into(&g, &h_inner, n_inner, z));
             scaled_sum_fold_boundary(&g, &mut z, &h_bd, n_inner, &scale);
             assert_eq!(bits(&fused), bits(&z), "seed {seed}");
         }
@@ -626,7 +577,7 @@ mod tests {
                 .map(|v| 1.0 / ((g.degree(v) + 1) as f32).sqrt())
                 .collect();
             let fused = gcn_aggregate(&g, &h_inner.vstack(&h_bd), n_inner, &s);
-            let mut z = gcn_aggregate_inner(&g, &h_inner, n_inner, &s);
+            let mut z = fresh(|z| gcn_aggregate_inner_into(&g, &h_inner, n_inner, &s, z));
             gcn_fold_boundary(&g, &mut z, &h_inner, &h_bd, n_inner, &s);
             assert_eq!(bits(&fused), bits(&z), "seed {seed}");
         }
@@ -639,7 +590,7 @@ mod tests {
         let empty = Matrix::zeros(0, 2);
         let scale = vec![0.5; 6];
         let fused = scaled_sum_aggregate(&g, &h, 6, &scale);
-        let mut z = scaled_sum_aggregate_inner(&g, &h, 6);
+        let mut z = fresh(|z| scaled_sum_aggregate_inner_into(&g, &h, 6, z));
         scaled_sum_fold_boundary(&g, &mut z, &empty, 6, &scale);
         assert_eq!(bits(&fused), bits(&z));
     }
@@ -674,7 +625,9 @@ mod tests {
         scaled_sum_aggregate_inner_into(&g, &h_inner, n_inner, &mut out);
         assert_eq!(
             bits(&out),
-            bits(&scaled_sum_aggregate_inner(&g, &h_inner, n_inner))
+            bits(&fresh(|z| scaled_sum_aggregate_inner_into(
+                &g, &h_inner, n_inner, z
+            )))
         );
         let mut out = dirty();
         gcn_aggregate_into(&g, &h, n_inner, &scale, &mut out);
@@ -683,15 +636,17 @@ mod tests {
         gcn_aggregate_inner_into(&g, &h_inner, n_inner, &scale, &mut out);
         assert_eq!(
             bits(&out),
-            bits(&gcn_aggregate_inner(&g, &h_inner, n_inner, &scale))
+            bits(&fresh(|z| gcn_aggregate_inner_into(
+                &g, &h_inner, n_inner, &scale, z
+            )))
         );
         let mut out = dirty();
-        scaled_sum_aggregate_backward_into(&g, &dz, n, &scale[..n_inner], &mut out);
+        scaled_sum_aggregate_backward_rows_into(&g, &dz, 0..n, &scale[..n_inner], &mut out);
         let fresh = scaled_sum_aggregate_backward(&g, &dz, n, &scale[..n_inner]);
         assert!(fresh.row(n - 1).iter().all(|&x| x == 0.0));
         assert_eq!(bits(&out), bits(&fresh));
         let mut out = dirty();
-        gcn_aggregate_backward_into(&g, &dz, n, &scale, &mut out);
+        gcn_aggregate_backward_rows_into(&g, &dz, 0..n, &scale, &mut out);
         assert_eq!(
             bits(&out),
             bits(&gcn_aggregate_backward(&g, &dz, n, &scale))

@@ -2,12 +2,9 @@
 //! used by the variance-analysis experiments (paper Appendix A analyzes
 //! exactly this propagation `Z = P H W`).
 
-use crate::activation::{ActKeep, Activation};
-use crate::aggregate::{
-    gcn_aggregate_backward, gcn_aggregate_backward_into, gcn_aggregate_backward_rows_into,
-    gcn_aggregate_inner_into, gcn_aggregate_into, gcn_fold_boundary,
-};
-use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
+use crate::activation::Activation;
+use crate::aggregate::{gcn_aggregate_backward, gcn_aggregate_into};
+use crate::layers::{dropout, DropMask, EvalScratch};
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
 
@@ -33,22 +30,6 @@ pub struct GcnCache {
     z: Matrix,
     pre: Matrix,
     n_out: usize,
-    s: Vec<f32>,
-}
-
-/// Saved forward state for the segmented pass; never stores the
-/// boundary feature rows. The training engine keeps one per layer for
-/// the whole run and overwrites it every epoch.
-#[derive(Debug, Clone, Default)]
-pub struct GcnSegCache {
-    h_in_dropped: Matrix,
-    mask_in: DropMask,
-    mask_bd: DropMask,
-    drop_in: bool,
-    drop_bd: bool,
-    z: Matrix,
-    act: ActKeep,
-    n_bd: usize,
     s: Vec<f32>,
 }
 
@@ -131,109 +112,6 @@ impl GcnLayer {
         self.act.apply_into(&scratch.pre, out);
     }
 
-    /// Phase 1 of the segmented forward pass, into a caller-owned cache
-    /// whose buffers are overwritten: inner-row dropout and the
-    /// inner-edge partial aggregation (no self-loop term yet); runs
-    /// before boundary features arrive. See
-    /// [`crate::aggregate::gcn_aggregate_inner`] for the bitwise-identity
-    /// argument.
-    pub fn forward_inner_into(
-        &self,
-        g: &CsrGraph,
-        h_inner: &Matrix,
-        s: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-        cache: &mut GcnSegCache,
-    ) {
-        assert_eq!(h_inner.cols(), self.w.rows(), "input dim mismatch");
-        cache.drop_in = train && self.dropout > 0.0;
-        cache.h_in_dropped.assign(h_inner);
-        if cache.drop_in {
-            cache.mask_in.draw(h_inner.len(), self.dropout, rng);
-            cache.mask_in.apply(cache.h_in_dropped.as_mut_slice());
-        }
-        gcn_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), s, &mut cache.z);
-    }
-
-    /// Phase 2 of the segmented forward pass, on the cache that
-    /// [`GcnLayer::forward_inner_into`] filled: boundary dropout,
-    /// boundary fold + self-loop finalization, then the dense linear
-    /// path, writing the layer output into `out`; temporaries live in
-    /// the shared `scratch`. `h_bd` is borrowed and not cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_boundary_into(
-        &self,
-        g: &CsrGraph,
-        cache: &mut GcnSegCache,
-        h_bd: &Matrix,
-        s: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-        scratch: &mut SegScratch,
-        out: &mut Matrix,
-    ) {
-        let n_inner = cache.h_in_dropped.rows();
-        cache.drop_bd = train && self.dropout > 0.0 && h_bd.rows() > 0;
-        let h_bd_used = if cache.drop_bd {
-            cache.mask_bd.draw(h_bd.len(), self.dropout, rng);
-            scratch.bd_dropped.assign(h_bd);
-            cache.mask_bd.apply(scratch.bd_dropped.as_mut_slice());
-            &scratch.bd_dropped
-        } else {
-            h_bd
-        };
-        gcn_fold_boundary(g, &mut cache.z, &cache.h_in_dropped, h_bd_used, n_inner, s);
-        cache.z.matmul_into(&self.w, out);
-        out.add_row_broadcast(self.b.row(0));
-        self.act.apply_keeping(out, &mut cache.act);
-        cache.n_bd = h_bd.rows();
-        cache.s.clear();
-        cache.s.extend_from_slice(s);
-    }
-
-    /// Segmented backward pass into caller-owned buffers: the input
-    /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
-    /// (boundary rows), the parameter gradients in `grads` — bitwise
-    /// equal to slicing [`GcnLayer::backward`]'s output at the
-    /// inner/boundary split. With `inner_grad = false` the inner rows
-    /// of the gather are skipped (`scratch.dh` is left as it was);
-    /// `dh_bd` and `grads` are the same bits. The upstream gradient
-    /// `d_out` is overwritten with the gradient at the pre-activation.
-    pub fn backward_seg_into(
-        &self,
-        g: &CsrGraph,
-        cache: &GcnSegCache,
-        d_out: &mut Matrix,
-        scratch: &mut SegScratch,
-        grads: &mut GcnGrads,
-        inner_grad: bool,
-    ) {
-        let n_inner = cache.h_in_dropped.rows();
-        assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
-        let sc = scratch;
-        self.act.backward_kept(&cache.act, d_out);
-        let dpre = &*d_out;
-        cache.z.matmul_tn_into(dpre, &mut grads.w);
-        grads.b.reset(1, self.w.cols());
-        dpre.col_sums_into(grads.b.as_mut_slice());
-        dpre.matmul_nt_into(&self.w, &mut sc.dz);
-        let n_rows = n_inner + cache.n_bd;
-        if inner_grad {
-            gcn_aggregate_backward_into(g, &sc.dz, n_rows, &cache.s, &mut sc.dh);
-            sc.dh.slice_rows_into(n_inner, n_rows, &mut sc.dh_bd);
-            sc.dh.truncate_rows(n_inner);
-            if cache.drop_in {
-                cache.mask_in.apply(sc.dh.as_mut_slice());
-            }
-        } else {
-            gcn_aggregate_backward_rows_into(g, &sc.dz, n_inner..n_rows, &cache.s, &mut sc.dh_bd);
-        }
-        if cache.drop_bd {
-            cache.mask_bd.apply(sc.dh_bd.as_mut_slice());
-        }
-    }
-
     /// Backward pass: returns gradient for all input rows plus parameter
     /// gradients.
     pub fn backward(&self, g: &CsrGraph, cache: &GcnCache, d_out: &Matrix) -> (Matrix, GcnGrads) {
@@ -256,6 +134,7 @@ impl GcnLayer {
 mod tests {
     use super::*;
     use crate::gradcheck::finite_diff;
+    use crate::layers::{Layer, SegScratch};
     use bns_graph::generators::erdos_renyi_m;
 
     #[test]
@@ -325,29 +204,24 @@ mod tests {
         let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
 
         let mut rng_seg = SeededRng::new(88);
-        let (mut cache_s, mut scratch) = (GcnSegCache::default(), SegScratch::default());
-        let (mut out_s, mut grads_s) = (Matrix::default(), GcnGrads::default());
-        layer.forward_inner_into(&g, &h_inner, &s, true, &mut rng_seg, &mut cache_s);
-        layer.forward_boundary_into(
-            &g,
-            &mut cache_s,
-            &h_bd,
-            &s,
-            true,
-            &mut rng_seg,
-            &mut scratch,
-            &mut out_s,
-        );
+        let seg = Layer::Gcn(layer.clone());
+        let (mut slot, mut scratch, mut out_s) =
+            (seg.new_slot(), SegScratch::default(), Matrix::default());
+        seg.forward_inner(&mut slot, &g, &h_inner, &s, (true, &mut rng_seg));
+        let (hs, norms, train) = ((&h_inner, &h_bd), (&[][..], &s[..]), (true, &mut rng_seg));
+        seg.forward_boundary(&mut slot, &g, hs, norms, train, &mut scratch, &mut out_s);
         let mut d = d_out.clone();
-        layer.backward_seg_into(&g, &cache_s, &mut d, &mut scratch, &mut grads_s, true);
+        seg.backward_seg(&mut slot, &g, &mut d, &mut scratch, true);
         let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
+        let mut grads_s = Vec::new();
+        slot.for_each_grad(|m| grads_s.push(m.clone()));
 
         let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
         assert_eq!(bits(&out_f), bits(&out_s));
         assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
         assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
-        assert_eq!(bits(&grads_f.w), bits(&grads_s.w));
-        assert_eq!(bits(&grads_f.b), bits(&grads_s.b));
+        assert_eq!(bits(&grads_f.w), bits(&grads_s[0]));
+        assert_eq!(bits(&grads_f.b), bits(&grads_s[1]));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Training, evaluation, serving and model files all go through it.
 
 use crate::activation::Activation;
+use crate::layers::seg::{Agg, SegCache, SegLayer};
 use crate::layers::{
-    EvalScratch, GatCache, GatGrads, GatLayer, GcnGrads, GcnLayer, GcnSegCache, SageGrads,
-    SageLayer, SageSegCache, SegScratch,
+    EvalScratch, GatCache, GatGrads, GatLayer, GcnGrads, GcnLayer, SageGrads, SageLayer, SegScratch,
 };
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::{Matrix, SeededRng};
@@ -42,14 +42,15 @@ pub enum Layer {
 #[derive(Debug)]
 pub struct LayerSlot(Slot);
 
-/// A slot's contents per architecture. GAT has no segmented kernel —
-/// its attention coefficients need destination *and* source rows — so
-/// it runs fused once the boundary block lands and keeps its fused
-/// cache here.
+/// A slot's contents per architecture: SAGE and GCN share one
+/// segmented cache ([`SegCache`]). GAT has no segmented kernel — its
+/// attention coefficients need destination *and* source rows — so it
+/// runs fused once the boundary block lands and keeps its fused cache
+/// here.
 #[derive(Debug)]
 enum Slot {
-    Sage(SageSegCache, SageGrads),
-    Gcn(GcnSegCache, GcnGrads),
+    Sage(SegCache, SageGrads),
+    Gcn(SegCache, GcnGrads),
     Gat(Option<GatCache>, GatGrads),
 }
 
@@ -183,13 +184,36 @@ impl Layer {
         }
     }
 
+    /// A SAGE or GCN layer as the shared segmented step reads it.
+    fn seg(&self) -> SegLayer<'_> {
+        match self {
+            Layer::Sage(l) => SegLayer {
+                agg: Agg::Mean,
+                dropout: l.dropout,
+                act: l.act,
+                w: &l.w_neigh,
+                w_self: Some(&l.w_self),
+                b: &l.b,
+            },
+            Layer::Gcn(l) => SegLayer {
+                agg: Agg::Sym,
+                dropout: l.dropout,
+                act: l.act,
+                w: &l.w,
+                w_self: None,
+                b: &l.b,
+            },
+            Layer::Gat(_) => unreachable!("GAT has no segmented kernel"),
+        }
+    }
+
     /// The run-long slot this layer's segmented forward cache and
     /// gradients live in.
     pub fn new_slot(&self) -> LayerSlot {
         LayerSlot(match self {
-            Layer::Sage(_) => Slot::Sage(SageSegCache::default(), SageGrads::default()),
+            Layer::Sage(_) => Slot::Sage(SegCache::default(), SageGrads::default()),
             Layer::Gat(_) => Slot::Gat(None, GatGrads::default()),
-            Layer::Gcn(_) => Slot::Gcn(GcnSegCache::default(), GcnGrads::default()),
+            Layer::Gcn(_) => Slot::Gcn(SegCache::default(), GcnGrads::default()),
         })
     }
 
@@ -203,12 +227,11 @@ impl Layer {
         g: &CsrGraph,
         h_inner: &Matrix,
         sym: &[f32],
-        (train, rng): (bool, &mut SeededRng),
+        train: (bool, &mut SeededRng),
     ) {
         match (self, &mut slot.0) {
-            (Layer::Sage(l), Slot::Sage(c, _)) => l.forward_inner_into(g, h_inner, train, rng, c),
-            (Layer::Gcn(l), Slot::Gcn(c, _)) => {
-                l.forward_inner_into(g, h_inner, sym, train, rng, c)
+            (Layer::Sage(_), Slot::Sage(c, _)) | (Layer::Gcn(_), Slot::Gcn(c, _)) => {
+                c.forward_inner(&self.seg(), g, h_inner, sym, train)
             }
             (Layer::Gat(_), Slot::Gat(..)) => {}
             _ => unreachable!("slot/layer kind mismatch"),
@@ -231,11 +254,11 @@ impl Layer {
         out: &mut Matrix,
     ) {
         match (self, &mut slot.0) {
-            (Layer::Sage(l), Slot::Sage(c, _)) => {
-                l.forward_boundary_into(g, c, h_bd, mean, train, rng, scratch, out)
+            (Layer::Sage(_), Slot::Sage(c, _)) => {
+                c.forward_boundary(&self.seg(), g, h_bd, mean, (train, rng), scratch, out)
             }
-            (Layer::Gcn(l), Slot::Gcn(c, _)) => {
-                l.forward_boundary_into(g, c, h_bd, sym, train, rng, scratch, out)
+            (Layer::Gcn(_), Slot::Gcn(c, _)) => {
+                c.forward_boundary(&self.seg(), g, h_bd, sym, (train, rng), scratch, out)
             }
             (Layer::Gat(l), Slot::Gat(c, _)) => {
                 let h_full = h_inner.vstack(h_bd);
@@ -265,11 +288,13 @@ impl Layer {
         inner_grad: bool,
     ) {
         match (self, &mut slot.0) {
-            (Layer::Sage(l), Slot::Sage(c, gr)) => {
-                l.backward_seg_into(g, c, d, scratch, gr, inner_grad)
+            (Layer::Sage(_), Slot::Sage(c, gr)) => {
+                let grads = (&mut gr.w_neigh, Some(&mut gr.w_self), &mut gr.b);
+                c.backward(&self.seg(), g, d, scratch, grads, inner_grad)
             }
-            (Layer::Gcn(l), Slot::Gcn(c, gr)) => {
-                l.backward_seg_into(g, c, d, scratch, gr, inner_grad)
+            (Layer::Gcn(_), Slot::Gcn(c, gr)) => {
+                let grads = (&mut gr.w, None, &mut gr.b);
+                c.backward(&self.seg(), g, d, scratch, grads, inner_grad)
             }
             (Layer::Gat(l), Slot::Gat(c, gr)) => {
                 let (dh_full, grads) = l.backward(c.as_ref().expect("forward ran"), d);

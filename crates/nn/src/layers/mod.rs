@@ -18,17 +18,18 @@ mod gcn;
 mod layer;
 mod linear;
 mod sage;
+mod seg;
 
 pub use gat::{GatCache, GatGrads, GatLayer};
-pub use gcn::{GcnCache, GcnGrads, GcnLayer, GcnSegCache};
+pub use gcn::{GcnCache, GcnGrads, GcnLayer};
 pub use layer::{Layer, LayerSlot, ModelArch};
 pub use linear::{LinearCache, LinearGrads, LinearLayer};
-pub use sage::{SageCache, SageGrads, SageLayer, SageSegCache};
+pub use sage::{SageCache, SageGrads, SageLayer};
 
 use bns_tensor::{simd, Matrix, SeededRng};
 
 /// An inverted-dropout keep mask, one bit per element; also the ReLU
-/// mask of the segmented caches, with factor 1.
+/// mask of the segmented cache, with factor 1.
 ///
 /// [`DropMask::draw`] consumes the RNG stream exactly as the former
 /// f32 mask did, one `rng.bernoulli(keep)` per element in row-major

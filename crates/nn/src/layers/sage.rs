@@ -7,13 +7,9 @@
 //! formulation (a concatenation followed by one weight matrix is exactly
 //! two weight matrices added).
 
-use crate::activation::{ActKeep, Activation};
-use crate::aggregate::{
-    scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_into,
-    scaled_sum_aggregate_backward_rows_into, scaled_sum_aggregate_inner_into,
-    scaled_sum_aggregate_into, scaled_sum_fold_boundary,
-};
-use crate::layers::{dropout, DropMask, EvalScratch, SegScratch};
+use crate::activation::Activation;
+use crate::aggregate::{scaled_sum_aggregate_backward, scaled_sum_aggregate_into};
+use crate::layers::{dropout, DropMask, EvalScratch};
 use bns_graph::{Adjacency, CsrGraph};
 use bns_tensor::simd;
 use bns_tensor::{xavier_uniform, Matrix, SeededRng};
@@ -41,26 +37,6 @@ pub struct SageCache {
     z: Matrix,
     pre: Matrix,
     n_out: usize,
-    row_scale: Vec<f32>,
-}
-
-/// Saved forward state for the segmented pass
-/// ([`SageLayer::forward_inner_into`], [`SageLayer::forward_boundary_into`],
-/// [`SageLayer::backward_seg_into`]). Unlike the fused cache it never
-/// stores the boundary feature rows (the backward pass does not need
-/// them), so the per-layer activation memory drops by the halo size.
-/// The training engine keeps one per layer for the whole run and
-/// overwrites it every epoch.
-#[derive(Debug, Clone, Default)]
-pub struct SageSegCache {
-    h_in_dropped: Matrix,
-    mask_in: DropMask,
-    mask_bd: DropMask,
-    drop_in: bool,
-    drop_bd: bool,
-    z: Matrix,
-    act: ActKeep,
-    n_bd: usize,
     row_scale: Vec<f32>,
 }
 
@@ -169,124 +145,6 @@ impl SageLayer {
         self.act.apply_into(&s.pre, out);
     }
 
-    /// Phase 1 of the segmented forward pass, into a caller-owned cache
-    /// whose buffers are overwritten: input dropout on the inner rows
-    /// plus the inner-edge partial aggregation — everything that does
-    /// not touch boundary features, so the engine can run it while
-    /// boundary blocks are in flight. All `h_inner.rows()` rows are
-    /// treated as update targets.
-    ///
-    /// Combined with [`SageLayer::forward_boundary_into`] this is
-    /// bitwise identical to [`SageLayer::forward`] on
-    /// `vstack(h_inner, h_bd)`: dropout draws its RNG stream row-major
-    /// (inner rows first), and sorted CSR rows put inner neighbors
-    /// before boundary neighbors.
-    pub fn forward_inner_into(
-        &self,
-        g: &CsrGraph,
-        h_inner: &Matrix,
-        train: bool,
-        rng: &mut SeededRng,
-        cache: &mut SageSegCache,
-    ) {
-        assert_eq!(h_inner.cols(), self.d_in(), "input dim mismatch");
-        cache.drop_in = train && self.dropout > 0.0;
-        cache.h_in_dropped.assign(h_inner);
-        if cache.drop_in {
-            cache.mask_in.draw(h_inner.len(), self.dropout, rng);
-            cache.mask_in.apply(cache.h_in_dropped.as_mut_slice());
-        }
-        scaled_sum_aggregate_inner_into(g, &cache.h_in_dropped, h_inner.rows(), &mut cache.z);
-    }
-
-    /// Phase 2 of the segmented forward pass, on the cache that
-    /// [`SageLayer::forward_inner_into`] filled: boundary dropout,
-    /// boundary fold + scaling, and the dense linear path, writing the
-    /// layer output into `out`; temporaries live in the shared
-    /// `scratch`. `h_bd` is borrowed (it can live in a reusable
-    /// exchange arena) and is **not** kept in the cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_boundary_into(
-        &self,
-        g: &CsrGraph,
-        cache: &mut SageSegCache,
-        h_bd: &Matrix,
-        row_scale: &[f32],
-        train: bool,
-        rng: &mut SeededRng,
-        scratch: &mut SegScratch,
-        out: &mut Matrix,
-    ) {
-        let n_inner = cache.h_in_dropped.rows();
-        cache.drop_bd = train && self.dropout > 0.0 && h_bd.rows() > 0;
-        let h_bd_used = if cache.drop_bd {
-            cache.mask_bd.draw(h_bd.len(), self.dropout, rng);
-            scratch.bd_dropped.assign(h_bd);
-            cache.mask_bd.apply(scratch.bd_dropped.as_mut_slice());
-            &scratch.bd_dropped
-        } else {
-            h_bd
-        };
-        scaled_sum_fold_boundary(g, &mut cache.z, h_bd_used, n_inner, row_scale);
-        cache.h_in_dropped.matmul_into(&self.w_self, out);
-        cache.z.matmul_into(&self.w_neigh, &mut scratch.dz);
-        out.add_assign(&scratch.dz);
-        out.add_row_broadcast(self.b.row(0));
-        self.act.apply_keeping(out, &mut cache.act);
-        cache.n_bd = h_bd.rows();
-        cache.row_scale.clear();
-        cache.row_scale.extend_from_slice(row_scale);
-    }
-
-    /// Segmented backward pass into caller-owned buffers: the input
-    /// gradients land in `scratch.dh` (inner rows) and `scratch.dh_bd`
-    /// (boundary rows), the parameter gradients in `grads` — bitwise
-    /// equal to slicing [`SageLayer::backward`]'s output at the
-    /// inner/boundary split. With `inner_grad = false` the inner rows
-    /// are not computed (`scratch.dh` is left as it was): the self-path
-    /// product `dpre · W_selfᵀ` and the inner rows of the gather are
-    /// skipped, and `dh_bd` and `grads` are the same bits. The upstream
-    /// gradient `d_out` is overwritten with the gradient at the
-    /// pre-activation (`dpre`), so the pass needs no buffer of its own
-    /// for it.
-    pub fn backward_seg_into(
-        &self,
-        g: &CsrGraph,
-        cache: &SageSegCache,
-        d_out: &mut Matrix,
-        scratch: &mut SegScratch,
-        grads: &mut SageGrads,
-        inner_grad: bool,
-    ) {
-        let n_inner = cache.h_in_dropped.rows();
-        assert_eq!(d_out.rows(), n_inner, "d_out row mismatch");
-        let s = scratch;
-        self.act.backward_kept(&cache.act, d_out);
-        let dpre = &*d_out;
-        cache.h_in_dropped.matmul_tn_into(dpre, &mut grads.w_self);
-        cache.z.matmul_tn_into(dpre, &mut grads.w_neigh);
-        grads.b.reset(1, self.d_out());
-        dpre.col_sums_into(grads.b.as_mut_slice());
-        dpre.matmul_nt_into(&self.w_neigh, &mut s.dz);
-        let n_rows = n_inner + cache.n_bd;
-        if inner_grad {
-            scaled_sum_aggregate_backward_into(g, &s.dz, n_rows, &cache.row_scale, &mut s.dh);
-            s.dh.slice_rows_into(n_inner, n_rows, &mut s.dh_bd);
-            s.dh.truncate_rows(n_inner);
-            dpre.matmul_nt_into(&self.w_self, &mut s.dz);
-            s.dh.add_assign(&s.dz);
-            if cache.drop_in {
-                cache.mask_in.apply(s.dh.as_mut_slice());
-            }
-        } else {
-            let (dz, rows) = (&s.dz, n_inner..n_rows);
-            scaled_sum_aggregate_backward_rows_into(g, dz, rows, &cache.row_scale, &mut s.dh_bd);
-        }
-        if cache.drop_bd {
-            cache.mask_bd.apply(s.dh_bd.as_mut_slice());
-        }
-    }
-
     /// Backward pass: given `d_out` (`n_out x d_out`), returns the
     /// gradient with respect to every input row (`h_full`'s shape) and
     /// the parameter gradients.
@@ -316,6 +174,7 @@ impl SageLayer {
 mod tests {
     use super::*;
     use crate::gradcheck::finite_diff;
+    use crate::layers::{Layer, SegScratch};
     use bns_graph::generators::erdos_renyi_m;
 
     fn setup() -> (CsrGraph, SageLayer, Matrix, Vec<f32>) {
@@ -443,31 +302,30 @@ mod tests {
             let (dh_f, grads_f) = layer.backward(&g, &cache_f, &d_out);
 
             let mut rng_seg = SeededRng::new(77);
-            let (mut cache_s, mut scratch) = (SageSegCache::default(), SegScratch::default());
-            let (mut out_s, mut grads_s) = (Matrix::default(), SageGrads::default());
-            layer.forward_inner_into(&g, &h_inner, true, &mut rng_seg, &mut cache_s);
-            layer.forward_boundary_into(
-                &g,
-                &mut cache_s,
-                &h_bd,
-                &scale,
-                true,
-                &mut rng_seg,
-                &mut scratch,
-                &mut out_s,
+            let seg = Layer::Sage(layer.clone());
+            let (mut slot, mut scratch, mut out_s) =
+                (seg.new_slot(), SegScratch::default(), Matrix::default());
+            seg.forward_inner(&mut slot, &g, &h_inner, &[], (true, &mut rng_seg));
+            let (hs, norms, train) = (
+                (&h_inner, &h_bd),
+                (&scale[..], &[][..]),
+                (true, &mut rng_seg),
             );
+            seg.forward_boundary(&mut slot, &g, hs, norms, train, &mut scratch, &mut out_s);
             let mut d = d_out.clone();
-            layer.backward_seg_into(&g, &cache_s, &mut d, &mut scratch, &mut grads_s, true);
+            seg.backward_seg(&mut slot, &g, &mut d, &mut scratch, true);
             let (dh_in, dh_bd) = (&scratch.dh, &scratch.dh_bd);
+            let mut grads_s = Vec::new();
+            slot.for_each_grad(|m| grads_s.push(m.clone()));
 
             let bits =
                 |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
             assert_eq!(bits(&out_f), bits(&out_s), "{act:?}");
             assert_eq!(bits(&dh_f.slice_rows(0, n_in)), bits(dh_in));
             assert_eq!(bits(&dh_f.slice_rows(n_in, n_in + n_bd)), bits(dh_bd));
-            assert_eq!(bits(&grads_f.w_self), bits(&grads_s.w_self));
-            assert_eq!(bits(&grads_f.w_neigh), bits(&grads_s.w_neigh));
-            assert_eq!(bits(&grads_f.b), bits(&grads_s.b));
+            assert_eq!(bits(&grads_f.w_self), bits(&grads_s[0]));
+            assert_eq!(bits(&grads_f.w_neigh), bits(&grads_s[1]));
+            assert_eq!(bits(&grads_f.b), bits(&grads_s[2]));
         }
     }
 

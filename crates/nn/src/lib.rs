@@ -33,9 +33,9 @@ mod optim;
 
 pub use activation::Activation;
 pub use layers::{
-    DropMask, EvalScratch, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, GcnSegCache,
-    Layer, LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads,
-    SageLayer, SageSegCache, SegScratch,
+    DropMask, EvalScratch, GatCache, GatGrads, GatLayer, GcnCache, GcnGrads, GcnLayer, Layer,
+    LayerSlot, LinearCache, LinearGrads, LinearLayer, ModelArch, SageCache, SageGrads, SageLayer,
+    SegScratch,
 };
 pub use models::layer_stack;
 pub use optim::{Adam, AdamStep};

@@ -20,9 +20,10 @@
 
 use bns_graph::generators::{erdos_renyi_m, ring};
 use bns_nn::aggregate::{
-    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_backward_rows_into, gcn_aggregate_inner,
-    gcn_fold_boundary, scaled_sum_aggregate, scaled_sum_aggregate_backward,
-    scaled_sum_aggregate_backward_rows_into, scaled_sum_aggregate_inner, scaled_sum_fold_boundary,
+    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_backward_rows_into,
+    gcn_aggregate_inner_into, gcn_fold_boundary, scaled_sum_aggregate,
+    scaled_sum_aggregate_backward, scaled_sum_aggregate_backward_rows_into,
+    scaled_sum_aggregate_inner_into, scaled_sum_fold_boundary,
 };
 use bns_tensor::pool::{self, ThreadPool};
 use bns_tensor::simd::{self, Backend};
@@ -95,13 +96,15 @@ fn segmented_inner_plus_fold_matches_fused_kernels() {
 
     // scaled-sum pair vs. the fused kernel.
     let fused = scaled_sum_aggregate(&g, &h, n_out, &scale[..n_out]);
-    let mut z = scaled_sum_aggregate_inner(&g, &h_inner, n_out);
+    let mut z = Matrix::default();
+    scaled_sum_aggregate_inner_into(&g, &h_inner, n_out, &mut z);
     scaled_sum_fold_boundary(&g, &mut z, &h_bd, n_inner, &scale[..n_out]);
     assert_eq!(fused, z, "scaled-sum inner+fold vs fused");
 
     // GCN pair vs. the fused kernel.
     let gcn_fused = gcn_aggregate(&g, &h, n_out, &scale);
-    let mut zg = gcn_aggregate_inner(&g, &h_inner, n_out, &scale);
+    let mut zg = Matrix::default();
+    gcn_aggregate_inner_into(&g, &h_inner, n_out, &scale, &mut zg);
     gcn_fold_boundary(&g, &mut zg, &h_inner, &h_bd, n_inner, &scale);
     assert_eq!(gcn_fused, zg, "gcn inner+fold vs fused");
 

@@ -12,8 +12,8 @@
 
 use bns_graph::generators::{erdos_renyi_m, ring};
 use bns_nn::aggregate::{
-    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_inner, gcn_fold_boundary,
-    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_inner,
+    gcn_aggregate, gcn_aggregate_backward, gcn_aggregate_inner_into, gcn_fold_boundary,
+    scaled_sum_aggregate, scaled_sum_aggregate_backward, scaled_sum_aggregate_inner_into,
     scaled_sum_fold_boundary,
 };
 use bns_nn::gradcheck::finite_diff;
@@ -97,12 +97,14 @@ fn segmented_aggregates_bitwise_across_backends() {
     let scale: Vec<f32> = (0..N).map(|_| rng.uniform_range(0.1, 2.0)).collect();
 
     assert_forced_invariant("segmented scaled_sum", || {
-        let mut z = scaled_sum_aggregate_inner(&g, &h_inner, n_inner);
+        let mut z = Matrix::default();
+        scaled_sum_aggregate_inner_into(&g, &h_inner, n_inner, &mut z);
         scaled_sum_fold_boundary(&g, &mut z, &h_bd, n_inner, &scale[..n_inner]);
         vec![z]
     });
     assert_forced_invariant("segmented gcn", || {
-        let mut z = gcn_aggregate_inner(&g, &h_inner, n_inner, &scale);
+        let mut z = Matrix::default();
+        gcn_aggregate_inner_into(&g, &h_inner, n_inner, &scale, &mut z);
         gcn_fold_boundary(&g, &mut z, &h_inner, &h_bd, n_inner, &scale);
         vec![z]
     });
@@ -287,8 +289,7 @@ fn partial_buffer_gather(
 #[test]
 fn segmented_gather_matches_partial_buffer_reference() {
     use bns_nn::aggregate::{
-        gcn_aggregate_backward_into, gcn_aggregate_backward_rows_into,
-        scaled_sum_aggregate_backward_into, scaled_sum_aggregate_backward_rows_into,
+        gcn_aggregate_backward_rows_into, scaled_sum_aggregate_backward_rows_into,
     };
     use bns_tensor::pool::{self, ThreadPool};
     let (n_out, n_bd, d) = (2100usize, 60usize, 47usize);
@@ -344,14 +345,14 @@ fn segmented_gather_matches_partial_buffer_reference() {
             let _p = pool::install(ThreadPool::new(threads));
             let what = format!("{} at {threads} threads", bk.name());
             let mut got = Matrix::filled(3, 2, f32::NAN);
-            scaled_sum_aggregate_backward_into(&g, &dz, n, sage_scale, &mut got);
+            scaled_sum_aggregate_backward_rows_into(&g, &dz, 0..n, sage_scale, &mut got);
             assert!(bits_eq(&got, &sage_ref), "SAGE gather, {what}");
             scaled_sum_aggregate_backward_rows_into(&g, &dz, n_out..n, sage_scale, &mut got);
             assert!(
                 bits_eq(&got, &bd_ref(&sage_ref)),
                 "SAGE boundary rows, {what}"
             );
-            gcn_aggregate_backward_into(&g, &dz, n, &scale, &mut got);
+            gcn_aggregate_backward_rows_into(&g, &dz, 0..n, &scale, &mut got);
             assert!(bits_eq(&got, &gcn_ref), "GCN gather, {what}");
             gcn_aggregate_backward_rows_into(&g, &dz, n_out..n, &scale, &mut got);
             assert!(

@@ -120,27 +120,23 @@ impl AnalyzeConfig {
                 "EpochExchange::rebuild".into(),
                 "recv_boundary_blocks".into(),
                 "exchange_gradients".into(),
-                // The segmented SAGE/GCN training layers: every buffer
-                // they write is owned by the rank for the whole run.
-                "SageLayer::forward_inner_into".into(),
-                "SageLayer::forward_boundary_into".into(),
-                "SageLayer::backward_seg_into".into(),
-                "GcnLayer::forward_inner_into".into(),
-                "GcnLayer::forward_boundary_into".into(),
-                "GcnLayer::backward_seg_into".into(),
+                // The segmented SAGE/GCN training step, written once:
+                // every buffer it writes is owned by the rank for the
+                // whole run.
+                "SegCache::forward_inner".into(),
+                "SegCache::forward_boundary".into(),
+                "SegCache::backward".into(),
                 // The reduce phase: gradient flatten, then the
                 // write-back and Adam step after the all-reduce.
-                "flatten_grads".into(),
-                "apply_reduced_grads".into(),
+                "Trainer::flatten_grads".into(),
+                "Trainer::step".into(),
             ],
             arena_allow: vec![
                 // The arena recycler is the sanctioned allocator: it
                 // reuses steady-state buffers and meters what it must
                 // allocate.
                 "ExchangeArena::take_buf".into(),
-                "ExchangeArena::take_u8".into(),
                 "ExchangeArena::recycle".into(),
-                "ExchangeArena::recycle_u8".into(),
                 "ExchangeArena::reset_h_bd".into(),
                 // The transport owns envelope buffers: messages are
                 // owned values by design, and its costs are metered by
